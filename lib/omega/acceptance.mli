@@ -60,7 +60,15 @@ val rabin : n:int -> (Iset.t * Iset.t) list -> t
 
 (** Disjunctive normal form: a list of conjuncts [(fin, infs)], the
     condition holding iff some conjunct has [inf(r)] avoiding [fin] and
-    meeting every set in [infs].  Exact (used by the emptiness check). *)
+    meeting every set in [infs].  Exact, but its width is the product
+    of the widths of an [And]'s children, so a wide conjunction blows
+    up; {!Lang.is_uniform_liveness} avoids it through
+    {!Inclusion.exists_accepting_cycle}.  Still used, one restricted
+    SCC pass per conjunct, by {!Inclusion.live_states} (and so
+    [nonempty], [is_empty], the safety closure and inclusion's dead-pair
+    pruning), the antichain emptiness scan of {!Inclusion.included},
+    [Lang.witness], [Classify]'s cycle search within a region and
+    [Fts.Graph]'s fair-lasso search; {!cnf} builds on it. *)
 val dnf : t -> (Iset.t * Iset.t list) list
 
 (** Conjunctive normal form: a list of clauses [(x, ys)], the condition

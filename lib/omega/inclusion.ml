@@ -100,6 +100,57 @@ let nonempty (a : Automaton.t) = (live_states a).(a.start)
 
 let is_empty a = not (nonempty a)
 
+(* Emerson-Lei emptiness by SCC recursion (Baier, Blahoudek,
+   Duret-Lutz, Klein, Mueller, Strejcek, "Generic emptiness check for
+   fun and profit", ATVA 2019).  The condition is never put in DNF:
+   on each cycle-carrying SCC [s] it is restricted to [s] (atom sets
+   intersected with [s], so [Inf X] with X∩s=∅ is [False] and [Fin X]
+   with X∩s=∅ is [True]) and simplified.  A [Fin]-free remainder is
+   monotone, so the cycle through all of [s] decides it.  Otherwise
+   one [Fin X] splits the search: an infinity set avoiding X lives in
+   an SCC of s∖X, one meeting X falsifies [Fin X] and stays on [s].
+   Every step either drops a distinct [Fin] atom or shrinks [s], so
+   the worst case is exponential in the number of distinct [Fin] sets
+   after restriction.  [Budget.check] per step bounds it by the
+   deadline without spending fuel. *)
+let exists_accepting_cycle ?(budget = Budget.unlimited) (a : Automaton.t) =
+  let succ = Automaton.successors a in
+  let rec first_fin = function
+    | Acceptance.Fin x -> Some x
+    | And l | Or l -> List.find_map first_fin l
+    | True | False | Inf _ -> None
+  in
+  let rec fin_false x = function
+    | Acceptance.Fin y when Iset.equal x y -> Acceptance.False
+    | And l -> And (List.map (fin_false x) l)
+    | Or l -> Or (List.map (fin_false x) l)
+    | acc -> acc
+  in
+  (* a singleton of the [allowed] subgraph carries a cycle iff it has
+     a self-loop, which stays inside it *)
+  let cycle_sccs allowed =
+    List.filter_map
+      (fun comp ->
+        if Graph_kernel.nontrivial ~succ comp then Some (Iset.of_list comp)
+        else None)
+      (Graph_kernel.sccs_in ~n:a.n ~succ ~allowed)
+  in
+  let rec accepting acc s =
+    Budget.check budget;
+    match Acceptance.simplify (Acceptance.map_sets (Iset.inter s) acc) with
+    | True -> true
+    | False -> false
+    | acc -> (
+        match first_fin acc with
+        | None -> Acceptance.eval acc s
+        | Some x ->
+            List.exists (accepting acc)
+              (cycle_sccs (fun q -> Iset.mem q s && not (Iset.mem q x)))
+            || accepting (fin_false x acc) s)
+  in
+  let reach = Automaton.reachable a in
+  List.exists (accepting a.acc) (cycle_sccs (fun q -> reach.(q)))
+
 (* ------------------------------------------------------------------ *)
 (* On-the-fly inclusion                                                *)
 (* ------------------------------------------------------------------ *)

@@ -91,6 +91,19 @@ val nonempty : Automaton.t -> bool
 
 val is_empty : Automaton.t -> bool
 
+val exists_accepting_cycle : ?budget:Budget.t -> Automaton.t -> bool
+(** Does some reachable cycle satisfy the acceptance condition?  The
+    same answer as {!nonempty}, reached by Emerson-Lei SCC recursion
+    (Baier et al., ATVA 2019) instead of {!Acceptance.dnf}: the
+    condition is restricted to each SCC and split on one [Fin] atom at
+    a time, so the cost is exponential in the number of distinct [Fin]
+    sets after restriction, not in the DNF width.  Meant for wide
+    conjunctions (the m-fold condition of uniform liveness), where the
+    DNF blows up; it answers for the start state only, whereas
+    {!live_states} answers per state.  Each recursion step calls
+    {!Budget.check} on [?budget] (no fuel spent), so a deadline bounds
+    it; raises [Budget.Tripped] when one passes. *)
+
 val live_states :
   ?budget:Budget.t ->
   ?telemetry:Telemetry.t ->

@@ -15,6 +15,7 @@ let scc_nontrivial = Inclusion.scc_nontrivial
 let live_states = Inclusion.live_states
 let nonempty = Inclusion.nonempty
 let is_empty = Inclusion.is_empty
+let exists_accepting_cycle = Inclusion.exists_accepting_cycle
 
 (* ------------------------------------------------------------------ *)
 (* Witness extraction                                                  *)
@@ -385,11 +386,17 @@ let safety_liveness_decomposition ?budget ?telemetry ?pool a =
 (* ------------------------------------------------------------------ *)
 
 (* Pi is uniformly live iff one word is accepted from every state
-   reachable in >= 1 step: run the automaton from all those states
+   reachable in >= 1 step: run the automaton from all those m states
    simultaneously and ask for a word accepted by every component.  The
    vector-state interning below is a subset construction — worst-case
    exponential in [a.n] — so the expansion loop ticks [?budget] once
-   per interned vector state. *)
+   per interned vector state.  The joint condition is an [And] of m
+   lifted copies of [a.acc], whose DNF width is the product of the
+   copies' widths, so it is never put in DNF: [exists_accepting_cycle]
+   decides it by SCC recursion, worst-case exponential in the number
+   of distinct [Fin] sets left after restricting to an SCC, and checks
+   the deadline of [?budget] (without spending fuel) at every
+   recursion step. *)
 let is_uniform_liveness ?(budget = Budget.unlimited) (a : Automaton.t) =
   let reach = Automaton.reachable a in
   let starts =
@@ -451,4 +458,4 @@ let is_uniform_liveness ?(budget = Budget.unlimited) (a : Automaton.t) =
          (List.init m (fun c -> Acceptance.map_sets (lift c) a.acc)))
   in
   let joint = Automaton.make ~alpha:a.alpha ~n:n' ~start:i0 ~delta ~acc in
-  nonempty joint
+  exists_accepting_cycle ~budget joint

@@ -9,6 +9,10 @@ val nonempty : Automaton.t -> bool
 
 val is_empty : Automaton.t -> bool
 
+(** {!nonempty} by Emerson-Lei SCC recursion, never expanding the
+    condition in DNF; see {!Inclusion.exists_accepting_cycle}. *)
+val exists_accepting_cycle : ?budget:Budget.t -> Automaton.t -> bool
+
 (** A lasso word accepted by the automaton, if any. *)
 val witness : Automaton.t -> Finitary.Word.lasso option
 
@@ -168,6 +172,8 @@ val safety_liveness_decomposition :
     infinite word [w] with [Sigma+ . w <= Pi]?  Decided exactly by a
     product over all states reachable in at least one step — a subset
     construction, worst-case exponential in [a.n], so the expansion
-    ticks [?budget] once per vector state and raises [Budget.Tripped]
-    when it runs out. *)
+    ticks [?budget] once per vector state.  Its m-fold conjunction of
+    acceptance copies is decided by {!exists_accepting_cycle}, never in
+    DNF, with a deadline check per recursion step.  Raises
+    [Budget.Tripped] when fuel or the deadline runs out. *)
 val is_uniform_liveness : ?budget:Budget.t -> Automaton.t -> bool

@@ -74,6 +74,24 @@ let classify_tests =
             | Error e ->
                 Alcotest.failf "%s: unexpected error %a" f Engine.pp_error e)
           (Lazy.force reference) results);
+    Alcotest.test_case "uniform liveness answers exactly under a deadline"
+      `Quick (fun () ->
+        (* three modal shapes: the m-fold acceptance conjunction of the
+           uniform-liveness check has a DNF too wide to expand, so this
+           bit must be decided without one *)
+        let budget = Budget.make ~timeout_ms:1000. () in
+        match
+          Engine.classify ~budget ~props:"p,q,r" "<> q | <>[] Y r | <> p"
+        with
+        | Ok r ->
+            check "exact verdict" true
+              (match r.Engine.verdict with
+              | Engine.Exact _ -> true
+              | Engine.Interval _ -> false);
+            check "nothing exhausted" true (r.Engine.exhausted = None);
+            check "uniformly live" true
+              (r.Engine.is_uniform_liveness = Some true)
+        | Error e -> Alcotest.failf "unexpected error %a" Engine.pp_error e);
   ]
 
 let deadline_qcheck =

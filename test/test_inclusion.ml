@@ -170,6 +170,85 @@ let differential_tests =
     ]
 
 (* ------------------------------------------------------------------ *)
+(* Emerson-Lei SCC recursion against the DNF emptiness core            *)
+(* ------------------------------------------------------------------ *)
+
+(* Automata of 1..6 states with a random start (so some states may be
+   unreachable) and an acceptance tree [depth] levels deep. *)
+let gen_small ~depth =
+  let open QCheck.Gen in
+  int_range 1 6 >>= fun n ->
+  let gen_set =
+    map
+      (fun mask ->
+        Iset.of_list
+          (List.filter (fun i -> mask land (1 lsl i) <> 0) (List.init n Fun.id)))
+      (int_bound ((1 lsl n) - 1))
+  in
+  let atom =
+    oneof
+      [
+        map (fun s -> Acceptance.Inf s) gen_set;
+        map (fun s -> Acceptance.Fin s) gen_set;
+      ]
+  in
+  let rec gen_acc d =
+    if d = 0 then atom
+    else
+      let sub = gen_acc (d - 1) in
+      frequency
+        [
+          (1, atom);
+          (2, map2 (fun a b -> Acceptance.And [ a; b ]) sub sub);
+          (2, map2 (fun a b -> Acceptance.Or [ a; b ]) sub sub);
+        ]
+  in
+  map3
+    (fun start rows acc ->
+      Automaton.make ~alpha:ab ~n ~start
+        ~delta:(Array.of_list (List.map Array.of_list rows))
+        ~acc)
+    (int_bound (n - 1))
+    (list_repeat n (list_repeat 2 (int_bound (n - 1))))
+    (gen_acc depth)
+
+let arb_small ~depth =
+  QCheck.make
+    ~print:(fun a -> Format.asprintf "%a" Automaton.pp a)
+    (gen_small ~depth)
+
+(* Uniform liveness by definition: one word accepted from every state
+   reachable in >= 1 step, i.e. non-emptiness of the intersection of the
+   automaton restarted at each of those states. *)
+let uniform_oracle (a : Automaton.t) =
+  let reach = Automaton.reachable a in
+  let starts =
+    List.sort_uniq compare
+      (List.concat_map
+         (fun q -> if reach.(q) then Array.to_list a.delta.(q) else [])
+         (List.init a.n Fun.id))
+  in
+  let restart q =
+    Automaton.make ~alpha:a.alpha ~n:a.n ~start:q ~delta:a.delta ~acc:a.acc
+  in
+  Lang.nonempty
+    (List.fold_left
+       (fun acc q -> Automaton.trim (Automaton.inter acc (restart q)))
+       (Automaton.full a.alpha) starts)
+
+let emerson_lei_tests =
+  List.map QCheck_alcotest.to_alcotest
+    [
+      QCheck.Test.make ~name:"exists_accepting_cycle = nonempty" ~count:1000
+        (arb_small ~depth:4) (fun a ->
+          Inclusion.exists_accepting_cycle a = Inclusion.nonempty a);
+      (* depth 2 keeps the oracle's m-fold DNF small enough to expand *)
+      QCheck.Test.make ~name:"is_uniform_liveness = restart-product oracle"
+        ~count:300 (arb_small ~depth:2) (fun a ->
+          Lang.is_uniform_liveness a = uniform_oracle a);
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* Pool determinism and budget degradation                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -220,5 +299,6 @@ let () =
     [
       ("canned", unit_tests);
       ("differential", differential_tests);
+      ("emerson-lei", emerson_lei_tests);
       ("pool", pool_tests);
     ]
