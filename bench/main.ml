@@ -698,15 +698,10 @@ let parallel_lint_specs =
         | 2 -> Printf.sprintf "[]<> %s -> []<> %s" a b
         | _ -> Printf.sprintf "<>[] %s | []<> %s" a b ))
 
-(* Closure workloads for the parallel sweep.  The safety-closure side:
-   a strongly-connected 30k-state graph whose 8-conjunct DNF acceptance
-   makes [good_scc_states] run 8 independent restricted Tarjan passes —
-   the per-conjunct fan-out.  The subset side: a counter that steps by
-   +1/+7 and nondeterministically picks a mode bit each step; observing
-   the mode keeps the closure subsets from growing monotonically (the
-   idle self-loop otherwise makes every level a superset chain), so the
-   construction reaches ~2.3k distinct subsets with frontier levels wide
-   enough for the draft/reconcile path to engage. *)
+(* Closure workload for the parallel sweep: a strongly-connected
+   30k-state graph whose 8-conjunct DNF acceptance makes
+   [good_scc_states] run 8 independent restricted Tarjan passes — the
+   per-conjunct fan-out. *)
 let closure_conjuncts_automaton n conj =
   let delta = Array.init n (fun q -> [| (q + 1) mod n; (q + 7) mod n |]) in
   let slice r =
@@ -723,28 +718,6 @@ let closure_conjuncts_automaton n conj =
   in
   Automaton.make ~alpha:ab ~n ~start:0 ~delta ~acc
 
-let closure_mode_system n hops =
-  Fts.System.make
-    ~vars:
-      [
-        { Fts.System.name = "x"; lo = 0; hi = n - 1 };
-        { name = "m"; lo = 0; hi = 1 };
-      ]
-    ~init:[ [| 0; 0 |] ]
-    ~transitions:
-      (List.map
-         (fun h ->
-           {
-             Fts.System.tname = Printf.sprintf "hop%d" h;
-             guard = (fun _ -> true);
-             action =
-               (fun s ->
-                 let x' = (s.(0) + h) mod n in
-                 [ [| x'; 0 |]; [| x'; 1 |] ]);
-           })
-         hops)
-    ~fairness:[] ()
-
 let parallel_json () =
   let cores = Domain.recommended_domain_count () in
   let n = 10_000 in
@@ -753,10 +726,8 @@ let parallel_json () =
     Automaton.make ~alpha:ab ~n ~start:0 ~delta
       ~acc:(Acceptance.Inf (Iset.singleton 0))
   in
-  (* One large inclusion query: a lazy product of ~10^6 pairs whose
-     4-letter branching makes the BFS frontier thousands of pairs wide
-     within a few levels, so most expansion happens above the adaptive
-     par_threshold; [b]'s generalized-Buchi condition gives the final
+  (* One large inclusion query: a lazy product of ~10^6 pairs, explored
+     sequentially; [b]'s generalized-Buchi condition gives the final
      emptiness scan two conjuncts to fan out on. *)
   let abcd = Finitary.Alphabet.of_chars "abcd" in
   let na = 1000 and nb = 999 in
@@ -827,15 +798,6 @@ let parallel_json () =
         fun pool () ->
           ignore (Lang.safety_closure ?pool (closure_conjuncts_automaton 30_000 8)) )
   in
-  let closure_subset_m =
-    let sys = closure_mode_system 160 [ 1; 7 ] in
-    measure
-      ( "closure: mode-counter subset construction (2.3k subsets)",
-        fun pool () ->
-          ignore
-            (Fts.Check.closure_automaton ?pool ~par_threshold:16 sys
-               ~atoms:[ "m=0"; "x=0" ]) )
-  in
   (* The tiny gate asserts a 0.4% bound, so the workload must be long
      enough (and sampled often enough) that min-of-reps beats scheduler
      jitter: 2000 classifies is ~10ms, not ~1ms. *)
@@ -850,12 +812,11 @@ let parallel_json () =
   let measured = [ sweep_m; lint_m ] in
   (* the CI speedup gates read single_large and closure: each entry is
      ONE input (no batch to slice), so any speedup is pure intra-query
-     parallelism — per-SCC fan-out for the sweep, parallel frontier
-     expansion plus per-conjunct emptiness for the inclusion, per-
-     conjunct Tarjan passes and draft/reconcile subset levels for the
-     closure pair *)
+     parallelism — per-SCC fan-out for the sweep, per-conjunct passes
+     for the inclusion (dead-state pruning and emptiness) and for the
+     closure *)
   let single_large = [ sweep_m; incl_m ] in
-  let closure = [ closure_conj_m; closure_subset_m ] in
+  let closure = [ closure_conj_m ] in
   let micro = run_benches () in
   (* a jobs=4 sweep on fewer than 4 cores measures oversubscription,
      not speedup, so every section carries the core count it ran on
@@ -930,7 +891,7 @@ let parallel_json () =
          %8.1fms (%.2fx)@."
         name (seq /. 1e6) (j1 /. 1e6) (j1 /. seq) (j2 /. 1e6) (seq /. j2)
         (j4 /. 1e6) (seq /. j4))
-    [ sweep_m; lint_m; incl_m; closure_conj_m; closure_subset_m; tiny_m ]
+    [ sweep_m; lint_m; incl_m; closure_conj_m; tiny_m ]
 
 (* ------------------------------------------------------------------ *)
 (* --inclusion-json: explicit vs antichain language inclusion          *)

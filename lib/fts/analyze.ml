@@ -304,13 +304,13 @@ let check_m311 ~budget sys specs emit =
 
 (* The closure automaton is shared between M310 and H312 and between
    requirements over the same atom set. *)
-let closure_cache ~budget ~telemetry ?pool sys =
+let closure_cache ~budget ~telemetry sys =
   let cache = Hashtbl.create 4 in
   fun atoms ->
     match Hashtbl.find_opt cache atoms with
     | Some a -> a
     | None ->
-        let a = Check.closure_automaton ~budget ~telemetry ?pool sys ~atoms in
+        let a = Check.closure_automaton ~budget ~telemetry sys ~atoms in
         Hashtbl.add cache atoms a;
         a
 
@@ -440,7 +440,7 @@ let analyze ?(budget = Budget.unlimited) ?(telemetry = Telemetry.disabled)
     statuses := (code, status) :: !statuses
   in
   let skip code reason = statuses := (code, Skipped reason) :: !statuses in
-  let closure_of = closure_cache ~budget ~telemetry ?pool sys in
+  let closure_of = closure_cache ~budget ~telemetry sys in
   run M301 (fun () -> check_m301 ~budget sys emit);
   run M302 (fun () -> check_m302 ~budget sys emit);
   run M303 (fun () -> check_m303 ~budget sys emit);

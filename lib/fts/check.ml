@@ -206,6 +206,18 @@ let has_fair_computation ?(budget = Budget.unlimited)
   Telemetry.span telemetry "fts.lasso_search" @@ fun () ->
   Graph.find_accepting_lasso graph ~starts acc <> None
 
+(* Closure subsets are sorted lists of split-node ids.  On a counter
+   they grow as intervals [[1..k]] sharing long prefixes, and
+   [Hashtbl.hash] reads only the first ten elements of a list, so with
+   the polymorphic table those keys all land in one bucket and are
+   compared as long lists.  This table hashes every element. *)
+module Subsets = Hashtbl.Make (struct
+  type t = int list
+
+  let equal = List.equal Int.equal
+  let hash l = List.fold_left (fun h x -> (h * 31) + x) 0 l land max_int
+end)
+
 (* Subset construction for the safety closure of the system's
    computation language, projected onto valuations of [atoms].  The
    result is a complete deterministic automaton accepting exactly the
@@ -216,13 +228,11 @@ let has_fair_computation ?(budget = Budget.unlimited)
    language of a graph is closed: a word is in the closure iff the
    subset automaton never empties. *)
 let closure_automaton ?(budget = Budget.unlimited)
-    ?(telemetry = Telemetry.disabled) ?pool ?(par_threshold = 64) sys ~atoms
-    =
+    ?(telemetry = Telemetry.disabled) ?pool:_ sys ~atoms =
   let atoms = List.sort_uniq compare atoms in
   if atoms = [] then invalid_arg "Check.closure_automaton: no atoms";
   if List.length atoms > 14 then
     invalid_arg "Check.closure_automaton: too many distinct atoms";
-  let pool = Pool.effective ~budget ~telemetry pool in
   let labels = labels_of sys in
   let n_labels = Array.length labels in
   let states = System.internal_states sys in
@@ -241,18 +251,11 @@ let closure_automaton ?(budget = Budget.unlimited)
           0 indexed)
   in
   Budget.ticks budget graph.Graph.n;
-  (* Level-synchronous subset construction.  DFA state 0 is the
-     pre-initial state (no letter read yet); every other DFA state
-     [id + 1] is the sorted subset of split nodes interned as [id];
-     the empty subset is the reject sink.  Frontier levels at least
-     [par_threshold] wide fan out on [?pool]: tasks dedup successor
-     subsets against the frozen table plus a task-local draft, and the
-     join reconciles genuinely-fresh subsets in task order — the
-     sequential numbering.  {e Every} budget tick happens here on the
-     submitting domain, in frontier order, never in a task, so trip
-     positions are identical with and without a pool at any job
-     count. *)
-  let table : int list Intern.t = Intern.create () in
+  (* Breadth-first subset construction.  DFA state 0 is the pre-initial
+     state (no letter read yet); every other DFA state [id + 1] is the
+     sorted subset of split nodes interned as [id]; the empty subset is
+     the reject sink. *)
+  let table = Subsets.create 64 in
   let grow = ref (Array.make 64 [||]) in
   let subs = ref (Array.make 64 []) in
   let ensure n =
@@ -266,16 +269,18 @@ let closure_automaton ?(budget = Budget.unlimited)
       subs := s
     end
   in
-  (* DFA id of subset [s], interning (and ticking) when fresh *)
+  (* DFA id of subset [s], interning (and ticking) when fresh; a miss
+     is inserted with [add], since [replace] would rescan the bucket *)
   let intern s =
-    let before = Intern.count table in
-    let id = Intern.intern table s in
-    if id = before then begin
-      ensure (id + 2);
-      !subs.(id + 1) <- s;
-      Budget.tick budget
-    end;
-    id + 1
+    match Subsets.find_opt table s with
+    | Some id -> id + 1
+    | None ->
+        let id = Subsets.length table in
+        Subsets.add table s id;
+        ensure (id + 2);
+        !subs.(id + 1) <- s;
+        Budget.tick budget;
+        id + 1
   in
   let bucketize vs =
     let buckets = Array.make k [] in
@@ -289,86 +294,23 @@ let closure_automaton ?(budget = Budget.unlimited)
      the [!grow] deref must come after the row is built *)
   let row0 = bucketize starts in
   !grow.(0) <- row0;
-  let expand_seq lo hi =
-    for i = lo to hi - 1 do
-      let s = !subs.(i) in
-      Budget.ticks budget (List.length s + k);
-      let row =
-        bucketize (List.concat_map (fun v -> graph.Graph.succ.(v)) s)
-      in
-      !grow.(i) <- row
-    done
-  in
-  let expand_par p lo hi =
-    let chunk = par_threshold in
-    let n_chunks = ((hi - lo) + chunk - 1) / chunk in
-    let spans =
-      List.init n_chunks (fun c ->
-          (lo + (c * chunk), min hi (lo + ((c + 1) * chunk))))
-    in
-    (* tasks read the frozen prefix of [subs] and the frozen table *)
-    let subs_data = !subs in
-    let results =
-      Pool.map ~telemetry p
-        (fun _ctx (clo, chi) ->
-          let d = Intern.draft table in
-          let out = Array.make ((chi - clo) * k) 0 in
-          for i = clo to chi - 1 do
-            let buckets = Array.make k [] in
-            List.iter
-              (fun v ->
-                List.iter
-                  (fun w ->
-                    buckets.(letter.(w)) <- w :: buckets.(letter.(w)))
-                  graph.Graph.succ.(v))
-              subs_data.(i);
-            for l = 0 to k - 1 do
-              out.(((i - clo) * k) + l) <-
-                Intern.lookup d (List.sort_uniq compare buckets.(l))
-            done
-          done;
-          (out, Intern.misses d))
-        spans
-    in
-    (* the suture: walk rows in frontier order, ticking exactly as the
-       sequential loop, reconciling each fresh subset lazily at its
-       first (i, letter) occurrence — the sequential intern order *)
-    List.iter2
-      (fun (clo, chi) (out, miss) ->
-        let ids = Array.make (Array.length miss) (-1) in
-        for i = clo to chi - 1 do
-          Budget.ticks budget (List.length subs_data.(i) + k);
-          let row =
-            Array.init k (fun l ->
-                let code = out.(((i - clo) * k) + l) in
-                if code >= 0 then code + 1
-                else begin
-                  let m = lnot code in
-                  if ids.(m) < 0 then ids.(m) <- intern miss.(m);
-                  ids.(m)
-                end)
-          in
-          !grow.(i) <- row
-        done)
-      spans results
-  in
-  let next = ref 1 in
-  while !next < Intern.count table + 1 do
-    let lo = !next and hi = Intern.count table + 1 in
-    next := hi;
-    match pool with
-    | Some p when hi - lo >= par_threshold -> expand_par p lo hi
-    | _ -> expand_seq lo hi
+  let i = ref 1 in
+  while !i <= Subsets.length table do
+    let s = !subs.(!i) in
+    Budget.ticks budget (List.length s + k);
+    let row = bucketize (List.concat_map (fun v -> graph.Graph.succ.(v)) s) in
+    !grow.(!i) <- row;
+    incr i
   done;
-  let n = Intern.count table + 1 in
+  let n = Subsets.length table + 1 in
   Telemetry.add telemetry "fts.closure_states" n;
   let delta = Array.init n (fun i -> !grow.(i)) in
   let acc =
     (* a word is in the closure iff its run never reaches the sink;
        the sink is absorbing, so "never reaches" = "visits finitely" *)
-    match Intern.find table [] with
-    | sink when sink >= 0 -> Acceptance.Fin (Iset.add (sink + 1) Iset.empty)
-    | _ -> Acceptance.True
+    match Subsets.find_opt table [] with
+    | Some sink -> Acceptance.Fin (Iset.add (sink + 1) Iset.empty)
+    | None -> Acceptance.True
   in
   Omega.Automaton.make ~alpha ~n ~start:0 ~delta ~acc
 

@@ -65,19 +65,15 @@ val has_fair_computation :
     [Invalid_argument] on an empty or oversized (> 14) atom set or an
     unknown atom.
 
-    Frontier levels at least [?par_threshold] (default 64) wide are
-    expanded on [?pool] in constant-size chunks: tasks dedup successor
-    subsets against the frozen interning table plus a task-local
-    draft, and the join reconciles genuinely-fresh subsets in task
-    order — the sequential subset numbering exactly.  All [?budget]
-    ticks happen on the submitting domain in frontier order, so the
-    automaton {e and} every trip position are bit-identical with and
-    without a pool, at every job count. *)
+    The construction is sequential; [?pool] is accepted and ignored
+    (fanning out its subset levels never beat one domain).  [?budget]
+    is charged for the split graph, once per fresh subset, and
+    [|s| + k] ticks when subset [s] is expanded over the [k]
+    letters. *)
 val closure_automaton :
   ?budget:Budget.t ->
   ?telemetry:Telemetry.t ->
   ?pool:Pool.t ->
-  ?par_threshold:int ->
   System.t ->
   atoms:string list ->
   Omega.Automaton.t

@@ -162,12 +162,10 @@ exception Rank_too_hard of int
    is itself a cycle (then single-element refinement steps are always
    available). *)
 let reactivity_rank_raw ?(budget = Budget.unlimited) ?(max_cycles = 4000)
-    ?max_scc ?(telemetry = Telemetry.disabled) ?pool (a : Automaton.t) =
+    ?max_scc ?(telemetry = Telemetry.disabled) (a : Automaton.t) =
   Telemetry.span telemetry "classify.rank_search" @@ fun () ->
-  (* best alternating-chain half-length over one cycle group; [budget]
-     and [telemetry] are parameters so the pool path can charge each
-     group's DP to its own task replica *)
-  let group_best budget telemetry group =
+  (* best alternating-chain half-length over one cycle group *)
+  let group_best group =
       let best = ref 0 in
       let cycles = Array.of_list group in
       let m = Array.length cycles in
@@ -238,34 +236,11 @@ let reactivity_rank_raw ?(budget = Budget.unlimited) ?(max_cycles = 4000)
       end;
       !best
   in
-  match pool with
-  | None ->
-      let groups = Cycles.enumerate ~budget ?max_scc ~telemetry a in
-      List.fold_left (fun acc g -> max acc (group_best budget telemetry g)) 0 groups
-  | Some p ->
-      (* pipelined: one task per accessible SCC, each fusing that
-         component's cycle enumeration with its group DP — no barrier
-         on the full [Cycles.enumerate] result, and the enumeration
-         itself fans out.  The task count (and hence the replica
-         budget split) is the SCC count, a function of the input
-         alone; a [Too_large]/[Rank_too_hard] re-raises at the join
-         from the lowest raising index — the sequential scan's first
-         failure. *)
-      let comps = Cycles.live_comps a in
-      Telemetry.add telemetry "cycles.sccs" (List.length comps);
-      List.fold_left max 0
-        (Pool.map ~budget ~telemetry ~seq_below:0 p
-           (fun ctx comp ->
-             match
-               Cycles.enumerate_comp ~budget:ctx.Pool.budget ?max_scc
-                 ~telemetry:ctx.Pool.telemetry a comp
-             with
-             | None -> 0
-             | Some g -> group_best ctx.Pool.budget ctx.Pool.telemetry g)
-           comps)
+  let groups = Cycles.enumerate ~budget ?max_scc ~telemetry a in
+  List.fold_left (fun acc g -> max acc (group_best g)) 0 groups
 
 let reactivity_rank ?budget ?max_scc ?telemetry ?pool a =
-  let n = reactivity_rank_raw ?budget ?max_scc ?telemetry ?pool a in
+  let n = reactivity_rank_raw ?budget ?max_scc ?telemetry a in
   if n > 0 then n
   else if Lang.is_universal ?pool a then 0
   else 1

@@ -63,7 +63,9 @@ val obligation_degree : ?pool:Pool.t -> Automaton.t -> int option
     search with [Budget.Tripped] (caught by {!classify_budgeted}).
     [telemetry] wraps the chain search in a [classify.rank_search]
     span (with the [cycles.enumerate] span nested inside) and counts
-    the enumerated cycles ([rank.cycles]). *)
+    the enumerated cycles ([rank.cycles]).  The rank search is
+    sequential; [?pool] reaches only the universality check that
+    separates rank 0 from rank 1. *)
 val reactivity_rank :
   ?budget:Budget.t ->
   ?max_scc:int ->
@@ -73,8 +75,8 @@ val reactivity_rank :
   int
 
 (** [None] when any resource limit is exceeded — the [max_scc]/cycle
-    caps {e and} a [?budget] trip — so it never raises; [?pool] fans
-    the per-SCC rank search out like {!reactivity_rank}. *)
+    caps {e and} a [?budget] trip — so it never raises; [?pool] as
+    for {!reactivity_rank}. *)
 val reactivity_rank_opt :
   ?budget:Budget.t ->
   ?max_scc:int ->
@@ -93,8 +95,8 @@ val reactivity_rank_opt :
 
     With [?pool] the columns still run in hierarchy order with the
     sequential short-circuit — the pool goes {e into} each membership
-    predicate (per-SCC component fan-out, parallel product
-    exploration), where nearly all of a classification's work lives.
+    predicate (per-SCC component fan-out, per-conjunct SCC passes),
+    where nearly all of a classification's work lives.
     Verdicts are identical with and without a pool, at every job
     count. *)
 val classify_outcome : ?max_scc:int -> ?pool:Pool.t -> Automaton.t -> outcome

@@ -46,7 +46,7 @@ let rec eval_mask acc m =
 (* Enumerate the cycles of one SCC already known to fit in [max_scc]:
    bitmask subset enumeration over the component's states, one budget
    tick per subset. *)
-let enumerate_comp_checked ~budget ~telemetry (a : Automaton.t) comp size =
+let scc_cycles budget telemetry (a : Automaton.t) comp size =
   let states = Array.of_list comp in
   let pos = Hashtbl.create 16 in
   Array.iteri (fun i q -> Hashtbl.add pos q i) states;
@@ -117,26 +117,20 @@ let enumerate_comp_checked ~budget ~telemetry (a : Automaton.t) comp size =
   Telemetry.add telemetry "cycles.found" (List.length !out);
   match !out with [] -> None | l -> Some l
 
-(* The reachable SCCs, in [Automaton.sccs] order — the enumeration
-   (and task) order every consumer must preserve for determinism. *)
-let live_comps (a : Automaton.t) =
-  let reach = Automaton.reachable a in
-  List.filter (fun comp -> reach.(List.hd comp)) (Automaton.sccs a)
-
-let enumerate_comp ?(budget = Budget.unlimited) ?(max_scc = 22)
-    ?(telemetry = Telemetry.disabled) (a : Automaton.t) comp =
-  Budget.tick budget;
-  let size = List.length comp in
-  Telemetry.observe telemetry "cycles.scc_size" (float_of_int size);
-  if size > max_scc then raise (Too_large size);
-  enumerate_comp_checked ~budget ~telemetry a comp size
-
-let enumerate ?budget ?max_scc ?(telemetry = Telemetry.disabled)
-    (a : Automaton.t) =
+let enumerate ?(budget = Budget.unlimited) ?(max_scc = 22)
+    ?(telemetry = Telemetry.disabled) (a : Automaton.t) =
   Telemetry.span telemetry "cycles.enumerate" @@ fun () ->
-  let comps = live_comps a in
+  let reach = Automaton.reachable a in
+  let comps = List.filter (fun comp -> reach.(List.hd comp)) (Automaton.sccs a) in
   Telemetry.add telemetry "cycles.sccs" (List.length comps);
-  List.filter_map (enumerate_comp ?budget ?max_scc ~telemetry a) comps
+  List.filter_map
+    (fun comp ->
+      Budget.tick budget;
+      let size = List.length comp in
+      Telemetry.observe telemetry "cycles.scc_size" (float_of_int size);
+      if size > max_scc then raise (Too_large size);
+      scc_cycles budget telemetry a comp size)
+    comps
 
 let accepting_family ?budget ?max_scc ?telemetry a =
   List.concat_map

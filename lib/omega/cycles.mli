@@ -46,23 +46,6 @@ val enumerate :
   Automaton.t ->
   (Iset.t * bool) list list
 
-(** The accessible SCCs in enumeration order: [enumerate] is exactly
-    [List.filter_map (enumerate_comp ...) (live_comps a)].  Exposed so
-    the rank search can stream one component at a time into pool tasks
-    instead of barriering on the full enumeration. *)
-val live_comps : Automaton.t -> int list list
-
-(** Cycles of one component of {!live_comps} (with acceptance flags),
-    or [None] if it carries none.  Ticks [budget] once up front and
-    once per candidate subset; raises [Too_large] past [max_scc]. *)
-val enumerate_comp :
-  ?budget:Budget.t ->
-  ?max_scc:int ->
-  ?telemetry:Telemetry.t ->
-  Automaton.t ->
-  int list ->
-  (Iset.t * bool) list option
-
 (** The family [F] of accessible accepting cycles (flattened). *)
 val accepting_family :
   ?budget:Budget.t ->

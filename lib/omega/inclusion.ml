@@ -171,8 +171,11 @@ let exists_accepting_cycle ?(budget = Budget.unlimited) (a : Automaton.t) =
      nothing to the difference language, so it is collapsed into a
      single absorbing reject sink (pair id 0).  [live_states a] is one
      linear pass, amortized against the product exploration it avoids.
-   - interning: pairs are hash-consed to dense ids, so the SCC scan at
-     the end runs on arrays, not on a map of pairs.
+   - interning: pairs are hash-consed to dense ids (in BFS order), so
+     the SCC scan at the end runs on arrays, not on a map of pairs.
+     The stdlib [Hashtbl] is keyed by the int code [qa * b.n + qb]; a
+     miss is inserted with [Hashtbl.add] after the [find_opt] that
+     missed, since [replace] would rescan the bucket.
 
    Acceptance over the explored graph is evaluated positionally: an
    atom of [a] keeps its state set, an atom of [b]'s dual is shifted
@@ -180,21 +183,7 @@ let exists_accepting_cycle ?(budget = Budget.unlimited) (a : Automaton.t) =
    [qa in s] or [a.n + qb in s].  Because every interned pair is
    reachable by construction, the difference is non-empty iff some DNF
    conjunct of [acc_a /\ dual acc_b] owns a qualifying non-trivial SCC
-   anywhere in the explored graph — no separate reachability pass.
-
-   Determinism under [?pool]: frontier levels at least
-   [par_threshold] wide are expanded in parallel.  Tasks read the
-   frozen pair arrays and dedup successor codes against the shared
-   {!Intern} table (lock-free finds) plus a task-local draft, so the
-   sequential suture at the join is only the reconciliation of
-   genuinely-fresh codes — ids are assigned in task order, then
-   in-task discovery order, which is exactly the sequential scan
-   order, so the id assignment (and hence every downstream verdict,
-   counter and trip point) is bit-identical to the sequential
-   expansion at every job count.  Chunks have constant size
-   [par_threshold], so the chunk count — and with it [Budget.split]'s
-   replica allowances — depends only on the frontier width, never on
-   [jobs]. *)
+   anywhere in the explored graph — no separate reachability pass. *)
 
 (* Growable int vector (OCaml 5.1 has no [Dynarray] yet). *)
 type ivec = { mutable data : int array; mutable len : int }
@@ -230,131 +219,55 @@ type explored = {
   start_id : int;  (** [0] iff [a]'s start state is already dead *)
 }
 
-(* Parallel expansion pays off once a frontier level carries enough
-   transition work to amortize waking the helpers.  That work is
-   [width * k] successor computations, so the width gate adapts to the
-   alphabet: wide-alphabet products fan out on narrower frontiers.
-   The value depends only on the {e input} (never on [jobs]), and it
-   doubles as the chunk size, so the chunk count — and with it
-   [Budget.split]'s replica allowances — is identical at every job
-   count. *)
-let max_par_threshold = 512
-
-let adaptive_par_threshold (a : Automaton.t) =
-  let k = Alphabet.size a.Automaton.alpha in
-  max 64 (min max_par_threshold (4096 / k))
-
-let explore ~budget ~telemetry:tl ?pool ~par_threshold (a : Automaton.t)
-    (b : Automaton.t) =
+let explore ~budget ~telemetry:tl ?pool (a : Automaton.t) (b : Automaton.t) =
   let k = Alphabet.size a.alpha in
   let a_live = live_states ?pool ~telemetry:tl a in
   let pqa = ivec_create () and pqb = ivec_create () in
   let psucc = rvec_create () in
-  (* pair key [qa * b.n + qb] -> dense id; tasks read it lock-free
-     through drafts, only the submitting domain interns *)
-  let index : int Intern.t = Intern.create () in
-  (* id 0: the absorbing reject sink for dead-[a] pairs (keyed by the
-     impossible pair code -1 so real keys, all >= 0, never hit it) *)
-  ignore (Intern.intern index (-1));
+  (* pair key [qa * b.n + qb] -> dense id *)
+  let index : (int, int) Hashtbl.t = Hashtbl.create 1024 in
+  (* id 0: the absorbing reject sink for dead-[a] pairs *)
   ivec_push pqa (-1);
   ivec_push pqb (-1);
   rvec_push psucc (Array.make k 0);
   let pruned = ref 0 in
-  let push_fresh key _id =
-    ivec_push pqa (key / b.Automaton.n);
-    ivec_push pqb (key mod b.Automaton.n);
-    rvec_push psucc [||]
-  in
-  (* [key] is [qa * b.n + qb] for a pair already known [a]-live *)
-  let intern_live_key key =
-    let before = Intern.count index in
-    let id = Intern.intern index key in
-    if id = before then push_fresh key id;
-    id
-  in
   let intern qa qb =
     if not a_live.(qa) then begin
       incr pruned;
       0
     end
-    else intern_live_key ((qa * b.Automaton.n) + qb)
+    else
+      let key = (qa * b.Automaton.n) + qb in
+      match Hashtbl.find_opt index key with
+      | Some id -> id
+      | None ->
+          let id = pqa.len in
+          Hashtbl.add index key id;
+          ivec_push pqa qa;
+          ivec_push pqb qb;
+          rvec_push psucc [||];
+          id
   in
   let start_id = intern a.start b.start in
-  let expand_seq lo hi =
-    for i = lo to hi - 1 do
-      Budget.tick budget;
-      let qa = pqa.data.(i) and qb = pqb.data.(i) in
-      psucc.rows.(i) <-
-        Array.init k (fun l -> intern a.delta.(qa).(l) b.delta.(qb).(l))
-    done
-  in
-  let expand_par p lo hi =
-    let chunk = par_threshold in
-    let n_chunks = ((hi - lo) + chunk - 1) / chunk in
-    let spans =
-      List.init n_chunks (fun c ->
-          (lo + (c * chunk), min hi (lo + ((c + 1) * chunk))))
-    in
-    (* tasks read the frozen prefix [0, hi) of the pair arrays and the
-       frozen interning table (nothing interns while they run) *)
-    let qa_data = pqa.data and qb_data = pqb.data in
-    let results =
-      Pool.map ~budget ~telemetry:tl p
-        (fun ctx (clo, chi) ->
-          let d = Intern.draft index in
-          let out = Array.make ((chi - clo) * k) 0 in
-          for i = clo to chi - 1 do
-            Budget.tick ctx.Pool.budget;
-            let qa = qa_data.(i) and qb = qb_data.(i) in
-            for l = 0 to k - 1 do
-              let qa' = a.delta.(qa).(l) in
-              out.(((i - clo) * k) + l) <-
-                (if a_live.(qa') then
-                   Intern.lookup d ((qa' * b.Automaton.n) + b.delta.(qb).(l))
-                 else min_int)
-            done
-          done;
-          (out, Intern.misses d))
-        spans
-    in
-    (* the sequential suture: reconcile each task's genuinely-fresh
-       keys in task order (= the sequential id assignment), then patch
-       placeholders; already-known successors were resolved inside the
-       tasks, without touching this domain *)
-    List.iter2
-      (fun (clo, chi) (out, miss) ->
-        let ids = Intern.reconcile index ~on_fresh:push_fresh miss in
-        for i = clo to chi - 1 do
-          psucc.rows.(i) <-
-            Array.init k (fun l ->
-                let code = out.(((i - clo) * k) + l) in
-                if code = min_int then begin
-                  incr pruned;
-                  0
-                end
-                else Intern.resolve ids code)
-        done)
-      spans results
-  in
-  let next = ref 1 in
-  while !next < pqa.len do
-    let lo = !next and hi = pqa.len in
-    next := hi;
-    match pool with
-    | Some p when hi - lo >= par_threshold -> expand_par p lo hi
-    | _ -> expand_seq lo hi
+  let i = ref 1 in
+  while !i < pqa.len do
+    Budget.tick budget;
+    let qa = pqa.data.(!i) and qb = pqb.data.(!i) in
+    psucc.rows.(!i) <-
+      Array.init k (fun l -> intern a.delta.(qa).(l) b.delta.(qb).(l));
+    incr i
   done;
   Telemetry.add tl "inclusion.pairs" (pqa.len - 1);
   Telemetry.add tl "inclusion.pruned" !pruned;
   { pqa; pqb; psucc; start_id }
 
-let diff_nonempty ~budget ~telemetry:tl ?pool ~par_threshold (a : Automaton.t)
-    (b : Automaton.t) =
+let diff_nonempty ~budget ~telemetry:tl ?pool (a : Automaton.t) (b : Automaton.t)
+    =
   if not (Alphabet.equal a.alpha b.alpha) then
     invalid_arg "Inclusion.included: alphabet mismatch";
   let e =
     Telemetry.span tl "inclusion.explore" (fun () ->
-        explore ~budget ~telemetry:tl ?pool ~par_threshold a b)
+        explore ~budget ~telemetry:tl ?pool a b)
   in
   if e.start_id = 0 then false (* L(a) empty: nothing left to include *)
   else
@@ -401,17 +314,12 @@ let diff_nonempty ~budget ~telemetry:tl ?pool ~par_threshold (a : Automaton.t)
               conjuncts
         | _ -> List.exists (conjunct_nonempty budget) conjuncts)
 
-let included ?(budget = Budget.unlimited) ?telemetry ?pool ?par_threshold
-    (a : Automaton.t) (b : Automaton.t) =
+let included ?(budget = Budget.unlimited) ?telemetry ?pool (a : Automaton.t)
+    (b : Automaton.t) =
   let tl =
     match telemetry with Some t -> t | None -> Telemetry.ambient ()
   in
   let pool = Pool.effective ~budget ~telemetry:tl pool in
-  let par_threshold =
-    match par_threshold with
-    | Some t -> t
-    | None -> adaptive_par_threshold a
-  in
   if a.delta == b.delta && a.start = b.start then begin
     (* one shared run per word: inclusion is emptiness of
        [acc_a /\ dual acc_b] over the shared graph, no product at all *)
@@ -421,12 +329,10 @@ let included ?(budget = Budget.unlimited) ?telemetry ?pool ?par_threshold
          (Acceptance.simplify
             (Acceptance.And [ a.acc; Acceptance.dual b.acc ])))
   end
-  else not (diff_nonempty ~budget ~telemetry:tl ?pool ~par_threshold a b)
+  else not (diff_nonempty ~budget ~telemetry:tl ?pool a b)
 
-let equal ?budget ?telemetry ?pool ?par_threshold a b =
-  included ?budget ?telemetry ?pool ?par_threshold a b
-  && included ?budget ?telemetry ?pool ?par_threshold b a
+let equal ?budget ?telemetry ?pool a b =
+  included ?budget ?telemetry ?pool a b && included ?budget ?telemetry ?pool b a
 
-let is_universal ?budget ?telemetry ?pool ?par_threshold (a : Automaton.t) =
-  included ?budget ?telemetry ?pool ?par_threshold
-    (Automaton.full a.alpha) a
+let is_universal ?budget ?telemetry ?pool (a : Automaton.t) =
+  included ?budget ?telemetry ?pool (Automaton.full a.alpha) a

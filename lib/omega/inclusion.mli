@@ -24,48 +24,36 @@
 
     {2 Determinism under [?pool]}
 
-    Frontier levels at least [par_threshold] wide are expanded by the
-    pool in constant-size chunks; tasks compute raw successor codes
-    from frozen arrays and all interning happens at the join in task
-    order, so verdicts, telemetry counters and budget trip points are
-    bit-identical at every job count (the chunk count depends only on
-    the frontier width and the threshold, never on [jobs], and the
-    adaptive default threshold is a function of the alphabet size
-    alone).  The final emptiness scan fans out per acceptance
-    conjunct (one restricted SCC pass each) with the left-to-right
-    short-circuit semantics preserved.
+    The product exploration is sequential.  [?pool] fans out only the
+    per-conjunct SCC passes: those of {!live_states} (dead-[a]
+    pruning) and those of the final emptiness scan, which keeps the
+    left-to-right short-circuit semantics.  Verdicts, telemetry
+    counters and budget trip points are identical at every job count.
 
     {2 Observability}
 
-    Work is charged one {!Budget.tick} per expanded pair (to the
-    replica budgets under [?pool]).  Spans [inclusion.explore] /
-    [inclusion.emptiness] and counters [inclusion.pairs] /
-    [inclusion.pruned] / [inclusion.same_table] report to [?telemetry]
-    (default: the ambient handle). *)
+    Work is charged one {!Budget.tick} per expanded pair.  Spans
+    [inclusion.explore] / [inclusion.emptiness] and counters
+    [inclusion.pairs] / [inclusion.pruned] / [inclusion.same_table]
+    report to [?telemetry] (default: the ambient handle). *)
 
 val included :
   ?budget:Budget.t ->
   ?telemetry:Telemetry.t ->
   ?pool:Pool.t ->
-  ?par_threshold:int ->
   Automaton.t ->
   Automaton.t ->
   bool
 (** [included a b]: is [L(a) <= L(b)]?  Operands sharing one
     transition table (safety closures, [with_acc] variants) short-cut
-    to an acceptance-only emptiness check on the shared graph.
-    [?par_threshold] is the minimum frontier width — and the chunk
-    size — for parallel expansion; the default adapts to the alphabet,
-    [max 64 (min 512 (4096 / k))], so products doing more work per
-    pair fan out on narrower frontiers.  Exposed so tests can force
-    the pool path on small automata.  Raises [Invalid_argument] on an
-    alphabet mismatch and [Budget.Tripped] when [?budget] runs out. *)
+    to an acceptance-only emptiness check on the shared graph.  Raises
+    [Invalid_argument] on an alphabet mismatch and [Budget.Tripped]
+    when [?budget] runs out. *)
 
 val equal :
   ?budget:Budget.t ->
   ?telemetry:Telemetry.t ->
   ?pool:Pool.t ->
-  ?par_threshold:int ->
   Automaton.t ->
   Automaton.t ->
   bool
@@ -75,7 +63,6 @@ val is_universal :
   ?budget:Budget.t ->
   ?telemetry:Telemetry.t ->
   ?pool:Pool.t ->
-  ?par_threshold:int ->
   Automaton.t ->
   bool
 (** [is_universal a] = [included (Automaton.full a.alpha) a]: the

@@ -46,7 +46,7 @@ val with_engine : engine -> (unit -> 'a) -> 'a
     submitted inside [f] inherit [e] on their worker domains. *)
 
 (** Does the automaton accept every infinite word?  With [?pool] the
-    antichain engine expands wide product frontiers in parallel
+    antichain engine runs its per-conjunct SCC passes in parallel
     (deterministically — see {!Inclusion}); the explicit engine
     ignores it. *)
 val is_universal : ?pool:Pool.t -> ?engine:engine -> Automaton.t -> bool

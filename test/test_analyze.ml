@@ -5,7 +5,8 @@
      documented in check.mli: a guard that promises a successor the
      action never delivers);
    - differential-tests M302/M303 against an independent brute-force
-     reachability over random small systems;
+     reachability over random small systems, and the closure automaton
+     behind M310 against brute-force prefix runs;
    - checks the determinism contract: reports are structurally equal
      under either inclusion engine, at jobs 1/2/4, and at every
      injected budget-trip position. *)
@@ -201,6 +202,57 @@ let differential_tests =
               report.findings
           in
           List.length brute_sinks = List.length analyzed_sinks);
+      QCheck.Test.make
+        ~name:"closure_automaton agrees with brute-force prefix runs"
+        ~count:300 arb_system (fun ((raws, init) as input) ->
+          let a =
+            Check.closure_automaton (system_of_raw input)
+              ~atoms:[ "x=0"; "y=1" ]
+          in
+          let sink =
+            match a.acc with
+            | Omega.Acceptance.Fin s -> s
+            | _ -> Omega.Iset.empty
+          in
+          (* letter bit i: the i-th sorted atom holds *)
+          let letter i =
+            (if i mod 3 = 0 then 1 else 0) lor if i / 3 = 1 then 2 else 0
+          in
+          let succs i =
+            i
+            :: List.concat_map
+                 (fun r -> if fst r.table.(i) then snd r.table.(i) else [])
+                 raws
+          in
+          let step l states =
+            List.sort_uniq compare
+              (List.concat_map
+                 (fun i -> List.filter (fun j -> letter j = l) (succs i))
+                 states)
+          in
+          let rec words n =
+            if n = 0 then [ [] ]
+            else
+              List.concat_map
+                (fun w -> List.init 4 (fun l -> l :: w))
+                (words (n - 1))
+          in
+          (* every word of length 1..4: the DFA stays off the sink iff
+             some computation prefix (idling allowed) spells it *)
+          List.for_all
+            (fun w ->
+              match w with
+              | [] -> true
+              | l0 :: rest ->
+                  let live =
+                    List.fold_left (fun st l -> step l st)
+                      (if letter init = l0 then [ init ] else [])
+                      rest
+                    <> []
+                  in
+                  let q = List.fold_left (fun q l -> a.delta.(q).(l)) 0 w in
+                  live = not (Omega.Iset.mem q sink))
+            (List.concat_map words [ 1; 2; 3; 4 ]));
     ]
 
 (* ------------------------------------------------------------------ *)

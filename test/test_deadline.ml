@@ -138,6 +138,48 @@ let inclusion_tests =
           autos);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Model-aware analysis under a deadline                               *)
+(* ------------------------------------------------------------------ *)
+
+(* The safety closure of a counter's computations has subsets that grow
+   as intervals sharing long prefixes; interning them must not degrade
+   to list comparisons within one hash bucket, or the vacuity checks
+   miss any reasonable deadline. *)
+let analyze_tests =
+  [
+    Alcotest.test_case "vacuity checks finish on a 1501-state counter"
+      `Quick (fun () ->
+        let model =
+          fst
+            (Fts.Parse.parse
+               (String.concat "\n"
+                  [
+                    "var x 0..1500";
+                    "init x=0";
+                    "trans inc:   !(x=1500) -> x:=x+1";
+                    "trans reset: x=1500    -> x:=0";
+                    "fair weak inc";
+                  ]))
+        in
+        let budget = Budget.make ~timeout_ms:3000. () in
+        match
+          Engine.analyze ~budget ~model
+            [ ("progress", "[] (x=0 -> <> x=1500)", None) ]
+        with
+        | Ok { Hierarchy.Lint.model = Some m; _ } ->
+            List.iter
+              (fun code ->
+                check
+                  (Fts.Analyze.code_name code ^ " checked")
+                  true
+                  (List.assoc code m.Hierarchy.Lint.model_checks
+                  = Fts.Analyze.Checked))
+              [ Fts.Analyze.M310; M311 ]
+        | Ok _ -> Alcotest.fail "no model block"
+        | Error e -> Alcotest.failf "unexpected error %a" Engine.pp_error e);
+  ]
+
 let () =
   Alcotest.run "deadline"
     [
@@ -145,4 +187,5 @@ let () =
       ( "classification-random",
         [ QCheck_alcotest.to_alcotest deadline_qcheck ] );
       ("inclusion", inclusion_tests);
+      ("analyze", analyze_tests);
     ]

@@ -1,8 +1,9 @@
 (* The on-the-fly antichain inclusion engine against the explicit
    complement-and-product oracle: identical verdicts on random automata
    (including same-table pairs and rebuilt twins), bit-identical
-   behaviour at jobs 1/2/4 with the pool path forced, and identical
-   degradation under injected budget trips. *)
+   behaviour at jobs 1/2/4 (the per-conjunct fan-outs of inclusion and
+   of the safety closure), and identical degradation under injected
+   budget trips. *)
 
 open Omega
 
@@ -54,8 +55,8 @@ let gen_automaton =
     (list_repeat n (list_repeat 2 (int_bound (n - 1))))
     gen_acc
 
-let arb_automaton =
-  QCheck.make ~print:(fun a -> Format.asprintf "%a" Automaton.pp a) gen_automaton
+let pp_auto a = Format.asprintf "%a" Automaton.pp a
+let arb_automaton = QCheck.make ~print:pp_auto gen_automaton
 
 let arb_pair = QCheck.pair arb_automaton arb_automaton
 
@@ -254,11 +255,10 @@ let emerson_lei_tests =
 
 let job_counts = [ 1; 2; 4 ]
 
-(* Run the antichain engine with the pool path forced on every level
-   ([par_threshold:1]), capturing verdict or trip. *)
+(* Run the antichain engine on a pool, capturing verdict or trip. *)
 let pooled_outcome ?budget ~jobs a b =
   Pool.with_pool ~jobs (fun p ->
-      match Inclusion.included ?budget ~pool:p ~par_threshold:1 a b with
+      match Inclusion.included ?budget ~pool:p a b with
       | v -> `Verdict v
       | exception Budget.Tripped { Budget.reason; _ } -> `Tripped reason)
 
@@ -292,6 +292,35 @@ let pool_tests =
                   Lang.included ~pool:p a b = Lang.included a b
                   && Lang.is_universal ~pool:p a = Lang.is_universal a
                   && Lang.equal ~pool:p a b = Lang.equal a b)));
+      QCheck.Test.make ~name:"safety_closure pooled = sequential" ~count:300
+        arb_automaton (fun a ->
+          let reference =
+            (Lang.live_states a, pp_auto (Lang.safety_closure a))
+          in
+          List.for_all
+            (fun jobs ->
+              Pool.with_pool ~jobs (fun p ->
+                  ( Lang.live_states ~pool:p a,
+                    pp_auto (Lang.safety_closure ~pool:p a) )
+                  = reference))
+            job_counts);
+      QCheck.Test.make
+        ~name:"safety_closure injected trips are pool-independent" ~count:100
+        (QCheck.pair arb_automaton (QCheck.make QCheck.Gen.(1 -- 6)))
+        (fun (a, n) ->
+          let outcome ?pool () =
+            match
+              Lang.safety_closure ~budget:(Budget.inject_trip_at n) ?pool a
+            with
+            | c -> `Auto (pp_auto c)
+            | exception Budget.Tripped { reason; spent } ->
+                `Tripped (reason, spent)
+          in
+          let reference = outcome () in
+          List.for_all
+            (fun jobs ->
+              Pool.with_pool ~jobs (fun p -> outcome ~pool:p () = reference))
+            job_counts);
     ]
 
 let () =
