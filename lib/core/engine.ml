@@ -41,8 +41,6 @@ let protect ?(budget = Budget.unlimited) ?(telemetry = Telemetry.disabled) f =
   | Budget.Tripped e -> Error (Budget_exceeded e)
   | Omega.Cycles.Too_large n ->
       structural "SCC too large for cycle enumeration" n
-  | Omega.Classify.Rank_too_hard n ->
-      structural "cycle family too large for rank search" n
   | Omega.Counter_free.Monoid_too_large n ->
       structural "syntactic monoid too large" n
   | Fts.System.State_space_too_large n ->

@@ -1,10 +1,11 @@
 (** The result-typed front door of the library.
 
-    Every entry point returns [(_, error) result]: the five legacy
-    exceptions of the lower layers ({!Omega.Cycles.Too_large},
+    Every entry point returns [(_, error) result]: the four legacy
+    exceptions of the lower layers ({!Omega.Cycles.Too_large}, raised
+    only by the shape conversions,
     {!Omega.Counter_free.Monoid_too_large},
-    {!Omega.Classify.Rank_too_hard}, {!Fts.System.State_space_too_large},
-    {!Logic.Tableau.Unsupported}), the conversion precondition failure
+    {!Fts.System.State_space_too_large}, {!Logic.Tableau.Unsupported}),
+    the conversion precondition failure
     {!Omega.Convert.Not_in_class}, parser [Invalid_argument]s and budget
     trips are all folded into {!type:error} — no exception escapes.
 

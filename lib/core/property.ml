@@ -1,7 +1,5 @@
 type report = {
   semantic : Kappa.t;
-  semantic_exact : bool;
-  cycle_limit : int option;
   syntactic : Kappa.t option;
   memberships : (Kappa.t * bool option) list;
   is_liveness : bool;
@@ -11,16 +9,8 @@ type report = {
 }
 
 let analyze ?formula (a : Omega.Automaton.t) =
-  let semantic, semantic_exact, cycle_limit =
-    match Omega.Classify.classify_outcome a with
-    | Omega.Classify.Classified k -> (k, true, None)
-    | Omega.Classify.Cycle_limited { states; lower_bound } ->
-        (lower_bound, false, Some states)
-  in
   {
-    semantic;
-    semantic_exact;
-    cycle_limit;
+    semantic = Omega.Classify.classify a;
     syntactic = Option.bind formula Logic.Rewrite.classify;
     memberships = Omega.Classify.memberships a;
     is_liveness = Omega.Lang.is_liveness a;
@@ -39,15 +29,10 @@ let safety_liveness_decomposition a =
 
 let pp_report ppf r =
   let yn b = if b then "yes" else "no" in
-  Fmt.pf ppf "@[<v>class        : %s%s  (Borel %s; topologically %s)@,"
+  Fmt.pf ppf "@[<v>class        : %s  (Borel %s; topologically %s)@,"
     (Kappa.name r.semantic)
-    (if r.semantic_exact then "" else " (lower bound)")
     (Kappa.borel_name r.semantic)
     (Kappa.topological_name r.semantic);
-  (match r.cycle_limit with
-  | Some n ->
-      Fmt.pf ppf "note         : cycle enumeration exceeded %d states@," n
-  | None -> ());
   (match r.syntactic with
   | Some k -> Fmt.pf ppf "syntactic    : %s@," (Kappa.name k)
   | None -> ());

@@ -8,19 +8,12 @@
 
 type report = {
   semantic : Kappa.t;
-      (** class of the denoted property (automata view, §5.1); exact
-          unless [semantic_exact] is false, in which case it is a lower
-          bound (rank computation was cycle-limited) *)
-  semantic_exact : bool;
-  cycle_limit : int option;
-      (** when inexact: the SCC / cycle-family size that exceeded the
-          cycle-enumeration budget *)
+      (** class of the denoted property (automata view, §5.1), exact *)
   syntactic : Kappa.t option;
       (** class of the canonical formula, when one was supplied
           (temporal logic view, §4); an upper bound for [semantic] *)
   memberships : (Kappa.t * bool option) list;
-      (** one row of Figure 1's membership matrix; [None] when the
-          (reactivity) column's cycle enumeration exceeded its budget *)
+      (** one row of Figure 1's membership matrix, every column [Some] *)
   is_liveness : bool;  (** SL classification: topologically dense (§2-3) *)
   is_uniform_liveness : bool;
   counter_free : bool;

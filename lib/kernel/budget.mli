@@ -1,8 +1,9 @@
 (** Cooperative resource budgets: fuel and wall-clock deadlines.
 
     Every worst-case-exponential procedure in this repository — cycle
-    enumeration, syntactic-monoid saturation, tableau expansion,
-    reactivity-rank search, FTS state-space construction — threads a
+    enumeration in the shape conversions, syntactic-monoid saturation,
+    tableau expansion, the reactivity-rank decomposition, FTS
+    state-space construction — threads a
     [Budget.t] through its hot loop and calls {!tick} once per unit of
     work.  When the budget runs out the loop is interrupted by the
     internal {!Tripped} exception, which the {e engine boundary}
@@ -31,9 +32,9 @@ type reason =
   | Deadline  (** the wall-clock deadline passed *)
   | Injected  (** a fault-injection budget tripped (tests only) *)
   | Limit of { what : string; size : int }
-      (** a structural limit unrelated to fuel — e.g. an SCC above
-          [max_scc] in cycle enumeration, or a monoid above
-          [max_monoid]; [size] is the offending measure *)
+      (** a structural limit unrelated to fuel — e.g. a monoid above
+          [max_monoid], or a reachable FTS state space above its cap;
+          [size] is the offending measure *)
 
 type exhaustion = { reason : reason; spent : int }
 (** Why a computation stopped, and how many ticks it had consumed. *)

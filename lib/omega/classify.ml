@@ -150,130 +150,60 @@ let obligation_degree ?pool (a : Automaton.t) =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Reactivity rank (inclusion chains; inherently cycle-based)           *)
+(* Reactivity rank (the alternating cycle decomposition)                *)
 (* ------------------------------------------------------------------ *)
 
-exception Rank_too_hard of int
-
-(* Longest alternating inclusion chain B1 < J1 < ... < Jn within an SCC.
-   Exponential in general: pairwise dynamic programming over the
-   enumerated cycles when their number is moderate; a fast exact path
-   handles the dense case where every subset of the SCC's cycle support
-   is itself a cycle (then single-element refinement steps are always
-   available). *)
-let reactivity_rank_raw ?(budget = Budget.unlimited) ?(max_cycles = 4000)
-    ?max_scc ?(telemetry = Telemetry.disabled) (a : Automaton.t) =
+(* Longest alternating inclusion chain B1 < J1 < ... < Jn, read off the
+   alternating cycle decomposition (Casares, Colcombet, Fijalkow,
+   ICALP 2021): the roots are the reachable cycle-carrying SCCs, and a
+   node's children are its maximal cycles of the opposite status.  A
+   chain element below a node lies under one of its children, and
+   replacing an element by a larger cycle of the same status keeps the
+   chain, so the longest chain is a root-to-leaf path.  At depth [d]
+   (the root is 1) a path ending on a rejecting node holds [d / 2]
+   rejecting-accepting pairs, one ending on an accepting node
+   [(d - 1) / 2]; leaves dominate, since pairs only grow downwards. *)
+let reactivity_rank_raw ?(budget = Budget.unlimited)
+    ?(telemetry = Telemetry.disabled) (a : Automaton.t) =
   Telemetry.span telemetry "classify.rank_search" @@ fun () ->
-  (* best alternating-chain half-length over one cycle group *)
-  let group_best group =
-      let best = ref 0 in
-      let cycles = Array.of_list group in
-      let m = Array.length cycles in
-      Telemetry.add telemetry "rank.cycles" m;
-      let support =
-        Array.fold_left (fun s (c, _) -> Iset.union s c) Iset.empty cycles
-      in
-      let full_lattice =
-        m = (1 lsl Iset.cardinal support) - 1 && Iset.cardinal support <= 22
-      in
-      if full_lattice then begin
-        (* index cycles by bitmask over the support *)
-        let elems = Array.of_list (Iset.elements support) in
-        let pos = Hashtbl.create 16 in
-        Array.iteri (fun i q -> Hashtbl.add pos q i) elems;
-        let size = Array.length elems in
-        let flag = Array.make (1 lsl size) false in
-        Array.iter
-          (fun (c, f) ->
-            let mask =
-              Iset.fold (fun q acc -> acc lor (1 lsl Hashtbl.find pos q)) c 0
-            in
-            flag.(mask) <- f)
-          cycles;
-        (* aR.(mask): length of the longest alternating chain ending at
-           mask that starts with a rejecting cycle; -1 if none *)
-        let ar = Array.make (1 lsl size) (-1) in
-        (* masks in popcount order: iterate masks increasingly; a submask
-           obtained by clearing a bit is smaller, so plain order works *)
-        for mask = 1 to (1 lsl size) - 1 do
-          Budget.tick budget;
-          let here = ref (if flag.(mask) then -1 else 1) in
-          let bits = ref mask in
-          while !bits <> 0 do
-            let b = !bits land - !bits in
-            bits := !bits land lnot b;
-            let sub = mask land lnot b in
-            if sub <> 0 && ar.(sub) >= 1 then begin
-              let inc = if flag.(sub) <> flag.(mask) then 1 else 0 in
-              here := max !here (ar.(sub) + inc)
-            end
-          done;
-          ar.(mask) <- !here;
-          if flag.(mask) && !here >= 1 then best := max !best (!here / 2)
-        done
-      end
-      else begin
-        if m > max_cycles then raise (Rank_too_hard m);
-        Array.sort
-          (fun (c1, _) (c2, _) ->
-            compare (Iset.cardinal c1) (Iset.cardinal c2))
-          cycles;
-        let d = Array.make m 0 in
-        for i = 0 to m - 1 do
-          Budget.tick budget;
-          let ci, fi = cycles.(i) in
-          d.(i) <- (if fi then 0 else 1);
-          for j = 0 to i - 1 do
-            let cj, fj = cycles.(j) in
-            if
-              d.(j) > 0 && fj <> fi
-              && Iset.cardinal cj < Iset.cardinal ci
-              && Iset.subset cj ci
-            then d.(i) <- max d.(i) (d.(j) + 1)
-          done;
-          if fi then best := max !best (d.(i) / 2)
-        done
-      end;
-      !best
+  let dual = Acceptance.dual a.acc in
+  let nodes = ref 0 in
+  let rec deepest depth accepting c =
+    Budget.tick budget;
+    incr nodes;
+    let pairs = if accepting then (depth - 1) / 2 else depth / 2 in
+    List.fold_left
+      (fun best child -> max best (deepest (depth + 1) (not accepting) child))
+      pairs
+      (Inclusion.maximal_accepting_cycles ~budget a
+         (if accepting then dual else a.acc)
+         c)
   in
-  let groups = Cycles.enumerate ~budget ?max_scc ~telemetry a in
-  List.fold_left (fun acc g -> max acc (group_best g)) 0 groups
+  let reach = reachable_set a in
+  Fun.protect ~finally:(fun () -> Telemetry.add telemetry "rank.nodes" !nodes)
+  @@ fun () ->
+  List.fold_left
+    (fun best comp ->
+      if nontrivial a reach comp then
+        let s = Iset.of_list comp in
+        max best (deepest 1 (Acceptance.eval a.acc s) s)
+      else best)
+    0 (sccs_within a reach)
 
-let reactivity_rank ?budget ?max_scc ?telemetry ?pool a =
-  let n = reactivity_rank_raw ?budget ?max_scc ?telemetry a in
+let reactivity_rank ?budget ?telemetry ?pool a =
+  let n = reactivity_rank_raw ?budget ?telemetry a in
   if n > 0 then n
   else if Lang.is_universal ?pool a then 0
   else 1
 
-let reactivity_rank_opt ?budget ?max_scc ?telemetry ?pool a =
-  match reactivity_rank ?budget ?max_scc ?telemetry ?pool a with
+let reactivity_rank_opt ?budget ?telemetry ?pool a =
+  match reactivity_rank ?budget ?telemetry ?pool a with
   | n -> Some n
-  | exception (Cycles.Too_large _ | Rank_too_hard _) -> None
   | exception Budget.Tripped _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* The classification boundary                                         *)
 (* ------------------------------------------------------------------ *)
-
-(* Everything up to persistence is decided by the polynomial
-   closure/SCC checks above; only the reactivity {e rank} needs the
-   exponential cycle enumeration.  The boundary therefore catches the
-   enumeration's budget exceptions and degrades to a structured
-   outcome: the class is certainly reactivity (the polynomial checks
-   excluded all lower classes) and the rank is reported as a lower
-   bound. *)
-
-type outcome =
-  | Classified of Kappa.t
-  | Cycle_limited of { states : int; lower_bound : Kappa.t }
-
-let rank_outcome ?max_scc ?pool a =
-  match reactivity_rank ?max_scc ?pool a with
-  | r -> Classified (Kappa.Reactivity (max 1 r))
-  | exception Cycles.Too_large n ->
-      Cycle_limited { states = n; lower_bound = Kappa.Reactivity 1 }
-  | exception Rank_too_hard n ->
-      Cycle_limited { states = n; lower_bound = Kappa.Reactivity 1 }
 
 (* Columns run in hierarchy order, sequentially, with [?pool] passed
    {e into} each membership predicate.  Racing the columns on the pool
@@ -285,22 +215,17 @@ let rank_outcome ?max_scc ?pool a =
    exploration of the safety check), which is exactly where the pool's
    grain-1 fan-out now goes.  One [obligation_degree] call decides
    both the class test and the degree ([Some] iff obligation). *)
-let classify_outcome ?max_scc ?pool a =
+let classify ?pool a =
   let pool = Pool.effective pool in
-  if is_safety ?pool a then Classified Kappa.Safety
-  else if is_guarantee ?pool a then Classified Kappa.Guarantee
+  if is_safety ?pool a then Kappa.Safety
+  else if is_guarantee ?pool a then Kappa.Guarantee
   else
     match obligation_degree ?pool a with
-    | Some d -> Classified (Kappa.Obligation (max 1 d))
+    | Some d -> Kappa.Obligation (max 1 d)
     | None ->
-        if is_recurrence ?pool a then Classified Kappa.Recurrence
-        else if is_persistence ?pool a then Classified Kappa.Persistence
-        else rank_outcome ?max_scc ?pool a
-
-let classify ?pool a =
-  match classify_outcome ?pool a with
-  | Classified k -> k
-  | Cycle_limited { lower_bound; _ } -> lower_bound
+        if is_recurrence ?pool a then Kappa.Recurrence
+        else if is_persistence ?pool a then Kappa.Persistence
+        else Kappa.Reactivity (max 1 (reactivity_rank ?pool a))
 
 (* ------------------------------------------------------------------ *)
 (* Budget-aware classification: the uniform degradation mechanism      *)
@@ -317,7 +242,7 @@ type budgeted = {
 (* The interval verdict as a function of the option row — shared by the
    sequential guard pass and the pool pass, so the two cannot drift. *)
 let verdict_of (saf, gua, deg, recu, pers, rank) =
-  (* same priority order as [classify_outcome]; a [None] column means
+  (* same priority order as [classify]; a [None] column means
      the budget tripped there, and every class below it was excluded,
      which yields the sound lower bound of the degraded interval *)
   match (saf, gua, deg, recu, pers, rank) with
@@ -357,12 +282,12 @@ let row_of (saf, gua, deg, recu, pers, rank) =
   ]
 
 (* One pass over the membership columns in hierarchy order, each column
-   guarded against budget trips and the legacy structural limits.  The
-   guard is sticky: once anything trips, every later column is skipped
-   (reported as [None]), so the completed columns always form a prefix
-   of the sequence safety, guarantee, obligation, recurrence,
-   persistence, rank — which is exactly what makes the interval
-   computation a case analysis on that prefix.
+   guarded against budget trips.  The guard is sticky: once anything
+   trips, every later column is skipped (reported as [None]), so the
+   completed columns always form a prefix of the sequence safety,
+   guarantee, obligation, recurrence, persistence, rank — which is
+   exactly what makes the interval computation a case analysis on that
+   prefix.
 
    [?pool] goes {e into} each column (per-SCC fan-out, parallel
    product exploration) rather than across them, so the pooled run has
@@ -370,19 +295,9 @@ let row_of (saf, gua, deg, recu, pers, rank) =
    budget is checked between columns, and a column's internal fan-out
    splits replica budgets whose trips surface here as [Budget.Tripped]
    — identical at every job count, including jobs=1. *)
-let classify_budgeted ?(budget = Budget.unlimited) ?max_scc
+let classify_budgeted ?(budget = Budget.unlimited)
     ?(telemetry = Telemetry.disabled) ?pool a =
   let pool = Pool.effective ~budget ~telemetry pool in
-  let structural_trip budget what = function
-    | `Scc n ->
-        Budget.structural budget
-          ~what:(what ^ ": SCC too large for cycle enumeration")
-          ~size:n
-    | `Rank n ->
-        Budget.structural budget
-          ~what:(what ^ ": cycle family too large for rank search")
-          ~size:n
-  in
   let exhaustion = ref None in
   let guard what f =
     match !exhaustion with
@@ -391,16 +306,9 @@ let classify_budgeted ?(budget = Budget.unlimited) ?max_scc
         try
           Budget.check budget;
           Some (Telemetry.span telemetry ("classify." ^ what) f)
-        with
-        | Budget.Tripped e ->
-            exhaustion := Some e;
-            None
-        | Cycles.Too_large n ->
-            exhaustion := Some (structural_trip budget what (`Scc n));
-            None
-        | Rank_too_hard n ->
-            exhaustion := Some (structural_trip budget what (`Rank n));
-            None)
+        with Budget.Tripped e ->
+          exhaustion := Some e;
+          None)
   in
   let saf = guard "safety" (fun () -> is_safety ?pool a) in
   let gua = guard "guarantee" (fun () -> is_guarantee ?pool a) in
@@ -412,7 +320,7 @@ let classify_budgeted ?(budget = Budget.unlimited) ?max_scc
   let pers = guard "persistence" (fun () -> is_persistence ?pool a) in
   let rank =
     guard "reactivity" (fun () ->
-        reactivity_rank ~budget ?max_scc ~telemetry ?pool a)
+        reactivity_rank ~budget ~telemetry ?pool a)
   in
   let cols = (saf, gua, deg, recu, pers, rank) in
   { verdict = verdict_of cols; row = row_of cols; exhaustion = !exhaustion }

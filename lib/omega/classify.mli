@@ -19,21 +19,6 @@
     - the obligation degree counts accepting members of alternating
       {e reachability} chains of cycles starting with a rejecting one. *)
 
-(** Raised by {!reactivity_rank} when the cycle family is too large for
-    the exact chain computation (and not of the dense shape that admits
-    the fast path). *)
-exception Rank_too_hard of int
-
-(** Result of {!classify_outcome}.  [Classified k] is the exact class.
-    [Cycle_limited] means the polynomial checks excluded every class up
-    to persistence, but the exponential cycle enumeration behind the
-    reactivity {e rank} exceeded its budget ([states] is the offending
-    SCC size, or the cycle-family size for the chain computation):
-    the property is reactivity of rank {e at least} [lower_bound]'s. *)
-type outcome =
-  | Classified of Kappa.t
-  | Cycle_limited of { states : int; lower_bound : Kappa.t }
-
 (** Every membership predicate accepts [?pool]: with one, its internal
     fan-out (the two inclusion directions for safety/guarantee, the
     per-SCC-component cycle checks for the others) runs on the pool —
@@ -55,31 +40,29 @@ val obligation_degree : ?pool:Pool.t -> Automaton.t -> int option
 
 (** Minimal number of Streett pairs ([Some 0] iff universal); every
     omega-regular property has a finite rank (the reactivity normal-form
-    theorem).  Exact, hence exponential in the largest SCC: raises
-    {!Cycles.Too_large} beyond [max_scc] states in one SCC (default 22)
-    and {!Rank_too_hard} when the enumerated cycle family is too big —
-    use {!reactivity_rank_opt} or {!classify_outcome} for a total
-    interface.  [budget] interrupts the enumeration and the chain
-    search with [Budget.Tripped] (caught by {!classify_budgeted}).
-    [telemetry] wraps the chain search in a [classify.rank_search]
-    span (with the [cycles.enumerate] span nested inside) and counts
-    the enumerated cycles ([rank.cycles]).  The rank search is
-    sequential; [?pool] reaches only the universality check that
-    separates rank 0 from rank 1. *)
+    theorem).  Exact: the longest alternating chain is a root-to-leaf
+    path of the alternating cycle decomposition (Casares, Colcombet,
+    Fijalkow, ICALP 2021), whose children are the maximal cycles of the
+    opposite status, found by the Emerson-Lei recursion of
+    {!Inclusion.maximal_accepting_cycles} — polynomial in the states
+    for a fixed condition, exponential only in its number of distinct
+    [Fin] sets.  [budget] is ticked once per decomposition node and
+    checked at every recursion step; a trip raises [Budget.Tripped]
+    (caught by {!classify_budgeted}).  [telemetry] wraps the search in
+    a [classify.rank_search] span and counts the nodes
+    ([rank.nodes]).  The search is sequential; [?pool] reaches only the
+    universality check that separates rank 0 from rank 1. *)
 val reactivity_rank :
   ?budget:Budget.t ->
-  ?max_scc:int ->
   ?telemetry:Telemetry.t ->
   ?pool:Pool.t ->
   Automaton.t ->
   int
 
-(** [None] when any resource limit is exceeded — the [max_scc]/cycle
-    caps {e and} a [?budget] trip — so it never raises; [?pool] as
-    for {!reactivity_rank}. *)
+(** [None] when a [?budget] trips, so it never raises; [?pool] as for
+    {!reactivity_rank}. *)
 val reactivity_rank_opt :
   ?budget:Budget.t ->
-  ?max_scc:int ->
   ?telemetry:Telemetry.t ->
   ?pool:Pool.t ->
   Automaton.t ->
@@ -88,10 +71,8 @@ val reactivity_rank_opt :
 (** The most precise class in the hierarchy: safety and guarantee first,
     then obligation (with its degree), then recurrence/persistence, then
     reactivity (with its rank).  A property that is both safety and
-    guarantee is reported as safety.  Total: everything up to
-    persistence is decided by polynomial closure/SCC checks however
-    large the automaton; only the reactivity rank enumerates cycles,
-    and past the budget the outcome degrades to [Cycle_limited].
+    guarantee is reported as safety.  Total and exact: no column
+    enumerates cycles.
 
     With [?pool] the columns still run in hierarchy order with the
     sequential short-circuit — the pool goes {e into} each membership
@@ -99,28 +80,19 @@ val reactivity_rank_opt :
     where nearly all of a classification's work lives.
     Verdicts are identical with and without a pool, at every job
     count. *)
-val classify_outcome : ?max_scc:int -> ?pool:Pool.t -> Automaton.t -> outcome
-
-(** [classify a] is {!classify_outcome}'s class, taking the lower bound
-    when the rank computation was cycle-limited (so the rank of a huge
-    reactivity automaton may be under-reported, but [classify] is total
-    and never raises). *)
 val classify : ?pool:Pool.t -> Automaton.t -> Kappa.t
 
 (** All six basic classes ([index 1] for the compound ones) that contain
-    the property — one row of Figure 1's membership matrix.  The
-    reactivity column is [None] when cycle enumeration exceeded its
-    budget; the five polynomially-decided columns are always [Some]. *)
+    the property — one row of Figure 1's membership matrix; every
+    column is [Some]. *)
 val memberships : ?pool:Pool.t -> Automaton.t -> (Kappa.t * bool option) list
 
 (** {2 Budget-aware classification}
 
     The uniform degradation mechanism behind [Hierarchy.Engine]: run
     the membership columns in hierarchy order under a {!Budget.t}, and
-    when the budget (or a structural limit) trips, return a sound
-    {e lattice interval} computed from the columns that completed
-    instead of raising.  Generalizes the [Cycle_limited] special case
-    of {!classify_outcome} to arbitrary fuel / deadline budgets. *)
+    when the budget trips, return a sound {e lattice interval} computed
+    from the columns that completed instead of raising. *)
 
 (** A sound enclosure of the property's class: the exact class [k]
     satisfies [at_least <= k <= at_most] (in {!Kappa.leq}) whenever the
@@ -138,11 +110,10 @@ type budgeted = {
 }
 
 (** Total: never raises, whatever the budget.  With the default
-    unlimited budget, [verdict] is [`Exact (classify a)] unless the
-    structural cycle-enumeration limits trip (then the interval's
-    lower bound matches [classify_outcome]'s).  [telemetry] wraps each
-    membership column that actually runs in a [classify.<column>] span
-    (columns skipped by the sticky guard record nothing).
+    unlimited budget, [verdict] is [`Exact (classify a)].  [telemetry]
+    wraps each membership column that actually runs in a
+    [classify.<column>] span (columns skipped by the sticky guard
+    record nothing).
 
     With [?pool] the budget algebra is {e unchanged}: the columns run
     in order against the shared parent budget exactly as without a
@@ -151,7 +122,6 @@ type budgeted = {
     and without a pool and at every job count. *)
 val classify_budgeted :
   ?budget:Budget.t ->
-  ?max_scc:int ->
   ?telemetry:Telemetry.t ->
   ?pool:Pool.t ->
   Automaton.t ->

@@ -26,13 +26,7 @@ let to_guarantee a =
 let saturate_clauses ?budget ?(telemetry = Telemetry.disabled) (a : Automaton.t) =
   Telemetry.span telemetry "convert.saturate" @@ fun () ->
   let clauses = Acceptance.cnf a.acc in
-  let cycle_groups = Cycles.enumerate ?budget ~telemetry a in
-  let good_cycles =
-    List.concat_map
-      (fun group ->
-        List.filter_map (fun (c, f) -> if f then Some c else None) group)
-      cycle_groups
-  in
+  let good_cycles = Cycles.accepting_family ?budget ~telemetry a in
   List.map
     (fun (x, _fins) ->
       let a_c =

@@ -8,25 +8,19 @@
     [F] of {e accepting} cycles determines the property's position in the
     hierarchy (Wagner 1979; section 5.1 of the paper).
 
-    Enumeration is exponential in the size of the largest SCC (the
-    decision problems are inherently about the cycle structure); automata
-    produced by this library's constructions keep SCCs small.
-    [Too_large] is raised beyond [max_scc] states in one SCC.
+    Enumeration is exponential in the size of the largest SCC.  The
+    classifier no longer calls it: the reactivity rank is read off the
+    alternating cycle decomposition ({!Classify.reactivity_rank}), which
+    visits only maximal cycles.  It remains for the shape conversions of
+    Prop. 5.1 ({!Convert}), whose recurrence saturation and anticipation
+    construction need the whole accepting family, and as the test
+    oracle for the rank.
 
-    {2 The [max_scc] budget and its fallback semantics}
-
-    [Too_large n] is a {e budget} signal, not an error: it carries the
-    size [n] of the first accessible SCC above the limit and promises
-    that {e no} cycles were returned for any component (enumeration is
-    all-or-nothing, so callers never act on a silently truncated
-    family).  The classification boundary ({!Classify.classify_outcome})
-    is the intended catch point: every hierarchy class up to persistence
-    is decided by polynomial closure/SCC checks that never call this
-    module, so only the reactivity {e rank} degrades — to a structured
-    [Cycle_limited] outcome reporting [n] and the rank lower bound —
-    while [Classify.classify] stays total.  Raise [max_scc] (word-size
-    minus one is the hard ceiling of the bitmask representation) to
-    trade time for exactness. *)
+    [Too_large n] is raised beyond [max_scc] states in one SCC, for the
+    first accessible SCC above the limit; no cycles are returned for
+    any component (enumeration is all-or-nothing, so callers never act
+    on a silently truncated family).  [Hierarchy.Engine] folds it into
+    a structural budget exhaustion. *)
 
 exception Too_large of int
 
@@ -34,8 +28,7 @@ exception Too_large of int
     ([true] iff the cycle satisfies the automaton's condition), grouped
     by SCC.  [max_scc] defaults to 22.  [budget] is ticked once per
     candidate subset — the exponential inner loop — so a fuel or
-    deadline budget interrupts the enumeration with [Budget.Tripped]
-    (caught at the classification boundary, like [Too_large]).
+    deadline budget interrupts the enumeration with [Budget.Tripped].
     [telemetry] wraps the whole enumeration in a [cycles.enumerate]
     span and records [cycles.sccs]/[cycles.subsets]/[cycles.found]
     counters plus a [cycles.scc_size] histogram. *)

@@ -100,6 +100,29 @@ let nonempty (a : Automaton.t) = (live_states a).(a.start)
 
 let is_empty a = not (nonempty a)
 
+let rec first_fin = function
+  | Acceptance.Fin x -> Some x
+  | And l | Or l -> List.find_map first_fin l
+  | True | False | Inf _ -> None
+
+let rec fin_false x = function
+  | Acceptance.Fin y when Iset.equal x y -> Acceptance.False
+  | And l -> And (List.map (fin_false x) l)
+  | Or l -> Or (List.map (fin_false x) l)
+  | acc -> acc
+
+(* a singleton of the [allowed] subgraph carries a cycle iff it has a
+   self-loop, which stays inside it *)
+let cycle_sccs (a : Automaton.t) allowed =
+  let succ = Automaton.successors a in
+  List.filter_map
+    (fun comp ->
+      if Graph_kernel.nontrivial ~succ comp then Some (Iset.of_list comp)
+      else None)
+    (Graph_kernel.sccs_in ~n:a.n ~succ ~allowed)
+
+let restrict acc s = Acceptance.simplify (Acceptance.map_sets (Iset.inter s) acc)
+
 (* Emerson-Lei emptiness by SCC recursion (Baier, Blahoudek,
    Duret-Lutz, Klein, Mueller, Strejcek, "Generic emptiness check for
    fun and profit", ATVA 2019).  The condition is never put in DNF:
@@ -114,30 +137,9 @@ let is_empty a = not (nonempty a)
    after restriction.  [Budget.check] per step bounds it by the
    deadline without spending fuel. *)
 let exists_accepting_cycle ?(budget = Budget.unlimited) (a : Automaton.t) =
-  let succ = Automaton.successors a in
-  let rec first_fin = function
-    | Acceptance.Fin x -> Some x
-    | And l | Or l -> List.find_map first_fin l
-    | True | False | Inf _ -> None
-  in
-  let rec fin_false x = function
-    | Acceptance.Fin y when Iset.equal x y -> Acceptance.False
-    | And l -> And (List.map (fin_false x) l)
-    | Or l -> Or (List.map (fin_false x) l)
-    | acc -> acc
-  in
-  (* a singleton of the [allowed] subgraph carries a cycle iff it has
-     a self-loop, which stays inside it *)
-  let cycle_sccs allowed =
-    List.filter_map
-      (fun comp ->
-        if Graph_kernel.nontrivial ~succ comp then Some (Iset.of_list comp)
-        else None)
-      (Graph_kernel.sccs_in ~n:a.n ~succ ~allowed)
-  in
   let rec accepting acc s =
     Budget.check budget;
-    match Acceptance.simplify (Acceptance.map_sets (Iset.inter s) acc) with
+    match restrict acc s with
     | True -> true
     | False -> false
     | acc -> (
@@ -145,11 +147,44 @@ let exists_accepting_cycle ?(budget = Budget.unlimited) (a : Automaton.t) =
         | None -> Acceptance.eval acc s
         | Some x ->
             List.exists (accepting acc)
-              (cycle_sccs (fun q -> Iset.mem q s && not (Iset.mem q x)))
+              (cycle_sccs a (fun q -> Iset.mem q s && not (Iset.mem q x)))
             || accepting (fin_false x acc) s)
   in
   let reach = Automaton.reachable a in
-  List.exists (accepting a.acc) (cycle_sccs (fun q -> reach.(q)))
+  List.exists (accepting a.acc) (cycle_sccs a (fun q -> reach.(q)))
+
+(* The same recursion, collecting instead of deciding.  On a cycle [s]
+   that [acc] rejects, the [Fin X] split yields two families: [r1],
+   from the SCCs of s∖X (members of different SCCs are disjoint, so
+   only [r2] can subsume them), and [r2], from [s] with [Fin X] false.
+   Every accepting cycle inside [s] lies under a member of one of them,
+   so dropping the members strictly below another member of the other
+   family (and one of two equal members) keeps that cover and leaves
+   exactly the maximal accepting cycles. *)
+let maximal_accepting_cycles ?(budget = Budget.unlimited) (a : Automaton.t) acc
+    s =
+  let merge r1 r2 =
+    match (r1, r2) with
+    | [], r | r, [] -> r
+    | _ ->
+        let strictly_below c d = Iset.subset c d && not (Iset.equal c d) in
+        List.filter (fun c -> not (List.exists (Iset.subset c) r2)) r1
+        @ List.filter (fun c -> not (List.exists (strictly_below c) r1)) r2
+  in
+  let rec maximal acc s =
+    Budget.check budget;
+    if Acceptance.eval acc s then [ s ]
+    else
+      let acc = restrict acc s in
+      match first_fin acc with
+      | None -> [] (* [Fin]-free, so monotone: [s] failing it decides *)
+      | Some x ->
+          merge
+            (List.concat_map (maximal acc)
+               (cycle_sccs a (fun q -> Iset.mem q s && not (Iset.mem q x))))
+            (maximal (fin_false x acc) s)
+  in
+  maximal acc s
 
 (* ------------------------------------------------------------------ *)
 (* On-the-fly inclusion                                                *)

@@ -91,6 +91,16 @@ val exists_accepting_cycle : ?budget:Budget.t -> Automaton.t -> bool
     {!Budget.check} on [?budget] (no fuel spent), so a deadline bounds
     it; raises [Budget.Tripped] when one passes. *)
 
+val maximal_accepting_cycles :
+  ?budget:Budget.t -> Automaton.t -> Acceptance.t -> Iset.t -> Iset.t list
+(** [maximal_accepting_cycles a acc s]: the maximal cycles inside the
+    cycle [s] (a strongly connected state set carrying an edge) that
+    satisfy [acc], found by the recursion of {!exists_accepting_cycle}
+    run to completion.  Every cycle inside [s] satisfying [acc] is
+    contained in a member, and no member contains another; [[s]] when
+    [s] itself satisfies [acc].  [Budget.check] once per recursion
+    step. *)
+
 val live_states :
   ?budget:Budget.t ->
   ?telemetry:Telemetry.t ->

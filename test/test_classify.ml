@@ -250,9 +250,113 @@ let arb_automaton =
     ~print:(fun a -> Format.asprintf "%a" Automaton.pp a)
     gen_automaton
 
+(* Wider random automata for the rank oracle: 1-10 states, 1-3
+   letters, nested [And]/[Or] of [Inf]/[Fin] atoms. *)
+let gen_wide_automaton =
+  let open QCheck.Gen in
+  frequency [ (1, int_range 1 5); (3, int_range 6 10) ] >>= fun n ->
+  int_range 1 3 >>= fun k ->
+  let gen_set = map Iset.of_list (list_size (int_range 1 2) (int_bound (n - 1))) in
+  (* alternating [And]/[Or] levels: the shape of Streett, Rabin and
+     parity conditions, whose chains reach past rank 1 *)
+  let rec gen_acc conj d =
+    let atom =
+      oneof
+        [ map (fun s -> Acceptance.Inf s) gen_set;
+          map (fun s -> Acceptance.Fin s) gen_set ]
+    in
+    if d = 0 then atom
+    else
+      map
+        (fun l -> if conj then Acceptance.And l else Acceptance.Or l)
+        (list_size (int_range 2 3)
+           (frequency [ (1, atom); (2, gen_acc (not conj) (d - 1)) ]))
+  in
+  let gen_acc = bool >>= fun conj -> int_range 1 3 >>= gen_acc conj in
+  (* letter 0 closes a cycle through every state in half the cases,
+     so one large SCC carries many nested cycles *)
+  map3
+    (fun ring rows acc ->
+      let delta = Array.of_list (List.map Array.of_list rows) in
+      if ring then Array.iteri (fun q row -> row.(0) <- (q + 1) mod n) delta;
+      Automaton.make
+        ~alpha:(Finitary.Alphabet.of_chars (String.sub "abc" 0 k))
+        ~n ~start:0 ~delta ~acc)
+    bool
+    (list_repeat n (list_repeat k (int_bound (n - 1))))
+    gen_acc
+
+let arb_wide_automaton =
+  QCheck.make
+    ~print:(fun a -> Format.asprintf "%a" Automaton.pp a)
+    gen_wide_automaton
+
+(* The oracle the decomposition replaced: every cycle of each SCC from
+   [Cycles.enumerate], then the longest alternating inclusion chain by
+   pairwise dynamic programming over the cycles sorted by size. *)
+let enumeration_rank a =
+  let group_best group =
+    let cycles = Array.of_list group in
+    Array.stable_sort
+      (fun (c1, _) (c2, _) -> compare (Iset.cardinal c1) (Iset.cardinal c2))
+      cycles;
+    let m = Array.length cycles in
+    let d = Array.make m 0 and best = ref 0 in
+    for i = 0 to m - 1 do
+      let ci, fi = cycles.(i) in
+      d.(i) <- (if fi then 0 else 1);
+      for j = 0 to i - 1 do
+        let cj, fj = cycles.(j) in
+        if d.(j) > 0 && fj <> fi && Iset.subset cj ci && not (Iset.equal cj ci)
+        then d.(i) <- max d.(i) (d.(j) + 1)
+      done;
+      if fi then best := max !best (d.(i) / 2)
+    done;
+    !best
+  in
+  let raw =
+    List.fold_left (fun r g -> max r (group_best g)) 0 (Cycles.enumerate a)
+  in
+  if raw > 0 then raw else if Lang.is_universal a then 0 else 1
+
+(* Maximal elements of the enumerated cycles inside [s] that satisfy
+   [acc], sorted. *)
+let enumerated_maximal a acc s =
+  let cycles =
+    List.filter
+      (fun c -> Iset.subset c s && Acceptance.eval acc c)
+      (List.concat_map (List.map fst) (Cycles.enumerate a))
+  in
+  List.sort Iset.compare
+    (List.filter
+       (fun c ->
+         not
+           (List.exists
+              (fun d -> Iset.subset c d && not (Iset.equal c d))
+              cycles))
+       cycles)
+
 let random_tests =
   List.map QCheck_alcotest.to_alcotest
     [
+      QCheck.Test.make ~name:"decomposition rank = enumeration rank"
+        ~count:2000 arb_wide_automaton
+        (fun a -> Classify.reactivity_rank a = enumeration_rank a);
+      QCheck.Test.make ~name:"maximal accepting cycles = enumerated maxima"
+        ~count:500 arb_wide_automaton
+        (fun a ->
+          let reach = Automaton.reachable a in
+          List.for_all
+            (fun comp ->
+              let s = Iset.of_list comp in
+              (not (reach.(List.hd comp) && Cycles.is_cycle a s))
+              || List.for_all
+                   (fun acc ->
+                     List.sort Iset.compare
+                       (Inclusion.maximal_accepting_cycles a acc s)
+                     = enumerated_maximal a acc s)
+                   [ a.Automaton.acc; Acceptance.dual a.Automaton.acc ])
+            (Automaton.sccs a));
       QCheck.Test.make ~name:"safety/guarantee complement duality" ~count:150
         arb_automaton
         (fun a ->
@@ -371,43 +475,49 @@ let counter alpha k =
 
 let budget_tests =
   [
-    Alcotest.test_case "cycle budget degrades to a structured outcome" `Quick
+    Alcotest.test_case "a 60-state reactivity SCC classifies exactly" `Quick
       (fun () ->
-        (* regression: a proper-reactivity automaton whose SCC exceeds
-           the enumeration budget used to escape as Cycles.Too_large
-           from every classification entry point *)
+        (* regression: this SCC is past the old enumeration caps (22
+           states, 4000 cycles), which left the rank a lower bound and
+           the reactivity membership unknown *)
         let big = Automaton.inter (fm "[]<> p | <>[] q") (counter pq 30) in
-        (match Classify.classify_outcome big with
-        | Classify.Cycle_limited { states; lower_bound } ->
-            check "budget recorded" true (states > 0);
-            Alcotest.check kappa "lower bound" (Kappa.Reactivity 1) lower_bound
-        | Classify.Classified k ->
-            Alcotest.failf "expected Cycle_limited, got %s" (Kappa.name k));
-        (* the total entry points fall back instead of raising *)
-        Alcotest.check kappa "classify falls back to the lower bound"
-          (Kappa.Reactivity 1) (Classify.classify big);
-        check "rank_opt signals the budget" true
-          (Classify.reactivity_rank_opt big = None);
-        check "rank still raises for callers that want the signal" true
-          (match Classify.reactivity_rank big with
-          | _ -> false
-          | exception Cycles.Too_large _ -> true));
+        Alcotest.check kappa "exact simple reactivity" (Kappa.Reactivity 1)
+          (Classify.classify big);
+        Alcotest.(check int) "rank" 1 (Classify.reactivity_rank big);
+        check "every membership decided" true
+          (List.for_all (fun (_, m) -> m <> None) (Classify.memberships big)));
+    Alcotest.test_case "a trip at the rank column's first tick degrades"
+      `Quick (fun () ->
+        let big = Automaton.inter (fm "[]<> p | <>[] q") (counter pq 30) in
+        (* the rank column runs last, so its first tick follows every
+           tick the earlier columns spent *)
+        let counted = Budget.make ~fuel:max_int () in
+        ignore (Classify.classify_budgeted ~budget:counted big);
+        let rank_only = Budget.make ~fuel:max_int () in
+        ignore (Classify.reactivity_rank ~budget:rank_only big);
+        let first = Budget.spent counted - Budget.spent rank_only + 1 in
+        let r =
+          Classify.classify_budgeted ~budget:(Budget.inject_trip_at first) big
+        in
+        check "lower bound is simple reactivity" true
+          (r.Classify.verdict
+          = `Interval { Classify.at_least = Some (Kappa.Reactivity 1); at_most = None });
+        check "only the rank column is unknown" true
+          (List.map (fun (k, m) -> (k, m = None)) r.Classify.row
+          = List.map
+              (fun (k, _) -> (k, Kappa.equal k (Kappa.Reactivity 1)))
+              r.Classify.row);
+        check "injected trip recorded" true
+          (match r.Classify.exhaustion with
+          | Some { Budget.reason = Budget.Injected; _ } -> true
+          | _ -> false));
     Alcotest.test_case "polynomial classes never hit the budget" `Quick
       (fun () ->
-        (* same SCC inflation, but the class is decidable without
-           enumerating cycles: the outcome stays exact *)
+        (* same SCC inflation, but the class is decidable by the
+           polynomial columns alone *)
         let big = Automaton.inter (fm "[]<> p") (counter pq 30) in
-        match Classify.classify_outcome big with
-        | Classify.Classified k ->
-            Alcotest.check kappa "exact recurrence" Kappa.Recurrence k
-        | Classify.Cycle_limited _ ->
-            Alcotest.fail "recurrence must not enumerate cycles");
-    Alcotest.test_case "memberships reports unknown entries honestly" `Quick
-      (fun () ->
-        let big = Automaton.inter (fm "[]<> p | <>[] q") (counter pq 30) in
-        match List.assoc (Kappa.Reactivity 1) (Classify.memberships big) with
-        | None -> ()
-        | Some _ -> Alcotest.fail "budget-limited entry should be None");
+        Alcotest.check kappa "exact recurrence" Kappa.Recurrence
+          (Classify.classify big));
     Alcotest.test_case "a 10k-state automaton classifies" `Slow (fun () ->
         (* one 10_000-state SCC: [a] steps around the cycle, [b] idles;
            accepting iff state 0 recurs.  The recursive SCC passes and
@@ -421,11 +531,8 @@ let budget_tests =
             ~acc:(Acceptance.Inf (Iset.singleton 0))
         in
         Alcotest.check kappa "recurrence" Kappa.Recurrence (Classify.classify a);
-        match Classify.classify_outcome a with
-        | Classify.Classified k ->
-            Alcotest.check kappa "exact outcome" Kappa.Recurrence k
-        | Classify.Cycle_limited _ ->
-            Alcotest.fail "polynomial checks should settle this");
+        check "every membership decided" true
+          (List.for_all (fun (_, m) -> m <> None) (Classify.memberships a)));
   ]
 
 let () =
