@@ -114,100 +114,142 @@ and neg (f : Formula.t) : nnf =
         ^ Formula.to_string f)
 
 (* ------------------------------------------------------------------ *)
-(* GPVW node graph                                                     *)
+(* Closure terms, interned                                             *)
 (* ------------------------------------------------------------------ *)
 
-module NSet = Set.Make (struct
-  type t = nnf
-
-  let compare = Stdlib.compare
-end)
-
 module ISet = Set.Make (Int)
+
+(* A closure term with its children replaced by their ids. *)
+type term =
+  | TTrue
+  | TFalse
+  | TLit of lit * int  (* the literal, the id of its complement or -1 *)
+  | TAnd of int * int
+  | TOr of int * int
+  | TNext of int
+  | TUntil of int * int
+  | TRelease of int * int
+
+(* Number every subterm of [phi] in [Stdlib.compare] order.  The
+   numbering is monotone, so a set of ids is ordered, and its tree
+   shaped, exactly like the set of the terms themselves: [ISet.min_elt]
+   picks the term a term set would, and the expansion below builds the
+   same graph in the same order as one over [nnf] sets.  Returns the
+   terms by id and the id of [phi]. *)
+let intern_closure phi =
+  let rec subterms acc f =
+    let acc = f :: acc in
+    match f with
+    | NTrue | NFalse | NLit _ -> acc
+    | NNext g -> subterms acc g
+    | NAnd (g, h) | NOr (g, h) | NUntil (g, h) | NRelease (g, h) ->
+        subterms (subterms acc g) h
+  in
+  let sorted =
+    Array.of_list (List.sort_uniq Stdlib.compare (subterms [] phi))
+  in
+  let ids = Hashtbl.create (Array.length sorted) in
+  Array.iteri (fun i f -> Hashtbl.replace ids f i) sorted;
+  let id = Hashtbl.find ids in
+  let term = function
+    | NTrue -> TTrue
+    | NFalse -> TFalse
+    | NLit l ->
+        let complement =
+          match l with
+          | LAtom (a, b) -> LAtom (a, not b)
+          | LPast (i, b) -> LPast (i, not b)
+        in
+        let c = Hashtbl.find_opt ids (NLit complement) in
+        TLit (l, Option.value c ~default:(-1))
+    | NAnd (f, g) -> TAnd (id f, id g)
+    | NOr (f, g) -> TOr (id f, id g)
+    | NNext f -> TNext (id f)
+    | NUntil (f, g) -> TUntil (id f, id g)
+    | NRelease (f, g) -> TRelease (id f, id g)
+  in
+  (Array.map term sorted, id phi)
+
+(* ------------------------------------------------------------------ *)
+(* GPVW node graph                                                     *)
+(* ------------------------------------------------------------------ *)
 
 type node = {
   id : int;
   mutable incoming : ISet.t;  (* 0 is the virtual initial node *)
-  old : NSet.t;
-  next : NSet.t;
+  old : ISet.t;
+  next : ISet.t;
 }
 
-type graph = { mutable nodes : node list; mutable fresh : int }
+(* Nodes are identified by their (old, next) pair. *)
+module Node_key = Hashtbl.Make (struct
+  type t = ISet.t * ISet.t
 
-let negated_lit = function
-  | NLit (LAtom (a, b)) -> Some (NLit (LAtom (a, not b)))
-  | NLit (LPast (i, b)) -> Some (NLit (LPast (i, not b)))
-  | NTrue | NFalse | NAnd _ | NOr _ | NNext _ | NUntil _ | NRelease _ -> None
+  let equal (o, n) (o', n') = ISet.equal o o' && ISet.equal n n'
+  let hash_set s h = ISet.fold (fun x h -> (h * 65599) + x) s h
+  let hash (o, n) = hash_set n (hash_set o 0 * 31) land max_int
+end)
 
-let rec expand ~budget ~count g ~incoming ~new_ ~old ~next =
-  Budget.tick budget;
-  incr count;
-  let expand = expand ~budget ~count in
-  match NSet.choose_opt new_ with
-  | None -> (
-      match
-        List.find_opt
-          (fun r -> NSet.equal r.old old && NSet.equal r.next next)
-          g.nodes
-      with
+type graph = {
+  mutable nodes : node list;  (* newest first *)
+  mutable fresh : int;  (* nodes are numbered 1 .. fresh *)
+}
+
+let build_graph ~budget ~count terms phi =
+  let g = { nodes = []; fresh = 0 } in
+  let by_key = Node_key.create 64 in
+  let rec expand ~incoming ~new_ ~old ~next =
+    Budget.tick budget;
+    incr count;
+    if ISet.is_empty new_ then (
+      match Node_key.find_opt by_key (old, next) with
       | Some r -> r.incoming <- ISet.union r.incoming incoming
       | None ->
           g.fresh <- g.fresh + 1;
-          let id = g.fresh in
-          g.nodes <- { id; incoming; old; next } :: g.nodes;
-          expand g ~incoming:(ISet.singleton id) ~new_:next ~old:NSet.empty
-            ~next:NSet.empty)
-  | Some eta -> (
-      let new_ = NSet.remove eta new_ in
-      if NSet.mem eta old then expand g ~incoming ~new_ ~old ~next
+          let r = { id = g.fresh; incoming; old; next } in
+          g.nodes <- r :: g.nodes;
+          Node_key.add by_key (old, next) r;
+          expand ~incoming:(ISet.singleton r.id) ~new_:next ~old:ISet.empty
+            ~next:ISet.empty)
+    else
+      let eta = ISet.min_elt new_ in
+      let new_ = ISet.remove eta new_ in
+      if ISet.mem eta old then expand ~incoming ~new_ ~old ~next
       else
-        match eta with
-        | NFalse -> ()
-        | NTrue -> expand g ~incoming ~new_ ~old:(NSet.add eta old) ~next
-        | NLit _ -> (
-            match negated_lit eta with
-            | Some contra when NSet.mem contra old -> ()
-            | Some _ | None ->
-                expand g ~incoming ~new_ ~old:(NSet.add eta old) ~next)
-        | NAnd (f1, f2) ->
-            expand g ~incoming
-              ~new_:(NSet.add f1 (NSet.add f2 new_))
-              ~old:(NSet.add eta old) ~next
-        | NOr (f1, f2) ->
-            expand g ~incoming ~new_:(NSet.add f1 new_)
-              ~old:(NSet.add eta old) ~next;
-            expand g ~incoming ~new_:(NSet.add f2 new_)
-              ~old:(NSet.add eta old) ~next
-        | NNext f ->
-            expand g ~incoming ~new_ ~old:(NSet.add eta old)
-              ~next:(NSet.add f next)
-        | NUntil (f1, f2) ->
-            expand g ~incoming ~new_:(NSet.add f1 new_)
-              ~old:(NSet.add eta old) ~next:(NSet.add eta next);
-            expand g ~incoming ~new_:(NSet.add f2 new_)
-              ~old:(NSet.add eta old) ~next
-        | NRelease (f1, f2) ->
-            expand g ~incoming ~new_:(NSet.add f2 new_)
-              ~old:(NSet.add eta old) ~next:(NSet.add eta next);
-            expand g ~incoming
-              ~new_:(NSet.add f1 (NSet.add f2 new_))
-              ~old:(NSet.add eta old) ~next)
-
-let build_graph ~budget ~count phi =
-  let g = { nodes = []; fresh = 0 } in
-  expand ~budget ~count g ~incoming:(ISet.singleton 0)
-    ~new_:(NSet.singleton phi) ~old:NSet.empty ~next:NSet.empty;
-  g.nodes
-
-let rec untils_of = function
-  | NTrue | NFalse | NLit _ -> []
-  | NAnd (f, g) | NOr (f, g) | NRelease (f, g) -> untils_of f @ untils_of g
-  | NNext f -> untils_of f
-  | NUntil (f, g) as u -> (u :: untils_of f) @ untils_of g
+        let old' = ISet.add eta old in
+        match terms.(eta) with
+        | TFalse -> ()
+        | TTrue -> expand ~incoming ~new_ ~old:old' ~next
+        | TLit (_, complement) ->
+            if not (ISet.mem complement old) then
+              expand ~incoming ~new_ ~old:old' ~next
+        | TAnd (f1, f2) ->
+            expand ~incoming ~new_:(ISet.add f1 (ISet.add f2 new_)) ~old:old'
+              ~next
+        | TOr (f1, f2) ->
+            expand ~incoming ~new_:(ISet.add f1 new_) ~old:old' ~next;
+            expand ~incoming ~new_:(ISet.add f2 new_) ~old:old' ~next
+        | TNext f -> expand ~incoming ~new_ ~old:old' ~next:(ISet.add f next)
+        | TUntil (f1, f2) ->
+            expand ~incoming ~new_:(ISet.add f1 new_) ~old:old'
+              ~next:(ISet.add eta next);
+            expand ~incoming ~new_:(ISet.add f2 new_) ~old:old' ~next
+        | TRelease (f1, f2) ->
+            expand ~incoming ~new_:(ISet.add f2 new_) ~old:old'
+              ~next:(ISet.add eta next);
+            expand ~incoming
+              ~new_:(ISet.add f1 (ISet.add f2 new_))
+              ~old:old' ~next
+  in
+  expand ~incoming:(ISet.singleton 0) ~new_:(ISet.singleton phi)
+    ~old:ISet.empty ~next:ISet.empty;
+  g
 
 (* ------------------------------------------------------------------ *)
 (* Concrete automaton: tableau x past tester                           *)
 (* ------------------------------------------------------------------ *)
+
+module Int_table = Hashtbl.Make (Int)
 
 type nba = {
   alpha : Alphabet.t;
@@ -218,107 +260,147 @@ type nba = {
 
 let size a = a.n
 
-let translate ?(budget = Budget.unlimited) ?(telemetry = Telemetry.disabled)
-    alpha f =
+(* What entering a node demands of the letter read and of the stepped
+   tester state: its literals, read in [ISet.for_all] order up to the
+   first atom outside the alphabet.  That atom is read last, through
+   [Alphabet.holds], so it raises exactly when reading the node's
+   literals one by one would reach it. *)
+type entry = {
+  letters : bool array;  (* the atom literals read hold, per letter *)
+  pasts : (int * bool) list;  (* the past literals read *)
+  unknown : (string * bool) option;
+}
+
+let translate ?(budget = Budget.unlimited) ?telemetry alpha f =
+  let telemetry =
+    match telemetry with Some t -> t | None -> Telemetry.ambient ()
+  in
   Telemetry.span telemetry "tableau.translate" @@ fun () ->
   let skeleton, pasts = extract_pasts f in
-  let phi = nnf skeleton in
+  let terms, phi = intern_closure (nnf skeleton) in
   let expansions = ref 0 in
-  let nodes = build_graph ~budget ~count:expansions phi in
+  let g = build_graph ~budget ~count:expansions terms phi in
   Telemetry.observe telemetry "tableau.expansions" (float_of_int !expansions);
-  Telemetry.observe telemetry "tableau.graph_nodes"
-    (float_of_int (List.length nodes));
+  Telemetry.observe telemetry "tableau.graph_nodes" (float_of_int g.fresh);
   let tester = Past_tester.make alpha (Array.to_list pasts) in
-  let untils = List.sort_uniq Stdlib.compare (untils_of phi) in
-  (* concrete states: (node id, tester state), interned; 0 = pre-initial *)
-  let index = Hashtbl.create 64 in
-  let states = ref [] in
+  let letters = Alphabet.letters alpha in
+  let n_letters = Alphabet.size alpha in
+  let all_letters = Array.make n_letters true in
+  let known = Alphabet.atoms alpha in
+  let truths = Hashtbl.create 8 in
+  let truth a =
+    match Hashtbl.find_opt truths a with
+    | Some t -> t
+    | None ->
+        let t = Array.init n_letters (Alphabet.holds alpha a) in
+        Hashtbl.add truths a t;
+        t
+  in
+  let entry_of nd =
+    let letters = ref all_letters and pasts = ref [] and unknown = ref None in
+    ignore
+      (ISet.for_all
+         (fun id ->
+           match terms.(id) with
+           | TLit (LAtom (a, pos), _) when List.mem a known ->
+               let t = truth a and l = !letters in
+               letters := Array.init n_letters (fun i -> l.(i) && t.(i) = pos);
+               true
+           | TLit (LAtom (a, pos), _) ->
+               unknown := Some (a, pos);
+               false
+           | TLit (LPast (i, pos), _) ->
+               pasts := (i, pos) :: !pasts;
+               true
+           | TTrue | TFalse | TAnd _ | TOr _ | TNext _ | TUntil _ | TRelease _
+             ->
+               true)
+         nd.old);
+    { letters = !letters; pasts = !pasts; unknown = !unknown }
+  in
+  let rec pasts_hold ts = function
+    | [] -> true
+    | (i, pos) :: rest ->
+        Past_tester.value tester ts i = pos && pasts_hold ts rest
+  in
+  let admits e letter ts =
+    e.letters.(letter)
+    && pasts_hold ts e.pasts
+    &&
+    match e.unknown with
+    | None -> true
+    | Some (a, pos) -> Alphabet.holds alpha a letter = pos
+  in
+  (* targets.(src): the nodes whose incoming contains [src], in the
+     order of [g.nodes], each with its entry condition *)
+  let targets = Array.make (g.fresh + 1) [] in
+  List.iter
+    (fun nd ->
+      let e = entry_of nd in
+      ISet.iter
+        (fun src -> targets.(src) <- (nd, e) :: targets.(src))
+        nd.incoming)
+    (List.rev g.nodes);
+  (* concrete states: (node, tester state), interned in BFS order, so
+     state i is the i-th one dequeued; 0 = pre-initial *)
+  let n_tester = Past_tester.n_states tester in
+  let index = Int_table.create 64 in
+  let queue = Queue.create () in
   let count = ref 1 in
-  let intern key =
-    match Hashtbl.find_opt index key with
-    | Some i -> (i, true)
+  let state_nodes = ref [] in
+  let intern nd ts =
+    let key = (nd.id * n_tester) + ts in
+    match Int_table.find_opt index key with
+    | Some i -> i
     | None ->
         let i = !count in
         incr count;
-        Hashtbl.add index key i;
-        states := (i, key) :: !states;
-        (i, false)
+        Int_table.add index key i;
+        Queue.add (nd.id, ts) queue;
+        state_nodes := nd :: !state_nodes;
+        i
   in
-  let node_tbl = Hashtbl.create 64 in
-  List.iter (fun nd -> Hashtbl.add node_tbl nd.id nd) nodes;
-  let consistent old letter ts =
-    NSet.for_all
-      (fun f ->
-        match f with
-        | NLit (LAtom (a, pos)) -> Alphabet.holds alpha a letter = pos
-        | NLit (LPast (i, pos)) -> Past_tester.value tester ts i = pos
-        | NTrue | NFalse | NAnd _ | NOr _ | NNext _ | NUntil _ | NRelease _ ->
-            true)
-      old
+  let successors src ts =
+    match targets.(src) with
+    | [] -> []
+    | tgts ->
+        List.concat_map
+          (fun letter ->
+            let ts' = Past_tester.step tester ts letter in
+            List.filter_map
+              (fun (nd, e) ->
+                if admits e letter ts' then Some (letter, intern nd ts')
+                else None)
+              tgts)
+          letters
   in
-  let succ_assoc = Hashtbl.create 64 in
-  (* successors of a concrete state: nodes whose incoming contains the
-     source node id, consistent with (letter, stepped tester state) *)
-  let compute_succs src_node_id ts =
-    List.concat_map
-      (fun letter ->
-        let ts' =
-          Past_tester.step tester
-            (match ts with Some t -> t | None -> Past_tester.initial tester)
-            letter
-        in
-        List.filter_map
-          (fun nd ->
-            if
-              ISet.mem src_node_id nd.incoming
-              && consistent nd.old letter ts'
-            then Some (letter, (nd.id, ts'))
-            else None)
-          nodes)
-      (Alphabet.letters alpha)
-  in
-  let queue = Queue.create () in
-  let init_succs =
-    List.map
-      (fun (letter, key) ->
-        let i, existed = intern key in
-        if not existed then Queue.add (i, key) queue;
-        (letter, i))
-      (compute_succs 0 None)
-  in
-  Hashtbl.add succ_assoc 0 init_succs;
+  let rows = ref [ successors 0 (Past_tester.initial tester) ] in
   while not (Queue.is_empty queue) do
     Budget.tick budget;
-    let i, (node_id, ts) = Queue.pop queue in
-    if not (Hashtbl.mem succ_assoc i) then begin
-      let sucs =
-        List.map
-          (fun (letter, key) ->
-            let j, existed = intern key in
-            if not existed then Queue.add (j, key) queue;
-            (letter, j))
-          (compute_succs node_id (Some ts))
-      in
-      Hashtbl.add succ_assoc i sucs
-    end
+    let src, ts = Queue.pop queue in
+    rows := successors src ts :: !rows
   done;
-  let n = !count in
+  let succ = Array.of_list (List.rev !rows) in
+  let n = Array.length succ in
   Telemetry.observe telemetry "tableau.states" (float_of_int n);
-  let succ = Array.make n [] in
-  Hashtbl.iter (fun i sucs -> succ.(i) <- sucs) succ_assoc;
+  (* generalized Buechi condition, one set per until [u = _ U rhs]: the
+     states whose node does not promise [u] or already meets [rhs];
+     state i >= 1 sits on node state_nodes.(i - 1) *)
+  let state_nodes = Array.of_list (List.rev !state_nodes) in
+  let fulfilling u rhs =
+    let set = ref ISet.empty in
+    Array.iteri
+      (fun k nd ->
+        if (not (ISet.mem u nd.old)) || ISet.mem rhs nd.old then
+          set := ISet.add (k + 1) !set)
+      state_nodes;
+    !set
+  in
   let acc_sets =
-    Array.of_list
-      (List.map
-         (fun u ->
-           let rhs = match u with NUntil (_, g) -> g | _ -> assert false in
-           List.fold_left
-             (fun set (i, (node_id, _)) ->
-               let nd = Hashtbl.find node_tbl node_id in
-               if (not (NSet.mem u nd.old)) || NSet.mem rhs nd.old then
-                 ISet.add i set
-               else set)
-             ISet.empty !states)
-         untils)
+    Array.to_seqi terms
+    |> Seq.filter_map (fun (u, t) ->
+           match t with TUntil (_, rhs) -> Some (fulfilling u rhs) | _ -> None)
+    |> Array.of_seq
   in
   { alpha; n; succ; acc_sets }
 
@@ -326,41 +408,41 @@ let translate ?(budget = Budget.unlimited) ?(telemetry = Telemetry.disabled)
 (* Emptiness and membership                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* A good SCC: non-trivial (contains an edge) and intersecting every
-   acceptance set. *)
-let has_accepting_scc n succs acc_sets reachable =
-  let comps =
-    Graph_kernel.sccs ~n ~succ:(fun v -> if reachable v then succs v else [])
-  in
-  List.exists
-    (fun comp ->
-      match comp with
-      | [] -> false
-      | v :: _ when not (reachable v) -> false
-      | _ ->
-          let in_comp = ISet.of_list comp in
-          let nontrivial =
-            List.exists
-              (fun v -> List.exists (fun w -> ISet.mem w in_comp) (succs v))
-              comp
-          in
-          nontrivial
-          && Array.for_all
-               (fun acc -> List.exists (fun v -> ISet.mem v acc) comp)
-               acc_sets)
-    comps
+(* The first good SCC in [Graph_kernel.sccs] order: reachable,
+   non-trivial (contains an edge) and intersecting every acceptance
+   set. *)
+let accepting_scc n succs acc_sets reachable =
+  Graph_kernel.sccs ~n ~succ:(fun v -> if reachable v then succs v else [])
+  |> List.find_opt (fun comp ->
+         match comp with
+         | [] -> false
+         | v :: _ when not (reachable v) -> false
+         | _ ->
+             let in_comp = ISet.of_list comp in
+             let nontrivial =
+               List.exists
+                 (fun v -> List.exists (fun w -> ISet.mem w in_comp) (succs v))
+                 comp
+             in
+             nontrivial
+             && Array.for_all
+                  (fun acc -> List.exists (fun v -> ISet.mem v acc) comp)
+                  acc_sets)
 
 let reachable_from a start =
   Graph_kernel.reachable ~n:a.n
     ~succ:(fun v -> List.map snd a.succ.(v))
     ~starts:[ start ]
 
-let nonempty a =
+(* The first accepting SCC reachable from the pre-initial state. *)
+let good_scc a =
   let seen = reachable_from a 0 in
-  has_accepting_scc a.n
+  accepting_scc a.n
     (fun v -> List.map snd a.succ.(v))
-    (Array.map (fun s -> ISet.filter (fun v -> seen.(v)) s) a.acc_sets)
+    a.acc_sets
     (fun v -> seen.(v))
+
+let nonempty a = Option.is_some (good_scc a)
 
 let satisfiable ?budget ?telemetry alpha f =
   nonempty (translate ?budget ?telemetry alpha f)
@@ -417,28 +499,8 @@ let shortest_path succs src dsts =
 
 let witness ?budget ?telemetry alpha f =
   let a = translate ?budget ?telemetry alpha f in
-  let seen = reachable_from a 0 in
-  let succs v = if seen.(v) then a.succ.(v) else [] in
-  let comps =
-    Graph_kernel.sccs ~n:a.n ~succ:(fun v -> List.map snd (succs v))
-  in
-  let good =
-    List.find_opt
-      (fun comp ->
-        match comp with
-        | [] -> false
-        | v :: _ when not seen.(v) -> false
-        | _ ->
-            let in_comp = ISet.of_list comp in
-            List.exists
-              (fun v -> List.exists (fun (_, w) -> ISet.mem w in_comp) (succs v))
-              comp
-            && Array.for_all
-                 (fun acc -> List.exists (fun v -> ISet.mem v acc) comp)
-                 a.acc_sets)
-      comps
-  in
-  match good with
+  let succs v = a.succ.(v) in
+  match good_scc a with
   | None -> None
   | Some comp ->
       let in_comp = ISet.of_list comp in
@@ -524,7 +586,7 @@ let accepts_lasso a lasso =
   visit 0;
   (* state 0 * total + 0 = product start since automaton state 0 is the
      pre-initial state *)
-  has_accepting_scc n succs
+  accepting_scc n succs
     (Array.map
        (fun acc ->
          ISet.of_list
@@ -535,3 +597,4 @@ let accepts_lasso a lasso =
               (List.init a.n Fun.id)))
        a.acc_sets)
     (fun v -> seen.(v))
+  |> Option.is_some

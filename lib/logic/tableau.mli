@@ -24,11 +24,19 @@ type nba
     over [alpha] satisfying [f].  [budget] is ticked once per tableau
     node expansion and once per concrete product state, so fuel and
     deadline budgets interrupt the (worst-case exponential)
-    construction with [Budget.Tripped].  [telemetry] wraps the
-    construction in a [tableau.translate] span and records histograms
-    of the expansion count ([tableau.expansions]), tableau graph size
+    construction with [Budget.Tripped].  [telemetry] (default: the
+    ambient handle, {!Telemetry.ambient}) wraps the construction in a
+    [tableau.translate] span and records histograms of the expansion
+    count ([tableau.expansions]), tableau graph size
     ([tableau.graph_nodes]) and concrete product size
-    ([tableau.states]). *)
+    ([tableau.states]).
+
+    An atom of [f] outside [alpha] raises [Invalid_argument] (from
+    {!Finitary.Alphabet.holds}) when it is first read on a letter:
+    under a past operator as soon as the past tester is built,
+    elsewhere once the product checks a tableau node holding it.  A
+    formula whose tableau closes before any node holds the atom, such
+    as [p & !p & r] over [{p,q}], is simply unsatisfiable. *)
 val translate :
   ?budget:Budget.t ->
   ?telemetry:Telemetry.t ->

@@ -140,6 +140,96 @@ let normal_form_tests =
           ]);
   ]
 
+(* Exploration counts of the tableau construction, pinned: the concrete
+   state count ([Tableau.size]) and the [tableau.expansions] and
+   [tableau.graph_nodes] histograms of one translation.  The GPVW
+   expansion order decides the state numbering, and with it every
+   witness lasso [hpt witness] prints; a change that reorders the
+   exploration fails here before it shows up as a cram diff.  Rows:
+   (size, expansions, graph nodes). *)
+let translation_counts alpha form =
+  let tl = Telemetry.collector () in
+  let a = Tableau.translate ~telemetry:tl alpha form in
+  let sum name =
+    match List.assoc_opt name (Telemetry.report tl).Telemetry.histograms with
+    | Some h -> int_of_float h.Telemetry.sum
+    | None -> Alcotest.fail ("no histogram " ^ name)
+  in
+  (Tableau.size a, sum "tableau.expansions", sum "tableau.graph_nodes")
+
+(* the translation [equiv] decides for each paper equivalence: the
+   negated biconditional over {p,q,r} *)
+let equivalence_counts =
+  [
+    ("<> as until", (4, 53, 3));
+    ("[] as dual", (4, 53, 3));
+    ("unless", (7, 176, 6));
+    ("weak since", (1, 18, 4));
+    ("once", (1, 12, 3));
+    ("first characterizes position 0", (1, 12, 3));
+    ("safety conjunction", (7, 149, 6));
+    ("safety disjunction", (29, 566, 36));
+    ("conditional safety", (13, 175, 15));
+    ("guarantee disjunction", (7, 149, 6));
+    ("guarantee conjunction", (29, 566, 36));
+    ("conditional guarantee", (7, 124, 9));
+    ("negated box", (4, 53, 3));
+    ("negated diamond", (4, 53, 3));
+    ("obligation as implication", (11, 242, 10));
+    ("response", (48, 705, 31));
+    ("recurrence disjunction", (38, 1354, 37));
+    ("recurrence conjunction (minex)", (120, 2119, 43));
+    ("safety into recurrence", (14, 218, 15));
+    ("guarantee into recurrence", (15, 192, 17));
+    ("persistence conjunction", (38, 1354, 37));
+    ("persistence disjunction", (116, 2119, 43));
+    ("conditional persistence", (59, 1537, 45));
+    ("safety into persistence", (15, 192, 17));
+    ("guarantee into persistence", (14, 218, 15));
+    ("negated recurrence", (11, 220, 10));
+    ("negated persistence", (11, 220, 10));
+    ("reactivity as implication", (45, 1815, 44));
+  ]
+
+(* the tableau cases of test_logic.ml, over {p,q} *)
+let logic_counts =
+  [
+    ("p", (3, 4, 2));
+    ("p & !p", (1, 3, 0));
+    ("[]<> p & <>[] !p", (8, 144, 7));
+    ("[]<> p & []<> !p", (7, 173, 6));
+    ("!(<> p | [] !p)", (3, 31, 2));
+    ("!(<> p)", (2, 8, 1));
+    ("p U q", (4, 12, 3));
+    ("<>[] (p & !q)", (4, 30, 3));
+    ("X X p & [] (p -> X !p)", (10, 68, 9));
+    ("O p", (4, 4, 2));
+    ("[] (p -> <> (q & O p)) & []<> p", (19, 546, 12));
+    ("!([] (first -> (p | !p)))", (3, 16, 1));
+  ]
+
+let counts = Alcotest.(triple int int int)
+
+let exploration_tests =
+  [
+    Alcotest.test_case "paper equivalences" `Quick (fun () ->
+        Alcotest.(check int)
+          "one pin per equivalence"
+          (List.length paper_equivalences)
+          (List.length equivalence_counts);
+        List.iter
+          (fun (name, a, b) ->
+            Alcotest.check counts name
+              (List.assoc name equivalence_counts)
+              (translation_counts pqr (Formula.Not (Formula.Iff (f a, f b)))))
+          paper_equivalences);
+    Alcotest.test_case "logic tableau cases" `Quick (fun () ->
+        List.iter
+          (fun (s, expected) ->
+            Alcotest.check counts s expected (translation_counts pq (f s)))
+          logic_counts);
+  ]
+
 let () =
   Alcotest.run "equivalences"
     [
@@ -147,4 +237,5 @@ let () =
       ("obligation", obligation_tests);
       ("sanity", sanity_tests);
       ("normal-form", normal_form_tests);
+      ("exploration", exploration_tests);
     ]

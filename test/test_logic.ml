@@ -226,6 +226,19 @@ let tableau_tests =
           (Tableau.satisfiable pq (f "[] (p -> <> (q & O p)) & []<> p"));
         check "first-position trick" true
           (Tableau.valid pq (f "[] (first -> (p | !p))")));
+    Alcotest.test_case "unknown atoms raise when a letter is checked" `Quick
+      (fun () ->
+        (* an atom outside the alphabet raises as soon as a product
+           step evaluates it on a letter; a formula whose tableau closes
+           before any node mentions it is simply unsatisfiable *)
+        List.iter
+          (fun s ->
+            Alcotest.check_raises s
+              (Invalid_argument "Alphabet.holds: unknown proposition \"r\"")
+              (fun () -> ignore (Tableau.satisfiable pq (f s))))
+          [ "r"; "Y r"; "[] (p -> <> r)" ];
+        check "closed before r" false
+          (Tableau.satisfiable pq (f "p & !p & r")));
   ]
 
 let () =

@@ -62,6 +62,24 @@ let unit_tests =
           (Telemetry.enabled (Telemetry.ambient ()));
         Alcotest.(check int) "recorded inside the window" 1
           (Telemetry.counter t "inside"));
+    Alcotest.test_case "lint reports its tableau work" `Quick (fun () ->
+        (* Lint calls the tableau without a handle; the tableau reports
+           to the ambient one the engine boundary installs *)
+        let t = Telemetry.collector () in
+        (match
+           Hierarchy.Engine.lint ~telemetry:t
+             [ ("a", "[] (p -> <> q)"); ("b", "<> p") ]
+         with
+        | Ok _ -> ()
+        | Error _ -> Alcotest.fail "lint failed");
+        let r = Telemetry.report t in
+        Alcotest.(check bool) "tableau.translate span" true
+          (List.mem_assoc "tableau.translate" (Telemetry.span_totals r));
+        match List.assoc_opt "tableau.expansions" r.Telemetry.histograms with
+        | Some h ->
+            Alcotest.(check bool) "expansions recorded" true
+              (h.Telemetry.count > 0 && h.Telemetry.sum > 0.)
+        | None -> Alcotest.fail "no tableau.expansions histogram");
     Alcotest.test_case "counters and histograms read back" `Quick (fun () ->
         let t = Telemetry.collector () in
         Telemetry.incr t "c";
