@@ -190,10 +190,15 @@ let lint_parsed ?budget ?(mode = Auto) ?pool
       valid;
     }
   in
+  (* the two semantic passes open spans on the ambient handle, so the
+     tableau spans they cause nest under them (pool tasks' reports are
+     absorbed under the innermost open span) *)
+  let tl = Telemetry.ambient () in
   let items =
     (* the per-requirement semantic pass (one classification + two
        tableau runs each) is independent per item: one pool task per
        requirement, with the budget split deterministically by index *)
+    Telemetry.span tl "lint.items" @@ fun () ->
     match pool with
     | None -> List.map (build_item ?budget) specs
     | Some p ->
@@ -283,6 +288,7 @@ let lint_parsed ?budget ?(mode = Auto) ?pool
         (* one pool task per pair; diagnostics are emitted after the
            join, in pair order, so the report is byte-identical to the
            sequential scan at every job count *)
+        Telemetry.span tl "lint.matrix" @@ fun () ->
         match pool with
         | None -> List.map (judge ?budget) pairs
         | Some p ->

@@ -31,15 +31,10 @@ let fairness_acc ?fairness sys labels n_labels =
   in
   let states = System.internal_states sys in
   let n_states = Array.length states in
-  let node sid lab = (sid * n_labels) + lab in
+  (* node [sid * n_labels + lab] is state [sid] entered by label [lab] *)
   let nodes_where pred =
-    let s = ref Iset.empty in
-    for sid = 0 to n_states - 1 do
-      for lab = 0 to n_labels - 1 do
-        if pred states.(sid) lab then s := Iset.add (node sid lab) !s
-      done
-    done;
-    !s
+    Iset.init (n_states * n_labels) (fun v ->
+        pred states.(v / n_labels) (v mod n_labels))
   in
   let conjuncts =
     List.map

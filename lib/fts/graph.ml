@@ -8,9 +8,7 @@ module Acceptance = Omega.Acceptance
 type t = { n : int; succ : int list array }
 
 let sccs_within g allowed =
-  Graph_kernel.sccs_in ~n:g.n
-    ~succ:(fun q -> g.succ.(q))
-    ~allowed:(fun q -> Iset.mem q allowed)
+  Graph_kernel.sccs_region ~n:g.n ~succ:(fun q -> g.succ.(q)) allowed
 
 let reachable g starts =
   Graph_kernel.reachable ~n:g.n ~succ:(fun q -> g.succ.(q)) ~starts
@@ -58,10 +56,9 @@ let find_accepting_lasso g ~starts acc =
   let candidate =
     List.find_map
       (fun (fin, infs) ->
-        let allowed = ref Iset.empty in
-        Array.iteri
-          (fun v r -> if r && not (Iset.mem v fin) then allowed := Iset.add v !allowed)
-          seen;
+        let allowed =
+          Iset.init g.n (fun v -> seen.(v) && not (Iset.mem v fin))
+        in
         List.find_map
           (fun comp ->
             let in_comp = Iset.of_list comp in
@@ -77,7 +74,7 @@ let find_accepting_lasso g ~starts acc =
                    infs
             then Some (in_comp, infs, comp)
             else None)
-          (sccs_within g !allowed))
+          (sccs_within g allowed))
       (Acceptance.dnf acc)
   in
   match candidate with

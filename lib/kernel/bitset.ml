@@ -131,6 +131,14 @@ let of_array qs =
 
 let of_list l = of_array (Array.of_list l)
 
+let init n f =
+  if n < 0 then invalid_arg "Bitset.init: negative size";
+  let out = Array.make ((n + bits - 1) / bits) 0 in
+  for q = 0 to n - 1 do
+    if f q then out.(q / bits) <- out.(q / bits) lor (1 lsl (q mod bits))
+  done;
+  normalize out
+
 exception Short_circuit
 
 let for_all p s =

@@ -52,6 +52,12 @@ val of_list : int list -> t
 
 val of_array : int array -> t
 
+(** [init n f] is the set of [q] in [0 .. n-1] with [f q], built in one
+    pass ([f] is applied in increasing order).  Adding the members one
+    at a time copies the word array per element; this writes it once.
+    Raises [Invalid_argument] when [n] is negative. *)
+val init : int -> (int -> bool) -> t
+
 (** [fold], [iter] visit elements in increasing order. *)
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 

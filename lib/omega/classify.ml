@@ -7,10 +7,10 @@ let is_guarantee ?pool a = is_safety ?pool (Automaton.complement a)
 (* ------------------------------------------------------------------ *)
 
 (* SCCs of the subgraph induced on [allowed] (reachable part only),
-   as state lists. *)
+   as state lists, at a cost proportional to [allowed]: the per-SCC
+   checks below scan one component at a time. *)
 let sccs_within (a : Automaton.t) allowed =
-  Graph_kernel.sccs_in ~n:a.n ~succ:(Automaton.successors a)
-    ~allowed:(fun q -> Iset.mem q allowed)
+  Graph_kernel.sccs_region ~n:a.n ~succ:(Automaton.successors a) allowed
 
 let nontrivial (a : Automaton.t) within comp =
   Graph_kernel.nontrivial
@@ -35,9 +35,7 @@ let exists_cycle_satisfying (a : Automaton.t) acc region =
 
 let reachable_set (a : Automaton.t) =
   let reach = Automaton.reachable a in
-  let s = ref Iset.empty in
-  Array.iteri (fun q r -> if r then s := Iset.add q !s) reach;
-  !s
+  Iset.init a.n (fun q -> reach.(q))
 
 (* Recurrence (Wagner): no rejecting cycle contains an accepting cycle.
    A cycle is rejecting iff it fits some dual clause (x, ys): it avoids

@@ -111,15 +111,17 @@ let rec fin_false x = function
   | Or l -> Or (List.map (fin_false x) l)
   | acc -> acc
 
-(* a singleton of the [allowed] subgraph carries a cycle iff it has a
-   self-loop, which stays inside it *)
-let cycle_sccs (a : Automaton.t) allowed =
+(* The cycle-carrying SCCs of the subgraph induced on [region], at a
+   cost proportional to [region]: the recursion below splits one SCC at
+   a time.  A singleton of the region carries a cycle iff it has a
+   self-loop, which stays inside it. *)
+let cycle_sccs (a : Automaton.t) region =
   let succ = Automaton.successors a in
   List.filter_map
     (fun comp ->
       if Graph_kernel.nontrivial ~succ comp then Some (Iset.of_list comp)
       else None)
-    (Graph_kernel.sccs_in ~n:a.n ~succ ~allowed)
+    (Graph_kernel.sccs_region ~n:a.n ~succ region)
 
 let restrict acc s = Acceptance.simplify (Acceptance.map_sets (Iset.inter s) acc)
 
@@ -147,11 +149,12 @@ let exists_accepting_cycle ?(budget = Budget.unlimited) (a : Automaton.t) =
         | None -> Acceptance.eval acc s
         | Some x ->
             List.exists (accepting acc)
-              (cycle_sccs a (fun q -> Iset.mem q s && not (Iset.mem q x)))
+              (cycle_sccs a (Iset.diff s x))
             || accepting (fin_false x acc) s)
   in
   let reach = Automaton.reachable a in
-  List.exists (accepting a.acc) (cycle_sccs a (fun q -> reach.(q)))
+  List.exists (accepting a.acc)
+    (cycle_sccs a (Iset.init a.n (fun q -> reach.(q))))
 
 (* The same recursion, collecting instead of deciding.  On a cycle [s]
    that [acc] rejects, the [Fin X] split yields two families: [r1],
@@ -181,7 +184,7 @@ let maximal_accepting_cycles ?(budget = Budget.unlimited) (a : Automaton.t) acc
       | Some x ->
           merge
             (List.concat_map (maximal acc)
-               (cycle_sccs a (fun q -> Iset.mem q s && not (Iset.mem q x))))
+               (cycle_sccs a (Iset.diff s x)))
             (maximal (fin_false x acc) s)
   in
   maximal acc s
@@ -208,9 +211,12 @@ let maximal_accepting_cycles ?(budget = Budget.unlimited) (a : Automaton.t) acc
      linear pass, amortized against the product exploration it avoids.
    - interning: pairs are hash-consed to dense ids (in BFS order), so
      the SCC scan at the end runs on arrays, not on a map of pairs.
-     The stdlib [Hashtbl] is keyed by the int code [qa * b.n + qb]; a
-     miss is inserted with [Hashtbl.add] after the [find_opt] that
-     missed, since [replace] would rescan the bucket.
+     The index is an open-addressed {!Int_index} keyed by the int code
+     [qa * b.n + qb]: one probe sequence over two flat int arrays finds
+     a pair or claims its slot, and a binding allocates nothing.  It
+     (like the pair vectors) starts small and grows by doubling, so the
+     many tiny inclusions of a classification pay for the pairs they
+     reach, not for a large first table.
 
    Acceptance over the explored graph is evaluated positionally: an
    atom of [a] keeps its state set, an atom of [b]'s dual is shifted
@@ -223,7 +229,7 @@ let maximal_accepting_cycles ?(budget = Budget.unlimited) (a : Automaton.t) acc
 (* Growable int vector (OCaml 5.1 has no [Dynarray] yet). *)
 type ivec = { mutable data : int array; mutable len : int }
 
-let ivec_create () = { data = Array.make 1024 0; len = 0 }
+let ivec_create () = { data = Array.make 16 0; len = 0 }
 
 let ivec_push v x =
   if v.len = Array.length v.data then begin
@@ -234,23 +240,12 @@ let ivec_push v x =
   v.data.(v.len) <- x;
   v.len <- v.len + 1
 
-type rvec = { mutable rows : int array array; mutable rlen : int }
-
-let rvec_create () = { rows = Array.make 1024 [||]; rlen = 0 }
-
-let rvec_push v x =
-  if v.rlen = Array.length v.rows then begin
-    let d = Array.make (2 * v.rlen) [||] in
-    Array.blit v.rows 0 d 0 v.rlen;
-    v.rows <- d
-  end;
-  v.rows.(v.rlen) <- x;
-  v.rlen <- v.rlen + 1
-
 type explored = {
   pqa : ivec;  (** pair id -> [a]-state ([-1] for the sink, id 0) *)
   pqb : ivec;
-  psucc : rvec;  (** pair id -> successor row, [Alphabet.size] wide *)
+  psucc : ivec;
+      (** successor ids, [Alphabet.size] per pair: pair [i]'s successor on
+          letter [l] is at [i * Alphabet.size + l] *)
   start_id : int;  (** [0] iff [a]'s start state is already dead *)
 }
 
@@ -258,13 +253,15 @@ let explore ~budget ~telemetry:tl ?pool (a : Automaton.t) (b : Automaton.t) =
   let k = Alphabet.size a.alpha in
   let a_live = live_states ?pool ~telemetry:tl a in
   let pqa = ivec_create () and pqb = ivec_create () in
-  let psucc = rvec_create () in
+  let psucc = ivec_create () in
   (* pair key [qa * b.n + qb] -> dense id *)
-  let index : (int, int) Hashtbl.t = Hashtbl.create 1024 in
+  let index = Int_index.create 8 in
   (* id 0: the absorbing reject sink for dead-[a] pairs *)
   ivec_push pqa (-1);
   ivec_push pqb (-1);
-  rvec_push psucc (Array.make k 0);
+  for _ = 1 to k do
+    ivec_push psucc 0
+  done;
   let pruned = ref 0 in
   let intern qa qb =
     if not a_live.(qa) then begin
@@ -272,24 +269,24 @@ let explore ~budget ~telemetry:tl ?pool (a : Automaton.t) (b : Automaton.t) =
       0
     end
     else
-      let key = (qa * b.Automaton.n) + qb in
-      match Hashtbl.find_opt index key with
-      | Some id -> id
-      | None ->
-          let id = pqa.len in
-          Hashtbl.add index key id;
-          ivec_push pqa qa;
-          ivec_push pqb qb;
-          rvec_push psucc [||];
-          id
+      let fresh = pqa.len in
+      let id = Int_index.find_or_add index ((qa * b.Automaton.n) + qb) fresh in
+      if id = fresh then begin
+        ivec_push pqa qa;
+        ivec_push pqb qb
+      end;
+      id
   in
   let start_id = intern a.start b.start in
   let i = ref 1 in
   while !i < pqa.len do
     Budget.tick budget;
     let qa = pqa.data.(!i) and qb = pqb.data.(!i) in
-    psucc.rows.(!i) <-
-      Array.init k (fun l -> intern a.delta.(qa).(l) b.delta.(qb).(l));
+    (* pair [i]'s row is pushed right after pair [i - 1]'s, letters in
+       order, which also fixes the order ids are handed out in *)
+    for l = 0 to k - 1 do
+      ivec_push psucc (intern a.delta.(qa).(l) b.delta.(qb).(l))
+    done;
     incr i
   done;
   Telemetry.add tl "inclusion.pairs" (pqa.len - 1);
@@ -320,7 +317,8 @@ let diff_nonempty ~budget ~telemetry:tl ?pool (a : Automaton.t) (b : Automaton.t
                [ a.acc; Acceptance.map_sets shift (Acceptance.dual b.acc) ])
         in
         let count = e.pqa.len in
-        let succ i = Array.to_list e.psucc.rows.(i) in
+        let k = Alphabet.size a.alpha in
+        let succ i = List.init k (fun l -> e.psucc.data.((i * k) + l)) in
         let conjunct_nonempty budget (fin, infs) =
           Budget.check budget;
           (* the sink (id 0) is excluded everywhere: a cycle through

@@ -358,9 +358,7 @@ let pref (a : Automaton.t) =
    Pref(Pi)" = "the run eventually stays among non-live states". *)
 let dead_set ?budget ?telemetry ?pool (a : Automaton.t) =
   let live = live_states ?budget ?telemetry ?pool a in
-  let s = ref Iset.empty in
-  Array.iteri (fun q l -> if not l then s := Iset.add q !s) live;
-  !s
+  Iset.init a.n (fun q -> not live.(q))
 
 let safety_closure ?budget ?telemetry ?pool (a : Automaton.t) =
   let dead = dead_set ?budget ?telemetry ?pool a in

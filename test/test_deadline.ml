@@ -92,6 +92,22 @@ let classify_tests =
             check "uniformly live" true
               (r.Engine.is_uniform_liveness = Some true)
         | Error e -> Alcotest.failf "unexpected error %a" Engine.pp_error e);
+    Alcotest.test_case "a 20k-state sweep classifies exactly within 3 s"
+      `Quick (fun () ->
+        (* one SCC of 20k states (+1 on 'a', a self-loop on 'b'): the
+           recurrence column scans its 20k self-loop singletons one at
+           a time, so a scan that costs the whole graph per singleton
+           misses the deadline *)
+        let n = 20_000 in
+        let a =
+          Automaton.make ~alpha:(Finitary.Alphabet.of_chars "ab") ~n ~start:0
+            ~delta:(Array.init n (fun q -> [| (q + 1) mod n; q |]))
+            ~acc:(Acceptance.Inf (Iset.singleton 0))
+        in
+        let budget = Budget.make ~timeout_ms:3000. () in
+        match (Classify.classify_budgeted ~budget a).Classify.verdict with
+        | `Exact k -> check "recurrence" true (Kappa.equal k Kappa.Recurrence)
+        | `Interval _ -> Alcotest.fail "the sweep missed the 3 s deadline");
   ]
 
 let deadline_qcheck =

@@ -83,6 +83,27 @@ let a_omega =
     ~delta:[| [| 0; 1 |]; [| 1; 1 |] |]
     ~acc:(Acceptance.Inf (Iset.singleton 0))
 
+(* Two strongly connected counters over four letters (the shapes of the
+   large benchmark's inclusion query): their product reaches all
+   [na * nb] pairs, which takes the pair index through many doublings. *)
+let abcd = Finitary.Alphabet.of_chars "abcd"
+
+let incl_a na =
+  Automaton.make ~alpha:abcd ~n:na ~start:0
+    ~delta:
+      (Array.init na (fun q ->
+           [| (q + 1) mod na; q; (q + 3) mod na; (q + 5) mod na |]))
+    ~acc:(Acceptance.Inf (Iset.singleton 0))
+
+let incl_b nb =
+  Automaton.make ~alpha:abcd ~n:nb ~start:0
+    ~delta:
+      (Array.init nb (fun q ->
+           [| (q + 1) mod nb; (q + 2) mod nb; q; (q + 7) mod nb |]))
+    ~acc:
+      (Acceptance.And
+         [ Acceptance.Inf (Iset.singleton 0); Acceptance.Inf (Iset.singleton 1) ])
+
 let unit_tests =
   [
     Alcotest.test_case "dead-a pruning collapses to the sink" `Quick (fun () ->
@@ -127,6 +148,23 @@ let unit_tests =
           (Invalid_argument "Inclusion.included: alphabet mismatch")
           (fun () ->
             ignore (Inclusion.included a_omega (Automaton.full abc))));
+    Alcotest.test_case "a product past 10k pairs keeps its ids and verdicts"
+      `Quick (fun () ->
+        let a = incl_a 120 and b = incl_b 119 in
+        let t = Telemetry.collector () in
+        let v =
+          with_engine `Antichain (fun () -> Inclusion.included ~telemetry:t a b)
+        in
+        (* every pair of the 120 x 119 square is reached, each interned
+           once *)
+        Alcotest.(check int) "pairs" 14280
+          (Telemetry.counter t "inclusion.pairs");
+        Alcotest.(check bool) "antichain = explicit"
+          (with_engine `Explicit (fun () -> Lang.included a b))
+          v;
+        Alcotest.(check bool) "converse: antichain = explicit"
+          (with_engine `Explicit (fun () -> Lang.included b a))
+          (with_engine `Antichain (fun () -> Lang.included b a)));
   ]
 
 (* ------------------------------------------------------------------ *)

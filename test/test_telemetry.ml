@@ -75,6 +75,23 @@ let unit_tests =
         let r = Telemetry.report t in
         Alcotest.(check bool) "tableau.translate span" true
           (List.mem_assoc "tableau.translate" (Telemetry.span_totals r));
+        (* the tableau runs nest under the two lint passes that cause
+           them, none at the root *)
+        let names spans = List.map (fun s -> s.Telemetry.name) spans in
+        Alcotest.(check bool) "no root-level tableau span" false
+          (List.mem "tableau.translate" (names r.Telemetry.spans));
+        List.iter
+          (fun pass ->
+            match
+              List.find_opt
+                (fun s -> s.Telemetry.name = pass)
+                r.Telemetry.spans
+            with
+            | Some s ->
+                Alcotest.(check bool) (pass ^ " holds tableau spans") true
+                  (List.mem "tableau.translate" (names s.Telemetry.children))
+            | None -> Alcotest.failf "no root-level %s span" pass)
+          [ "lint.items"; "lint.matrix" ];
         match List.assoc_opt "tableau.expansions" r.Telemetry.histograms with
         | Some h ->
             Alcotest.(check bool) "expansions recorded" true
