@@ -504,15 +504,12 @@ let equiv_cmd =
         | `Equivalent ->
             Fmt.pr "equivalent@.";
             0
-        | `Distinct w ->
+        | `Distinct (w, side) ->
             Fmt.pr "not equivalent@.";
-            (match w with
-            | Some (w, side) ->
-                Fmt.pr "witness: %a (%s)@." (Finitary.Word.pp_lasso alpha) w
-                  (match side with
-                  | Engine.First_only -> "satisfies the first only"
-                  | Engine.Second_only -> "satisfies the second only")
-            | None -> ());
+            Fmt.pr "witness: %a (%s)@." (Finitary.Word.pp_lasso alpha) w
+              (match side with
+              | Engine.First_only -> "satisfies the first only"
+              | Engine.Second_only -> "satisfies the second only");
             0)
       (Engine.equiv ~budget ~telemetry alpha f1 f2)
   in

@@ -305,17 +305,16 @@ type views = {
 }
 
 let views ?(budget = Budget.unlimited) ?(telemetry = Telemetry.disabled)
-    ?pool alpha f =
-  let pool = effective_pool pool in
+    alpha f =
   protect ~budget ~telemetry @@ fun () ->
   match Logic.Rewrite.to_canon f with
   | None -> None
   | Some canon ->
       let automaton = Omega.Of_formula.of_canon ~budget ~telemetry alpha canon in
       let safety_part, liveness_part =
-        (* pool only, no budget: the decomposition stays tick-free
-           here, so trip positions through [views] are unchanged *)
-        Omega.Lang.safety_liveness_decomposition ~telemetry ?pool automaton
+        (* no budget: the decomposition stays tick-free here, so trip
+           positions through [views] are unchanged *)
+        Omega.Lang.safety_liveness_decomposition automaton
       in
       Some
         {
@@ -328,23 +327,19 @@ let views ?(budget = Budget.unlimited) ?(telemetry = Telemetry.disabled)
 
 type side = First_only | Second_only
 
+(* One tableau for [!(f1 <-> f2)]: a model of it satisfies exactly one
+   of the two formulas, and the semantics says which. *)
 let equiv ?(budget = Budget.unlimited) ?(telemetry = Telemetry.disabled)
     alpha f1 f2 =
   protect ~budget ~telemetry @@ fun () ->
-  if Logic.Tableau.equiv ~budget ~telemetry alpha f1 f2 then `Equivalent
-  else
-    let open Logic.Formula in
-    let w =
-      match Logic.Tableau.witness ~budget ~telemetry alpha (And (f1, Not f2)) with
-      | Some w -> Some (w, First_only)
-      | None -> (
-          match
-            Logic.Tableau.witness ~budget ~telemetry alpha (And (f2, Not f1))
-          with
-          | Some w -> Some (w, Second_only)
-          | None -> None)
-    in
-    `Distinct w
+  let open Logic.Formula in
+  match Logic.Tableau.witness ~budget ~telemetry alpha (Not (Iff (f1, f2))) with
+  | None -> `Equivalent
+  | Some w ->
+      `Distinct
+        ( w,
+          if Logic.Semantics.holds alpha f1 w then First_only
+          else Second_only )
 
 let witness ?(budget = Budget.unlimited) ?(telemetry = Telemetry.disabled)
     alpha f =

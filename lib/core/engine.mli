@@ -207,14 +207,12 @@ type views = {
 val views :
   ?budget:Budget.t ->
   ?telemetry:Telemetry.t ->
-  ?pool:Pool.t ->
   Finitary.Alphabet.t ->
   Logic.Formula.t ->
   (views option, error) result
 (** All views of a canonical formula; [Ok None] outside the fragment.
-    [?pool] (default: the ambient pool) fans the safety/liveness
-    decomposition's per-conjunct SCC passes out; budget trip positions
-    are unaffected. *)
+    The safety/liveness decomposition runs unbudgeted, so budget trip
+    positions are those of the translation. *)
 
 type side = First_only | Second_only
 
@@ -224,9 +222,10 @@ val equiv :
   Finitary.Alphabet.t ->
   Logic.Formula.t ->
   Logic.Formula.t ->
-  ([ `Equivalent | `Distinct of (Finitary.Word.lasso * side) option ], error)
-  result
-(** Tableau equivalence with a distinguishing lasso when distinct. *)
+  ([ `Equivalent | `Distinct of Finitary.Word.lasso * side ], error) result
+(** Tableau equivalence, from one translation of [!(f1 <-> f2)]: when
+    distinct, a lasso satisfying exactly one of the formulas, and
+    which one. *)
 
 val witness :
   ?budget:Budget.t ->

@@ -322,7 +322,7 @@ let precharge ~budget (a : Omega.Automaton.t) (b : Omega.Automaton.t) =
 
 let max_spec_atoms = 14
 
-let check_m310 ~budget ~telemetry ?pool closure_of specs emit =
+let check_m310 ~budget ~telemetry closure_of specs emit =
   List.iter
     (fun (name, f) ->
       let atoms = List.sort_uniq compare (Logic.Formula.atoms f) in
@@ -352,7 +352,7 @@ let check_m310 ~budget ~telemetry ?pool closure_of specs emit =
             | Some aut' ->
                 let closure = closure_of atoms in
                 precharge ~budget closure aut';
-                if Omega.Lang.included ?pool closure aut' then
+                if Omega.Lang.included closure aut' then
                   emit
                     {
                       code = M310;
@@ -453,7 +453,7 @@ let analyze ?(budget = Budget.unlimited) ?(telemetry = Telemetry.disabled)
   end
   else begin
     run M310 (fun () ->
-        check_m310 ~budget ~telemetry ?pool closure_of specs emit);
+        check_m310 ~budget ~telemetry closure_of specs emit);
     run M311 (fun () -> check_m311 ~budget sys specs emit);
     run H312 (fun () ->
         check_h312 ~budget ~telemetry ?pool closure_of specs emit)

@@ -99,8 +99,8 @@ val degraded : report -> bool
     atoms raise [Invalid_argument] naming the atom.  Specs with more
     than 14 distinct atoms are skipped by the semantic spec checks
     (M310/H312), like {!Check}; M311 still covers them.  [pool]
-    parallelizes the inclusion and classification queries with
-    verdicts identical at every job count. *)
+    parallelizes the classification queries with verdicts identical
+    at every job count. *)
 val analyze :
   ?budget:Budget.t ->
   ?telemetry:Telemetry.t ->

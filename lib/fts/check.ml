@@ -165,7 +165,7 @@ let check_with_acc ?fairness ~budget ~telemetry sys spec_formula =
       in
       ({ Graph.n = pn; succ = psucc }, pstarts, acc, fun v -> v / m)
 
-let trace_of sys n_labels project (s0, pre, cyc) =
+let trace_of sys n_labels project (pre, cyc) =
   let states = System.internal_states sys in
   let labels = labels_of sys in
   let node v =
@@ -173,7 +173,7 @@ let trace_of sys n_labels project (s0, pre, cyc) =
     let sid = v / n_labels and lab = v mod n_labels in
     (states.(sid), labels.(lab))
   in
-  { prefix = List.map node (s0 :: pre); cycle = List.map node cyc }
+  { prefix = List.map node pre; cycle = List.map node cyc }
 
 let holds ?(budget = Budget.unlimited) ?(telemetry = Telemetry.disabled) sys f
     =
@@ -184,7 +184,7 @@ let holds ?(budget = Budget.unlimited) ?(telemetry = Telemetry.disabled) sys f
   in
   let lasso =
     Telemetry.span telemetry "fts.lasso_search" @@ fun () ->
-    Graph.find_accepting_lasso graph ~starts acc
+    Graph.find_accepting_lasso ~budget graph ~starts acc
   in
   match lasso with
   | None -> Holds
@@ -199,7 +199,7 @@ let has_fair_computation ?(budget = Budget.unlimited)
     check_with_acc ?fairness ~budget ~telemetry sys None
   in
   Telemetry.span telemetry "fts.lasso_search" @@ fun () ->
-  Graph.find_accepting_lasso graph ~starts acc <> None
+  Graph.accepting_scc ~budget graph ~starts acc <> None
 
 (* Closure subsets are sorted lists of split-node ids.  On a counter
    they grow as intervals [[1..k]] sharing long prefixes, and

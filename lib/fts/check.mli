@@ -24,8 +24,10 @@ type result = Holds | Fails of trace
     Returns a fair counterexample computation otherwise.
     Raises [Invalid_argument] if [f] is outside the canonical fragment
     of {!Logic.Rewrite} or mentions unknown atoms.  [budget] is charged
-    per split-graph node and edge and per product state, so the check is
-    interrupted by [Budget.Tripped] when it runs out.  [telemetry]
+    per split-graph node and edge and per product state, and the
+    fair-cycle search ({!Omega.Emptiness.accepting_scc}) checks its
+    deadline at every step, so the check is interrupted by
+    [Budget.Tripped] when it runs out.  [telemetry]
     wraps the phases in spans ([fts.split_graph], [fts.product],
     [fts.lasso_search], with the spec translation's [translate] span
     nested in between) and records the state-space growth

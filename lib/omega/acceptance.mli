@@ -58,23 +58,15 @@ val streett : n:int -> (Iset.t * Iset.t) list -> t
     [Fin e /\ Inf f]. *)
 val rabin : n:int -> (Iset.t * Iset.t) list -> t
 
-(** Disjunctive normal form: a list of conjuncts [(fin, infs)], the
-    condition holding iff some conjunct has [inf(r)] avoiding [fin] and
-    meeting every set in [infs].  Exact, but its width is the product
-    of the widths of an [And]'s children, so a wide conjunction blows
-    up; {!Lang.is_uniform_liveness} avoids it through
-    {!Inclusion.exists_accepting_cycle}.  Still used, one restricted
-    SCC pass per conjunct, by {!Inclusion.live_states} (and so
-    [nonempty], [is_empty], the safety closure and inclusion's dead-pair
-    pruning), the antichain emptiness scan of {!Inclusion.included},
-    [Lang.witness], [Classify]'s cycle search within a region and
-    [Fts.Graph]'s fair-lasso search; {!cnf} builds on it. *)
-val dnf : t -> (Iset.t * Iset.t list) list
-
 (** Conjunctive normal form: a list of clauses [(x, ys)], the condition
     holding iff every clause does, a clause holding iff [inf(r)] meets
     [x] or avoids some [y in ys].  ([Inf] atoms in a clause union into
-    one [x]; [Fin] atoms cannot be merged.)  Exact for every condition. *)
+    one [x]; [Fin] atoms cannot be merged.)  Exact for every condition,
+    but its width is the product of the widths of an [Or]'s children,
+    so it is kept to the shape questions that need clauses: the
+    recurrence scan of [Classify], {!to_streett_pairs} and [Convert]'s
+    Prop. 5.1 saturation.  Questions about cycles never expand the
+    condition: {!Emptiness} splits on one [Fin] atom at a time. *)
 val cnf : t -> (Iset.t * Iset.t list) list
 
 (** The condition as Streett pairs [(r_j, p_j)] (acceptance

@@ -1,4 +1,4 @@
-let is_safety ?pool a = Lang.equal ?pool a (Lang.safety_closure ?pool a)
+let is_safety ?pool a = Lang.equal ?pool a (Lang.safety_closure a)
 
 let is_guarantee ?pool a = is_safety ?pool (Automaton.complement a)
 
@@ -18,20 +18,10 @@ let nontrivial (a : Automaton.t) within comp =
       List.filter (fun q' -> Iset.mem q' within) (Automaton.successors a q))
     comp
 
-(* Does [region] contain a cycle satisfying [acc]?  Polynomial:
-   disjunctive normal form plus SCC restriction. *)
-let exists_cycle_satisfying (a : Automaton.t) acc region =
-  List.exists
-    (fun (fin, infs) ->
-      let allowed = Iset.diff region fin in
-      List.exists
-        (fun comp ->
-          nontrivial a allowed comp
-          && List.for_all
-               (fun inf -> List.exists (fun q -> Iset.mem q inf) comp)
-               infs)
-        (sccs_within a allowed))
-    (Acceptance.dnf acc)
+(* Does [region] contain a cycle satisfying [acc]? *)
+let has_cycle (a : Automaton.t) acc region =
+  Emptiness.accepting_scc ~n:a.n ~succ:(Automaton.successors a) acc region
+  <> None
 
 let reachable_set (a : Automaton.t) =
   let reach = Automaton.reachable a in
@@ -52,7 +42,7 @@ let is_recurrence ?pool (a : Automaton.t) =
         let s = Iset.of_list comp in
         (not (nontrivial a allowed comp))
         || List.exists (fun y -> Iset.disjoint s y) ys
-        || not (exists_cycle_satisfying a a.acc s)
+        || not (has_cycle a a.acc s)
       in
       let comps = sccs_within a allowed in
       (* the per-clause SCC scan is the hot loop of the whole
@@ -76,8 +66,8 @@ let scc_flags ?pool (a : Automaton.t) =
     if not (nontrivial a reach comp) then None
     else
       let s = Iset.of_list comp in
-      let acc = exists_cycle_satisfying a a.acc s in
-      let rej = exists_cycle_satisfying a (Acceptance.dual a.acc) s in
+      let acc = has_cycle a a.acc s in
+      let rej = has_cycle a (Acceptance.dual a.acc) s in
       Some (s, acc, rej)
   in
   let comps = sccs_within a reach in
@@ -173,7 +163,8 @@ let reactivity_rank_raw ?(budget = Budget.unlimited)
     List.fold_left
       (fun best child -> max best (deepest (depth + 1) (not accepting) child))
       pairs
-      (Inclusion.maximal_accepting_cycles ~budget a
+      (Emptiness.maximal_accepting_cycles ~budget ~n:a.n
+         ~succ:(Automaton.successors a)
          (if accepting then dual else a.acc)
          c)
   in
@@ -188,14 +179,14 @@ let reactivity_rank_raw ?(budget = Budget.unlimited)
       else best)
     0 (sccs_within a reach)
 
-let reactivity_rank ?budget ?telemetry ?pool a =
+let reactivity_rank ?budget ?telemetry a =
   let n = reactivity_rank_raw ?budget ?telemetry a in
   if n > 0 then n
-  else if Lang.is_universal ?pool a then 0
+  else if Lang.is_universal a then 0
   else 1
 
-let reactivity_rank_opt ?budget ?telemetry ?pool a =
-  match reactivity_rank ?budget ?telemetry ?pool a with
+let reactivity_rank_opt ?budget ?telemetry ?pool:_ a =
+  match reactivity_rank ?budget ?telemetry a with
   | n -> Some n
   | exception Budget.Tripped _ -> None
 
@@ -223,7 +214,7 @@ let classify ?pool a =
     | None ->
         if is_recurrence ?pool a then Kappa.Recurrence
         else if is_persistence ?pool a then Kappa.Persistence
-        else Kappa.Reactivity (max 1 (reactivity_rank ?pool a))
+        else Kappa.Reactivity (max 1 (reactivity_rank a))
 
 (* ------------------------------------------------------------------ *)
 (* Budget-aware classification: the uniform degradation mechanism      *)
@@ -318,7 +309,7 @@ let classify_budgeted ?(budget = Budget.unlimited)
   let pers = guard "persistence" (fun () -> is_persistence ?pool a) in
   let rank =
     guard "reactivity" (fun () ->
-        reactivity_rank ~budget ~telemetry ?pool a)
+        reactivity_rank ~budget ~telemetry a)
   in
   let cols = (saf, gua, deg, recu, pers, rank) in
   { verdict = verdict_of cols; row = row_of cols; exhaustion = !exhaustion }

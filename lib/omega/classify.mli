@@ -44,23 +44,22 @@ val obligation_degree : ?pool:Pool.t -> Automaton.t -> int option
     path of the alternating cycle decomposition (Casares, Colcombet,
     Fijalkow, ICALP 2021), whose children are the maximal cycles of the
     opposite status, found by the Emerson-Lei recursion of
-    {!Inclusion.maximal_accepting_cycles} — polynomial in the states
+    {!Emptiness.maximal_accepting_cycles} — polynomial in the states
     for a fixed condition, exponential only in its number of distinct
     [Fin] sets.  [budget] is ticked once per decomposition node and
     checked at every recursion step; a trip raises [Budget.Tripped]
     (caught by {!classify_budgeted}).  [telemetry] wraps the search in
     a [classify.rank_search] span and counts the nodes
-    ([rank.nodes]).  The search is sequential; [?pool] reaches only the
-    universality check that separates rank 0 from rank 1. *)
+    ([rank.nodes]).  The search is sequential. *)
 val reactivity_rank :
   ?budget:Budget.t ->
   ?telemetry:Telemetry.t ->
-  ?pool:Pool.t ->
   Automaton.t ->
   int
 
-(** [None] when a [?budget] trips, so it never raises; [?pool] as for
-    {!reactivity_rank}. *)
+(** [None] when a [?budget] trips, so it never raises.  [?pool] is
+    accepted and ignored: the search and the universality check behind
+    it are sequential. *)
 val reactivity_rank_opt :
   ?budget:Budget.t ->
   ?telemetry:Telemetry.t ->
@@ -76,8 +75,9 @@ val reactivity_rank_opt :
 
     With [?pool] the columns still run in hierarchy order with the
     sequential short-circuit — the pool goes {e into} each membership
-    predicate (per-SCC component fan-out, per-conjunct SCC passes),
-    where nearly all of a classification's work lives.
+    predicate (per-SCC component fan-out, the two directions of the
+    safety and guarantee equalities), where nearly all of a
+    classification's work lives.
     Verdicts are identical with and without a pool, at every job
     count. *)
 val classify : ?pool:Pool.t -> Automaton.t -> Kappa.t

@@ -1,0 +1,197 @@
+let rec first_fin = function
+  | Acceptance.Fin x -> Some x
+  | And l | Or l -> List.find_map first_fin l
+  | True | False | Inf _ -> None
+
+let rec fin_false x = function
+  | Acceptance.Fin y when Iset.equal x y -> Acceptance.False
+  | And l -> And (List.map (fin_false x) l)
+  | Or l -> Or (List.map (fin_false x) l)
+  | acc -> acc
+
+let restrict acc s = Acceptance.simplify (Acceptance.map_sets (Iset.inter s) acc)
+
+(* The cycle-carrying SCCs of the subgraph induced on [region], at a
+   cost proportional to [region]: the recursion splits one SCC at a
+   time.  A singleton of the region carries a cycle iff it has a
+   self-loop, which stays inside it.  Each becomes a set only when the
+   search reaches it, as a search that stops at the first of many
+   singletons must not pay for the rest. *)
+let cycle_sccs ~n ~succ region =
+  List.filter (Graph_kernel.nontrivial ~succ)
+    (Graph_kernel.sccs_region ~n ~succ region)
+
+(* On a cycle [s] that [acc] rejects: [acc] restricted to [s] and the
+   [Fin X] to split on, or [None] when no cycle inside [s] satisfies
+   [acc] — a [Fin]-free condition is monotone, so [s] failing it
+   decides.  An infinity set inside [s] avoiding X lives in an SCC of
+   s∖X; one meeting X falsifies [Fin X] and stays on [s].  Restricting
+   is exact on the subsets of [s], and setting a [Fin] atom false only
+   strengthens a positive condition, so a cycle that satisfies what
+   the recursion carries satisfies the caller's condition. *)
+let split acc s =
+  if Option.is_none (first_fin acc) then None
+  else
+    let acc = restrict acc s in
+    Option.map (fun x -> (acc, x)) (first_fin acc)
+
+(* The caller's region is no SCC, so it is searched once without the
+   condition's first [Fin] set X before it is decomposed whole: a cycle
+   avoiding X lies in an SCC of region∖X, and one meeting X satisfies
+   the condition with [Fin X] false.  On the inclusion engine's pair
+   graph the first decomposition is the largest cost, and region∖X
+   usually already decides.  Below this point each SCC is decomposed
+   first. *)
+let top_split acc region =
+  let acc = Acceptance.simplify acc in
+  match first_fin acc with
+  | None -> [ (acc, region) ]
+  | Some x ->
+      [
+        (acc, Iset.diff region x);
+        (Acceptance.simplify (fin_false x acc), region);
+      ]
+
+let accepting_scc ?(budget = Budget.unlimited) ~n ~succ acc region =
+  let rec within acc region =
+    List.find_map
+      (fun c -> search acc (Iset.of_list c))
+      (cycle_sccs ~n ~succ region)
+  and search acc s =
+    Budget.check budget;
+    if Acceptance.eval acc s then Some s
+    else
+      Option.bind (split acc s) (fun (acc, x) ->
+          match within acc (Iset.diff s x) with
+          | None -> search (fin_false x acc) s
+          | found -> found)
+  in
+  List.find_map
+    (function Acceptance.False, _ -> None | acc, region -> within acc region)
+    (top_split acc region)
+
+(* A cycle satisfying the condition puts all its states on an
+   accepting cycle; the states found so far are threaded through, and
+   a cycle they cover has nothing left to add. *)
+let accepting_states ?(budget = Budget.unlimited) ~n ~succ acc region =
+  let rec within acc good region =
+    List.fold_left
+      (fun good c -> collect acc good (Iset.of_list c))
+      good (cycle_sccs ~n ~succ region)
+  and collect acc good s =
+    if Iset.subset s good then good
+    else begin
+      Budget.tick budget;
+      if Acceptance.eval acc s then Iset.union good s
+      else
+        match split acc s with
+        | None -> good
+        | Some (acc, x) ->
+            collect (fin_false x acc) (within acc good (Iset.diff s x)) s
+    end
+  in
+  List.fold_left
+    (fun good -> function
+      | Acceptance.False, _ -> good | acc, region -> within acc good region)
+    Iset.empty (top_split acc region)
+
+(* The split yields two families: [r1], from the SCCs of s∖X (members
+   of different SCCs are disjoint, so only [r2] can subsume them), and
+   [r2], from [s] with [Fin X] false.  Every accepting cycle inside [s]
+   lies under a member of one of them, so dropping the members strictly
+   below another member of the other family (and one of two equal
+   members) keeps that cover and leaves exactly the maximal accepting
+   cycles. *)
+let maximal_accepting_cycles ?(budget = Budget.unlimited) ~n ~succ acc s =
+  let merge r1 r2 =
+    match (r1, r2) with
+    | [], r | r, [] -> r
+    | _ ->
+        let strictly_below c d = Iset.subset c d && not (Iset.equal c d) in
+        List.filter (fun c -> not (List.exists (Iset.subset c) r2)) r1
+        @ List.filter (fun c -> not (List.exists (strictly_below c) r1)) r2
+  in
+  let rec maximal acc s =
+    Budget.check budget;
+    if Acceptance.eval acc s then [ s ]
+    else
+      match split acc s with
+      | None -> []
+      | Some (acc, x) ->
+          merge
+            (List.concat_map
+               (fun c -> maximal acc (Iset.of_list c))
+               (cycle_sccs ~n ~succ (Iset.diff s x)))
+            (maximal (fin_false x acc) s)
+  in
+  maximal acc s
+
+(* Breadth-first path through [ok] states from one of [srcs] to [dst],
+   at least one step long, as [src; ...; dst]: the searched-for state
+   is recognized among successors, so it may be a source itself. *)
+let path ~succ ~ok srcs dst =
+  let parent = Hashtbl.create 64 in
+  let queue = Queue.create () in
+  List.iter
+    (fun v ->
+      if not (Hashtbl.mem parent v) then begin
+        Hashtbl.add parent v (-1);
+        Queue.add v queue
+      end)
+    srcs;
+  let rec back v acc =
+    let p = Hashtbl.find parent v in
+    if p < 0 then v :: acc else back p (v :: acc)
+  in
+  let rec bfs () =
+    match Queue.take_opt queue with
+    | None ->
+        invalid_arg
+          (Printf.sprintf "Emptiness.lasso: state %d is out of reach" dst)
+    | Some v -> (
+        let next = List.filter ok (succ v) in
+        if List.mem dst next then back v [ dst ]
+        else begin
+          List.iter
+            (fun w ->
+              if not (Hashtbl.mem parent w) then begin
+                Hashtbl.add parent w v;
+                Queue.add w queue
+              end)
+            next;
+          bfs ()
+        end)
+  in
+  bfs ()
+
+let rec inf_sets = function
+  | Acceptance.Inf x -> [ x ]
+  | And l | Or l -> List.concat_map inf_sets l
+  | True | False | Fin _ -> []
+
+let lasso ~succ ~starts acc s =
+  let anchor =
+    match Iset.min_elt_opt s with
+    | Some q -> q
+    | None -> invalid_arg "Emptiness.lasso: empty cycle"
+  in
+  let prefix =
+    if List.mem anchor starts then [ anchor ]
+    else path ~succ ~ok:(fun _ -> true) starts anchor
+  in
+  let inside q = Iset.mem q s in
+  let reps =
+    List.sort_uniq Int.compare
+      (List.filter_map
+         (fun x -> Iset.min_elt_opt (Iset.inter x s))
+         (inf_sets acc))
+  in
+  (* each leg drops its first state, the one the previous leg ended on *)
+  let leg cur t = List.tl (path ~succ ~ok:inside [ cur ] t) in
+  let cur, walk =
+    List.fold_left
+      (fun (cur, walk) t ->
+        if t = cur then (cur, walk) else (t, walk @ leg cur t))
+      (anchor, []) reps
+  in
+  (prefix, walk @ leg cur anchor)

@@ -15,32 +15,26 @@
     - {b dead-[a] pruning}: pairs whose [a]-component has an empty
       residual language are folded into one absorbing reject sink (the
       antichain/simulation order on pairs);
-    - {b positional acceptance}: atoms of [b]'s dualized condition are
-      shifted by [a.n] and evaluated by pair membership, so no
-      quadratic lifting of acceptance sets ever happens;
     - {b interned ids}: reachable pairs get dense ids, and emptiness
-      is one SCC scan over the explored arrays (every interned pair is
-      reachable, so no extra reachability pass).
+      is one {!Emptiness.accepting_scc} search over the explored arrays
+      (every interned pair is reachable, so no extra reachability
+      pass), with each acceptance atom lifted to the pairs whose
+      component lies in it.
 
-    {2 Determinism under [?pool]}
-
-    The product exploration is sequential.  [?pool] fans out only the
-    per-conjunct SCC passes: those of {!live_states} (dead-[a]
-    pruning) and those of the final emptiness scan, which keeps the
-    left-to-right short-circuit semantics.  Verdicts, telemetry
-    counters and budget trip points are identical at every job count.
+    Exploration and emptiness are sequential: the engine takes no
+    pool.
 
     {2 Observability}
 
     Work is charged one {!Budget.tick} per expanded pair.  Spans
     [inclusion.explore] / [inclusion.emptiness] and counters
     [inclusion.pairs] / [inclusion.pruned] / [inclusion.same_table]
-    report to [?telemetry] (default: the ambient handle). *)
+    report to [?telemetry] (default: the ambient handle); the
+    emptiness search calls {!Budget.check} once per step. *)
 
 val included :
   ?budget:Budget.t ->
   ?telemetry:Telemetry.t ->
-  ?pool:Pool.t ->
   Automaton.t ->
   Automaton.t ->
   bool
@@ -53,7 +47,6 @@ val included :
 val equal :
   ?budget:Budget.t ->
   ?telemetry:Telemetry.t ->
-  ?pool:Pool.t ->
   Automaton.t ->
   Automaton.t ->
   bool
@@ -62,7 +55,6 @@ val equal :
 val is_universal :
   ?budget:Budget.t ->
   ?telemetry:Telemetry.t ->
-  ?pool:Pool.t ->
   Automaton.t ->
   bool
 (** [is_universal a] = [included (Automaton.full a.alpha) a]: the
@@ -71,52 +63,15 @@ val is_universal :
 
 (** {2 Emptiness core}
 
-    Moved here from [Lang] (which re-exports them) so the engine can
+    Moved here from [Lang] (which re-exports it) so the engine can
     prune on [live_states] without a module cycle. *)
 
 val nonempty : Automaton.t -> bool
 
 val is_empty : Automaton.t -> bool
 
-val exists_accepting_cycle : ?budget:Budget.t -> Automaton.t -> bool
-(** Does some reachable cycle satisfy the acceptance condition?  The
-    same answer as {!nonempty}, reached by Emerson-Lei SCC recursion
-    (Baier et al., ATVA 2019) instead of {!Acceptance.dnf}: the
-    condition is restricted to each SCC and split on one [Fin] atom at
-    a time, so the cost is exponential in the number of distinct [Fin]
-    sets after restriction, not in the DNF width.  Meant for wide
-    conjunctions (the m-fold condition of uniform liveness), where the
-    DNF blows up; it answers for the start state only, whereas
-    {!live_states} answers per state.  Each recursion step calls
-    {!Budget.check} on [?budget] (no fuel spent), so a deadline bounds
-    it; raises [Budget.Tripped] when one passes. *)
-
-val maximal_accepting_cycles :
-  ?budget:Budget.t -> Automaton.t -> Acceptance.t -> Iset.t -> Iset.t list
-(** [maximal_accepting_cycles a acc s]: the maximal cycles inside the
-    cycle [s] (a strongly connected state set carrying an edge) that
-    satisfy [acc], found by the recursion of {!exists_accepting_cycle}
-    run to completion.  Every cycle inside [s] satisfying [acc] is
-    contained in a member, and no member contains another; [[s]] when
-    [s] itself satisfies [acc].  [Budget.check] once per recursion
-    step. *)
-
-val live_states :
-  ?budget:Budget.t ->
-  ?telemetry:Telemetry.t ->
-  ?pool:Pool.t ->
-  Automaton.t ->
-  bool array
+val live_states : ?budget:Budget.t -> Automaton.t -> bool array
 (** Per-state flag: can a run entering this state be continued into an
-    accepting one?  Multi-conjunct acceptance conditions fan their
-    per-conjunct SCC passes out on [?pool]; the parent [?budget] is
-    ticked once per DNF conjunct on the submitting domain, so trip
-    positions are identical with and without a pool at every job
-    count. *)
-
-val restricted_sccs : Automaton.t -> Iset.t -> int list list
-(** SCCs of the automaton graph restricted to states outside the given
-    [Fin] set. *)
-
-val scc_nontrivial : Automaton.t -> Iset.t -> int list -> bool
-(** Does the component carry a cycle avoiding the given [Fin] set? *)
+    accepting one?  Backward reachability to
+    {!Emptiness.accepting_states} over all states, which ticks
+    [?budget] once per SCC it examines. *)

@@ -10,133 +10,37 @@ module Alphabet = Finitary.Alphabet
    prunes on [live_states], so the core must sit underneath it); this
    module re-exports it to keep its historical interface. *)
 
-let restricted_sccs = Inclusion.restricted_sccs
-let scc_nontrivial = Inclusion.scc_nontrivial
 let live_states = Inclusion.live_states
 let nonempty = Inclusion.nonempty
 let is_empty = Inclusion.is_empty
-let exists_accepting_cycle = Inclusion.exists_accepting_cycle
 
 (* ------------------------------------------------------------------ *)
 (* Witness extraction                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* BFS shortest letter-path from [src] to a state satisfying [dst],
-   moving only through states allowed by [ok]. *)
-let letter_path (a : Automaton.t) ~ok src dst =
-  if dst src then Some []
-  else begin
-    let parent = Hashtbl.create 16 in
-    Hashtbl.add parent src None;
-    let queue = Queue.create () in
-    Queue.add src queue;
-    let found = ref None in
-    (try
-       while not (Queue.is_empty queue) do
-         let q = Queue.pop queue in
-         Array.iteri
-           (fun l q' ->
-             if ok q' && not (Hashtbl.mem parent q') then begin
-               Hashtbl.add parent q' (Some (q, l));
-               if dst q' then begin
-                 found := Some q';
-                 raise Exit
-               end;
-               Queue.add q' queue
-             end)
-           a.delta.(q)
-       done
-     with Exit -> ());
-    match !found with
-    | None -> None
-    | Some q ->
-        let rec build q acc =
-          match Hashtbl.find parent q with
-          | None -> acc
-          | Some (p, l) -> build p (l :: acc)
-        in
-        Some (build q [])
-  end
-
+(* A lasso through an accepting cycle, its state steps read back as
+   letters (the first letter taking each step). *)
 let witness (a : Automaton.t) =
   let reach = Automaton.reachable a in
-  let conjuncts = Acceptance.dnf a.acc in
-  let candidate =
-    List.find_map
-      (fun (fin, infs) ->
-        List.find_map
-          (fun comp ->
-            if
-              reach.(List.hd comp)
-              && scc_nontrivial a fin comp
-              && List.for_all
-                   (fun inf -> List.exists (fun q -> Iset.mem q inf) comp)
-                   infs
-            then Some (fin, infs, comp)
-            else None)
-          (restricted_sccs a fin))
-      conjuncts
+  let succ = Automaton.successors a in
+  let letter q q' =
+    let row = a.delta.(q) in
+    let rec find l = if row.(l) = q' then l else find (l + 1) in
+    find 0
   in
-  match candidate with
-  | None -> None
-  | Some (fin, infs, comp) ->
-      let in_comp = Iset.of_list comp in
-      let ok_comp q = Iset.mem q in_comp && not (Iset.mem q fin) in
-      let anchor = List.hd comp in
-      (* the SCC was selected among *reachable* components and is
-         strongly connected, so every path below must exist; a miss
-         means the automaton or the SCC computation broke an invariant,
-         which we want named, not reported as [Assert_failure] *)
-      let internal_error what q =
-        invalid_arg
-          (Printf.sprintf
-             "Lang.witness: internal invariant broken: %s (state %d, anchor %d)"
-             what q anchor)
-      in
-      let prefix =
-        match letter_path a ~ok:(fun _ -> true) a.start (fun q -> q = anchor) with
-        | Some p -> p
-        | None -> internal_error "accepting SCC unreachable from start" a.start
-      in
-      (* closed walk inside the component visiting a representative of
-         every Inf set, then back to the anchor, with at least one step *)
-      let reps =
-        List.map
-          (fun inf ->
-            match List.find_opt (fun q -> Iset.mem q inf) comp with
-            | Some q -> q
-            | None -> internal_error "Inf set misses the chosen SCC" anchor)
-          infs
-      in
-      let rec tour cur targets acc =
-        match targets with
-        | t :: rest -> (
-            match letter_path a ~ok:ok_comp cur (fun q -> q = t) with
-            | Some p -> tour t rest (acc @ p)
-            | None -> internal_error "representative unreachable within SCC" t)
-        | [] ->
-            (* close the loop with at least one step *)
-            let step_back =
-              List.find_map
-                (fun l ->
-                  let q' = a.delta.(cur).(l) in
-                  if ok_comp q' then
-                    match
-                      letter_path a ~ok:ok_comp q' (fun q -> q = anchor)
-                    with
-                    | Some p -> Some (l :: p)
-                    | None -> None
-                  else None)
-                (List.init (Array.length a.delta.(cur)) Fun.id)
-            in
-            (match step_back with
-            | Some p -> acc @ p
-            | None -> internal_error "no closing step back to anchor" cur)
-      in
-      let cycle = tour anchor reps [] in
-      Some
-        (Word.lasso ~prefix:(Array.of_list prefix)
-           ~cycle:(Array.of_list cycle))
+  let rec letters = function
+    | q :: (q' :: _ as rest) -> letter q q' :: letters rest
+    | [ _ ] | [] -> []
+  in
+  Option.map
+    (fun s ->
+      let prefix, cycle = Emptiness.lasso ~succ ~starts:[ a.start ] a.acc s in
+      let anchor = List.hd (List.rev prefix) in
+      Word.lasso
+        ~prefix:(Array.of_list (letters prefix))
+        ~cycle:(Array.of_list (letters (anchor :: cycle))))
+    (Emptiness.accepting_scc ~n:a.n ~succ a.acc
+       (Iset.init a.n (Array.get reach)))
 
 (* ------------------------------------------------------------------ *)
 (* Inclusion and equality                                              *)
@@ -271,9 +175,9 @@ let () =
 
 let effective_engine = function Some e -> e | None -> engine ()
 
-let is_universal ?pool ?engine a =
+let is_universal ?engine a =
   match effective_engine engine with
-  | `Antichain -> Inclusion.is_universal ?pool a
+  | `Antichain -> Inclusion.is_universal a
   | `Explicit -> is_empty (cached_complement a)
 
 (* When both automata share one transition structure (safety closures,
@@ -281,7 +185,7 @@ let is_universal ?pool ?engine a =
    table), every word has the same run in both, so inclusion is
    emptiness of [acc_a /\ not acc_b] over that {e same} graph — no
    quadratic product needed. *)
-let included ?pool ?engine a b =
+let included ?pool:_ ?engine a b =
   if
     (* physical checks first: the common different-table case then
        skips the DLS read behind [caches_enabled] entirely *)
@@ -300,7 +204,7 @@ let included ?pool ?engine a b =
       match effective_engine engine with
       | `Antichain ->
           Telemetry.incr (Telemetry.ambient ()) "lang.included.antichain";
-          Inclusion.included ?pool a b
+          Inclusion.included a b
       | `Explicit ->
           Telemetry.incr (Telemetry.ambient ()) "lang.included.product";
           is_empty (Automaton.inter a (cached_complement b))
@@ -356,17 +260,17 @@ let pref (a : Automaton.t) =
 
 (* The non-live states form an absorbing set, so "some prefix outside
    Pref(Pi)" = "the run eventually stays among non-live states". *)
-let dead_set ?budget ?telemetry ?pool (a : Automaton.t) =
-  let live = live_states ?budget ?telemetry ?pool a in
+let dead_set ?budget (a : Automaton.t) =
+  let live = live_states ?budget a in
   Iset.init a.n (fun q -> not live.(q))
 
-let safety_closure ?budget ?telemetry ?pool (a : Automaton.t) =
-  let dead = dead_set ?budget ?telemetry ?pool a in
+let safety_closure ?budget ?pool:_ (a : Automaton.t) =
+  let dead = dead_set ?budget a in
   Automaton.make ~alpha:a.alpha ~n:a.n ~start:a.start ~delta:a.delta
     ~acc:(Acceptance.simplify (Acceptance.Fin dead))
 
-let liveness_extension ?budget ?telemetry ?pool (a : Automaton.t) =
-  let dead = dead_set ?budget ?telemetry ?pool a in
+let liveness_extension ?budget (a : Automaton.t) =
+  let dead = dead_set ?budget a in
   Automaton.make ~alpha:a.alpha ~n:a.n ~start:a.start ~delta:a.delta
     ~acc:(Acceptance.simplify (Acceptance.Or [ a.acc; Acceptance.Inf dead ]))
 
@@ -375,9 +279,8 @@ let is_liveness (a : Automaton.t) =
   let reach = Automaton.reachable a in
   Array.for_all2 (fun r l -> (not r) || l) reach live
 
-let safety_liveness_decomposition ?budget ?telemetry ?pool a =
-  ( safety_closure ?budget ?telemetry ?pool a,
-    liveness_extension ?budget ?telemetry ?pool a )
+let safety_liveness_decomposition ?budget a =
+  (safety_closure ?budget a, liveness_extension ?budget a)
 
 (* ------------------------------------------------------------------ *)
 (* Uniform liveness                                                    *)
@@ -390,11 +293,10 @@ let safety_liveness_decomposition ?budget ?telemetry ?pool a =
    exponential in [a.n] — so the expansion loop ticks [?budget] once
    per interned vector state.  The joint condition is an [And] of m
    lifted copies of [a.acc], whose DNF width is the product of the
-   copies' widths, so it is never put in DNF: [exists_accepting_cycle]
-   decides it by SCC recursion, worst-case exponential in the number
-   of distinct [Fin] sets left after restricting to an SCC, and checks
-   the deadline of [?budget] (without spending fuel) at every
-   recursion step. *)
+   copies' widths; [Emptiness.accepting_scc] decides it by SCC
+   recursion, worst-case exponential in the number of distinct [Fin]
+   sets left after restricting to an SCC, and checks the deadline of
+   [?budget] (without spending fuel) at every recursion step. *)
 let is_uniform_liveness ?(budget = Budget.unlimited) (a : Automaton.t) =
   let reach = Automaton.reachable a in
   let starts =
@@ -456,4 +358,7 @@ let is_uniform_liveness ?(budget = Budget.unlimited) (a : Automaton.t) =
          (List.init m (fun c -> Acceptance.map_sets (lift c) a.acc)))
   in
   let joint = Automaton.make ~alpha:a.alpha ~n:n' ~start:i0 ~delta ~acc in
-  exists_accepting_cycle ~budget joint
+  (* every interned vector is reachable, so the region is all of them *)
+  Emptiness.accepting_scc ~budget ~n:n' ~succ:(Automaton.successors joint) acc
+    (Iset.init n' (fun _ -> true))
+  <> None

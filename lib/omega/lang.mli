@@ -4,16 +4,15 @@
     section 3). *)
 
 (** Is the accepted language non-empty?  Exact for every acceptance
-    condition (disjunctive-normal-form + SCC restriction). *)
+    condition ({!Emptiness.accepting_states}). *)
 val nonempty : Automaton.t -> bool
 
 val is_empty : Automaton.t -> bool
 
-(** {!nonempty} by Emerson-Lei SCC recursion, never expanding the
-    condition in DNF; see {!Inclusion.exists_accepting_cycle}. *)
-val exists_accepting_cycle : ?budget:Budget.t -> Automaton.t -> bool
-
-(** A lasso word accepted by the automaton, if any. *)
+(** A lasso word accepted by the automaton, if any: a prefix to a
+    reachable accepting cycle ({!Emptiness.accepting_scc}) and the
+    closed walk {!Emptiness.lasso} builds inside it, each state step
+    read back as the first letter taking it. *)
 val witness : Automaton.t -> Finitary.Word.lasso option
 
 (** The engine behind {!included}/{!equal}/{!is_universal} on operands
@@ -45,11 +44,8 @@ val with_engine : engine -> (unit -> 'a) -> 'a
     Registered as a {!Kernel.Ambient} provider: {!Pool} tasks
     submitted inside [f] inherit [e] on their worker domains. *)
 
-(** Does the automaton accept every infinite word?  With [?pool] the
-    antichain engine runs its per-conjunct SCC passes in parallel
-    (deterministically — see {!Inclusion}); the explicit engine
-    ignores it. *)
-val is_universal : ?pool:Pool.t -> ?engine:engine -> Automaton.t -> bool
+(** Does the automaton accept every infinite word? *)
+val is_universal : ?engine:engine -> Automaton.t -> bool
 
 (** Language inclusion / equality.  Three mechanisms cut the repeated
     work: a same-transition-table fast path that replaces any product
@@ -59,7 +55,8 @@ val is_universal : ?pool:Pool.t -> ?engine:engine -> Automaton.t -> bool
     complement cache ({!Kernel.Cache}, keyed by {!Automaton.t.uid}).
     All report counters to the ambient {!Telemetry} handle
     ([lang.complement.request/hit/miss],
-    [lang.included.same_table/antichain/product]). *)
+    [lang.included.same_table/antichain/product]).  [?pool] is
+    accepted and ignored: one inclusion runs sequentially. *)
 val included : ?pool:Pool.t -> ?engine:engine -> Automaton.t -> Automaton.t -> bool
 
 val equal : ?pool:Pool.t -> ?engine:engine -> Automaton.t -> Automaton.t -> bool
@@ -114,17 +111,9 @@ val distinguishing_witness :
   Automaton.t -> Automaton.t -> Finitary.Word.lasso option
 
 (** [live_states a]: per-state flag, true iff the language of the
-    automaton started at that state is non-empty.  Multi-conjunct
-    acceptance fans its per-conjunct SCC passes out on [?pool]; the
-    parent [?budget] is ticked once per DNF conjunct on the submitting
-    domain, never from tasks, so trip positions are identical with and
-    without a pool at every job count. *)
-val live_states :
-  ?budget:Budget.t ->
-  ?telemetry:Telemetry.t ->
-  ?pool:Pool.t ->
-  Automaton.t ->
-  bool array
+    automaton started at that state is non-empty.  [?budget] is ticked
+    once per SCC the search examines. *)
+val live_states : ?budget:Budget.t -> Automaton.t -> bool array
 
 (** [pref a]: the paper's [Pref(Pi)] as a DFA — the non-empty finite
     words extendable to an accepted infinite word. *)
@@ -133,47 +122,32 @@ val pref : Automaton.t -> Finitary.Dfa.t
 (** The safety closure [A(Pref(Pi))] — topologically, the closure
     [cl(Pi)] (section 3 proves these coincide; we implement the left side
     and the test suite checks closure axioms).  The result shares the
-    argument's transition table; the work is {!live_states}, whose
-    per-conjunct passes fan out on [?pool] with pool-independent
-    [?budget] trip positions. *)
+    argument's transition table; the work is {!live_states}, which
+    ticks [?budget].  [?pool] is accepted and ignored. *)
 val safety_closure :
-  ?budget:Budget.t ->
-  ?telemetry:Telemetry.t ->
-  ?pool:Pool.t ->
-  Automaton.t ->
-  Automaton.t
+  ?budget:Budget.t -> ?pool:Pool.t -> Automaton.t -> Automaton.t
 
 (** The liveness extension [L(Pi) = Pi union E(not Pref(Pi))] used in the
-    decomposition theorem.  Same [?budget]/[?pool] behavior as
+    decomposition theorem.  Same [?budget] behavior as
     {!safety_closure}. *)
-val liveness_extension :
-  ?budget:Budget.t ->
-  ?telemetry:Telemetry.t ->
-  ?pool:Pool.t ->
-  Automaton.t ->
-  Automaton.t
+val liveness_extension : ?budget:Budget.t -> Automaton.t -> Automaton.t
 
 (** Is the property a liveness property ([Pref(Pi) = Sigma+];
     topologically: is the set dense)? *)
 val is_liveness : Automaton.t -> bool
 
 (** The decomposition [Pi = Pi_S inter Pi_L] of the paper's claim:
-    returns (safety closure, liveness extension).  [?budget] is ticked
-    once per DNF conjunct per part, on the submitting domain; [?pool]
-    fans the per-conjunct passes out. *)
+    returns (safety closure, liveness extension), each ticking
+    [?budget] as {!live_states} does. *)
 val safety_liveness_decomposition :
-  ?budget:Budget.t ->
-  ?telemetry:Telemetry.t ->
-  ?pool:Pool.t ->
-  Automaton.t ->
-  Automaton.t * Automaton.t
+  ?budget:Budget.t -> Automaton.t -> Automaton.t * Automaton.t
 
 (** Is the property a {e uniform} liveness property: is there a single
     infinite word [w] with [Sigma+ . w <= Pi]?  Decided exactly by a
     product over all states reachable in at least one step — a subset
     construction, worst-case exponential in [a.n], so the expansion
     ticks [?budget] once per vector state.  Its m-fold conjunction of
-    acceptance copies is decided by {!exists_accepting_cycle}, never in
-    DNF, with a deadline check per recursion step.  Raises
+    acceptance copies is decided by {!Emptiness.accepting_scc}, never
+    in DNF, with a deadline check per recursion step.  Raises
     [Budget.Tripped] when fuel or the deadline runs out. *)
 val is_uniform_liveness : ?budget:Budget.t -> Automaton.t -> bool

@@ -217,20 +217,17 @@ let equiv_body alpha v =
   match v with
   | `Equivalent ->
       [ ("status", Json.String "ok"); ("equivalent", Json.Bool true) ]
-  | `Distinct w ->
-      [ ("status", Json.String "ok"); ("equivalent", Json.Bool false) ]
-      @ (match w with
-        | Some (w, side) ->
-            [
-              ( "witness",
-                Json.String (Fmt.str "%a" (Finitary.Word.pp_lasso alpha) w) );
-              ( "side",
-                Json.String
-                  (match side with
-                  | Engine.First_only -> "first_only"
-                  | Engine.Second_only -> "second_only") );
-            ]
-        | None -> [])
+  | `Distinct (w, side) ->
+      [
+        ("status", Json.String "ok");
+        ("equivalent", Json.Bool false);
+        ("witness", Json.String (Fmt.str "%a" (Finitary.Word.pp_lasso alpha) w));
+        ( "side",
+          Json.String
+            (match side with
+            | Engine.First_only -> "first_only"
+            | Engine.Second_only -> "second_only") );
+      ]
 
 let lint_body v =
   let diagnostics =

@@ -85,8 +85,7 @@ val report_body : Hierarchy.Engine.report -> body
 
 val equiv_body :
   Finitary.Alphabet.t ->
-  [ `Equivalent
-  | `Distinct of (Finitary.Word.lasso * Hierarchy.Engine.side) option ] ->
+  [ `Equivalent | `Distinct of Finitary.Word.lasso * Hierarchy.Engine.side ] ->
   body
 
 val lint_body : Hierarchy.Lint.verdict -> body

@@ -342,6 +342,8 @@ let random_tests =
       QCheck.Test.make ~name:"decomposition rank = enumeration rank"
         ~count:2000 arb_wide_automaton
         (fun a -> Classify.reactivity_rank a = enumeration_rank a);
+      QCheck.Test.make ~name:"kernel = enumerated accepting cycles"
+        ~count:500 arb_wide_automaton Emptiness_oracle.automaton_agrees;
       QCheck.Test.make ~name:"maximal accepting cycles = enumerated maxima"
         ~count:500 arb_wide_automaton
         (fun a ->
@@ -353,7 +355,8 @@ let random_tests =
               || List.for_all
                    (fun acc ->
                      List.sort Iset.compare
-                       (Inclusion.maximal_accepting_cycles a acc s)
+                       (Emptiness.maximal_accepting_cycles ~n:a.n
+                          ~succ:(Automaton.successors a) acc s)
                      = enumerated_maximal a acc s)
                    [ a.Automaton.acc; Acceptance.dual a.Automaton.acc ])
             (Automaton.sccs a));

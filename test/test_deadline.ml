@@ -194,6 +194,39 @@ let analyze_tests =
               [ Fts.Analyze.M310; M311 ]
         | Ok _ -> Alcotest.fail "no model block"
         | Error e -> Alcotest.failf "unexpected error %a" Engine.pp_error e);
+    (* a condition with one [Fin \/ Inf] conjunct per strong-fairness
+       requirement has a DNF of 2^22 conjuncts here *)
+    Alcotest.test_case "22 strong-fairness requirements inside 1000ms"
+      `Quick (fun () ->
+        let model =
+          fst
+            (Fts.Parse.parse
+               (String.concat "\n"
+                  ([ "var x 0..1"; "init x=0" ]
+                  @ List.concat
+                      (List.init 22 (fun i ->
+                           [
+                             Printf.sprintf "trans t%d: x=0 -> x:=1" i;
+                             Printf.sprintf "trans u%d: x=1 -> x:=0" i;
+                             Printf.sprintf "fair strong t%d" i;
+                           ])))))
+        in
+        let budget = Budget.make ~timeout_ms:1000. () in
+        match
+          Engine.analyze ~budget ~model
+            [ ("progress", "[] (x=0 -> <> x=1)", None) ]
+        with
+        | Ok { Hierarchy.Lint.model = Some m; _ } ->
+            List.iter
+              (fun code ->
+                check
+                  (Fts.Analyze.code_name code ^ " checked")
+                  true
+                  (List.assoc code m.Hierarchy.Lint.model_checks
+                  = Fts.Analyze.Checked))
+              [ Fts.Analyze.M310; M311 ]
+        | Ok _ -> Alcotest.fail "no model block"
+        | Error e -> Alcotest.failf "unexpected error %a" Engine.pp_error e);
   ]
 
 let () =

@@ -255,6 +255,68 @@ let system_tests =
               String.fold_left (fun acc c -> acc || c = '1') false msg));
   ]
 
+(* Random graphs of 1..7 nodes with one or two starts and an
+   acceptance tree over node sets.  Every lasso the search returns is
+   checked step by step, and it returns none exactly when no node set
+   reachable from a start is a cycle satisfying the condition (by
+   brute force over all subsets). *)
+let lasso_tests =
+  let open Omega in
+  let gen =
+    let open QCheck.Gen in
+    int_range 1 7 >>= fun n ->
+    map3
+      (fun succ starts acc -> ({ Graph.n; succ = Array.of_list succ }, starts, acc))
+      (list_repeat n (list_size (int_bound 3) (int_bound (n - 1))))
+      (list_size (int_range 1 2) (int_bound (n - 1)))
+      (Emptiness_oracle.gen_acc n 3)
+  in
+  let print (g, starts, acc) =
+    Fmt.str "succ=%a starts=%a acc=%a"
+      Fmt.(Dump.array (Dump.list int))
+      g.Graph.succ
+      Fmt.(Dump.list int)
+      starts Acceptance.pp acc
+  in
+  (* does [c] induce a strongly connected subgraph with an edge? *)
+  let is_cycle (g : Graph.t) c =
+    let inside v = List.mem v c in
+    let reach v =
+      let seen = Hashtbl.create 8 in
+      let rec go v =
+        List.iter
+          (fun w ->
+            if inside w && not (Hashtbl.mem seen w) then begin
+              Hashtbl.add seen w ();
+              go w
+            end)
+          g.succ.(v)
+      in
+      go v;
+      seen
+    in
+    c <> [] && List.for_all (fun v -> List.for_all (Hashtbl.mem (reach v)) c) c
+  in
+  let exists_fair_cycle (g : Graph.t) starts acc =
+    let reach = Graph_kernel.reachable ~n:g.n ~succ:(fun v -> g.succ.(v)) ~starts in
+    List.exists
+      (fun mask ->
+        let c = List.filter (fun v -> mask land (1 lsl v) <> 0) (List.init g.n Fun.id) in
+        List.for_all (fun v -> reach.(v)) c
+        && is_cycle g c
+        && Acceptance.eval acc (Iset.of_list c))
+      (List.init (1 lsl g.n) Fun.id)
+  in
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"fair lassos are lassos of the graph" ~count:1000
+         (QCheck.make ~print gen) (fun (g, starts, acc) ->
+           match Graph.find_accepting_lasso g ~starts acc with
+           | None -> not (exists_fair_cycle g starts acc)
+           | Some l ->
+               Emptiness_oracle.lasso_valid ~succ:(fun v -> g.succ.(v)) ~starts acc l));
+  ]
+
 let () =
   Alcotest.run "fts"
     [
@@ -264,4 +326,5 @@ let () =
       ("philosophers", philosopher_tests);
       ("proof", proof_tests);
       ("system", system_tests);
+      ("lasso", lasso_tests);
     ]

@@ -209,7 +209,7 @@ let differential_tests =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Emerson-Lei SCC recursion against the DNF emptiness core            *)
+(* The Emerson-Lei kernel against enumerated cycles                     *)
 (* ------------------------------------------------------------------ *)
 
 (* Automata of 1..6 states with a random start (so some states may be
@@ -217,31 +217,6 @@ let differential_tests =
 let gen_small ~depth =
   let open QCheck.Gen in
   int_range 1 6 >>= fun n ->
-  let gen_set =
-    map
-      (fun mask ->
-        Iset.of_list
-          (List.filter (fun i -> mask land (1 lsl i) <> 0) (List.init n Fun.id)))
-      (int_bound ((1 lsl n) - 1))
-  in
-  let atom =
-    oneof
-      [
-        map (fun s -> Acceptance.Inf s) gen_set;
-        map (fun s -> Acceptance.Fin s) gen_set;
-      ]
-  in
-  let rec gen_acc d =
-    if d = 0 then atom
-    else
-      let sub = gen_acc (d - 1) in
-      frequency
-        [
-          (1, atom);
-          (2, map2 (fun a b -> Acceptance.And [ a; b ]) sub sub);
-          (2, map2 (fun a b -> Acceptance.Or [ a; b ]) sub sub);
-        ]
-  in
   map3
     (fun start rows acc ->
       Automaton.make ~alpha:ab ~n ~start
@@ -249,7 +224,7 @@ let gen_small ~depth =
         ~acc)
     (int_bound (n - 1))
     (list_repeat n (list_repeat 2 (int_bound (n - 1))))
-    (gen_acc depth)
+    (Emptiness_oracle.gen_acc n depth)
 
 let arb_small ~depth =
   QCheck.make
@@ -278,9 +253,8 @@ let uniform_oracle (a : Automaton.t) =
 let emerson_lei_tests =
   List.map QCheck_alcotest.to_alcotest
     [
-      QCheck.Test.make ~name:"exists_accepting_cycle = nonempty" ~count:1000
-        (arb_small ~depth:4) (fun a ->
-          Inclusion.exists_accepting_cycle a = Inclusion.nonempty a);
+      QCheck.Test.make ~name:"kernel = enumerated accepting cycles" ~count:1000
+        (arb_small ~depth:4) Emptiness_oracle.automaton_agrees;
       (* depth 2 keeps the oracle's m-fold DNF small enough to expand *)
       QCheck.Test.make ~name:"is_uniform_liveness = restart-product oracle"
         ~count:300 (arb_small ~depth:2) (fun a ->
@@ -293,12 +267,17 @@ let emerson_lei_tests =
 
 let job_counts = [ 1; 2; 4 ]
 
-(* Run the antichain engine on a pool, capturing verdict or trip. *)
+(* [f ()] as a task on one of the pool's worker domains. *)
+let on_worker p f = List.hd (Pool.map ~seq_below:0 p (fun _ctx () -> f ()) [ () ])
+
+(* Run the antichain engine (itself sequential) as a pool task,
+   capturing verdict or trip. *)
 let pooled_outcome ?budget ~jobs a b =
   Pool.with_pool ~jobs (fun p ->
-      match Inclusion.included ?budget ~pool:p a b with
-      | v -> `Verdict v
-      | exception Budget.Tripped { Budget.reason; _ } -> `Tripped reason)
+      on_worker p (fun () ->
+          match Inclusion.included ?budget a b with
+          | v -> `Verdict v
+          | exception Budget.Tripped { Budget.reason; _ } -> `Tripped reason))
 
 let pool_tests =
   List.map QCheck_alcotest.to_alcotest
@@ -328,7 +307,6 @@ let pool_tests =
           Pool.with_pool ~jobs:2 (fun p ->
               with_engine `Antichain (fun () ->
                   Lang.included ~pool:p a b = Lang.included a b
-                  && Lang.is_universal ~pool:p a = Lang.is_universal a
                   && Lang.equal ~pool:p a b = Lang.equal a b)));
       QCheck.Test.make ~name:"safety_closure pooled = sequential" ~count:300
         arb_automaton (fun a ->
@@ -338,8 +316,9 @@ let pool_tests =
           List.for_all
             (fun jobs ->
               Pool.with_pool ~jobs (fun p ->
-                  ( Lang.live_states ~pool:p a,
-                    pp_auto (Lang.safety_closure ~pool:p a) )
+                  on_worker p (fun () ->
+                      ( Lang.live_states a,
+                        pp_auto (Lang.safety_closure ~pool:p a) ))
                   = reference))
             job_counts);
       QCheck.Test.make

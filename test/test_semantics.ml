@@ -144,6 +144,17 @@ let qcheck_tests =
               ~cycle:l.Finitary.Word.cycle
           in
           Semantics.holds pq form l = Semantics.holds pq form unrolled);
+      QCheck.Test.make ~name:"equiv witness side agrees with the semantics"
+        ~count:100 (QCheck.pair arb_formula arb_formula)
+        (fun (f1, f2) ->
+          match Hierarchy.Engine.equiv pq f1 f2 with
+          | Ok `Equivalent -> Tableau.equiv pq f1 f2
+          | Ok (`Distinct (w, side)) -> (
+              let h1 = Semantics.holds pq f1 w and h2 = Semantics.holds pq f2 w in
+              match side with
+              | Hierarchy.Engine.First_only -> h1 && not h2
+              | Second_only -> h2 && not h1)
+          | Error _ -> false);
       QCheck.Test.make ~name:"expand preserves semantics" ~count:100
         (QCheck.pair arb_formula arb_lasso)
         (fun (form, l) ->
