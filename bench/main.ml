@@ -274,9 +274,8 @@ let pr2_baseline =
 (* PR-4 tree timings (ns/run, same machine, same bench) recorded
    immediately before the domain pool landed; --parallel-json writes
    the comparison to BENCH_parallel.json.  The pool must not tax the
-   path that does not use it: CI requires the jobs=1 sweep within 3%
-   of the no-pool run and, on machines with at least 4 cores, a
-   >= 1.5x sweep speedup at jobs=4. *)
+   path that does not use it: CI requires every jobs=1 row within 3%
+   of the no-pool run. *)
 let pr4_baseline =
   [
     ("classify: response formula automaton", 5246.6);
@@ -749,7 +748,6 @@ let parallel_json () =
              Acceptance.Inf (Iset.singleton 1);
            ])
   in
-  let resp = fm "[] (p -> <> q)" in
   (* Reps are interleaved round-robin — rep k of every variant before
      rep k+1 of any — so slow drift (GC heap growth, machine load)
      biases all variants equally and the overhead gates compare minima
@@ -776,7 +774,7 @@ let parallel_json () =
   let sweep_m =
     measure
       ( "sweep: classify 10k-state single-SCC automaton",
-        fun pool () -> ignore (Classify.classify ?pool (mk ())) )
+        fun _pool () -> ignore (Classify.classify (mk ())) )
   in
   let lint_m =
     measure
@@ -797,22 +795,22 @@ let parallel_json () =
         fun _pool () ->
           ignore (Lang.safety_closure (closure_conjuncts_automaton 30_000 8)) )
   in
-  (* The tiny gate asserts a 0.4% bound, so the workload must be long
+  (* The tiny gate asserts a 0.4% bound on a one-item batch, which
+     takes the pool's inline fast path; the workload must be long
      enough (and sampled often enough) that min-of-reps beats scheduler
-     jitter: 2000 classifies is ~10ms, not ~1ms. *)
+     jitter. *)
   let tiny_m =
     measure ~reps:10
-      ( "tiny: classify response formula x2000",
+      ( "tiny: one-item classify_batch of the response formula x500",
         fun pool () ->
-          for _ = 1 to 2000 do
-            ignore (Classify.classify ?pool resp)
+          for _ = 1 to 500 do
+            ignore (Hierarchy.Engine.classify_batch ?pool [ "[] (p -> <> q)" ])
           done )
   in
   let measured = [ sweep_m; lint_m ] in
-  (* each entry is ONE input (no batch to slice), so any speedup is
-     pure intra-query parallelism.  CI gates the speedup of the sweep
-     (per-SCC fan-out) only: the inclusion and the closure run
-     sequentially and stay as timings beside the overhead gates *)
+  (* each entry is ONE input with no batch to slice, and every one runs
+     sequentially (the per-SCC, inclusion and closure fan-outs are all
+     gone), so these rows are timings beside the overhead gates *)
   let single_large = [ sweep_m; incl_m ] in
   let closure = [ closure_conj_m ] in
   let micro = run_benches () in
@@ -848,11 +846,10 @@ let parallel_json () =
      ratios vs the PR-9 re-pin (see DESIGN.md)\",\n";
   p "  \"note\": \"gates (skipped, and the sections marked ungated, below \
      4 cores): overhead_jobs1 <= 1.03 always and <= 1.004 on the tiny \
-     workload (inline fast path); speedup_jobs4 >= 1.5 on the sweep \
-     row and on the geomean of the single_large rows that fan out; the \
-     inclusion and closure rows run sequentially and are timings only; \
-     micro ratio vs repin_ns within noise of 1.0 (the pool is off on \
-     the micro benches)\",\n";
+     workload (inline fast path); only the lint matrix fans out, and \
+     the single_large and closure rows run sequentially and are \
+     timings only; micro ratio vs repin_ns within noise of 1.0 (the \
+     pool is off on the micro benches)\",\n";
   section ~last:false "workloads" measured;
   section ~last:false "single_large" single_large;
   section ~last:false "closure" closure;
@@ -943,7 +940,7 @@ let inclusion_workloads () =
                 autos)
             autos
         in
-        ignore (Lang.included_batch pairs) );
+        ignore (List.map (fun (a, b) -> Lang.included a b) pairs) );
   ]
 
 let inclusion_json () =

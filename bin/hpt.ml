@@ -50,9 +50,11 @@ let trace_arg =
 
 let jobs_arg =
   let doc =
-    "Run on $(docv) domains (a fixed fork-join pool).  The result is \
-     identical to the sequential run at every job count; $(docv)=1 \
-     exercises the pool's guaranteed-sequential path."
+    "Run on $(docv) domains (a fixed pool).  Only independent items fan \
+     out: the formulas of a classify batch, and the per-requirement pass \
+     and pairwise matrix of lint and analyze; one classification runs on \
+     one domain.  The result is identical to the sequential run at every \
+     job count; $(docv)=1 exercises the pool's sequential path."
   in
   Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
@@ -560,9 +562,10 @@ let serve_cmd =
   in
   let pool_jobs_arg =
     let doc =
-      "Domains in the shared intra-query pool: a single large request fans \
-       out across $(docv) domains inside the engine.  1 (the default) keeps \
-       each request sequential."
+      "Domains in the pool shared by the workers: a lint or analyze \
+       request fans its per-requirement pass and pairwise matrix out \
+       across $(docv) domains; a classify or equiv request runs on one.  \
+       1 (the default) keeps each request sequential."
     in
     Arg.(
       value

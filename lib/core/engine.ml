@@ -85,11 +85,10 @@ let with_caches = Omega.Lang.with_caches
 let with_scoped ?engine f =
   match engine with None -> f () | Some e -> Omega.Lang.with_engine e f
 
-(* An explicit [?pool] wins; otherwise the entry points pick up the
-   domain-local default installed by [Pool.with_ambient] (the serve
-   workers and the CLI install one around request handling), so every
-   layer below fans out without each call site having to thread the
-   handle. *)
+(* An explicit [?pool] wins; otherwise the batch entry points pick up
+   the domain-local default installed by [Pool.with_ambient] (the serve
+   workers install one around request handling), so they fan out
+   without each call site having to thread the handle. *)
 let effective_pool = function
   | Some _ as p -> p
   | None -> Pool.ambient ()
@@ -132,8 +131,8 @@ let alphabet ?props ?chars formulas =
    degrades the verdict columns; the three SL/expressibility bits are
    guarded the same way here so a trip mid-bit yields [None] for it and
    everything after, never an exception. *)
-let report_of ~budget ~telemetry ?pool ~syntactic (a : Omega.Automaton.t) =
-  let b = Omega.Classify.classify_budgeted ~budget ~telemetry ?pool a in
+let report_of ~budget ~telemetry ~syntactic (a : Omega.Automaton.t) =
+  let b = Omega.Classify.classify_budgeted ~budget ~telemetry a in
   let exhausted = ref b.Omega.Classify.exhaustion in
   let record e = if !exhausted = None then exhausted := Some e in
   let opt f =
@@ -187,14 +186,13 @@ let report_of ~budget ~telemetry ?pool ~syntactic (a : Omega.Automaton.t) =
   }
 
 let classify_automaton ?(budget = Budget.unlimited)
-    ?(telemetry = Telemetry.disabled) ?pool ?engine ?formula a =
-  let pool = effective_pool pool in
+    ?(telemetry = Telemetry.disabled) ?engine ?formula a =
   protect ~budget ~telemetry @@ fun () ->
   with_scoped ?engine @@ fun () ->
   let syntactic =
     Option.bind formula (fun f -> Logic.Shape.upper (Logic.Shape.infer f))
   in
-  report_of ~budget ~telemetry ?pool ~syntactic a
+  report_of ~budget ~telemetry ~syntactic a
 
 let outside_fragment ~telemetry ~syntactic ~exhausted =
   {
@@ -212,8 +210,7 @@ let outside_fragment ~telemetry ~syntactic ~exhausted =
   }
 
 let classify_formula ?(budget = Budget.unlimited)
-    ?(telemetry = Telemetry.disabled) ?pool ?engine alpha f =
-  let pool = effective_pool pool in
+    ?(telemetry = Telemetry.disabled) ?engine alpha f =
   protect ~budget ~telemetry @@ fun () ->
   with_scoped ?engine @@ fun () ->
   let syntactic = Logic.Shape.upper (Logic.Shape.infer f) in
@@ -226,12 +223,12 @@ let classify_formula ?(budget = Budget.unlimited)
   match translation with
   | `Tripped e -> outside_fragment ~telemetry ~syntactic ~exhausted:(Some e)
   | `Done None -> outside_fragment ~telemetry ~syntactic ~exhausted:None
-  | `Done (Some a) -> report_of ~budget ~telemetry ?pool ~syntactic a
+  | `Done (Some a) -> report_of ~budget ~telemetry ~syntactic a
 
-let classify ?budget ?telemetry ?pool ?engine ?props ?chars s =
+let classify ?budget ?telemetry ?engine ?props ?chars s =
   Result.bind (parse s) @@ fun f ->
   Result.bind (alphabet ?props ?chars [ f ]) @@ fun alpha ->
-  classify_formula ?budget ?telemetry ?pool ?engine alpha f
+  classify_formula ?budget ?telemetry ?engine alpha f
 
 (* One result per input, in input order.  Without a pool this is a
    plain [List.map] over {!classify} with the shared budget (so inputs
@@ -259,8 +256,8 @@ let classify_batch ?(budget = Budget.unlimited)
    infinitary operators: the [hpt build] path.  The alphabet must be
    given explicitly ([--props] or [--chars]); regex letters cannot be
    inferred. *)
-let classify_regex ?budget ?(telemetry = Telemetry.disabled) ?pool ?engine
-    ?props ?chars ~op re =
+let classify_regex ?budget ?(telemetry = Telemetry.disabled) ?engine ?props
+    ?chars ~op re =
   let operator =
     match String.lowercase_ascii op with
     | "a" -> Ok Omega.Build.A
@@ -290,7 +287,7 @@ let classify_regex ?budget ?(telemetry = Telemetry.disabled) ?pool ?engine
     Telemetry.span telemetry "engine.build" @@ fun () ->
     Omega.Build.of_op operator (Finitary.Regex.compile alpha re)
   in
-  report_of ~budget ~telemetry ?pool:(effective_pool pool) ~syntactic:None a
+  report_of ~budget ~telemetry ~syntactic:None a
 
 (* ------------------------------------------------------------------ *)
 (* Views, equivalence, witnesses, lint                                 *)
@@ -369,7 +366,7 @@ let analyze ?(budget = Budget.unlimited) ?(telemetry = Telemetry.disabled)
       Lint.lint_located ~mode:Lint.Syntactic_only specs
   in
   let report =
-    Fts.Analyze.analyze ~budget ~telemetry ?pool
+    Fts.Analyze.analyze ~budget ~telemetry
       ~specs:
         (List.map (fun it -> (it.Lint.iname, it.Lint.formula)) lint_verdict.Lint.items)
       model

@@ -125,21 +125,16 @@ val inclusion_engine_of_string :
 val classify_automaton :
   ?budget:Budget.t ->
   ?telemetry:Telemetry.t ->
-  ?pool:Pool.t ->
   ?engine:inclusion_engine ->
   ?formula:Logic.Formula.t ->
   Omega.Automaton.t ->
   (report, error) result
 (** Classify a property given as a deterministic omega-automaton.  On
-    budget exhaustion the report degrades to an interval verdict.
-    With [?pool] the membership columns run on the pool (see
-    {!Omega.Classify.classify_budgeted}); the report is identical at
-    every job count. *)
+    budget exhaustion the report degrades to an interval verdict. *)
 
 val classify_formula :
   ?budget:Budget.t ->
   ?telemetry:Telemetry.t ->
-  ?pool:Pool.t ->
   ?engine:inclusion_engine ->
   Finitary.Alphabet.t ->
   Logic.Formula.t ->
@@ -151,7 +146,6 @@ val classify_formula :
 val classify :
   ?budget:Budget.t ->
   ?telemetry:Telemetry.t ->
-  ?pool:Pool.t ->
   ?engine:inclusion_engine ->
   ?props:string ->
   ?chars:string ->
@@ -181,7 +175,6 @@ val classify_batch :
 val classify_regex :
   ?budget:Budget.t ->
   ?telemetry:Telemetry.t ->
-  ?pool:Pool.t ->
   ?engine:inclusion_engine ->
   ?props:string ->
   ?chars:string ->
@@ -245,7 +238,7 @@ val lint :
   (Lint.verdict, error) result
 (** Parse and lint a named-requirement specification.  [mode] selects
     how much semantic refinement {!Lint} performs (default
-    {!Lint.Auto}).  With [?pool] the per-item pass and the pairwise
+    {!Lint.Auto}).  With a pool the per-item pass and the pairwise
     matrix parallelize with a byte-identical verdict (see {!Lint.lint}). *)
 
 val analyze :

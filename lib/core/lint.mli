@@ -142,7 +142,7 @@ type verdict = {
     all semantic constructions and interrupts them with
     [Budget.Tripped].
 
-    With [?pool] the per-item semantic pass and the pairwise
+    With a pool the per-item semantic pass and the pairwise
     conflict/subsumption matrix run as pool tasks (one per item, one
     per pair); diagnostics are emitted after the join in the canonical
     sequential order, so the verdict is byte-identical at every job

@@ -373,7 +373,7 @@ let check_m310 ~budget ~telemetry closure_of specs emit =
       end)
     specs
 
-let check_h312 ~budget ~telemetry ?pool closure_of specs emit =
+let check_h312 ~budget ~telemetry closure_of specs emit =
   List.iter
     (fun (name, f) ->
       let atoms = List.sort_uniq compare (Logic.Formula.atoms f) in
@@ -390,8 +390,7 @@ let check_h312 ~budget ~telemetry ?pool closure_of specs emit =
               precharge ~budget closure aut;
               let restricted = Omega.Automaton.inter closure aut in
               let b =
-                Omega.Classify.classify_budgeted ~budget ~telemetry ?pool
-                  restricted
+                Omega.Classify.classify_budgeted ~budget ~telemetry restricted
               in
               (match b.Omega.Classify.exhaustion with
               | Some e -> raise (Budget.Tripped e)
@@ -420,7 +419,7 @@ let check_h312 ~budget ~telemetry ?pool closure_of specs emit =
 (* ---- driver ----------------------------------------------------- *)
 
 let analyze ?(budget = Budget.unlimited) ?(telemetry = Telemetry.disabled)
-    ?pool ?(specs = []) sys =
+    ?(specs = []) sys =
   Telemetry.span telemetry "fts.analyze" @@ fun () ->
   (* validate spec atoms before any budgeted work: a bad spec is a hard
      input error, not a finding *)
@@ -456,7 +455,7 @@ let analyze ?(budget = Budget.unlimited) ?(telemetry = Telemetry.disabled)
         check_m310 ~budget ~telemetry closure_of specs emit);
     run M311 (fun () -> check_m311 ~budget sys specs emit);
     run H312 (fun () ->
-        check_h312 ~budget ~telemetry ?pool closure_of specs emit)
+        check_h312 ~budget ~telemetry closure_of specs emit)
   end;
   {
     findings = List.rev !findings;

@@ -43,7 +43,7 @@
     when the budget trips, the tripped check and all later ones report
     {!Not_checked} (the budget is sticky), findings already emitted are
     kept, and nothing is silently dropped.  Verdicts are deterministic:
-    identical at every pool size and under either inclusion engine,
+    identical on any domain and under either inclusion engine,
     including the positions of injected budget trips (inclusion work is
     pre-charged to the budget by product size, not by engine-dependent
     exploration). *)
@@ -98,13 +98,10 @@ val degraded : report -> bool
     through); atoms they mention must exist in the model — unknown
     atoms raise [Invalid_argument] naming the atom.  Specs with more
     than 14 distinct atoms are skipped by the semantic spec checks
-    (M310/H312), like {!Check}; M311 still covers them.  [pool]
-    parallelizes the classification queries with verdicts identical
-    at every job count. *)
+    (M310/H312), like {!Check}; M311 still covers them. *)
 val analyze :
   ?budget:Budget.t ->
   ?telemetry:Telemetry.t ->
-  ?pool:Pool.t ->
   ?specs:(string * Logic.Formula.t) list ->
   System.t ->
   report

@@ -67,8 +67,10 @@ val has_fair_computation :
     [Invalid_argument] on an empty or oversized (> 14) atom set or an
     unknown atom.
 
-    The construction is sequential; [?pool] is accepted and ignored
-    (fanning out its subset levels never beat one domain).  [?budget]
+    The construction is sequential (fanning out its subset levels
+    never beat one domain).  The pool argument is accepted and
+    ignored, and stays only because [perfbench/w_large.ml] passes one;
+    it goes when that file may change (ROADMAP item 6).  [?budget]
     is charged for the split graph, once per fresh subset, and
     [|s| + k] ticks when subset [s] is expanded over the [k]
     letters. *)

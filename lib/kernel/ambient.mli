@@ -16,7 +16,7 @@
     layer on the {e submitting} domain) snapshots every registered
     setting into a single polymorphic wrapper, and the fork installs
     that wrapper around each task body on whichever domain runs it.
-    [Pool.run] does this once per batch, so every task observes the
+    [Pool.map] does this once per batch, so every task observes the
     submitter's effective configuration — deterministically, because
     the snapshot is taken before any task starts.
 

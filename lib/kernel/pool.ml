@@ -1,25 +1,26 @@
-(* Fixed-size fork-join domain pool.  See pool.mli for the
-   determinism contract; the invariants the implementation leans on:
+(* Fixed-size domain pool running index-ordered batch maps.  See
+   pool.mli for the determinism contract; the invariants the
+   implementation leans on:
 
+   - A batch hands out its indexes from one atomic counter, so each
+     task runs at most once; which domain claims it affects wall-clock
+     only, never the slot contents, which are a pure function of the
+     index.
    - [halt_from] is a monotone-min watermark over task indexes.  Only
-     a task that tripped, raised, or matched at index [i] ever lowers
-     it to [i] (+1 for matches), so a task that was cancelled or
-     skipped at index [j] proves some *stopping* task exists at an
-     index [< j] — which is why discarding everything after the final
-     stop index reconstructs exactly the sequential prefix.
+     a task that tripped or raised at index [i] ever lowers it, to [i],
+     so a task that was cancelled or skipped at index [j] proves a
+     failure at some index [< j] — which is why discarding everything
+     after the first failure reconstructs exactly the sequential
+     prefix.
    - Result slots are plain arrays.  A slot is written by whichever
-     domain executes the task, then published by that domain's
-     fetch-and-add on the batch completion counter; the joiner reads
-     the slots only after observing the counter at its final value,
-     so the atomic pair provides the needed happens-before edges.
-   - Scheduling is work-stealing over packed index ranges (below).  An
-     index is claimed by exactly one CAS ever, so each task runs at
-     most once; which domain claims it affects wall-clock only, never
-     the slot contents, which are a pure function of the index.
-   - The joiner participates in its own batch and, while waiting,
-     drains the shared queue (help-while-join).  Any blocked joiner
-     therefore coexists with at least one domain making progress on a
-     claimed index, so nested [run] calls cannot deadlock. *)
+     domain runs the task, then published by that domain's decrement
+     of the batch's [pending] counter; the submitter reads the slots
+     only after seeing [pending] reach zero, so the atomic provides
+     the happens-before edge.
+   - A [map] called from a task runs inline on that domain, so a task
+     never waits for another task.  A submitter claims indexes until
+     none are left and then waits only for tasks already running
+     elsewhere, which finish without waiting in turn: no deadlock. *)
 
 type t = {
   jobs : int;
@@ -32,57 +33,31 @@ type t = {
 
 type ctx = { budget : Budget.t; telemetry : Telemetry.t; index : int }
 
-type 'a outcome = Done of 'a | Tripped of Budget.exhaustion | Skipped
-
-(* Internal per-slot state: [Raised] is resolved at the join (re-raise
-   at the stop index, discard otherwise) and never escapes. *)
-type 'a slot =
-  | SPending
-  | SDone of 'a
-  | STripped of Budget.exhaustion
-  | SRaised of exn * Printexc.raw_backtrace
+type 'a slot = Pending | Done of 'a | Failed of exn * Printexc.raw_backtrace
 
 exception Cancelled
 
 let jobs t = t.jobs
 
-(* A one-worker pool with no live budget and no enabled telemetry is
-   observationally identical to no pool at all: same index order, same
-   short-circuits, and a poll hook on the (unlimited) budget still
-   fires through [Budget.ticks] on the plain sequential path.  Entry
-   points normalize it away so tiny unbudgeted queries never pay the
-   per-batch scaffolding (the jobs=1 overhead gate on the tiny bench
-   workload holds this at <= 1.004).  A live budget keeps the pool:
-   the replica algebra is what makes trip points identical across job
-   counts. *)
-let effective ?budget ?telemetry pool =
-  match pool with
-  | Some p
-    when p.jobs = 1
-         && (match budget with
-            | None -> true
-            | Some b -> Budget.is_unlimited b)
-         && not
-              (Telemetry.enabled
-                 (match telemetry with
-                 | Some h -> h
-                 | None -> Telemetry.ambient ())) ->
-      None
-  | _ -> pool
+(* Set on worker domains for their whole life, and on a submitting
+   domain while it runs tasks: a [map] issued there runs inline. *)
+let in_task : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 
-let worker t =
+let as_task f =
+  if Domain.DLS.get in_task then f ()
+  else begin
+    Domain.DLS.set in_task true;
+    Fun.protect ~finally:(fun () -> Domain.DLS.set in_task false) f
+  end
+
+let worker t () =
+  Domain.DLS.set in_task true;
   let rec loop () =
     Mutex.lock t.mutex;
-    let rec next () =
-      if t.stop then None
-      else
-        match Queue.take_opt t.queue with
-        | Some _ as thunk -> thunk
-        | None ->
-            Condition.wait t.cond t.mutex;
-            next ()
-    in
-    let thunk = next () in
+    while (not t.stop) && Queue.is_empty t.queue do
+      Condition.wait t.cond t.mutex
+    done;
+    let thunk = if t.stop then None else Queue.take_opt t.queue in
     Mutex.unlock t.mutex;
     match thunk with
     | None -> ()
@@ -104,7 +79,7 @@ let create ~jobs =
       domains = [];
     }
   in
-  t.domains <- List.init (jobs - 1) (fun _ -> Domain.spawn (fun () -> worker t));
+  t.domains <- List.init (jobs - 1) (fun _ -> Domain.spawn (worker t));
   t
 
 let shutdown t =
@@ -126,9 +101,7 @@ let with_pool ~jobs f =
 
 (* A DLS-scoped default pool, used by layers (Engine, Lint, the serve
    workers) when the caller did not pass an explicit [?pool].  The
-   scope is registered with [Ambient] so pool tasks themselves inherit
-   it: a task that calls back into a pool-aware layer fans out on the
-   same pool (nested runs are deadlock-free by help-while-join). *)
+   scope is registered with [Ambient] so pool tasks inherit it. *)
 let ambient_key : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
 let ambient () =
@@ -147,331 +120,111 @@ let () =
       | None -> { Ambient.wrap = (fun f -> f ()) }
       | Some p -> { Ambient.wrap = (fun f -> with_ambient p f) })
 
+(* ------------------------------------------------------------------ *)
+(* The batch map                                                       *)
+(* ------------------------------------------------------------------ *)
+
 let rec lower_to a i =
   let cur = Atomic.get a in
   if i < cur && not (Atomic.compare_and_set a cur i) then lower_to a i
 
-(* ------------------------------------------------------------------ *)
-(* The core engine                                                     *)
-(* ------------------------------------------------------------------ *)
+(* Queue [helpers] participants and claim indexes alongside them until
+   the counter runs out, then wait for the tasks still running. *)
+let fan_out t ~helpers n exec =
+  let next = Atomic.make 0 and pending = Atomic.make n in
+  let m = Mutex.create () and finished = Condition.create () in
+  let rec participate () =
+    let i = Atomic.fetch_and_add next 1 in
+    if i < n then begin
+      exec i;
+      if Atomic.fetch_and_add pending (-1) = 1 then begin
+        Mutex.lock m;
+        Condition.broadcast finished;
+        Mutex.unlock m
+      end;
+      participate ()
+    end
+  in
+  Mutex.lock t.mutex;
+  for _ = 1 to helpers do
+    Queue.push participate t.queue
+  done;
+  Condition.broadcast t.cond;
+  Mutex.unlock t.mutex;
+  as_task participate;
+  Mutex.lock m;
+  while Atomic.get pending > 0 do
+    Condition.wait finished m
+  done;
+  Mutex.unlock m
 
-(* A participant's pending work is a half-open index range [lo, hi)
-   packed into one OCaml int: [lo lsl 31 lor hi].  Both bounds fit in
-   31 bits (a batch is a materialized list; 2^31 items is far beyond
-   anything representable), and the packed pair makes the range a
-   single CAS-able word.
-
-   The live ranges always partition the still-unclaimed indexes:
-   initial ranges are disjoint, an owner pop shrinks a range from the
-   bottom, a steal splits one range in two.  An index leaves the
-   partition exactly once — the CAS that pops or bulk-skips it — so no
-   two CAS-published ranges are ever equal, which rules out ABA on the
-   packed words. *)
-
-let range_mask = (1 lsl 31) - 1
-let pack lo hi = (lo lsl 31) lor hi
-let range_lo v = v lsr 31
-let range_hi v = v land range_mask
-
-(* Below this many items a parallel pool runs the batch inline on the
-   calling domain: queue push + wake-up + join cost more than the
-   work for tiny batches (the jobs=1 overhead gate in CI keeps this
-   honest).  Callers fanning out few expensive items can lower it. *)
-let default_seq_below = 4
-
-(* [stop_on] marks results that end the scan (find_first's [Some]);
-   plain [run]/[map] pass [fun _ -> false]. *)
-let run_core (type a b) ?(budget = Budget.unlimited) ?telemetry
-    ?(seq_below = default_seq_below) ~(stop_on : b -> bool) (t : t)
-    (f : ctx -> a -> b) (items : a list) : b slot array =
-  if t.stop then invalid_arg "Pool.run: pool is shut down";
+let map ?(budget = Budget.unlimited) ?telemetry t f items =
+  if t.stop then invalid_arg "Pool.map: pool is shut down";
   let telemetry =
     match telemetry with Some h -> h | None -> Telemetry.ambient ()
   in
-  let arr = Array.of_list items in
-  let n = Array.length arr in
-  let slots = Array.make n SPending in
-  (* Snapshot the submitting domain's ambient configuration (scoped
-     inclusion-engine / cache-toggle / default-pool overrides
-     registered through [Ambient]) once, before any task starts; every
-     task re-installs it on whichever domain runs it.  Deterministic:
-     one snapshot per batch, taken at a program point the caller
-     controls.  Lazy so the bare sequential fast path never pays for
-     it — but it MUST be forced on the submitting domain (the
-     parallel branch forces it before queuing helpers; the scaffolded
-     sequential branch forces it from the calling domain's first
-     task). *)
-  let inherited = lazy (Ambient.capture ()) in
-  if n = 0 then slots
+  let record = Telemetry.enabled telemetry in
+  let inline =
+    t.jobs = 1
+    || (match items with [] | [ _ ] -> true | _ -> false)
+    || Domain.DLS.get in_task
+  in
+  if inline && (not record) && Budget.is_unlimited budget then
+    (* Bare path: an unlimited parent cannot trip (its replicas would
+       be unlimited too, and spent charges back to a counter nothing
+       reads), disabled telemetry drops every per-task report, and the
+       ambient snapshot would re-install what is already installed.
+       Skipping that scaffolding is what holds the tiny-batch jobs=1
+       overhead gate at <= 1.004. *)
+    as_task (fun () ->
+        List.mapi (fun index x -> f { budget; telemetry; index } x) items)
   else begin
+    let arr = Array.of_list items in
+    let n = Array.length arr in
+    let slots = Array.make n Pending in
     let spent = Array.make n 0 in
     let reports = Array.make n None in
-    let record = Telemetry.enabled telemetry in
-    (* Monotone-min cancellation watermark: tasks with index >= it may
-       be skipped or interrupted; tasks below it never are. *)
     let halt_from = Atomic.make n in
-    let exec_task i =
-      if Atomic.get halt_from <= i then slots.(i) <- SPending (* skipped *)
-      else begin
+    (* taken here, on the submitting domain, before any task starts *)
+    let inherited = if inline then None else Some (Ambient.capture ()) in
+    let exec i =
+      if Atomic.get halt_from > i then begin
         let poll () = if Atomic.get halt_from <= i then raise Cancelled in
         let tb = Budget.split budget ~among:n ~index:i ~poll () in
         let tc = if record then Telemetry.collector () else Telemetry.disabled in
+        let body () =
+          Telemetry.with_ambient tc (fun () ->
+              f { budget = tb; telemetry = tc; index = i } arr.(i))
+        in
         (match
-           (Lazy.force inherited).Ambient.wrap (fun () ->
-               Telemetry.with_ambient tc (fun () ->
-                   f { budget = tb; telemetry = tc; index = i } arr.(i)))
+           match inherited with None -> body () | Some a -> a.Ambient.wrap body
          with
-        | v ->
-            slots.(i) <- SDone v;
-            if stop_on v then lower_to halt_from (i + 1)
-        | exception Budget.Tripped e ->
-            slots.(i) <- STripped e;
-            lower_to halt_from i
-        | exception Cancelled -> slots.(i) <- SPending
+        | v -> slots.(i) <- Done v
+        | exception Cancelled when Atomic.get halt_from <= i -> ()
         | exception e ->
-            let bt = Printexc.get_raw_backtrace () in
-            slots.(i) <- SRaised (e, bt);
+            slots.(i) <- Failed (e, Printexc.get_raw_backtrace ());
             lower_to halt_from i);
         spent.(i) <- Budget.spent tb;
         if record then reports.(i) <- Some (Telemetry.report tc)
       end
     in
-    if t.jobs = 1 || n = 1 || n < seq_below then begin
-      (* Guaranteed-sequential path: index order on the calling
-         domain, stopping as soon as the watermark says so — but with
-         the same replica-budget algebra as the parallel path.  Also
-         the tiny-batch fast path: results are index-deterministic
-         either way, so running a small batch inline changes
-         wall-clock only. *)
-      if (not record) && Budget.is_unlimited budget then begin
-        (* Bare execution: an unlimited parent cannot trip (its
-           replicas would be unlimited too, and spent charges back to
-           a counter nothing reads), disabled telemetry drops every
-           per-task report, and on the calling domain the ambient
-           snapshot would re-install state that is already installed.
-           Skipping that scaffolding is what holds the tiny-batch
-           jobs=1 overhead gate at <= 1.004. *)
-        let i = ref 0 in
-        let stop = ref false in
-        while !i < n && not !stop do
-          (match f { budget; telemetry; index = !i } arr.(!i) with
-          | v ->
-              slots.(!i) <- SDone v;
-              if stop_on v then stop := true
-          | exception Budget.Tripped e ->
-              slots.(!i) <- STripped e;
-              stop := true
-          | exception e ->
-              let bt = Printexc.get_raw_backtrace () in
-              slots.(!i) <- SRaised (e, bt);
-              stop := true);
-          incr i
-        done
-      end
-      else begin
-        let i = ref 0 in
-        while !i < n && Atomic.get halt_from > !i do
-          exec_task !i;
-          incr i
-        done
-      end
-    end
-    else begin
-      (* force the ambient snapshot here, on the submitting domain,
-         before any helper can run a task and force it elsewhere *)
-      ignore (Lazy.force inherited);
-      let p = t.jobs in
-      (* Per-participant ranges; slot [k]'s initial share mirrors
-         [Budget.split]'s remainder rule (first [n mod p] slots get
-         one extra).  Installed before the helper thunks are queued,
-         so thieves can drain an absent participant's share. *)
-      let deques =
-        let q = n / p and r = n mod p in
-        Array.init p (fun k ->
-            let lo = (k * q) + min k r in
-            let hi = lo + q + if k < r then 1 else 0 in
-            Atomic.make (pack lo hi))
-      in
-      let completed = Atomic.make 0 in
-      let finish k =
-        if k > 0 && Atomic.fetch_and_add completed k + k = n then begin
-          (* batch done: wake a joiner blocked on the condition *)
-          Mutex.lock t.mutex;
-          Condition.broadcast t.cond;
-          Mutex.unlock t.mutex
-        end
-      in
-      (* Owner pops single indexes from the bottom of its own range
-         (grain 1: uneven task costs cannot serialize behind a chunk
-         boundary); an empty participant scans the others round-robin
-         and steals the top half of the first non-empty range it can
-         CAS.  A range whose whole remainder sits at or above the
-         cancellation watermark is bulk-skipped in one CAS instead of
-         being popped item by item. *)
-      let rec participate my =
-        let v = Atomic.get deques.(my) in
-        let lo = range_lo v and hi = range_hi v in
-        if lo >= hi then steal my 1
-        else if Atomic.get halt_from <= lo then begin
-          if Atomic.compare_and_set deques.(my) v (pack hi hi) then
-            finish (hi - lo);
-          participate my
-        end
-        else if Atomic.compare_and_set deques.(my) v (pack (lo + 1) hi) then begin
-          exec_task lo;
-          finish 1;
-          participate my
-        end
-        else participate my
-      and steal my k =
-        if k < p then begin
-          let victim = (my + k) mod p in
-          let v = Atomic.get deques.(victim) in
-          let lo = range_lo v and hi = range_hi v in
-          if lo >= hi then steal my (k + 1)
-          else if Atomic.get halt_from <= lo then begin
-            if Atomic.compare_and_set deques.(victim) v (pack hi hi) then
-              finish (hi - lo);
-            steal my k
-          end
-          else begin
-            (* take the top [ceil(size/2)] — the whole range when the
-               victim is down to one item (its owner may be absent or
-               stuck inside a long task) *)
-            let mid = lo + ((hi - lo) / 2) in
-            if Atomic.compare_and_set deques.(victim) v (pack lo mid) then begin
-              (* Own slot is empty here, and stale CASes against it
-                 cannot succeed (range uniqueness, above), so a plain
-                 set is enough to publish the loot for re-stealing. *)
-              Atomic.set deques.(my) (pack mid hi);
-              participate my
-            end
-            else steal my k
-          end
-        end
-        (* all ranges empty: every index is claimed; in-flight tasks
-           belong to other participants, so this one is done. *)
-      in
-      let helpers = min (t.jobs - 1) (n - 1) in
-      if helpers > 0 then begin
-        Mutex.lock t.mutex;
-        for k = 1 to helpers do
-          Queue.push (fun () -> participate k) t.queue
-        done;
-        Condition.broadcast t.cond;
-        Mutex.unlock t.mutex
-      end;
-      participate 0;
-      (* Help-while-join: drain queued work (possibly other batches'
-         participants) until every task of this batch has finished. *)
-      let rec join () =
-        if Atomic.get completed < n then begin
-          Mutex.lock t.mutex;
-          match Queue.take_opt t.queue with
-          | Some thunk ->
-              Mutex.unlock t.mutex;
-              (try thunk () with _ -> ());
-              join ()
-          | None ->
-              if Atomic.get completed < n then Condition.wait t.cond t.mutex;
-              Mutex.unlock t.mutex;
-              join ()
-        end
-      in
-      join ()
-    end;
-    (* The stop index: first trip, raise, or match.  Everything after
-       it is discarded — racing completions must not be observable. *)
-    let stop_idx = ref n in
-    (try
-       for i = 0 to n - 1 do
-         match slots.(i) with
-         | STripped _ | SRaised _ ->
-             stop_idx := i;
-             raise Exit
-         | SDone v when stop_on v ->
-             stop_idx := i;
-             raise Exit
-         | SDone _ | SPending -> ()
-       done
-     with Exit -> ());
-    for i = !stop_idx + 1 to n - 1 do
-      slots.(i) <- SPending
+    if inline then as_task (fun () -> for i = 0 to n - 1 do exec i done)
+    else fan_out t ~helpers:(min (t.jobs - 1) (n - 1)) n exec;
+    (* Charge the prefix up to the stop index back to the parent budget
+       and merge its collectors in index order; later results are
+       discarded, racing completions included. *)
+    let stop = Atomic.get halt_from in
+    for i = 0 to min stop (n - 1) do
+      Budget.absorb budget ~spent:spent.(i);
+      if record then Option.iter (Telemetry.absorb telemetry) reports.(i)
     done;
-    (* Charge the deterministic prefix back to the parent budget and
-       merge its collectors in index order. *)
-    for i = 0 to min !stop_idx (n - 1) do
-      match slots.(i) with
-      | SDone _ | STripped _ | SRaised _ ->
-          Budget.absorb budget ~spent:spent.(i);
-          if record then
-            Option.iter (Telemetry.absorb telemetry) reports.(i)
-      | SPending -> ()
-    done;
-    (match slots.(min !stop_idx (n - 1)) with
-    | SRaised (e, bt) -> Printexc.raise_with_backtrace e bt
-    | _ -> ());
-    slots
-  end
-
-let outcome_of_slot = function
-  | SDone v -> Done v
-  | STripped e -> Tripped e
-  | SPending -> Skipped
-  | SRaised _ -> assert false (* resolved at the join *)
-
-let run ?budget ?telemetry ?seq_below t f items =
-  let slots =
-    run_core ?budget ?telemetry ?seq_below ~stop_on:(fun _ -> false) t f items
-  in
-  Array.to_list (Array.map outcome_of_slot slots)
-
-let trip_of_slots slots =
-  Array.fold_left
-    (fun acc s -> match (acc, s) with None, STripped e -> Some e | _ -> acc)
-    None slots
-
-let map ?budget ?telemetry ?seq_below t f items =
-  let slots =
-    run_core ?budget ?telemetry ?seq_below ~stop_on:(fun _ -> false) t f items
-  in
-  (match trip_of_slots slots with
-  | Some e -> raise (Budget.Tripped e)
-  | None -> ());
-  Array.to_list
-    (Array.map
-       (function SDone v -> v | SPending | STripped _ | SRaised _ -> assert false)
-       slots)
-
-let filter_map ?budget ?telemetry ?seq_below t f items =
-  List.filter_map Fun.id (map ?budget ?telemetry ?seq_below t f items)
-
-let find_first ?budget ?telemetry ?seq_below t f items =
-  let slots =
-    run_core ?budget ?telemetry ?seq_below
-      ~stop_on:(fun v -> Option.is_some v)
-      t f items
-  in
-  let rec scan i =
-    if i >= Array.length slots then None
+    if stop < n then
+      match slots.(stop) with
+      | Failed (e, bt) -> Printexc.raise_with_backtrace e bt
+      | Pending | Done _ -> assert false
     else
-      match slots.(i) with
-      | SDone (Some _ as v) -> v
-      | STripped e -> raise (Budget.Tripped e)
-      | SDone None -> scan (i + 1)
-      | SPending -> scan (i + 1)
-      | SRaised _ -> assert false
-  in
-  scan 0
-
-let exists ?budget ?telemetry ?seq_below t p items =
-  find_first ?budget ?telemetry ?seq_below t
-    (fun ctx x -> if p ctx x then Some () else None)
-    items
-  |> Option.is_some
-
-let for_all ?budget ?telemetry ?seq_below t p items =
-  find_first ?budget ?telemetry ?seq_below t
-    (fun ctx x -> if p ctx x then None else Some ())
-    items
-  |> Option.is_none
+      Array.to_list
+        (Array.map
+           (function Done v -> v | Pending | Failed _ -> assert false)
+           slots)
+  end

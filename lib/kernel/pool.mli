@@ -1,75 +1,63 @@
-(** Deterministic fork-join domain pool.
+(** Deterministic domain pool: an index-ordered batch map.
 
     A fixed-size pool of OCaml 5 domains (hand-rolled over
     [Domain.spawn] + [Mutex]/[Condition] — no dependency beyond the
-    stdlib) with fork-join combinators whose {e results are
+    stdlib) with one combinator, {!map}, whose {e results are
     bit-identical at every job count}.  Parallelism changes wall-clock
-    time, never verdicts: the classification columns, inclusion
-    batches and lint matrices built on top of this module return the
-    same values at [jobs = 1], [2] and [4], including under injected
-    budget trips and with telemetry enabled.
+    time, never verdicts: the batch classifications, lint matrices and
+    serve requests built on top of this module return the same values
+    at [jobs = 1], [2] and [4], including under injected budget trips
+    and with telemetry enabled.
 
     {2 Determinism contract}
 
-    Each of the [n] submitted tasks is identified by its list index.
+    Each of the [n] items of a batch is identified by its list index.
     Everything observable is defined {e purely in index terms}:
 
     - Task [i] runs on a {e replica} budget [Budget.split b ~among:n
       ~index:i], whose trip point depends only on the parent budget
       and [i] — never on which domain runs the task or when.
-    - The {e stop index} is the smallest [i] whose task tripped,
-      raised, or (for the searching combinators) matched.  Tasks
-      before it always complete; tasks after it are reported
-      {!Skipped} — even if a racing domain happened to finish them —
-      exactly as the sequential path, which never starts them.
-    - A non-budget exception at the stop index re-raises at the join,
-      with its original backtrace.
+    - The {e stop index} is the smallest [i] whose task tripped or
+      raised.  Tasks before it always complete; results after it are
+      discarded — even if a racing domain happened to finish them —
+      exactly as in the sequential path, which never starts them.  The
+      stop index's exception ([Budget.Tripped] included) is re-raised
+      by {!map} with its original backtrace.
     - Each task records into a {e fresh} telemetry collector (also
-      installed as the task's domain-local ambient handle); completed
+      installed as the task's domain-local ambient handle); the
       collectors up to the stop index are merged into the caller's
-      handle in index order, and the replicas' consumed fuel is
-      charged back to the parent budget in the same prefix.
+      handle in index order, and the replicas' spent fuel is charged
+      back to the parent budget ([Budget.absorb]) over the same prefix.
     - The submitting domain's ambient configuration ({!Ambient}
       providers: the scoped inclusion-engine, cache-toggle and
       default-pool overrides) is snapshotted once per batch and
       re-installed around every task body, so tasks see the
       submitter's settings rather than their worker domain's defaults.
 
-    Sibling cancellation is a pure optimisation: a trip at index [i]
-    raises a monotone cancellation watermark that later-indexed tasks
-    observe at task start and — via the budget's poll hook —
-    mid-task.  Cancelled work is discarded, so cancellation timing
-    cannot leak into results.
+    Cancellation is a pure optimisation: a failure at index [i] lowers
+    a watermark that later-indexed tasks observe at task start and —
+    via the budget's poll hook — mid-task.  Cancelled work is
+    discarded, so its timing cannot leak into results.
 
-    {2 Scheduling: deterministic work-stealing}
+    {2 Scheduling}
 
-    The index space [0, n) is split into one contiguous range per
-    participant (the submitting caller plus up to [jobs - 1] helpers).
-    A participant pops {e single indexes} from the bottom of its own
-    range; when empty it scans the others round-robin and steals the
-    top half of the first range it can CAS.  Grain 1 means one
-    pathologically expensive task never drags its chunk-mates behind
-    it — the other participants steal the rest of the range out from
-    under it — which is what makes per-SCC fan-out with wildly uneven
-    component costs scale.
+    A batch hands out indexes from one atomic counter.  The submitting
+    domain and up to [jobs - 1] queued helpers claim indexes from it
+    until none are left; the submitter then waits for the tasks still
+    running elsewhere.  Several domains may submit batches to one pool
+    at once.
 
-    Determinism survives stealing because scheduling was never part of
-    the contract: a steal moves {e which domain} executes an index,
-    while the slot array, replica budgets, stop index and merge order
-    are all keyed by the index alone.  The only schedule-dependent
-    quantity — how far past the stop index racing domains got — is
-    discarded at the join, exactly as under chunked scheduling.
-
-    Tiny batches ([n < seq_below], default 4) run inline on the
-    calling domain: waking a helper costs more than the work.  At
-    [jobs = 1] no domains are spawned and every combinator is
-    guaranteed to run sequentially, in index order, on the calling
-    domain. *)
+    A batch runs inline on the calling domain, in index order, when
+    the pool has one job, when it has a single item, or when {!map} is
+    called from inside a task.  The last rule is what rules out
+    deadlock: a task never waits on another task, so a submitter only
+    ever waits for tasks that are already running.  With no live
+    budget and no enabled telemetry the inline path calls the task
+    bodies directly, with none of the replica scaffolding. *)
 
 type t
-(** A pool handle.  One pool may serve many [run] calls, sequentially,
-    nested, or concurrently from several domains; the handle itself is
-    domain-safe. *)
+(** A pool handle.  One pool may serve many {!map} calls, sequentially,
+    nested, or concurrently from several domains. *)
 
 val create : jobs:int -> t
 (** [create ~jobs] spawns [jobs - 1] worker domains (none when
@@ -77,22 +65,9 @@ val create : jobs:int -> t
 
 val jobs : t -> int
 
-val effective : ?budget:Budget.t -> ?telemetry:Telemetry.t -> t option -> t option
-(** [effective ?budget ?telemetry pool] is [pool], except that a
-    jobs=1 pool whose scheduling could never be observed — no (or
-    unlimited) budget, and no (or disabled) telemetry; the ambient
-    handle is consulted when none is passed — normalizes to [None].
-    A one-worker pool computes bit-identical results to the pool-free
-    sequential code (same index order, same short-circuits, and poll
-    hooks still fire through [Budget.ticks]), so entry points call
-    this to route tiny unbudgeted queries down the plain code path
-    with zero per-batch scaffolding.  With a live fuel or deadline
-    budget the pool is kept even at jobs=1: the replica-budget
-    algebra is what keeps trip points identical across job counts. *)
-
 val shutdown : t -> unit
-(** Stop and join the worker domains.  Idempotent.  Calling a
-    combinator on a pool after [shutdown] raises [Invalid_argument]. *)
+(** Stop and join the worker domains.  Idempotent.  Calling {!map} on
+    a pool after [shutdown] raises [Invalid_argument]. *)
 
 val with_pool : jobs:int -> (t -> 'a) -> 'a
 (** [create], run, [shutdown] — also on exceptions. *)
@@ -101,14 +76,13 @@ val ambient : unit -> t option
 (** The pool installed by the innermost enclosing {!with_ambient} on
     this domain, if any (and not shut down).  Pool-aware layers
     ([Engine], [Lint], the serve workers) consult this when no
-    explicit [?pool] was passed. *)
+    explicit pool was passed. *)
 
 val with_ambient : t -> (unit -> 'a) -> 'a
 (** [with_ambient p f] runs [f] with [p] as the domain-local default
     pool, restoring the previous default afterwards (also on
     exceptions).  The scope is registered as an {!Ambient} provider,
-    so tasks forked through any pool inherit the submitter's default
-    and nested pool-aware calls fan out on the same pool. *)
+    so tasks inherit the submitter's default. *)
 
 type ctx = {
   budget : Budget.t;  (** this task's replica budget — tick this *)
@@ -121,84 +95,15 @@ type ctx = {
     charge work to [ctx.budget] (not the parent's) and must not share
     mutable state across items. *)
 
-type 'a outcome =
-  | Done of 'a  (** completed; always the case before the stop index *)
-  | Tripped of Budget.exhaustion
-      (** the replica budget tripped at the stop index *)
-  | Skipped
-      (** after the stop index: never started, cancelled, or its
-          result was discarded for determinism *)
-
-val run :
-  ?budget:Budget.t ->
-  ?telemetry:Telemetry.t ->
-  ?seq_below:int ->
-  t ->
-  (ctx -> 'a -> 'b) ->
-  'a list ->
-  'b outcome list
-(** The primitive: one outcome per input, in input order.  [?budget]
-    defaults to [Budget.unlimited]; [?telemetry] defaults to
-    [Telemetry.ambient ()]; batches smaller than [?seq_below]
-    (default 4) run inline — pass [~seq_below:0] when fanning out a
-    handful of expensive items.  At most one {!Tripped} appears, at
-    the stop index; everything after it is {!Skipped}.  A non-budget
-    exception at the stop index is re-raised here instead. *)
-
 val map :
   ?budget:Budget.t ->
   ?telemetry:Telemetry.t ->
-  ?seq_below:int ->
   t ->
   (ctx -> 'a -> 'b) ->
   'a list ->
   'b list
-(** All-or-nothing [run]: returns the mapped list, or raises
-    [Budget.Tripped] with the stop-index exhaustion — the same
-    exception a sequential fold over a shared budget would let
-    escape. *)
-
-val filter_map :
-  ?budget:Budget.t ->
-  ?telemetry:Telemetry.t ->
-  ?seq_below:int ->
-  t ->
-  (ctx -> 'a -> 'b option) ->
-  'a list ->
-  'b list
-(** [map] composed with [Option] filtering, preserving input order. *)
-
-val find_first :
-  ?budget:Budget.t ->
-  ?telemetry:Telemetry.t ->
-  ?seq_below:int ->
-  t ->
-  (ctx -> 'a -> 'b option) ->
-  'a list ->
-  'b option
-(** The [Some] of lowest index, or [None].  Later tasks are cancelled
-    once a match is found (their results could not win).  Raises
-    [Budget.Tripped] only if a trip precedes every match — a match at
-    a lower index makes later trips unobservable, exactly as in a
-    sequential left-to-right scan that stops at the first match. *)
-
-val exists :
-  ?budget:Budget.t ->
-  ?telemetry:Telemetry.t ->
-  ?seq_below:int ->
-  t ->
-  (ctx -> 'a -> bool) ->
-  'a list ->
-  bool
-
-val for_all :
-  ?budget:Budget.t ->
-  ?telemetry:Telemetry.t ->
-  ?seq_below:int ->
-  t ->
-  (ctx -> 'a -> bool) ->
-  'a list ->
-  bool
-(** [exists]/[for_all] are {!find_first} on the (counter)witness:
-    short-circuiting, deterministic, trip-raising only when the trip
-    precedes the deciding witness. *)
+(** One result per item, in item order, or the stop index's exception
+    — the same exception a sequential left-to-right map over a shared
+    budget would let escape.  [?budget] defaults to
+    [Budget.unlimited]; [?telemetry] defaults to
+    [Telemetry.ambient ()]. *)

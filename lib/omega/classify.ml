@@ -1,6 +1,6 @@
-let is_safety ?pool a = Lang.equal ?pool a (Lang.safety_closure a)
+let is_safety a = Lang.equal a (Lang.safety_closure a)
 
-let is_guarantee ?pool a = is_safety ?pool (Automaton.complement a)
+let is_guarantee a = is_safety (Automaton.complement a)
 
 (* ------------------------------------------------------------------ *)
 (* Polynomial cycle-structure checks (Wagner / Landweber, section 5.1)  *)
@@ -33,57 +33,45 @@ let reachable_set (a : Automaton.t) =
    accepting one, so does the whole SCC S of (graph minus x) around A:
    S avoids x, still meets every y, and is itself a (rejecting) cycle
    containing the accepting witness.  So scanning those SCCs is exact. *)
-let is_recurrence ?pool (a : Automaton.t) =
+let is_recurrence (a : Automaton.t) =
   let reach = reachable_set a in
   List.for_all
     (fun (x, ys) ->
       let allowed = Iset.diff reach x in
-      let comp_ok comp =
-        let s = Iset.of_list comp in
-        (not (nontrivial a allowed comp))
-        || List.exists (fun y -> Iset.disjoint s y) ys
-        || not (has_cycle a a.acc s)
-      in
-      let comps = sccs_within a allowed in
-      (* the per-clause SCC scan is the hot loop of the whole
-         classification stack (one restricted Tarjan per component);
-         each component check is independent, so it fans out *)
-      match pool with
-      | None -> List.for_all comp_ok comps
-      | Some p ->
-          (* even two components are worth a helper wake-up: one huge
-             SCC's cycle check dominates whole classifications *)
-          Pool.for_all ~seq_below:0 p (fun _ctx comp -> comp_ok comp) comps)
+      List.for_all
+        (fun comp ->
+          let s = Iset.of_list comp in
+          (not (nontrivial a allowed comp))
+          || List.exists (fun y -> Iset.disjoint s y) ys
+          || not (has_cycle a a.acc s))
+        (sccs_within a allowed))
     (Acceptance.cnf a.acc)
 
-let is_persistence ?pool a = is_recurrence ?pool (Automaton.complement a)
+let is_persistence a = is_recurrence (Automaton.complement a)
 
 (* Obligation: no reachable SCC carries both an accepting and a rejecting
    cycle. *)
-let scc_flags ?pool (a : Automaton.t) =
+let scc_flags (a : Automaton.t) =
   let reach = reachable_set a in
-  let flag comp =
-    if not (nontrivial a reach comp) then None
-    else
-      let s = Iset.of_list comp in
-      let acc = has_cycle a a.acc s in
-      let rej = has_cycle a (Acceptance.dual a.acc) s in
-      Some (s, acc, rej)
-  in
-  let comps = sccs_within a reach in
-  match pool with
-  | None -> List.filter_map flag comps
-  | Some p -> Pool.filter_map ~seq_below:0 p (fun _ctx comp -> flag comp) comps
+  List.filter_map
+    (fun comp ->
+      if not (nontrivial a reach comp) then None
+      else
+        let s = Iset.of_list comp in
+        let acc = has_cycle a a.acc s in
+        let rej = has_cycle a (Acceptance.dual a.acc) s in
+        Some (s, acc, rej))
+    (sccs_within a reach)
 
-let is_obligation ?pool a =
-  List.for_all (fun (_, acc, rej) -> not (acc && rej)) (scc_flags ?pool a)
+let is_obligation a =
+  List.for_all (fun (_, acc, rej) -> not (acc && rej)) (scc_flags a)
 
 (* Obligation degree: with pure SCC flags, the separating pattern for the
    k-th conjunctive level is a flag-alternating reachability chain
    notF (F notF)^k; the degree is one more than the best accepting count
    of a chain starting and ending with rejecting SCCs. *)
-let obligation_degree ?pool (a : Automaton.t) =
-  let flags = scc_flags ?pool a in
+let obligation_degree (a : Automaton.t) =
+  let flags = scc_flags a in
   if List.exists (fun (_, acc, rej) -> acc && rej) flags then None
   else begin
     let flagged =
@@ -194,26 +182,19 @@ let reactivity_rank_opt ?budget ?telemetry ?pool:_ a =
 (* The classification boundary                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Columns run in hierarchy order, sequentially, with [?pool] passed
-   {e into} each membership predicate.  Racing the columns on the pool
-   (the previous scheme) was a net loss on real inputs: the sequential
-   scan short-circuits past the expensive high columns as soon as a
-   low one decides, while a race must start them all — and one
-   classification's cost is almost entirely {e inside} one or two
-   columns (the per-SCC scan of [is_recurrence], the product
-   exploration of the safety check), which is exactly where the pool's
-   grain-1 fan-out now goes.  One [obligation_degree] call decides
-   both the class test and the degree ([Some] iff obligation). *)
-let classify ?pool a =
-  let pool = Pool.effective pool in
-  if is_safety ?pool a then Kappa.Safety
-  else if is_guarantee ?pool a then Kappa.Guarantee
+(* Columns run in hierarchy order and short-circuit past the expensive
+   high columns as soon as a low one decides.  One [obligation_degree]
+   call decides both the class test and the degree ([Some] iff
+   obligation). *)
+let classify a =
+  if is_safety a then Kappa.Safety
+  else if is_guarantee a then Kappa.Guarantee
   else
-    match obligation_degree ?pool a with
+    match obligation_degree a with
     | Some d -> Kappa.Obligation (max 1 d)
     | None ->
-        if is_recurrence ?pool a then Kappa.Recurrence
-        else if is_persistence ?pool a then Kappa.Persistence
+        if is_recurrence a then Kappa.Recurrence
+        else if is_persistence a then Kappa.Persistence
         else Kappa.Reactivity (max 1 (reactivity_rank a))
 
 (* ------------------------------------------------------------------ *)
@@ -228,8 +209,7 @@ type budgeted = {
   exhaustion : Budget.exhaustion option;
 }
 
-(* The interval verdict as a function of the option row — shared by the
-   sequential guard pass and the pool pass, so the two cannot drift. *)
+(* The interval verdict as a function of the option row. *)
 let verdict_of (saf, gua, deg, recu, pers, rank) =
   (* same priority order as [classify]; a [None] column means
      the budget tripped there, and every class below it was excluded,
@@ -276,17 +256,9 @@ let row_of (saf, gua, deg, recu, pers, rank) =
    completed columns always form a prefix of the sequence safety,
    guarantee, obligation, recurrence, persistence, rank — which is
    exactly what makes the interval computation a case analysis on that
-   prefix.
-
-   [?pool] goes {e into} each column (per-SCC fan-out, parallel
-   product exploration) rather than across them, so the pooled run has
-   exactly the sequential path's budget algebra: the shared parent
-   budget is checked between columns, and a column's internal fan-out
-   splits replica budgets whose trips surface here as [Budget.Tripped]
-   — identical at every job count, including jobs=1. *)
+   prefix. *)
 let classify_budgeted ?(budget = Budget.unlimited)
-    ?(telemetry = Telemetry.disabled) ?pool a =
-  let pool = Pool.effective ~budget ~telemetry pool in
+    ?(telemetry = Telemetry.disabled) ?pool:_ a =
   let exhaustion = ref None in
   let guard what f =
     match !exhaustion with
@@ -299,14 +271,14 @@ let classify_budgeted ?(budget = Budget.unlimited)
           exhaustion := Some e;
           None)
   in
-  let saf = guard "safety" (fun () -> is_safety ?pool a) in
-  let gua = guard "guarantee" (fun () -> is_guarantee ?pool a) in
+  let saf = guard "safety" (fun () -> is_safety a) in
+  let gua = guard "guarantee" (fun () -> is_guarantee a) in
   (* [obligation_degree] is [Some d] iff the property is an
      obligation (of degree d), so one guarded call decides both the
      class test and the degree *)
-  let deg = guard "obligation" (fun () -> obligation_degree ?pool a) in
-  let recu = guard "recurrence" (fun () -> is_recurrence ?pool a) in
-  let pers = guard "persistence" (fun () -> is_persistence ?pool a) in
+  let deg = guard "obligation" (fun () -> obligation_degree a) in
+  let recu = guard "recurrence" (fun () -> is_recurrence a) in
+  let pers = guard "persistence" (fun () -> is_persistence a) in
   let rank =
     guard "reactivity" (fun () ->
         reactivity_rank ~budget ~telemetry a)
@@ -314,4 +286,4 @@ let classify_budgeted ?(budget = Budget.unlimited)
   let cols = (saf, gua, deg, recu, pers, rank) in
   { verdict = verdict_of cols; row = row_of cols; exhaustion = !exhaustion }
 
-let memberships ?pool a = (classify_budgeted ?pool a).row
+let memberships a = (classify_budgeted a).row

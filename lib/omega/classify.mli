@@ -19,24 +19,19 @@
     - the obligation degree counts accepting members of alternating
       {e reachability} chains of cycles starting with a rejecting one. *)
 
-(** Every membership predicate accepts [?pool]: with one, its internal
-    fan-out (the two inclusion directions for safety/guarantee, the
-    per-SCC-component cycle checks for the others) runs on the pool —
-    results are identical at every job count, see {!Pool}. *)
+val is_safety : Automaton.t -> bool
 
-val is_safety : ?pool:Pool.t -> Automaton.t -> bool
+val is_guarantee : Automaton.t -> bool
 
-val is_guarantee : ?pool:Pool.t -> Automaton.t -> bool
+val is_recurrence : Automaton.t -> bool
 
-val is_recurrence : ?pool:Pool.t -> Automaton.t -> bool
+val is_persistence : Automaton.t -> bool
 
-val is_persistence : ?pool:Pool.t -> Automaton.t -> bool
-
-val is_obligation : ?pool:Pool.t -> Automaton.t -> bool
+val is_obligation : Automaton.t -> bool
 
 (** Minimal [k] with the property in [Obl_k]; [None] if not an
     obligation property.  [Some 0] means the empty property. *)
-val obligation_degree : ?pool:Pool.t -> Automaton.t -> int option
+val obligation_degree : Automaton.t -> int option
 
 (** Minimal number of Streett pairs ([Some 0] iff universal); every
     omega-regular property has a finite rank (the reactivity normal-form
@@ -57,9 +52,10 @@ val reactivity_rank :
   Automaton.t ->
   int
 
-(** [None] when a [?budget] trips, so it never raises.  [?pool] is
-    accepted and ignored: the search and the universality check behind
-    it are sequential. *)
+(** [None] when a [?budget] trips, so it never raises.  The pool
+    argument is accepted and ignored: the search is sequential, and
+    the argument stays only because [perfbench/w_large.ml] passes one;
+    it goes when that file may change (ROADMAP item 6). *)
 val reactivity_rank_opt :
   ?budget:Budget.t ->
   ?telemetry:Telemetry.t ->
@@ -71,21 +67,13 @@ val reactivity_rank_opt :
     then obligation (with its degree), then recurrence/persistence, then
     reactivity (with its rank).  A property that is both safety and
     guarantee is reported as safety.  Total and exact: no column
-    enumerates cycles.
-
-    With [?pool] the columns still run in hierarchy order with the
-    sequential short-circuit — the pool goes {e into} each membership
-    predicate (per-SCC component fan-out, the two directions of the
-    safety and guarantee equalities), where nearly all of a
-    classification's work lives.
-    Verdicts are identical with and without a pool, at every job
-    count. *)
-val classify : ?pool:Pool.t -> Automaton.t -> Kappa.t
+    enumerates cycles. *)
+val classify : Automaton.t -> Kappa.t
 
 (** All six basic classes ([index 1] for the compound ones) that contain
     the property — one row of Figure 1's membership matrix; every
     column is [Some]. *)
-val memberships : ?pool:Pool.t -> Automaton.t -> (Kappa.t * bool option) list
+val memberships : Automaton.t -> (Kappa.t * bool option) list
 
 (** {2 Budget-aware classification}
 
@@ -115,11 +103,10 @@ type budgeted = {
     [classify.<column>] span (columns skipped by the sticky guard
     record nothing).
 
-    With [?pool] the budget algebra is {e unchanged}: the columns run
-    in order against the shared parent budget exactly as without a
-    pool, and only each column's internal fan-out runs on replica
-    budgets, so [row], [verdict] and [exhaustion] are identical with
-    and without a pool and at every job count. *)
+    The pool argument is accepted and ignored: the columns run
+    sequentially, and the argument stays only because
+    [perfbench/w_large.ml] passes one; it goes when that file may
+    change (ROADMAP item 6). *)
 val classify_budgeted :
   ?budget:Budget.t ->
   ?telemetry:Telemetry.t ->

@@ -167,7 +167,7 @@ let with_engine e f =
 
 (* Pool tasks run on worker domains whose DLS knows nothing of the
    submitter's scoped overrides; the provider snapshots the effective
-   values so [Pool.run_core] can re-install them around each task. *)
+   values so [Pool.map] can re-install them around each task. *)
 let () =
   Ambient.register (fun () ->
       let e = engine () and c = caches_enabled () in
@@ -218,31 +218,7 @@ let included ?pool:_ ?engine a b =
     else compute ()
   end
 
-let equal ?pool ?engine a b =
-  match pool with
-  | None -> included ?engine a b && included ?engine b a
-  | Some p ->
-      (* two independent direction checks; [for_all] keeps the
-         sequential short-circuit observable semantics (a counter-
-         witness at the lower index decides).  Two items are below the
-         pool's inline cutoff but each direction is a whole product
-         exploration, so force the fan-out. *)
-      Pool.for_all ~seq_below:0 p
-        (fun _ctx (x, y) -> included ?engine x y)
-        [ (a, b); (b, a) ]
-
-(* Batch variants: each pair is one pool task.  [included] is pure
-   modulo its shared caches, so results are position-independent
-   and bit-identical to the sequential map at every job count. *)
-let included_batch ?pool ?engine pairs =
-  match pool with
-  | None -> List.map (fun (a, b) -> included ?engine a b) pairs
-  | Some p -> Pool.map p (fun _ctx (a, b) -> included ?engine a b) pairs
-
-let equal_batch ?pool ?engine pairs =
-  match pool with
-  | None -> List.map (fun (a, b) -> equal ?engine a b) pairs
-  | Some p -> Pool.map p (fun _ctx (a, b) -> equal ?engine a b) pairs
+let equal ?engine a b = included ?engine a b && included ?engine b a
 
 let distinguishing_witness a b =
   match witness (Automaton.diff a b) with

@@ -55,23 +55,15 @@ val is_universal : ?engine:engine -> Automaton.t -> bool
     complement cache ({!Kernel.Cache}, keyed by {!Automaton.t.uid}).
     All report counters to the ambient {!Telemetry} handle
     ([lang.complement.request/hit/miss],
-    [lang.included.same_table/antichain/product]).  [?pool] is
-    accepted and ignored: one inclusion runs sequentially. *)
+    [lang.included.same_table/antichain/product]).  One inclusion
+    runs sequentially: the pool argument is accepted and ignored, and
+    stays only because [perfbench/w_large.ml] passes one; it goes when
+    that file may change (ROADMAP item 6). *)
 val included : ?pool:Pool.t -> ?engine:engine -> Automaton.t -> Automaton.t -> bool
 
-val equal : ?pool:Pool.t -> ?engine:engine -> Automaton.t -> Automaton.t -> bool
-(** With [?pool], the two inclusion directions run as parallel tasks;
-    the result is identical at every job count ([Pool.for_all]'s
-    lowest-index counterwitness decides, matching the sequential
-    short-circuit). *)
-
-val included_batch :
-  ?pool:Pool.t -> ?engine:engine -> (Automaton.t * Automaton.t) list -> bool list
-(** One {!included} verdict per pair, in order; with [?pool] the pairs
-    are evaluated concurrently (one pool task per pair). *)
-
-val equal_batch :
-  ?pool:Pool.t -> ?engine:engine -> (Automaton.t * Automaton.t) list -> bool list
+val equal : ?engine:engine -> Automaton.t -> Automaton.t -> bool
+(** Both inclusion directions, in order: the second runs only when the
+    first holds. *)
 
 (** [set_caches false] disables the complement cache, the inclusion
     memo and the same-table fast path, forcing the cold path on every
@@ -123,7 +115,9 @@ val pref : Automaton.t -> Finitary.Dfa.t
     [cl(Pi)] (section 3 proves these coincide; we implement the left side
     and the test suite checks closure axioms).  The result shares the
     argument's transition table; the work is {!live_states}, which
-    ticks [?budget].  [?pool] is accepted and ignored. *)
+    ticks [?budget].  The pool argument is accepted and ignored, and
+    stays only because [perfbench/w_large.ml] passes one; it goes when
+    that file may change (ROADMAP item 6). *)
 val safety_closure :
   ?budget:Budget.t -> ?pool:Pool.t -> Automaton.t -> Automaton.t
 

@@ -109,7 +109,7 @@ type t = {
   refine_q : work Queue.t;
   mutable served_since_refine : int;  (* under lock; drives the quota *)
   mutable stop : bool;  (* under lock *)
-  pool : Pool.t option;  (* shared intra-query pool ([pool_jobs] > 1) *)
+  pool : Pool.t option;  (* shared batch pool ([pool_jobs] > 1) *)
   inflight : int Atomic.t;
   table : (int, pending) Hashtbl.t;  (* rid -> pending, under lock *)
   resp_cache : (string, Protocol.body) Cache.t;
@@ -372,11 +372,11 @@ let rec worker_loop t (r : runner) =
       | Refine { key; rreq; rfuel } -> process_refine t ~key ~rreq ~rfuel);
       if not (Atomic.get r.retired) then worker_loop t r
 
-(* Workers install the shared intra-query pool as their domain-local
-   default; the engine entry points pick it up ([Pool.ambient]), so a
-   single large request fans out across [pool_jobs] domains without
-   the request path threading a handle.  The pool is shared by all
-   workers — its combinators are safe for concurrent batches. *)
+(* Workers install the shared pool as their domain-local default; the
+   engine's batch entry points pick it up ([Pool.ambient]), so a lint
+   or analyze request fans its items and pairs out across [pool_jobs]
+   domains without the request path threading a handle.  The pool is
+   shared by all workers: [Pool.map] accepts concurrent batches. *)
 let spawn_worker t =
   let r = { retired = Atomic.make false } in
   let d =

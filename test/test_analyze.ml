@@ -271,9 +271,22 @@ fair weak grant|}
 let request_grant_specs =
   [ ("response", Logic.Parser.parse "[] (req=1 -> <> gnt=1)") ]
 
+(* With [?pool], three copies of the analysis run as one batch, each on
+   its task's replica budget; all three must agree. *)
 let run_analysis ?budget ?pool () =
   let sys, _ = Parse.parse request_grant_text in
-  Analyze.analyze ?budget ?pool ~specs:request_grant_specs sys
+  match pool with
+  | None -> Analyze.analyze ?budget ~specs:request_grant_specs sys
+  | Some p -> (
+      match
+        Pool.map ?budget p
+          (fun ctx () ->
+            Analyze.analyze ~budget:ctx.Pool.budget
+              ~specs:request_grant_specs sys)
+          [ (); (); () ]
+      with
+      | r :: rest when List.for_all (( = ) r) rest -> r
+      | _ -> Alcotest.fail "pooled copies of the analysis disagree")
 
 let determinism_tests =
   let reference = run_analysis () in

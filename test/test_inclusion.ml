@@ -250,8 +250,35 @@ let uniform_oracle (a : Automaton.t) =
        (fun acc q -> Automaton.trim (Automaton.inter acc (restart q)))
        (Automaton.full a.alpha) starts)
 
+(* The complement of a 10k-state sweep (+1 on 'a', a self-loop on 'b')
+   accepts [Fin {0}]: 9,999 singleton SCCs, each accepting.  Marking
+   them must cost their size: a persistent set copied once per SCC
+   allocated about 2.3M minor words here, flags in a byte string about
+   0.36M, so 1M words is the bound.  The successor memo is filled first;
+   its one-time cost is not what this measures. *)
+let live_states_alloc_test =
+  Alcotest.test_case "live_states on 10k accepting singletons is linear"
+    `Quick (fun () ->
+      let n = 10_000 in
+      let sweep =
+        Automaton.make ~alpha:ab ~n ~start:0
+          ~delta:(Array.init n (fun q -> [| (q + 1) mod n; q |]))
+          ~acc:(Acceptance.Inf (Iset.singleton 0))
+      in
+      let c = Automaton.complement sweep in
+      for q = 0 to n - 1 do
+        ignore (Automaton.successors c q)
+      done;
+      let before = Gc.minor_words () in
+      let live = Lang.live_states c in
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check bool) "every state live" true (Array.for_all Fun.id live);
+      if words >= 1_000_000. then
+        Alcotest.failf "live_states allocated %.0f minor words" words)
+
 let emerson_lei_tests =
-  List.map QCheck_alcotest.to_alcotest
+  live_states_alloc_test
+  :: List.map QCheck_alcotest.to_alcotest
     [
       QCheck.Test.make ~name:"kernel = enumerated accepting cycles" ~count:1000
         (arb_small ~depth:4) Emptiness_oracle.automaton_agrees;
@@ -267,8 +294,38 @@ let emerson_lei_tests =
 
 let job_counts = [ 1; 2; 4 ]
 
-(* [f ()] as a task on one of the pool's worker domains. *)
-let on_worker p f = List.hd (Pool.map ~seq_below:0 p (fun _ctx () -> f ()) [ () ])
+(* [f ()] as a pool task, on a worker domain whenever the pool has one.
+   A one-item batch runs inline on the caller, so this submits two
+   items: the task that lands on the submitting domain waits until a
+   worker has run [f] in the other.  The worker must see the
+   submitter's scoped engine, which only the pool's [Ambient] snapshot
+   carries across domains. *)
+let on_worker p f =
+  if Pool.jobs p = 1 then List.hd (Pool.map p (fun _ () -> f ()) [ () ])
+  else begin
+    let me = Domain.self () and engine = Lang.engine () in
+    let result = Atomic.make None and claimed = Atomic.make false in
+    ignore
+      (Pool.map p
+         (fun _ () ->
+           if Domain.self () = me then
+             while Atomic.get result = None do
+               Domain.cpu_relax ()
+             done
+           else if Atomic.compare_and_set claimed false true then
+             Atomic.set result
+               (Some
+                  ( Domain.self (),
+                    Lang.engine (),
+                    try Ok (f ()) with e -> Error e )))
+         [ (); () ]);
+    match Atomic.get result with
+    | Some (d, e, r) ->
+        if d = me then Alcotest.fail "on_worker ran on the submitter";
+        if e <> engine then Alcotest.fail "worker lost the engine override";
+        (match r with Ok v -> v | Error e -> raise e)
+    | None -> assert false
+  end
 
 (* Run the antichain engine (itself sequential) as a pool task,
    capturing verdict or trip. *)
@@ -307,12 +364,15 @@ let pool_tests =
           Pool.with_pool ~jobs:2 (fun p ->
               with_engine `Antichain (fun () ->
                   Lang.included ~pool:p a b = Lang.included a b
-                  && Lang.equal ~pool:p a b = Lang.equal a b)));
+                  && on_worker p (fun () -> Lang.equal a b) = Lang.equal a b)));
       QCheck.Test.make ~name:"safety_closure pooled = sequential" ~count:300
         arb_automaton (fun a ->
           let reference =
             (Lang.live_states a, pp_auto (Lang.safety_closure a))
           in
+          (* under a scoped (calling-domain-only) explicit engine, so
+             [on_worker] checks that the override reaches the worker *)
+          Lang.with_engine `Explicit @@ fun () ->
           List.for_all
             (fun jobs ->
               Pool.with_pool ~jobs (fun p ->

@@ -311,6 +311,9 @@ let differential_tests =
    with a warm slot kept serving hits.  Lookups are now gated on the
    toggle and a generation counter invalidates every domain's slot. *)
 let pool_cache_tests =
+  (* one inclusion per pair, each a pool task whose counters merge
+     into the caller's ambient handle *)
+  let included_on p pairs = Pool.map p (fun _ (a, b) -> Lang.included a b) pairs in
   let mk_pair () =
     let a =
       Automaton.make ~alpha:ab ~n:2 ~start:0
@@ -332,13 +335,13 @@ let pool_cache_tests =
         let pairs = List.init 8 (fun _ -> (a, b)) in
         Pool.with_pool ~jobs:2 (fun p ->
             (* warm every domain's slot *)
-            ignore (Lang.included_batch ~pool:p pairs);
+            ignore (included_on p pairs);
             Lang.set_caches false;
             Fun.protect ~finally:(fun () -> Lang.set_caches true)
             @@ fun () ->
             let t = Telemetry.collector () in
             Telemetry.with_ambient t (fun () ->
-                ignore (Lang.included_batch ~pool:p pairs));
+                ignore (included_on p pairs));
             Alcotest.(check int)
               "no hits with the cache disabled" 0
               (Telemetry.counter t "lang.complement.hit");
@@ -351,14 +354,14 @@ let pool_cache_tests =
         let a, b = mk_pair () in
         let pairs = List.init 8 (fun _ -> (a, b)) in
         Pool.with_pool ~jobs:2 (fun p ->
-            ignore (Lang.included_batch ~pool:p pairs);
+            ignore (included_on p pairs);
             (* off and back on: the generation bumps must invalidate
                the warm entries on every domain *)
             Lang.set_caches false;
             Lang.set_caches true;
             let t = Telemetry.collector () in
             Telemetry.with_ambient t (fun () ->
-                ignore (Lang.included_batch ~pool:p pairs));
+                ignore (included_on p pairs));
             let hit = Telemetry.counter t "lang.complement.hit" in
             let miss = Telemetry.counter t "lang.complement.miss" in
             (* each of the (at most 2) domains misses once, re-caches,
