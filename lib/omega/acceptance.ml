@@ -6,14 +6,17 @@ type t =
   | And of t list
   | Or of t list
 
-let rec eval acc inf_set =
+let rec eval_with ~meets acc run =
   match acc with
   | True -> true
   | False -> false
-  | Inf s -> not (Iset.disjoint s inf_set)
-  | Fin s -> Iset.disjoint s inf_set
-  | And l -> List.for_all (fun a -> eval a inf_set) l
-  | Or l -> List.exists (fun a -> eval a inf_set) l
+  | Inf s -> meets run s
+  | Fin s -> not (meets run s)
+  | And l -> List.for_all (fun a -> eval_with ~meets a run) l
+  | Or l -> List.exists (fun a -> eval_with ~meets a run) l
+
+let eval acc inf_set =
+  eval_with ~meets:(fun inf s -> not (Iset.disjoint s inf)) acc inf_set
 
 let rec dual = function
   | True -> False

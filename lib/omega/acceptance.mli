@@ -28,6 +28,11 @@ type t =
     condition? *)
 val eval : t -> Iset.t -> bool
 
+(** [eval_with ~meets acc run]: [eval] over any representation of the
+    infinity set, given [meets run s] = "the infinity set [run] shares
+    a state with [s]". *)
+val eval_with : meets:('a -> Iset.t -> bool) -> t -> 'a -> bool
+
 (** Logical negation ([Inf <-> Fin], [And <-> Or]). *)
 val dual : t -> t
 
