@@ -150,6 +150,9 @@ let lint_parsed ?budget ?(mode = Auto) ?pool
       "specification has %d distinct atoms (more than %d): semantic \
        refinement skipped, syntactic intervals reported"
       n_atoms max_semantic_atoms;
+  (* a requirement's tableau automaton and its negation's: the item pass
+     reads [satisfiable] and [valid] off them, and the pairwise matrix
+     decides every pair on their products *)
   let build_item ?budget (iname, formula, src) =
     let shape = Logic.Shape.infer formula in
     let klass =
@@ -157,11 +160,20 @@ let lint_parsed ?budget ?(mode = Auto) ?pool
       | Some alpha -> Omega.Of_formula.classify ?budget alpha formula
       | None -> None
     in
-    let satisfiable, valid =
+    let tableaux =
       match alpha with
       | Some alpha ->
-          ( Some (Logic.Tableau.satisfiable ?budget alpha formula),
-            Some (Logic.Tableau.valid ?budget alpha formula) )
+          let neg =
+            Logic.Tableau.translate ?budget alpha (Logic.Formula.Not formula)
+          in
+          Some (Logic.Tableau.translate ?budget alpha formula, neg)
+      | None -> None
+    in
+    let satisfiable, valid =
+      match tableaux with
+      | Some (pos, neg) ->
+          ( Some (Logic.Tableau.nonempty pos),
+            Some (not (Logic.Tableau.nonempty neg)) )
       | None ->
           (* without the tableau, only the syntactic constant
              certificate decides these: a constant-true formula is
@@ -178,26 +190,28 @@ let lint_parsed ?budget ?(mode = Auto) ?pool
       | Some k -> Kappa.exactly k
       | None -> shape.Logic.Shape.interval
     in
-    {
-      iname;
-      formula;
-      source = Option.map fst src;
-      origin = None;
-      shape;
-      interval;
-      klass;
-      satisfiable;
-      valid;
-    }
+    ( {
+        iname;
+        formula;
+        source = Option.map fst src;
+        origin = None;
+        shape;
+        interval;
+        klass;
+        satisfiable;
+        valid;
+      },
+      tableaux )
   in
   (* the two semantic passes open spans on the ambient handle, so the
      tableau spans they cause nest under them (pool tasks' reports are
      absorbed under the innermost open span) *)
   let tl = Telemetry.ambient () in
-  let items =
+  let built =
     (* the per-requirement semantic pass (one classification + two
-       tableau runs each) is independent per item: one pool task per
-       requirement, with the budget split deterministically by index *)
+       tableau translations each) is independent per item: one pool
+       task per requirement, with the budget split deterministically by
+       index *)
     Telemetry.span tl "lint.items" @@ fun () ->
     match pool with
     | None -> List.map (build_item ?budget) specs
@@ -206,6 +220,7 @@ let lint_parsed ?budget ?(mode = Auto) ?pool
           (fun ctx spec -> build_item ~budget:ctx.Pool.budget spec)
           specs
   in
+  let items = List.map fst built in
   let spanned_of =
     let tbl = List.map (fun (n, _, src) -> (n, Option.map snd src)) specs in
     fun iname -> Option.join (List.assoc_opt iname tbl)
@@ -254,7 +269,7 @@ let lint_parsed ?budget ?(mode = Auto) ?pool
     items;
   (* pairwise subsumption and conflict *)
   (match alpha with
-  | Some alpha
+  | Some _
     when (mode = Semantic || List.length items <= max_auto_pairwise)
          && List.length items > 1 ->
       let eligible it =
@@ -267,27 +282,26 @@ let lint_parsed ?budget ?(mode = Auto) ?pool
         | a :: rest -> List.map (fun b -> (a, b)) rest @ pair_list rest
       in
       (* per-pair verdict, preserving the within-pair short-circuit
-         (conflict beats either implication; a->b beats b->a) *)
-      let judge ?budget (a, b) =
-        if not (eligible a && eligible b) then `Nothing
-        else
-          let open Logic.Formula in
-          if
-            not
-              (Logic.Tableau.satisfiable ?budget alpha
-                 (And (a.formula, b.formula)))
-          then `Conflict
-          else if Logic.Tableau.valid ?budget alpha (Imp (a.formula, b.formula))
-          then `Implies_ab
-          else if Logic.Tableau.valid ?budget alpha (Imp (b.formula, a.formula))
-          then `Implies_ba
-          else `Nothing
+         (conflict beats either implication; a->b beats b->a): a & b is
+         unsatisfiable iff A(a) x A(b) is empty, a -> b is valid iff
+         A(a) x A(!b) is empty *)
+      let judge ?budget ((a, ta), (b, tb)) =
+        match (ta, tb) with
+        | Some (a_pos, a_neg), Some (b_pos, b_neg)
+          when eligible a && eligible b ->
+            let meets = Logic.Tableau.intersects ?budget in
+            if not (meets a_pos b_pos) then `Conflict
+            else if not (meets a_pos b_neg) then `Implies_ab
+            else if not (meets b_pos a_neg) then `Implies_ba
+            else `Nothing
+        | (Some _ | None), (Some _ | None) -> `Nothing
       in
-      let pairs = pair_list items in
+      let pairs = pair_list built in
       let verdicts =
-        (* one pool task per pair; diagnostics are emitted after the
-           join, in pair order, so the report is byte-identical to the
-           sequential scan at every job count *)
+        (* one pool task per pair, sharing the immutable automata;
+           diagnostics are emitted after the join, in pair order, so the
+           report is byte-identical to the sequential scan at every job
+           count *)
         Telemetry.span tl "lint.matrix" @@ fun () ->
         match pool with
         | None -> List.map (judge ?budget) pairs
@@ -297,7 +311,7 @@ let lint_parsed ?budget ?(mode = Auto) ?pool
               pairs
       in
       List.iter2
-        (fun (a, b) verdict ->
+        (fun ((a, _), (b, _)) verdict ->
           match verdict with
           | `Nothing -> ()
           | `Conflict ->

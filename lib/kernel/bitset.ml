@@ -153,12 +153,19 @@ let exists p s =
     false
   with Short_circuit -> true
 
-let filter p s = fold (fun q acc -> if p q then add q acc else acc) s empty
+(* One pass into one words array, sized like the input: [add] per kept
+   element would copy the growing set each time. *)
+let filter p s =
+  let out = Array.make (Array.length s) 0 in
+  iter
+    (fun q ->
+      if p q then out.(q / bits) <- out.(q / bits) lor (1 lsl (q mod bits)))
+    s;
+  normalize out
 
 let filter_map f s =
-  fold
-    (fun q acc -> match f q with Some q' -> add q' acc | None -> acc)
-    s empty
+  of_list
+    (fold (fun q acc -> match f q with Some q' -> q' :: acc | None -> acc) s [])
 
 let min_elt_opt s =
   let rec word wi =

@@ -145,6 +145,7 @@ type stream = {
   starts : int array;
   stops : int array;
   mutable i : int;
+  mutable depth : int;  (* nested operands being parsed *)
   src : string;
 }
 
@@ -160,7 +161,21 @@ let mk st start f children =
   { f; span = { start; stop = st.stops.(st.i - 1) }; children }
 
 let fail st msg =
-  invalid_arg (Printf.sprintf "Parser: %s (token %d) in %S" msg st.i st.src)
+  invalid_arg
+    (Printf.sprintf "Parser: %s at position %d in %S" msg (cur_start st)
+       st.src)
+
+(* Each operand nests one recursive call; past [max_depth] the input is
+   refused, so no input can exhaust the stack. *)
+let max_depth = 10_000
+
+let nested st parse =
+  if st.depth >= max_depth then
+    fail st (Printf.sprintf "nesting deeper than %d" max_depth);
+  st.depth <- st.depth + 1;
+  let r = parse st in
+  st.depth <- st.depth - 1;
+  r
 
 (* iff <- imp ('<->' iff)?        (right assoc)
    imp <- or ('->' imp)?
@@ -173,7 +188,7 @@ let rec parse_iff st =
   let a = parse_imp st in
   if peek st = TIff then begin
     advance st;
-    let b = parse_iff st in
+    let b = nested st parse_iff in
     mk st start (Iff (a.f, b.f)) [ a; b ]
   end
   else a
@@ -183,7 +198,7 @@ and parse_imp st =
   let a = parse_or st in
   if peek st = TImp then begin
     advance st;
-    let b = parse_imp st in
+    let b = nested st parse_imp in
     mk st start (Imp (a.f, b.f)) [ a; b ]
   end
   else a
@@ -193,7 +208,7 @@ and parse_or st =
   let a = parse_and st in
   if peek st = TOr then begin
     advance st;
-    let b = parse_or st in
+    let b = nested st parse_or in
     mk st start (Or (a.f, b.f)) [ a; b ]
   end
   else a
@@ -203,7 +218,7 @@ and parse_and st =
   let a = parse_tl st in
   if peek st = TAnd then begin
     advance st;
-    let b = parse_and st in
+    let b = nested st parse_and in
     mk st start (And (a.f, b.f)) [ a; b ]
   end
   else a
@@ -213,7 +228,7 @@ and parse_tl st =
   let a = parse_unary st in
   let binary op =
     advance st;
-    let b = parse_tl st in
+    let b = nested st parse_tl in
     mk st start (op a.f b.f) [ a; b ]
   in
   match peek st with
@@ -229,7 +244,7 @@ and parse_unary st =
   let start = cur_start st in
   let unary op =
     advance st;
-    let g = parse_unary st in
+    let g = nested st parse_unary in
     mk st start (op g.f) [ g ]
   in
   let leaf f =
@@ -251,7 +266,7 @@ and parse_unary st =
   | TAtom a -> leaf (Atom a)
   | TLpar ->
       advance st;
-      let inner = parse_iff st in
+      let inner = nested st parse_iff in
       if peek st <> TRpar then fail st "expected )";
       advance st;
       (* widen to include the parentheses; the tree below is unchanged *)
@@ -262,7 +277,7 @@ and parse_unary st =
 
 let parse_spanned src =
   let toks, starts, stops = tokenize src in
-  let st = { toks; starts; stops; i = 0; src } in
+  let st = { toks; starts; stops; i = 0; depth = 0; src } in
   let f = parse_iff st in
   if peek st <> TEnd then fail st "trailing input";
   f

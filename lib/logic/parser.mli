@@ -14,7 +14,10 @@
 
     Example: ["[] (p -> <> q)"] is the paper's response formula. *)
 
-(** Raises [Invalid_argument] with a position message on syntax errors. *)
+(** Raises [Invalid_argument] on syntax errors, and on operands nested
+    more than 10,000 deep (so no input exhausts the stack).  The message
+    starts with ["Parser: "] and names the byte position of the
+    offending token.  It raises nothing else, on any input. *)
 val parse : string -> Formula.t
 
 (** {2 Position-tracking mode}

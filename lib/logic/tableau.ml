@@ -444,6 +444,76 @@ let good_scc a =
 
 let nonempty a = Option.is_some (good_scc a)
 
+(* [xs] and [ys] list one state's successors grouped by letter, letters
+   ascending (the order [translate] builds them in); [f] meets every
+   successor of [xs] with every successor of [ys] on the same letter *)
+let rec join f xs ys =
+  match (xs, ys) with
+  | [], _ | _, [] -> ()
+  | (l, _) :: xs', (l', _) :: _ when l < l' -> join f xs' ys
+  | (l, _) :: _, (l', _) :: ys' when l' < l -> join f xs ys'
+  | (l, i) :: xs', _ ->
+      let rec on_letter = function
+        | (l', j) :: rest when l' = l ->
+            f i j;
+            on_letter rest
+        | _ -> ()
+      in
+      on_letter ys;
+      join f xs' ys
+
+(* The synchronous product, pair [(i, j)] interned as [i * b.n + j] and
+   numbered in BFS order from the pre-initial pair [(0, 0)]; its
+   generalized Buechi condition is both sides' sets, lifted to the
+   pairs. *)
+let intersects ?(budget = Budget.unlimited) a b =
+  if not (a.alpha == b.alpha || Alphabet.equal a.alpha b.alpha) then
+    invalid_arg "Tableau.intersects: alphabet mismatch";
+  let telemetry = Telemetry.ambient () in
+  Telemetry.span telemetry "tableau.product" @@ fun () ->
+  let index = Int_table.create 64 in
+  let queue = Queue.create () in
+  let count = ref 0 in
+  let pairs = ref [] in
+  let intern i j =
+    let key = (i * b.n) + j in
+    match Int_table.find_opt index key with
+    | Some k -> k
+    | None ->
+        let k = !count in
+        incr count;
+        Int_table.add index key k;
+        Queue.add (i, j) queue;
+        pairs := (i, j) :: !pairs;
+        k
+  in
+  ignore (intern 0 0);
+  let rows = ref [] in
+  while not (Queue.is_empty queue) do
+    Budget.tick budget;
+    let i, j = Queue.pop queue in
+    let row = ref [] in
+    join (fun i' j' -> row := intern i' j' :: !row) a.succ.(i) b.succ.(j);
+    rows := !row :: !rows
+  done;
+  let succ = Array.of_list (List.rev !rows) in
+  let n = Array.length succ in
+  Telemetry.observe telemetry "tableau.product_states" (float_of_int n);
+  let pairs = Array.of_list (List.rev !pairs) in
+  let lift side sets =
+    Array.map
+      (fun acc ->
+        let set = ref ISet.empty in
+        Array.iteri
+          (fun k pair -> if ISet.mem (side pair) acc then set := ISet.add k !set)
+          pairs;
+        !set)
+      sets
+  in
+  let acc_sets = Array.append (lift fst a.acc_sets) (lift snd b.acc_sets) in
+  (* every pair was reached from (0, 0) *)
+  accepting_scc n (Array.get succ) acc_sets (fun _ -> true) |> Option.is_some
+
 let satisfiable ?budget ?telemetry alpha f =
   nonempty (translate ?budget ?telemetry alpha f)
 

@@ -47,6 +47,22 @@ val translate :
 (** Number of concrete automaton states. *)
 val size : nba -> int
 
+(** Does the automaton accept some infinite word?  [satisfiable alpha f]
+    is [nonempty (translate alpha f)]. *)
+val nonempty : nba -> bool
+
+(** [intersects a b]: do two automata over the same alphabet accept a
+    common word?  Decided on the reachable part of their synchronous
+    product, whose generalized Buechi condition is both sides' sets, so
+    [intersects (translate alpha f) (translate alpha g)] is
+    [satisfiable alpha (f & g)] without translating the conjunction
+    (and without joining the two past closures in one {!Past_tester}).
+    [budget] is ticked once per product state.  The search runs in a
+    [tableau.product] span of the ambient telemetry handle, which also
+    records the product size in a [tableau.product_states] histogram.
+    @raise Invalid_argument if the two alphabets differ. *)
+val intersects : ?budget:Budget.t -> nba -> nba -> bool
+
 (** Does some infinite word satisfy the formula? *)
 val satisfiable :
   ?budget:Budget.t ->

@@ -223,9 +223,49 @@ let rec run_intset s = function
   | Inter l -> List.fold_left (fun s o -> IntSet.inter s (run_intset s o)) s l
   | Diff l -> List.fold_left (fun s o -> IntSet.diff s (run_intset s o)) s l
 
+(* [filter] and [filter_map] over a 10k-element set must cost the set's
+   size: adding each kept element to a persistent set copied the growing
+   words array each time, about 0.40M minor words for [filter] keeping
+   half and 0.83M for [filter_map] here.  One pass into one words
+   array costs about 170 words; [filter_map] also pays for the
+   callback's [Some] boxes and the list and array of images (about 30k
+   words), so 0.1M words is the bound. *)
+let filter_alloc_test =
+  Alcotest.test_case "filter/filter_map on a 10k-element set is linear"
+    `Quick (fun () ->
+      let n = 10_000 in
+      let s = Bitset.init n (fun _ -> true) in
+      let measure name f =
+        let before = Gc.minor_words () in
+        let r = f () in
+        let words = Gc.minor_words () -. before in
+        if words >= 100_000. then
+          Alcotest.failf "%s allocated %.0f minor words" name words;
+        r
+      in
+      let evens = measure "filter" (fun () -> Bitset.filter (fun q -> q mod 2 = 0) s) in
+      let shifted =
+        measure "filter_map" (fun () ->
+            Bitset.filter_map (fun q -> if q mod 2 = 0 then Some (q + 1) else None) s)
+      in
+      Alcotest.(check int) "filter keeps half" (n / 2) (Bitset.cardinal evens);
+      Alcotest.(check bool) "filter_map shifts the evens" true
+        (Bitset.equal shifted (Bitset.init (n + 1) (fun q -> q mod 2 = 1))))
+
 let bitset_tests =
-  List.map QCheck_alcotest.to_alcotest
+  filter_alloc_test
+  :: List.map QCheck_alcotest.to_alcotest
     [
+      QCheck.Test.make ~name:"filter/filter_map agree with lists" ~count:300
+        QCheck.(pair (list (int_bound 300)) (int_range 1 7))
+        (fun (l, m) ->
+          let b = Bitset.of_list l in
+          let keep q = q mod m <> 1 in
+          let image q = if q mod m = 0 then None else Some ((q * 3) mod 400) in
+          (* structural equality: the results are normalized *)
+          Bitset.filter keep b = Bitset.of_list (List.filter keep (Bitset.elements b))
+          && Bitset.filter_map image b
+             = Bitset.of_list (List.filter_map image (Bitset.elements b)));
       QCheck.Test.make ~name:"bitset agrees with Set.Make (Int)" ~count:500
         arb_ops
         (fun ops ->

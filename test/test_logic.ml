@@ -239,14 +239,193 @@ let tableau_tests =
           [ "r"; "Y r"; "[] (p -> <> r)" ];
         check "closed before r" false
           (Tableau.satisfiable pq (f "p & !p & r")));
+    Alcotest.test_case "products need one alphabet" `Quick (fun () ->
+        let pqr = Finitary.Alphabet.of_props [ "p"; "q"; "r" ] in
+        Alcotest.check_raises "mismatch"
+          (Invalid_argument "Tableau.intersects: alphabet mismatch")
+          (fun () ->
+            ignore
+              (Tableau.intersects (Tableau.translate pq (f "p"))
+                 (Tableau.translate pqr (f "p")))));
   ]
+
+(* Random formulas over [atoms], past operators applied to pure-past
+   operands only (the tableau rejects past over future). *)
+let gen_formula atoms =
+  let open QCheck.Gen in
+  let atom = map (fun a -> Formula.Atom a) (oneofa atoms) in
+  let rec past n =
+    if n <= 1 then atom
+    else
+      let sub = past (n / 2) in
+      oneof
+        [ atom;
+          map (fun a -> Formula.Not a) sub;
+          map (fun a -> Formula.Prev a) sub;
+          map (fun a -> Formula.Wprev a) sub;
+          map (fun a -> Formula.Once a) sub;
+          map (fun a -> Formula.Hist a) sub;
+          map2 (fun a b -> Formula.Since (a, b)) sub sub;
+          map2 (fun a b -> Formula.Wsince (a, b)) sub sub;
+          map2 (fun a b -> Formula.And (a, b)) sub sub ]
+  in
+  sized_size (int_bound 6) @@ fix (fun self n ->
+      if n <= 1 then oneof [ atom; atom; return Formula.True; past 3 ]
+      else
+        let sub = self (n / 2) in
+        oneof
+          [ map (fun a -> Formula.Not a) sub;
+            map (fun a -> Formula.Next a) sub;
+            map (fun a -> Formula.Ev a) sub;
+            map (fun a -> Formula.Alw a) sub;
+            map2 (fun a b -> Formula.And (a, b)) sub sub;
+            map2 (fun a b -> Formula.Or (a, b)) sub sub;
+            map2 (fun a b -> Formula.Imp (a, b)) sub sub;
+            map2 (fun a b -> Formula.Until (a, b)) sub sub;
+            map2 (fun a b -> Formula.Wuntil (a, b)) sub sub;
+            past 3 ])
+
+(* A requirement pair over two or three atoms.  Independent random
+   formulas rarely imply or contradict each other, so a third of the
+   pairs are built to: [b] weakens [a], or contradicts a part of it. *)
+let gen_requirement_pair =
+  let open QCheck.Gen in
+  oneofl [ [| "p"; "q" |]; [| "p"; "q"; "r" |] ] >>= fun atoms ->
+  let f = gen_formula atoms in
+  triple f f (int_bound 5) >|= fun (a, b, how) ->
+  let b =
+    match how with
+    | 0 -> Formula.Or (a, b)
+    | 1 -> Formula.And (Formula.Not a, b)
+    | _ -> b
+  in
+  (atoms, a, b)
+
+(* Lint decides its pairwise matrix on products of the per-requirement
+   automata; the compound formulas it used to translate are the oracle *)
+let product_tests =
+  List.map QCheck_alcotest.to_alcotest
+    [
+      QCheck.Test.make ~name:"products agree with the compound formulas"
+        ~count:500
+        (QCheck.make
+           ~print:(fun (_, a, b) ->
+             Formula.to_string a ^ "  ,  " ^ Formula.to_string b)
+           gen_requirement_pair)
+        (fun (atoms, a, b) ->
+          let alpha = Finitary.Alphabet.of_props (Array.to_list atoms) in
+          let pos g = Tableau.translate alpha g
+          and neg g = Tableau.translate alpha (Formula.Not g) in
+          let a_pos = pos a and a_neg = neg a and b_pos = pos b
+          and b_neg = neg b in
+          Tableau.nonempty a_pos = Tableau.satisfiable alpha a
+          && Tableau.nonempty a_neg = not (Tableau.valid alpha a)
+          && Tableau.intersects a_pos b_pos
+             = Tableau.satisfiable alpha (Formula.And (a, b))
+          && (not (Tableau.intersects a_pos b_neg))
+             = Tableau.valid alpha (Formula.Imp (a, b))
+          && (not (Tableau.intersects b_pos a_neg))
+             = Tableau.valid alpha (Formula.Imp (b, a)));
+    ]
+
+(* Parser fuzz: on any input, [parse] either returns or raises its
+   documented [Invalid_argument "Parser: ... at position N ..."], and
+   [parse_spanned] does exactly the same. *)
+let parser_outcome parse s =
+  match parse s with
+  | f -> Ok f
+  | exception Invalid_argument m -> Error m
+
+let documented_error m =
+  String.starts_with ~prefix:"Parser: " m
+  &&
+  let key = " at position " in
+  let k = String.length key in
+  let rec find i =
+    i + k < String.length m
+    && ((String.sub m i k = key && m.[i + k] >= '0' && m.[i + k] <= '9')
+       || find (i + 1))
+  in
+  find 0
+
+let parses_or_fails_documented s =
+  let plain = parser_outcome Parser.parse s in
+  let spanned =
+    Result.map (fun sp -> sp.Parser.f) (parser_outcome Parser.parse_spanned s)
+  in
+  (match plain with Ok _ -> true | Error m -> documented_error m)
+  && plain = spanned
+
+(* the token characters, with stray and control bytes mixed in *)
+let fuzz_chars =
+  "pqr_xy01=9 ()!&|-<>[]XUWYZSBOH truefalsefirst\t\n#.,=A\000\255"
+
+let gen_fuzz_string =
+  QCheck.Gen.(string_size ~gen:(map (String.get fuzz_chars) (int_bound (String.length fuzz_chars - 1))) (int_bound 40))
+
+(* a printed random formula, then one to three edits: delete, insert,
+   duplicate a slice or truncate *)
+let gen_mutated_formula =
+  let open QCheck.Gen in
+  let edit s =
+    let n = String.length s in
+    int_bound 3 >>= fun how ->
+    int_bound (max 0 n) >>= fun i ->
+    int_bound (max 0 (n - i)) >>= fun len ->
+    map (String.get fuzz_chars) (int_bound (String.length fuzz_chars - 1))
+    >|= fun c ->
+    match how with
+    | 0 when n > 0 && i < n -> String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1)
+    | 1 -> String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i)
+    | 2 -> String.sub s 0 i ^ String.sub s i len ^ String.sub s i (n - i)
+    | _ -> String.sub s 0 i
+  in
+  gen_formula [| "p"; "q"; "r" |] >>= fun f ->
+  int_range 1 3 >>= fun edits ->
+  let rec go k s = if k = 0 then return s else edit s >>= go (k - 1) in
+  go edits (Formula.to_string f)
+
+let parser_fuzz_tests =
+  Alcotest.test_case "deep nesting is refused, not recursed into" `Quick
+    (fun () ->
+      List.iter
+        (fun (opener, closer) ->
+          let n = 1_000_000 in
+          let s =
+            String.concat "" (List.init n (fun _ -> opener))
+            ^ "p"
+            ^ String.concat "" (List.init n (fun _ -> closer))
+          in
+          match Parser.parse s with
+          | _ -> Alcotest.failf "%S x %d parsed" opener n
+          | exception Invalid_argument m ->
+              check "documented message" true (documented_error m))
+        [ ("(", ")"); ("!", ""); ("p & ", ""); ("X ", "") ];
+      check "moderate nesting parses" true
+        (match Parser.parse (String.make 5_000 '(' ^ "p" ^ String.make 5_000 ')') with
+        | Formula.Atom "p" -> true
+        | _ -> false))
+  :: List.map QCheck_alcotest.to_alcotest
+       [
+         QCheck.Test.make ~name:"random strings raise only the documented error"
+           ~count:3000
+           (QCheck.make ~print:(Printf.sprintf "%S") gen_fuzz_string)
+           parses_or_fails_documented;
+         QCheck.Test.make
+           ~name:"mutated formulas raise only the documented error"
+           ~count:3000
+           (QCheck.make ~print:(Printf.sprintf "%S") gen_mutated_formula)
+           parses_or_fails_documented;
+       ]
 
 let () =
   Alcotest.run "logic"
     [
       ("parser", parser_tests);
+      ("fuzz", parser_fuzz_tests);
       ("formula", formula_tests);
       ("esat", esat_tests);
       ("rewrite", rewrite_tests);
       ("tableau", tableau_tests);
+      ("product", product_tests);
     ]

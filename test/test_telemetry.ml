@@ -76,27 +76,45 @@ let unit_tests =
         Alcotest.(check bool) "tableau.translate span" true
           (List.mem_assoc "tableau.translate" (Telemetry.span_totals r));
         (* the tableau runs nest under the two lint passes that cause
-           them, none at the root *)
+           them, none at the root: the item pass translates each
+           requirement and its negation, the matrix only intersects
+           those automata *)
         let names spans = List.map (fun s -> s.Telemetry.name) spans in
         Alcotest.(check bool) "no root-level tableau span" false
-          (List.mem "tableau.translate" (names r.Telemetry.spans));
+          (List.exists
+             (fun n -> n = "tableau.translate" || n = "tableau.product")
+             (names r.Telemetry.spans));
         List.iter
-          (fun pass ->
+          (fun (pass, holds, lacks) ->
             match
               List.find_opt
                 (fun s -> s.Telemetry.name = pass)
                 r.Telemetry.spans
             with
             | Some s ->
-                Alcotest.(check bool) (pass ^ " holds tableau spans") true
-                  (List.mem "tableau.translate" (names s.Telemetry.children))
+                let children = names s.Telemetry.children in
+                Alcotest.(check bool) (pass ^ " holds " ^ holds) true
+                  (List.mem holds children);
+                Alcotest.(check bool) (pass ^ " holds no " ^ lacks) false
+                  (List.mem lacks children)
             | None -> Alcotest.failf "no root-level %s span" pass)
-          [ "lint.items"; "lint.matrix" ];
-        match List.assoc_opt "tableau.expansions" r.Telemetry.histograms with
-        | Some h ->
-            Alcotest.(check bool) "expansions recorded" true
-              (h.Telemetry.count > 0 && h.Telemetry.sum > 0.)
-        | None -> Alcotest.fail "no tableau.expansions histogram");
+          [
+            ("lint.items", "tableau.translate", "tableau.product");
+            ("lint.matrix", "tableau.product", "tableau.translate");
+          ];
+        let histogram name =
+          match List.assoc_opt name r.Telemetry.histograms with
+          | Some h -> h
+          | None -> Alcotest.failf "no %s histogram" name
+        in
+        let h = histogram "tableau.expansions" in
+        Alcotest.(check bool) "expansions recorded" true
+          (h.Telemetry.count > 0 && h.Telemetry.sum > 0.);
+        Alcotest.(check int) "two translations per requirement" 4
+          (histogram "tableau.states").Telemetry.count;
+        let h = histogram "tableau.product_states" in
+        Alcotest.(check bool) "product states recorded" true
+          (h.Telemetry.count > 0 && h.Telemetry.sum > 0.));
     Alcotest.test_case "counters and histograms read back" `Quick (fun () ->
         let t = Telemetry.collector () in
         Telemetry.incr t "c";
