@@ -1,6 +1,4 @@
 module Automaton = Omega.Automaton
-module Acceptance = Omega.Acceptance
-module Iset = Omega.Iset
 
 let distance = Finitary.Word.distance
 

@@ -1,6 +1,4 @@
 module Alphabet = Finitary.Alphabet
-module Acceptance = Omega.Acceptance
-module Iset = Omega.Iset
 
 type trace = {
   prefix : (System.state * string) list;

@@ -25,7 +25,7 @@ type result = Holds | Fails of trace
     Raises [Invalid_argument] if [f] is outside the canonical fragment
     of {!Logic.Rewrite} or mentions unknown atoms.  [budget] is charged
     per split-graph node and edge and per product state, and the
-    fair-cycle search ({!Omega.Emptiness.accepting_scc}) checks its
+    fair-cycle search ({!Emptiness.accepting_scc}) checks its
     deadline at every step, so the check is interrupted by
     [Budget.Tripped] when it runs out.  [telemetry]
     wraps the phases in spans ([fts.split_graph], [fts.product],

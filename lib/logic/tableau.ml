@@ -117,7 +117,7 @@ and neg (f : Formula.t) : nnf =
 (* Closure terms, interned                                             *)
 (* ------------------------------------------------------------------ *)
 
-module ISet = Set.Make (Int)
+module Ids = Set.Make (Int)
 
 (* A closure term with its children replaced by their ids. *)
 type term =
@@ -132,7 +132,7 @@ type term =
 
 (* Number every subterm of [phi] in [Stdlib.compare] order.  The
    numbering is monotone, so a set of ids is ordered, and its tree
-   shaped, exactly like the set of the terms themselves: [ISet.min_elt]
+   shaped, exactly like the set of the terms themselves: [Ids.min_elt]
    picks the term a term set would, and the expansion below builds the
    same graph in the same order as one over [nnf] sets.  Returns the
    terms by id and the id of [phi]. *)
@@ -176,17 +176,17 @@ let intern_closure phi =
 
 type node = {
   id : int;
-  mutable incoming : ISet.t;  (* 0 is the virtual initial node *)
-  old : ISet.t;
-  next : ISet.t;
+  mutable incoming : Ids.t;  (* 0 is the virtual initial node *)
+  old : Ids.t;
+  next : Ids.t;
 }
 
 (* Nodes are identified by their (old, next) pair. *)
 module Node_key = Hashtbl.Make (struct
-  type t = ISet.t * ISet.t
+  type t = Ids.t * Ids.t
 
-  let equal (o, n) (o', n') = ISet.equal o o' && ISet.equal n n'
-  let hash_set s h = ISet.fold (fun x h -> (h * 65599) + x) s h
+  let equal (o, n) (o', n') = Ids.equal o o' && Ids.equal n n'
+  let hash_set s h = Ids.fold (fun x h -> (h * 65599) + x) s h
   let hash (o, n) = hash_set n (hash_set o 0 * 31) land max_int
 end)
 
@@ -201,48 +201,48 @@ let build_graph ~budget ~count terms phi =
   let rec expand ~incoming ~new_ ~old ~next =
     Budget.tick budget;
     incr count;
-    if ISet.is_empty new_ then (
+    if Ids.is_empty new_ then (
       match Node_key.find_opt by_key (old, next) with
-      | Some r -> r.incoming <- ISet.union r.incoming incoming
+      | Some r -> r.incoming <- Ids.union r.incoming incoming
       | None ->
           g.fresh <- g.fresh + 1;
           let r = { id = g.fresh; incoming; old; next } in
           g.nodes <- r :: g.nodes;
           Node_key.add by_key (old, next) r;
-          expand ~incoming:(ISet.singleton r.id) ~new_:next ~old:ISet.empty
-            ~next:ISet.empty)
+          expand ~incoming:(Ids.singleton r.id) ~new_:next ~old:Ids.empty
+            ~next:Ids.empty)
     else
-      let eta = ISet.min_elt new_ in
-      let new_ = ISet.remove eta new_ in
-      if ISet.mem eta old then expand ~incoming ~new_ ~old ~next
+      let eta = Ids.min_elt new_ in
+      let new_ = Ids.remove eta new_ in
+      if Ids.mem eta old then expand ~incoming ~new_ ~old ~next
       else
-        let old' = ISet.add eta old in
+        let old' = Ids.add eta old in
         match terms.(eta) with
         | TFalse -> ()
         | TTrue -> expand ~incoming ~new_ ~old:old' ~next
         | TLit (_, complement) ->
-            if not (ISet.mem complement old) then
+            if not (Ids.mem complement old) then
               expand ~incoming ~new_ ~old:old' ~next
         | TAnd (f1, f2) ->
-            expand ~incoming ~new_:(ISet.add f1 (ISet.add f2 new_)) ~old:old'
+            expand ~incoming ~new_:(Ids.add f1 (Ids.add f2 new_)) ~old:old'
               ~next
         | TOr (f1, f2) ->
-            expand ~incoming ~new_:(ISet.add f1 new_) ~old:old' ~next;
-            expand ~incoming ~new_:(ISet.add f2 new_) ~old:old' ~next
-        | TNext f -> expand ~incoming ~new_ ~old:old' ~next:(ISet.add f next)
+            expand ~incoming ~new_:(Ids.add f1 new_) ~old:old' ~next;
+            expand ~incoming ~new_:(Ids.add f2 new_) ~old:old' ~next
+        | TNext f -> expand ~incoming ~new_ ~old:old' ~next:(Ids.add f next)
         | TUntil (f1, f2) ->
-            expand ~incoming ~new_:(ISet.add f1 new_) ~old:old'
-              ~next:(ISet.add eta next);
-            expand ~incoming ~new_:(ISet.add f2 new_) ~old:old' ~next
+            expand ~incoming ~new_:(Ids.add f1 new_) ~old:old'
+              ~next:(Ids.add eta next);
+            expand ~incoming ~new_:(Ids.add f2 new_) ~old:old' ~next
         | TRelease (f1, f2) ->
-            expand ~incoming ~new_:(ISet.add f2 new_) ~old:old'
-              ~next:(ISet.add eta next);
+            expand ~incoming ~new_:(Ids.add f2 new_) ~old:old'
+              ~next:(Ids.add eta next);
             expand ~incoming
-              ~new_:(ISet.add f1 (ISet.add f2 new_))
+              ~new_:(Ids.add f1 (Ids.add f2 new_))
               ~old:old' ~next
   in
-  expand ~incoming:(ISet.singleton 0) ~new_:(ISet.singleton phi)
-    ~old:ISet.empty ~next:ISet.empty;
+  expand ~incoming:(Ids.singleton 0) ~new_:(Ids.singleton phi)
+    ~old:Ids.empty ~next:Ids.empty;
   g
 
 (* ------------------------------------------------------------------ *)
@@ -255,13 +255,13 @@ type nba = {
   alpha : Alphabet.t;
   n : int;  (* concrete states; 0 is the pre-initial state *)
   succ : (Alphabet.letter * int) list array;
-  acc_sets : ISet.t array;  (* generalized Buechi condition *)
+  acc : Acceptance.t;  (* generalized Buechi: one [Inf] per until *)
 }
 
 let size a = a.n
 
 (* What entering a node demands of the letter read and of the stepped
-   tester state: its literals, read in [ISet.for_all] order up to the
+   tester state: its literals, read in [Ids.for_all] order up to the
    first atom outside the alphabet.  That atom is read last, through
    [Alphabet.holds], so it raises exactly when reading the node's
    literals one by one would reach it. *)
@@ -299,7 +299,7 @@ let translate ?(budget = Budget.unlimited) ?telemetry alpha f =
   let entry_of nd =
     let letters = ref all_letters and pasts = ref [] and unknown = ref None in
     ignore
-      (ISet.for_all
+      (Ids.for_all
          (fun id ->
            match terms.(id) with
            | TLit (LAtom (a, pos), _) when List.mem a known ->
@@ -337,7 +337,7 @@ let translate ?(budget = Budget.unlimited) ?telemetry alpha f =
   List.iter
     (fun nd ->
       let e = entry_of nd in
-      ISet.iter
+      Ids.iter
         (fun src -> targets.(src) <- (nd, e) :: targets.(src))
         nd.incoming)
     (List.rev g.nodes);
@@ -388,61 +388,34 @@ let translate ?(budget = Budget.unlimited) ?telemetry alpha f =
      state i >= 1 sits on node state_nodes.(i - 1) *)
   let state_nodes = Array.of_list (List.rev !state_nodes) in
   let fulfilling u rhs =
-    let set = ref ISet.empty in
-    Array.iteri
-      (fun k nd ->
-        if (not (ISet.mem u nd.old)) || ISet.mem rhs nd.old then
-          set := ISet.add (k + 1) !set)
-      state_nodes;
-    !set
+    Iset.init n (fun i ->
+        i > 0
+        &&
+        let old = state_nodes.(i - 1).old in
+        (not (Ids.mem u old)) || Ids.mem rhs old)
   in
-  let acc_sets =
+  let acc =
     Array.to_seqi terms
     |> Seq.filter_map (fun (u, t) ->
-           match t with TUntil (_, rhs) -> Some (fulfilling u rhs) | _ -> None)
-    |> Array.of_seq
+           match t with
+           | TUntil (_, rhs) -> Some (Acceptance.Inf (fulfilling u rhs))
+           | _ -> None)
+    |> List.of_seq
   in
-  { alpha; n; succ; acc_sets }
+  { alpha; n; succ; acc = Acceptance.And acc }
 
 (* ------------------------------------------------------------------ *)
 (* Emptiness and membership                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* The first good SCC in [Graph_kernel.sccs] order: reachable,
-   non-trivial (contains an edge) and intersecting every acceptance
-   set. *)
-let accepting_scc n succs acc_sets reachable =
-  Graph_kernel.sccs ~n ~succ:(fun v -> if reachable v then succs v else [])
-  |> List.find_opt (fun comp ->
-         match comp with
-         | [] -> false
-         | v :: _ when not (reachable v) -> false
-         | _ ->
-             let in_comp = ISet.of_list comp in
-             let nontrivial =
-               List.exists
-                 (fun v -> List.exists (fun w -> ISet.mem w in_comp) (succs v))
-                 comp
-             in
-             nontrivial
-             && Array.for_all
-                  (fun acc -> List.exists (fun v -> ISet.mem v acc) comp)
-                  acc_sets)
+let next_states a q = List.map snd a.succ.(q)
 
-let reachable_from a start =
-  Graph_kernel.reachable ~n:a.n
-    ~succ:(fun v -> List.map snd a.succ.(v))
-    ~starts:[ start ]
+(* Is some cycle of the graph on [0 .. n-1] accepting?  Every caller
+   numbers its states from the start state on, so all are reachable. *)
+let accepting ?budget ~n ~succ acc =
+  Emptiness.accepting_scc ?budget ~n ~succ acc (Iset.init n (fun _ -> true))
 
-(* The first accepting SCC reachable from the pre-initial state. *)
-let good_scc a =
-  let seen = reachable_from a 0 in
-  accepting_scc a.n
-    (fun v -> List.map snd a.succ.(v))
-    a.acc_sets
-    (fun v -> seen.(v))
-
-let nonempty a = Option.is_some (good_scc a)
+let nonempty a = Option.is_some (accepting ~n:a.n ~succ:(next_states a) a.acc)
 
 (* [xs] and [ys] list one state's successors grouped by letter, letters
    ascending (the order [translate] builds them in); [f] meets every
@@ -462,21 +435,17 @@ let rec join f xs ys =
       on_letter ys;
       join f xs' ys
 
-(* The synchronous product, pair [(i, j)] interned as [i * b.n + j] and
-   numbered in BFS order from the pre-initial pair [(0, 0)]; its
-   generalized Buechi condition is both sides' sets, lifted to the
-   pairs. *)
-let intersects ?(budget = Budget.unlimited) a b =
-  if not (a.alpha == b.alpha || Alphabet.equal a.alpha b.alpha) then
-    invalid_arg "Tableau.intersects: alphabet mismatch";
-  let telemetry = Telemetry.ambient () in
-  Telemetry.span telemetry "tableau.product" @@ fun () ->
+(* The pairs reachable from [(0, 0)] when [step emit i j] emits the
+   successors of [(i, j)], pair [(i, j)] interned as [i * width + j]
+   and numbered in BFS order: the successor rows and the pair of each
+   number.  [budget] is ticked once per pair. *)
+let explore ?(budget = Budget.unlimited) ~width step =
   let index = Int_table.create 64 in
   let queue = Queue.create () in
   let count = ref 0 in
   let pairs = ref [] in
   let intern i j =
-    let key = (i * b.n) + j in
+    let key = (i * width) + j in
     match Int_table.find_opt index key with
     | Some k -> k
     | None ->
@@ -493,26 +462,30 @@ let intersects ?(budget = Budget.unlimited) a b =
     Budget.tick budget;
     let i, j = Queue.pop queue in
     let row = ref [] in
-    join (fun i' j' -> row := intern i' j' :: !row) a.succ.(i) b.succ.(j);
+    step (fun i' j' -> row := intern i' j' :: !row) i j;
     rows := !row :: !rows
   done;
-  let succ = Array.of_list (List.rev !rows) in
+  (Array.of_list (List.rev !rows), Array.of_list (List.rev !pairs))
+
+(* A condition on one side's states, read on the pairs. *)
+let lift pairs side =
+  let n = Array.length pairs in
+  Acceptance.map_sets (fun x -> Iset.init n (fun k -> Iset.mem (side pairs.(k)) x))
+
+(* The synchronous product; its generalized Buechi condition is both
+   sides' sets, lifted to the pairs. *)
+let intersects ?budget a b =
+  if not (a.alpha == b.alpha || Alphabet.equal a.alpha b.alpha) then
+    invalid_arg "Tableau.intersects: alphabet mismatch";
+  let telemetry = Telemetry.ambient () in
+  Telemetry.span telemetry "tableau.product" @@ fun () ->
+  let succ, pairs =
+    explore ?budget ~width:b.n (fun emit i j -> join emit a.succ.(i) b.succ.(j))
+  in
   let n = Array.length succ in
   Telemetry.observe telemetry "tableau.product_states" (float_of_int n);
-  let pairs = Array.of_list (List.rev !pairs) in
-  let lift side sets =
-    Array.map
-      (fun acc ->
-        let set = ref ISet.empty in
-        Array.iteri
-          (fun k pair -> if ISet.mem (side pair) acc then set := ISet.add k !set)
-          pairs;
-        !set)
-      sets
-  in
-  let acc_sets = Array.append (lift fst a.acc_sets) (lift snd b.acc_sets) in
-  (* every pair was reached from (0, 0) *)
-  accepting_scc n (Array.get succ) acc_sets (fun _ -> true) |> Option.is_some
+  let acc = Acceptance.And [ lift pairs fst a.acc; lift pairs snd b.acc ] in
+  Option.is_some (accepting ?budget ~n ~succ:(Array.get succ) acc)
 
 let satisfiable ?budget ?telemetry alpha f =
   nonempty (translate ?budget ?telemetry alpha f)
@@ -526,145 +499,36 @@ let equiv ?budget ?telemetry alpha f g =
 let implies ?budget ?telemetry alpha f g =
   valid ?budget ?telemetry alpha (Formula.Imp (f, g))
 
-(* ------------------------------------------------------------------ *)
-(* Witness extraction                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let shortest_path succs src dsts =
-  (* BFS; returns the letter-labelled path (possibly empty if src is a
-     destination) *)
-  if dsts src then Some []
-  else begin
-    let parent = Hashtbl.create 64 in
-    let queue = Queue.create () in
-    Queue.add src queue;
-    Hashtbl.add parent src None;
-    let found = ref None in
-    (try
-       while not (Queue.is_empty queue) do
-         let v = Queue.pop queue in
-         List.iter
-           (fun (letter, w) ->
-             if not (Hashtbl.mem parent w) then begin
-               Hashtbl.add parent w (Some (v, letter));
-               if dsts w then begin
-                 found := Some w;
-                 raise Exit
-               end;
-               Queue.add w queue
-             end)
-           (succs v)
-       done
-     with Exit -> ());
-    match !found with
-    | None -> None
-    | Some dst ->
-        let rec build v acc =
-          match Hashtbl.find parent v with
-          | None -> acc
-          | Some (p, letter) -> build p ((letter, v) :: acc)
-        in
-        Some (build dst [])
-  end
-
 let witness ?budget ?telemetry alpha f =
   let a = translate ?budget ?telemetry alpha f in
-  let succs v = a.succ.(v) in
-  match good_scc a with
-  | None -> None
-  | Some comp ->
-      let in_comp = ISet.of_list comp in
-      let comp_succs v =
-        List.filter (fun (_, w) -> ISet.mem w in_comp) (succs v)
-      in
-      let anchor = List.hd comp in
-      (* the SCC was selected among states reachable from 0 and is
-         strongly connected with every acceptance set represented, so
-         each path below must exist; name the broken invariant instead
-         of a blind [Assert_failure] *)
-      let internal_error what =
-        invalid_arg
-          (Printf.sprintf
-             "Tableau.witness: internal invariant broken: %s (anchor %d)"
-             what anchor)
-      in
-      let prefix_path =
-        match shortest_path succs 0 (fun v -> v = anchor) with
-        | Some p -> p
-        | None -> internal_error "accepting SCC unreachable from start"
-      in
-      (* closed walk from anchor visiting a representative of each
-         acceptance set *)
-      let reps =
-        Array.to_list
-          (Array.map
-             (fun acc ->
-               match List.find_opt (fun v -> ISet.mem v acc) comp with
-               | Some v -> v
-               | None -> internal_error "acceptance set misses the chosen SCC")
-             a.acc_sets)
-      in
-      let rec tour v targets acc =
-        match targets with
-        | [] -> (
-            (* close the loop back to the anchor, with at least one step *)
-            match
-              List.concat_map
-                (fun (letter, w) ->
-                  match
-                    shortest_path comp_succs w (fun x -> x = anchor)
-                  with
-                  | Some p -> [ (letter, w) :: p ]
-                  | None -> [])
-                (comp_succs v)
-            with
-            | p :: _ -> acc @ p
-            | [] -> internal_error "no closing step back to anchor")
-        | t :: rest -> (
-            match shortest_path comp_succs v (fun x -> x = t) with
-            | Some p -> tour t rest (acc @ p)
-            | None -> internal_error "representative unreachable within SCC")
-      in
-      let cycle_path = tour anchor reps [] in
-      let letters path = Array.of_list (List.map fst path) in
-      Some
-        (Word.lasso ~prefix:(letters prefix_path) ~cycle:(letters cycle_path))
+  let succ = next_states a in
+  accepting ~n:a.n ~succ a.acc
+  |> Option.map (fun s ->
+         let prefix, cycle = Emptiness.lasso ~succ ~starts:[ 0 ] a.acc s in
+         (* each step reads the first letter of its edge in the row *)
+         let rec letters q = function
+           | [] -> []
+           | q' :: rest ->
+               fst (List.find (fun (_, w) -> w = q') a.succ.(q))
+               :: letters q' rest
+         in
+         let anchor = List.nth prefix (List.length prefix - 1) in
+         Word.lasso
+           ~prefix:(Array.of_list (letters 0 (List.tl prefix)))
+           ~cycle:(Array.of_list (letters anchor cycle)))
 
+(* The product of the automaton with the lasso's positions: pair
+   [(q, j)] is state [q] about to read position [j]. *)
 let accepts_lasso a lasso =
   let p = Array.length lasso.Word.prefix in
-  let l = Array.length lasso.Word.cycle in
-  let total = p + l in
+  let total = p + Array.length lasso.Word.cycle in
   let next_pos j = if j + 1 < total then j + 1 else p in
-  (* product state: q * total + j  means "in state q, about to read
-     position j" *)
-  let n = a.n * total in
-  let succs v =
-    let q = v / total and j = v mod total in
-    List.filter_map
-      (fun (letter, q') ->
-        if letter = Word.at lasso j then Some ((q' * total) + next_pos j)
-        else None)
-      a.succ.(q)
+  let succ, pairs =
+    explore ~width:total (fun emit q j ->
+        List.iter
+          (fun (letter, q') ->
+            if letter = Word.at lasso j then emit q' (next_pos j))
+          a.succ.(q))
   in
-  let seen = Array.make n false in
-  let rec visit v =
-    if not seen.(v) then begin
-      seen.(v) <- true;
-      List.iter visit (succs v)
-    end
-  in
-  visit 0;
-  (* state 0 * total + 0 = product start since automaton state 0 is the
-     pre-initial state *)
-  accepting_scc n succs
-    (Array.map
-       (fun acc ->
-         ISet.of_list
-           (List.concat_map
-              (fun q ->
-                if ISet.mem q acc then List.init total (fun j -> (q * total) + j)
-                else [])
-              (List.init a.n Fun.id)))
-       a.acc_sets)
-    (fun v -> seen.(v))
-  |> Option.is_some
+  let n = Array.length succ in
+  Option.is_some (accepting ~n ~succ:(Array.get succ) (lift pairs fst a.acc))

@@ -57,7 +57,9 @@ val nonempty : nba -> bool
     [intersects (translate alpha f) (translate alpha g)] is
     [satisfiable alpha (f & g)] without translating the conjunction
     (and without joining the two past closures in one {!Past_tester}).
-    [budget] is ticked once per product state.  The search runs in a
+    [budget] is ticked once per product state and checked
+    ({!Budget.check}) once per step of the cycle search
+    ({!Emptiness.accepting_scc}).  The search runs in a
     [tableau.product] span of the ambient telemetry handle, which also
     records the product size in a [tableau.product_states] histogram.
     @raise Invalid_argument if the two alphabets differ. *)
@@ -98,7 +100,9 @@ val implies :
   Formula.t ->
   bool
 
-(** A lasso word satisfying the formula, if any. *)
+(** A lasso word satisfying the formula, if any: {!Emptiness.lasso}
+    from the pre-initial state, each step read back as the first letter
+    on its edge. *)
 val witness :
   ?budget:Budget.t ->
   ?telemetry:Telemetry.t ->

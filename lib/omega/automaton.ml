@@ -11,7 +11,7 @@ type t = {
       (* process-unique identity, fresh for every constructed value
          (including [with_acc]/[complement] variants, which denote
          different languages).  The shared bounded caches
-         ([Lang]'s complement and inclusion memos on [Kernel.Cache])
+         ([Lang]'s complement cache on [Kernel.Cache])
          key on it: an int key hashes in O(1) where structural keying
          would traverse the transition table, and physical keying
          cannot index a hashtable at all (the GC moves values). *)

@@ -49,7 +49,7 @@ let witness (a : Automaton.t) =
 (* Complements are cheap to build (dual acceptance) but [equal] and the
    classification procedures ask for the same ones repeatedly, and a
    long-lived server sees the same specifications across requests.
-   The memo is a shared, size-bounded [Kernel.Cache] keyed by the
+   The cache is a shared, size-bounded [Kernel.Cache] keyed by the
    automaton's [uid] (complement construction is deterministic and a
    uid never denotes two different automata, so entries cannot go
    stale; eviction only costs a rebuild).  The enable toggle is an
@@ -89,37 +89,16 @@ let complement_cache : (int, Automaton.t) Cache.t =
     ~weight:(fun _ c -> automaton_weight c)
     ()
 
-(* Cross-request inclusion-verdict memo, keyed by the operand uids.
-   Default-disabled: a memo hit skips the ticked product exploration,
-   which would shift budget trip points and break the bit-identical
-   replay guarantees the pool tests pin.  The serve daemon opts in
-   ([set_inclusion_memo_capacity]) because its requests carry
-   independent budgets and only exact (untripped) verdicts are ever
-   installed — a tripped exploration raises before the install. *)
-let inclusion_memo : (int * int, bool) Cache.t =
-  Cache.create ~name:"lang.included.memo" ~capacity:0
-    ~weight:(fun _ _ -> 64)
-    ()
-
-let inclusion_memo_on = Atomic.make false
-
-let set_inclusion_memo_capacity c =
-  Atomic.set inclusion_memo_on (c > 0);
-  Cache.set_capacity inclusion_memo c
-
 let set_complement_cache_capacity c = Cache.set_capacity complement_cache c
 
 let complement_cache_stats () = Cache.stats complement_cache
-
-let inclusion_memo_stats () = Cache.stats inclusion_memo
 
 let set_caches b =
   Atomic.set use_caches b;
   if not b then begin
     (* also drop resident entries: the toggle gates lookups, so this
        is about memory, not correctness *)
-    Cache.invalidate complement_cache;
-    Cache.invalidate inclusion_memo
+    Cache.invalidate complement_cache
   end
 
 let cached_complement a =
@@ -199,24 +178,14 @@ let included ?pool:_ ?engine a b =
          (Acceptance.simplify
             (Acceptance.And [ a.Automaton.acc; Acceptance.dual b.Automaton.acc ])))
   end
-  else begin
-    let compute () =
-      match effective_engine engine with
-      | `Antichain ->
-          Telemetry.incr (Telemetry.ambient ()) "lang.included.antichain";
-          Inclusion.included a b
-      | `Explicit ->
-          Telemetry.incr (Telemetry.ambient ()) "lang.included.product";
-          is_empty (Automaton.inter a (cached_complement b))
-    in
-    if Atomic.get inclusion_memo_on && caches_enabled () then
-      (* exact verdicts only: a budget trip raises out of [compute]
-         before anything can be installed *)
-      Cache.find_or_add inclusion_memo
-        (a.Automaton.uid, b.Automaton.uid)
-        compute
-    else compute ()
-  end
+  else
+    match effective_engine engine with
+    | `Antichain ->
+        Telemetry.incr (Telemetry.ambient ()) "lang.included.antichain";
+        Inclusion.included a b
+    | `Explicit ->
+        Telemetry.incr (Telemetry.ambient ()) "lang.included.product";
+        is_empty (Automaton.inter a (cached_complement b))
 
 let equal ?engine a b = included ?engine a b && included ?engine b a
 

@@ -65,8 +65,8 @@ val equal : ?engine:engine -> Automaton.t -> Automaton.t -> bool
 (** Both inclusion directions, in order: the second runs only when the
     first holds. *)
 
-(** [set_caches false] disables the complement cache, the inclusion
-    memo and the same-table fast path, forcing the cold path on every
+(** [set_caches false] disables the complement cache and the
+    same-table fast path, forcing the cold path on every
     query (and dropping resident entries — the caches are shared
     across domains, so this reaches entries warmed by pool workers
     too).  Test instrumentation for differential cache-consistency
@@ -86,17 +86,7 @@ val set_complement_cache_capacity : int -> unit
     cache; [<= 0] disables it.  Default: 4 MiB.  Shrinking evicts
     immediately (2-random policy — see {!Kernel.Cache}). *)
 
-val set_inclusion_memo_capacity : int -> unit
-(** Bound on the cross-request inclusion-verdict memo, keyed by
-    operand uids.  {e Default: 0 (disabled)} — a memo hit skips the
-    ticked product exploration, which shifts budget trip points and
-    would break bit-identical replay; only hosts whose requests carry
-    independent budgets (the serve daemon) should enable it.  Only
-    exact verdicts are installed: a tripped exploration raises before
-    the install. *)
-
 val complement_cache_stats : unit -> Cache.stats
-val inclusion_memo_stats : unit -> Cache.stats
 
 (** A lasso in the symmetric difference, if the languages differ. *)
 val distinguishing_witness :

@@ -494,7 +494,6 @@ let stats_body t =
         [
           ("response", cache_stats_json (Cache.stats t.resp_cache));
           ("complement", cache_stats_json (Omega.Lang.complement_cache_stats ()));
-          ("inclusion_memo", cache_stats_json (Omega.Lang.inclusion_memo_stats ()));
         ] );
   ]
 
@@ -716,11 +715,10 @@ let run cfg =
      kill the process *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
-  (* carve the memory bound: half to complements (largest values), a
-     quarter each to the inclusion memo and response bodies *)
+  (* carve the memory bound: half to complements, half to response
+     bodies *)
   let bytes = cfg.cache_mb * 1024 * 1024 in
   Omega.Lang.set_complement_cache_capacity (bytes / 2);
-  Omega.Lang.set_inclusion_memo_capacity (bytes / 4);
   let access =
     match cfg.access_log with
     | None -> None
@@ -743,7 +741,7 @@ let run cfg =
       inflight = Atomic.make 0;
       table = Hashtbl.create 64;
       resp_cache =
-        Cache.create ~name:"serve.response" ~capacity:(bytes / 4)
+        Cache.create ~name:"serve.response" ~capacity:(bytes / 2)
           ~weight:(fun k body ->
             String.length k + String.length (Protocol.render ~id:Json.Null body))
           ();

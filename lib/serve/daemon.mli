@@ -20,10 +20,10 @@
       passed without the cooperative budget poll firing, retiring and
       replacing stuck workers (bounded) so capacity recovers even from
       non-cooperative tasks.
-    - {e Bounded caches}: the response cache here plus
-      {!Omega.Lang}'s complement cache and opt-in inclusion memo are
-      all size-bounded {!Cache}s sharing the [--cache-mb] budget, so
-      resident memory stays flat across any number of requests.
+    - {e Bounded caches}: the response cache here and {!Omega.Lang}'s
+      complement cache are size-bounded {!Cache}s that split the
+      [--cache-mb] budget in half each, so resident memory stays flat
+      across any number of requests.
     - {e Observability of failure}: a JSONL access log (one record per
       request: latency, outcome, budget spent, cache disposition)
       through the exception-safe {!Telemetry.line_writer}, and
@@ -46,7 +46,9 @@ type config = {
       (** progress quota: after this many consecutive client requests a
           worker serves one queued refinement even while client work is
           pending, so refinements cannot starve under sustained load *)
-  cache_mb : int;  (** total bound across the three shared caches *)
+  cache_mb : int;
+      (** total bound, half to the response cache and half to the
+          complement cache *)
   access_log : string option;  (** JSONL path; ["-"] = stderr *)
   debug_ops : bool;
       (** enable [spin] and [inject_trip_at] (chaos/watchdog tests) *)

@@ -1,4 +1,4 @@
-(* Oracles for [Omega.Emptiness] that share none of its code: the
+(* Oracles for [Emptiness] that share none of its code: the
    accessible cycles come from [Cycles.enumerate], and lassos are
    checked step by step. *)
 

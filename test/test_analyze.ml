@@ -211,8 +211,8 @@ let differential_tests =
           in
           let sink =
             match a.acc with
-            | Omega.Acceptance.Fin s -> s
-            | _ -> Omega.Iset.empty
+            | Acceptance.Fin s -> s
+            | _ -> Iset.empty
           in
           (* letter bit i: the i-th sorted atom holds *)
           let letter i =
@@ -251,7 +251,7 @@ let differential_tests =
                     <> []
                   in
                   let q = List.fold_left (fun q l -> a.delta.(q).(l)) 0 w in
-                  live = not (Omega.Iset.mem q sink))
+                  live = not (Iset.mem q sink))
             (List.concat_map words [ 1; 2; 3; 4 ]));
     ]
 

@@ -261,7 +261,6 @@ let system_tests =
    reachable from a start is a cycle satisfying the condition (by
    brute force over all subsets). *)
 let lasso_tests =
-  let open Omega in
   let gen =
     let open QCheck.Gen in
     int_range 1 7 >>= fun n ->

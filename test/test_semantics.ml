@@ -160,6 +160,13 @@ let qcheck_tests =
         (fun (form, l) ->
           Semantics.holds pq form l
           = Semantics.holds pq (Formula.expand form) l);
+      (* checked by the lasso semantics alone, not by an automaton *)
+      QCheck.Test.make ~name:"witness satisfies the formula, none is refuted"
+        ~count:200 (QCheck.pair arb_formula arb_lasso)
+        (fun (form, l) ->
+          match Tableau.witness pq form with
+          | Some w -> Semantics.holds pq form w
+          | None -> not (Semantics.holds pq form l));
     ]
 
 let () =
