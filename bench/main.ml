@@ -700,7 +700,7 @@ let parallel_lint_specs =
 (* Closure workload for the parallel sweep: a strongly-connected
    30k-state graph with an 8-way [Or] of [Fin]/[Inf] pairs.  Its safety
    closure is one sequential Emerson-Lei collection (the per-conjunct
-   fan-out it was built for is gone), kept as a timing row. *)
+   fan-out it was built for is gone), kept as a sequential timing. *)
 let closure_conjuncts_automaton n conj =
   let delta = Array.init n (fun q -> [| (q + 1) mod n; (q + 7) mod n |]) in
   let slice r =
@@ -726,7 +726,8 @@ let parallel_json () =
       ~acc:(Acceptance.Inf (Iset.singleton 0))
   in
   (* One large inclusion query: a lazy product of ~10^6 pairs, explored
-     and checked for emptiness sequentially; kept as a timing row. *)
+     and checked for emptiness sequentially; kept as a sequential
+     timing. *)
   let abcd = Finitary.Alphabet.of_chars "abcd" in
   let na = 1000 and nb = 999 in
   let mk_incl_a () =
@@ -781,10 +782,21 @@ let parallel_json () =
     done;
     (name, best.(0), best.(1), best.(2), best.(3))
   in
-  let sweep_m =
-    measure
+  (* Code that takes no pool runs the same in every arm, so a jobs
+     column would time noise: these are the best of [reps] plain runs. *)
+  let time_seq ?(reps = 4) (name, f) =
+    let best = ref infinity in
+    for _ = 1 to reps do
+      let t0 = Unix.gettimeofday () in
+      f ();
+      best := Float.min !best ((Unix.gettimeofday () -. t0) *. 1e9)
+    done;
+    (name, !best)
+  in
+  let sweep_t =
+    time_seq
       ( "sweep: classify 10k-state single-SCC automaton",
-        fun _pool () -> ignore (Classify.classify (mk ())) )
+        fun () -> ignore (Classify.classify (mk ())) )
   in
   let lint_m =
     measure
@@ -794,15 +806,15 @@ let parallel_json () =
             (Hierarchy.Lint.lint_strings ~mode:Hierarchy.Lint.Semantic ?pool
                parallel_lint_specs) )
   in
-  let incl_m =
-    measure
+  let incl_t =
+    time_seq
       ( "inclusion: 1000x999-state lazy product",
-        fun _pool () -> ignore (Inclusion.included (mk_incl_a ()) (mk_incl_b ())) )
+        fun () -> ignore (Inclusion.included (mk_incl_a ()) (mk_incl_b ())) )
   in
-  let closure_conj_m =
-    measure
+  let closure_t =
+    time_seq
       ( "closure: 30k-state 8-conjunct safety closure",
-        fun _pool () ->
+        fun () ->
           ignore (Lang.safety_closure (closure_conjuncts_automaton 30_000 8)) )
   in
   (* The tiny gate asserts a 0.4% bound on a one-item batch, which
@@ -819,12 +831,10 @@ let parallel_json () =
             ignore (Hierarchy.Engine.classify_batch ?pool [ "[] (p -> <> q)" ])
           done )
   in
-  let measured = [ sweep_m; lint_m ] in
-  (* each entry is ONE input with no batch to slice, and every one runs
+  (* each is ONE input with no batch to slice, and every one runs
      sequentially (the per-SCC, inclusion and closure fan-outs are all
-     gone), so these rows are timings beside the overhead gates *)
-  let single_large = [ sweep_m; incl_m ] in
-  let closure = [ closure_conj_m ] in
+     gone) *)
+  let sequential = [ sweep_t; incl_t; closure_t ] in
   let micro = run_benches () in
   (* a jobs=4 sweep on fewer than 4 cores measures oversubscription,
      not speedup, so every section carries the core count it ran on
@@ -857,15 +867,23 @@ let parallel_json () =
   p "  \"baseline\": \"PR-4 tree, before the domain pool landed; micro \
      ratios vs the PR-9 re-pin (see DESIGN.md)\",\n";
   p "  \"note\": \"gates (skipped, and the sections marked ungated, below \
-     4 cores): overhead_jobs1 <= 1.03 always and <= 1.004 on the tiny \
-     workload (inline fast path); only the lint matrix fans out, and \
-     the single_large and closure rows run sequentially and are \
-     timings only; micro ratio vs repin_ns within noise of 1.0 (the \
-     pool is off on the micro benches)\",\n";
-  section ~last:false "workloads" measured;
-  section ~last:false "single_large" single_large;
-  section ~last:false "closure" closure;
+     4 cores): overhead_jobs1 <= 1.03 on the lint matrix and <= 1.004 \
+     on the tiny workload (inline fast path); only the lint matrix fans \
+     out, and the sequential rows take no pool, so they are one timing \
+     each with no jobs columns and no gate; micro ratio vs repin_ns \
+     within noise of 1.0 (the pool is off on the micro benches)\",\n";
+  section ~last:false "workloads" [ lint_m ];
   section ~last:false "tiny" [ tiny_m ];
+  p "  \"sequential\": {\n";
+  p "    \"cores\": %d,\n" cores;
+  p "    \"rows\": [\n";
+  List.iteri
+    (fun i (name, seq) ->
+      p "      {\"name\": \"%s\", \"seq_ns\": %.0f}%s\n" (json_escape name) seq
+        (if i < List.length sequential - 1 then "," else ""))
+    sequential;
+  p "    ]\n";
+  p "  },\n";
   let micro_entries =
     List.filter_map
       (fun (name, est) ->
@@ -900,7 +918,10 @@ let parallel_json () =
          %8.1fms (%.2fx)@."
         name (seq /. 1e6) (j1 /. 1e6) (j1 /. seq) (j2 /. 1e6) (seq /. j2)
         (j4 /. 1e6) (seq /. j4))
-    [ sweep_m; lint_m; incl_m; closure_conj_m; tiny_m ]
+    [ lint_m; tiny_m ];
+  List.iter
+    (fun (name, seq) -> Format.printf "  %-52s seq %8.1fms@." name (seq /. 1e6))
+    sequential
 
 (* ------------------------------------------------------------------ *)
 (* --inclusion-json: explicit vs antichain language inclusion          *)

@@ -145,6 +145,86 @@ let maximal_accepting_cycles ?(budget = Budget.unlimited) ~n ~succ acc s =
   in
   maximal acc s
 
+(* Couvreur's SCC-root-stack search.  States are numbered in discovery
+   order, so a state's number is its DFS index and the open roots are
+   increasing from the bottom of [roots] up; a root's [seen] is the
+   union of the marks of the states it has absorbed.  An edge to an
+   open state closes a cycle through it: every root above it joins it
+   (their SCCs are one), and the merged root's states form a cycle, so
+   it accepts once [seen] covers every set.  A state whose root
+   finishes lies in a completed SCC without an accepting cycle, and
+   edges into it are ignored from then on. *)
+type frame = { state : int; mutable next : int list }
+type root = { first : int; mutable seen : Iset.t }
+type search = { accepting : bool; visited : int }
+
+let generalized_buchi ?(budget = Budget.unlimited) ~sets ~marks ~succ start =
+  let all = Iset.init sets (fun _ -> true) in
+  let index = Int_index.create 8 in
+  let closed = ref (Bytes.make 16 '\000') in
+  let count = ref 0 in
+  let frames = ref [] and roots = ref [] and open_ = ref [] in
+  (* [key] is already bound to the next number *)
+  let discover key =
+    Budget.tick budget;
+    let v = !count in
+    incr count;
+    if v = Bytes.length !closed then begin
+      let b = Bytes.make (2 * v) '\000' in
+      Bytes.blit !closed 0 b 0 v;
+      closed := b
+    end;
+    frames := { state = v; next = succ key } :: !frames;
+    roots := { first = v; seen = marks key } :: !roots;
+    open_ := v :: !open_
+  in
+  (* the root [r] absorbs every root above the open state [w] *)
+  let rec merge w r =
+    match !roots with
+    | top :: rest when top.first > w ->
+        roots := rest;
+        merge w (Iset.union top.seen r)
+    | top :: _ ->
+        top.seen <- Iset.union top.seen r;
+        Iset.subset all top.seen
+    | [] -> assert false
+  in
+  let rec close v =
+    match !open_ with
+    | w :: rest when w >= v ->
+        Bytes.set !closed w '\001';
+        open_ := rest;
+        close v
+    | _ -> ()
+  in
+  let rec run () =
+    match !frames with
+    | [] -> false
+    | f :: below -> (
+        match f.next with
+        | key :: next ->
+            f.next <- next;
+            let w = Int_index.find_or_add index key !count in
+            if w = !count then begin
+              discover key;
+              run ()
+            end
+            else if Bytes.get !closed w = '\000' && merge w Iset.empty then true
+            else run ()
+        | [] ->
+            frames := below;
+            (match !roots with
+            | top :: rest when top.first = f.state ->
+                roots := rest;
+                close f.state
+            | _ -> ());
+            run ())
+  in
+  ignore (Int_index.find_or_add index start 0);
+  discover start;
+  let accepting = run () in
+  { accepting; visited = !count }
+
 (* Breadth-first path through [ok] states from one of [srcs] to [dst],
    at least one step long, as [src; ...; dst]: the searched-for state
    is recognized among successors, so it may be a source itself. *)

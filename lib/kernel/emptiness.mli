@@ -1,5 +1,6 @@
-(** Emerson-Lei emptiness over explicit graphs: the one place that
-    searches for cycles satisfying an acceptance condition.
+(** Emerson-Lei emptiness over explicit graphs, and generalized Buechi
+    emptiness on the fly: the one place that searches for cycles
+    satisfying an acceptance condition.
 
     A {e cycle} is a non-empty state set whose induced subgraph is
     strongly connected and carries an edge; cycles are exactly the
@@ -9,11 +10,14 @@
     of a transition system — is a question about the cycles that
     satisfy a condition.
 
-    Every function is written over [~n ~succ] (states [0 .. n-1],
-    successor lists), so automata, the inclusion engine's pair graph,
-    transition-system graphs and the tableau's generalized Buechi
-    automata and their products share it.  The condition is never put
-    in disjunctive normal form: on each cycle-carrying SCC it is
+    Every Emerson-Lei function is written over [~n ~succ] (states
+    [0 .. n-1], successor lists), so automata, the inclusion engine's
+    pair graph, transition-system graphs and the tableau's witness
+    search share it.  The tableau's emptiness checks and products,
+    whose conditions are generalized Buechi, go through
+    {!generalized_buchi} instead, which builds no graph.
+
+    The Emerson-Lei condition is never put in disjunctive normal form: on each cycle-carrying SCC it is
     restricted to the SCC (atom sets intersected with it) and
     simplified; a [Fin]-free remainder is monotone, so the SCC itself
     decides it; otherwise one [Fin X] splits the search into the SCCs
@@ -65,6 +69,40 @@ val maximal_accepting_cycles :
     [acc] is contained in a member, and no member contains another;
     [[s]] when [s] itself satisfies [acc].  [Budget.check] once per
     step. *)
+
+type search = { accepting : bool; visited : int }
+(** The outcome of {!generalized_buchi}: whether an accepting cycle is
+    reachable, and how many states the search discovered. *)
+
+val generalized_buchi :
+  ?budget:Budget.t ->
+  sets:int ->
+  marks:(int -> Iset.t) ->
+  succ:(int -> int list) ->
+  int ->
+  search
+(** [generalized_buchi ~sets ~marks ~succ start]: is a cycle reachable
+    from [start] that meets every one of the [sets] acceptance sets?
+    States are non-negative int keys, not a dense range: [succ k] lists
+    a key's successors and [marks k] the indices, in [0 .. sets-1], of
+    the sets it belongs to.  With [sets = 0] any reachable cycle
+    accepts.
+
+    The graph is never built: Couvreur's SCC-root-stack search
+    ("On-the-fly verification of linear temporal logic", FM 1999) runs
+    a depth-first search from [start], calls [succ] on a key when the
+    search first leaves it and [marks] when it discovers it, and
+    numbers keys in discovery order in an {!Int_index}.  Each open
+    root keeps the union of the marks of the states it has absorbed;
+    an edge back to an open state merges the roots above it into one,
+    and the search stops as soon as that root covers every set.  A
+    state with every mark but on no cycle accepts nothing.  The mark
+    sets are {!Iset}s, so [sets] has no cap.
+
+    [visited] counts the keys discovered: all those reachable from
+    [start] when [accepting] is [false], usually far fewer when it is
+    [true].  [?budget] is ticked once per key discovered, so a search
+    spends exactly [visited] ticks. *)
 
 val lasso :
   succ:(int -> int list) ->

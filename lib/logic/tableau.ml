@@ -255,10 +255,12 @@ type nba = {
   alpha : Alphabet.t;
   n : int;  (* concrete states; 0 is the pre-initial state *)
   succ : (Alphabet.letter * int) list array;
-  acc : Acceptance.t;  (* generalized Buechi: one [Inf] per until *)
+  sets : int;  (* generalized Buechi: one acceptance set per until *)
+  marks : Iset.t array;  (* the sets each state belongs to *)
 }
 
 let size a = a.n
+let transitions a q = a.succ.(q)
 
 (* What entering a node demands of the letter read and of the stepped
    tester state: its literals, read in [Ids.for_all] order up to the
@@ -383,26 +385,31 @@ let translate ?(budget = Budget.unlimited) ?telemetry alpha f =
   let succ = Array.of_list (List.rev !rows) in
   let n = Array.length succ in
   Telemetry.observe telemetry "tableau.states" (float_of_int n);
-  (* generalized Buechi condition, one set per until [u = _ U rhs]: the
-     states whose node does not promise [u] or already meets [rhs];
-     state i >= 1 sits on node state_nodes.(i - 1) *)
-  let state_nodes = Array.of_list (List.rev !state_nodes) in
-  let fulfilling u rhs =
-    Iset.init n (fun i ->
-        i > 0
-        &&
-        let old = state_nodes.(i - 1).old in
-        (not (Ids.mem u old)) || Ids.mem rhs old)
-  in
-  let acc =
+  (* generalized Buechi condition, one set per until [u = _ U rhs]:
+     the states whose node does not promise [u] or already meets
+     [rhs].  A state's marks are its node's; [state_nodes] lists the
+     nodes of states n-1 down to 1, and the pre-initial state is in no
+     set *)
+  let untils =
     Array.to_seqi terms
     |> Seq.filter_map (fun (u, t) ->
-           match t with
-           | TUntil (_, rhs) -> Some (Acceptance.Inf (fulfilling u rhs))
-           | _ -> None)
-    |> List.of_seq
+           match t with TUntil (_, rhs) -> Some (u, rhs) | _ -> None)
+    |> Array.of_seq
   in
-  { alpha; n; succ; acc = Acceptance.And acc }
+  let sets = Array.length untils in
+  let node_marks = Array.make (g.fresh + 1) Iset.empty in
+  List.iter
+    (fun nd ->
+      node_marks.(nd.id) <-
+        Iset.init sets (fun k ->
+            let u, rhs = untils.(k) in
+            (not (Ids.mem u nd.old)) || Ids.mem rhs nd.old))
+    g.nodes;
+  let marks = Array.make n Iset.empty in
+  List.iteri
+    (fun i nd -> marks.(n - 1 - i) <- node_marks.(nd.id))
+    !state_nodes;
+  { alpha; n; succ; sets; marks }
 
 (* ------------------------------------------------------------------ *)
 (* Emptiness and membership                                            *)
@@ -410,82 +417,50 @@ let translate ?(budget = Budget.unlimited) ?telemetry alpha f =
 
 let next_states a q = List.map snd a.succ.(q)
 
-(* Is some cycle of the graph on [0 .. n-1] accepting?  Every caller
-   numbers its states from the start state on, so all are reachable. *)
-let accepting ?budget ~n ~succ acc =
-  Emptiness.accepting_scc ?budget ~n ~succ acc (Iset.init n (fun _ -> true))
-
-let nonempty a = Option.is_some (accepting ~n:a.n ~succ:(next_states a) a.acc)
+(* The generalized Buechi search from the pre-initial state; every
+   state is its own key. *)
+let nonempty a =
+  (Emptiness.generalized_buchi ~sets:a.sets ~marks:(Array.get a.marks)
+     ~succ:(next_states a) 0)
+    .accepting
 
 (* [xs] and [ys] list one state's successors grouped by letter, letters
-   ascending (the order [translate] builds them in); [f] meets every
-   successor of [xs] with every successor of [ys] on the same letter *)
-let rec join f xs ys =
+   ascending (the order [translate] builds them in): every successor of
+   [xs] with every successor of [ys] on the same letter, pair [(i, j)]
+   as the key [i * width + j], in that order *)
+let rec join width xs ys =
   match (xs, ys) with
-  | [], _ | _, [] -> ()
-  | (l, _) :: xs', (l', _) :: _ when l < l' -> join f xs' ys
-  | (l, _) :: _, (l', _) :: ys' when l' < l -> join f xs ys'
+  | [], _ | _, [] -> []
+  | (l, _) :: xs', (l', _) :: _ when l < l' -> join width xs' ys
+  | (l, _) :: _, (l', _) :: ys' when l' < l -> join width xs ys'
   | (l, i) :: xs', _ ->
       let rec on_letter = function
-        | (l', j) :: rest when l' = l ->
-            f i j;
-            on_letter rest
-        | _ -> ()
+        | (l', j) :: rest when l' = l -> ((i * width) + j) :: on_letter rest
+        | _ -> join width xs' ys
       in
-      on_letter ys;
-      join f xs' ys
+      on_letter ys
 
-(* The pairs reachable from [(0, 0)] when [step emit i j] emits the
-   successors of [(i, j)], pair [(i, j)] interned as [i * width + j]
-   and numbered in BFS order: the successor rows and the pair of each
-   number.  [budget] is ticked once per pair. *)
-let explore ?(budget = Budget.unlimited) ~width step =
-  let index = Int_table.create 64 in
-  let queue = Queue.create () in
-  let count = ref 0 in
-  let pairs = ref [] in
-  let intern i j =
-    let key = (i * width) + j in
-    match Int_table.find_opt index key with
-    | Some k -> k
-    | None ->
-        let k = !count in
-        incr count;
-        Int_table.add index key k;
-        Queue.add (i, j) queue;
-        pairs := (i, j) :: !pairs;
-        k
-  in
-  ignore (intern 0 0);
-  let rows = ref [] in
-  while not (Queue.is_empty queue) do
-    Budget.tick budget;
-    let i, j = Queue.pop queue in
-    let row = ref [] in
-    step (fun i' j' -> row := intern i' j' :: !row) i j;
-    rows := !row :: !rows
-  done;
-  (Array.of_list (List.rev !rows), Array.of_list (List.rev !pairs))
-
-(* A condition on one side's states, read on the pairs. *)
-let lift pairs side =
-  let n = Array.length pairs in
-  Acceptance.map_sets (fun x -> Iset.init n (fun k -> Iset.mem (side pairs.(k)) x))
-
-(* The synchronous product; its generalized Buechi condition is both
-   sides' sets, lifted to the pairs. *)
+(* The synchronous product, searched from the pre-initial pair [(0, 0)]
+   as it is built: pair [(i, j)] is the key [i * b.n + j], and it is in
+   [a]'s sets under their own indices and in [b]'s shifted past them. *)
 let intersects ?budget a b =
   if not (a.alpha == b.alpha || Alphabet.equal a.alpha b.alpha) then
     invalid_arg "Tableau.intersects: alphabet mismatch";
   let telemetry = Telemetry.ambient () in
   Telemetry.span telemetry "tableau.product" @@ fun () ->
-  let succ, pairs =
-    explore ?budget ~width:b.n (fun emit i j -> join emit a.succ.(i) b.succ.(j))
+  let width = b.n in
+  let shifted =
+    Array.map
+      (fun m -> Iset.of_list (List.map (( + ) a.sets) (Iset.elements m)))
+      b.marks
   in
-  let n = Array.length succ in
-  Telemetry.observe telemetry "tableau.product_states" (float_of_int n);
-  let acc = Acceptance.And [ lift pairs fst a.acc; lift pairs snd b.acc ] in
-  Option.is_some (accepting ?budget ~n ~succ:(Array.get succ) acc)
+  let marks k = Iset.union a.marks.(k / width) shifted.(k mod width) in
+  let succ k = join width a.succ.(k / width) b.succ.(k mod width) in
+  let r =
+    Emptiness.generalized_buchi ?budget ~sets:(a.sets + b.sets) ~marks ~succ 0
+  in
+  Telemetry.observe telemetry "tableau.product_states" (float_of_int r.visited);
+  r.accepting
 
 let satisfiable ?budget ?telemetry alpha f =
   nonempty (translate ?budget ?telemetry alpha f)
@@ -499,12 +474,20 @@ let equiv ?budget ?telemetry alpha f g =
 let implies ?budget ?telemetry alpha f g =
   valid ?budget ?telemetry alpha (Formula.Imp (f, g))
 
+(* The lasso needs the accepting cycle whole, so the witness takes the
+   Emerson-Lei route: set k as the states marked k, searched over all
+   states, which are numbered by BFS from the start and so reachable. *)
 let witness ?budget ?telemetry alpha f =
   let a = translate ?budget ?telemetry alpha f in
   let succ = next_states a in
-  accepting ~n:a.n ~succ a.acc
+  let acc =
+    Acceptance.And
+      (List.init a.sets (fun k ->
+           Acceptance.Inf (Iset.init a.n (fun q -> Iset.mem k a.marks.(q)))))
+  in
+  Emptiness.accepting_scc ~n:a.n ~succ acc (Iset.init a.n (fun _ -> true))
   |> Option.map (fun s ->
-         let prefix, cycle = Emptiness.lasso ~succ ~starts:[ 0 ] a.acc s in
+         let prefix, cycle = Emptiness.lasso ~succ ~starts:[ 0 ] acc s in
          (* each step reads the first letter of its edge in the row *)
          let rec letters q = function
            | [] -> []
@@ -518,17 +501,21 @@ let witness ?budget ?telemetry alpha f =
            ~cycle:(Array.of_list (letters anchor cycle)))
 
 (* The product of the automaton with the lasso's positions: pair
-   [(q, j)] is state [q] about to read position [j]. *)
+   [(q, j)] is state [q] about to read position [j], the key
+   [q * total + j], in the sets of [q]. *)
 let accepts_lasso a lasso =
   let p = Array.length lasso.Word.prefix in
   let total = p + Array.length lasso.Word.cycle in
   let next_pos j = if j + 1 < total then j + 1 else p in
-  let succ, pairs =
-    explore ~width:total (fun emit q j ->
-        List.iter
-          (fun (letter, q') ->
-            if letter = Word.at lasso j then emit q' (next_pos j))
-          a.succ.(q))
+  let succ k =
+    let q = k / total and j = k mod total in
+    List.filter_map
+      (fun (letter, q') ->
+        if letter = Word.at lasso j then Some ((q' * total) + next_pos j)
+        else None)
+      a.succ.(q)
   in
-  let n = Array.length succ in
-  Option.is_some (accepting ~n ~succ:(Array.get succ) (lift pairs fst a.acc))
+  (Emptiness.generalized_buchi ~sets:a.sets
+     ~marks:(fun k -> a.marks.(k / total))
+     ~succ 0)
+    .accepting

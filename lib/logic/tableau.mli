@@ -47,21 +47,32 @@ val translate :
 (** Number of concrete automaton states. *)
 val size : nba -> int
 
+(** [transitions a q]: the edges out of state [q] (in [0 .. size a - 1],
+    [0] the pre-initial state) as [(letter, target)] pairs, letters
+    ascending. *)
+val transitions : nba -> int -> (Finitary.Alphabet.letter * int) list
+
 (** Does the automaton accept some infinite word?  [satisfiable alpha f]
-    is [nonempty (translate alpha f)]. *)
+    is [nonempty (translate alpha f)].  Decided by
+    {!Emptiness.generalized_buchi} from the pre-initial state: the
+    search stops at the first SCC whose states meet every acceptance
+    set (one per until of the formula). *)
 val nonempty : nba -> bool
 
 (** [intersects a b]: do two automata over the same alphabet accept a
-    common word?  Decided on the reachable part of their synchronous
-    product, whose generalized Buechi condition is both sides' sets, so
+    common word?  Decided on their synchronous product, whose
+    generalized Buechi condition is both sides' sets, so
     [intersects (translate alpha f) (translate alpha g)] is
     [satisfiable alpha (f & g)] without translating the conjunction
     (and without joining the two past closures in one {!Past_tester}).
-    [budget] is ticked once per product state and checked
-    ({!Budget.check}) once per step of the cycle search
-    ({!Emptiness.accepting_scc}).  The search runs in a
-    [tableau.product] span of the ambient telemetry handle, which also
-    records the product size in a [tableau.product_states] histogram.
+    The product is never built whole: {!Emptiness.generalized_buchi}
+    searches it from the pre-initial pair, joining the two successor
+    rows of a pair when it first leaves it, and stops at the first
+    accepting SCC.  An empty product is visited whole; a non-empty one
+    usually in part.  [budget] is ticked once per product state
+    visited.  The search runs in a [tableau.product] span of the
+    ambient telemetry handle, which also records the number of states
+    visited in a [tableau.product_states] histogram.
     @raise Invalid_argument if the two alphabets differ. *)
 val intersects : ?budget:Budget.t -> nba -> nba -> bool
 
@@ -111,5 +122,7 @@ val witness :
   Finitary.Word.lasso option
 
 (** Does the automaton accept the lasso?  (Exact; used to cross-check the
-    translation against {!Semantics}.) *)
+    translation against {!Semantics}.)  Decided by
+    {!Emptiness.generalized_buchi} on the product of the automaton with
+    the lasso's positions, explored as it is searched. *)
 val accepts_lasso : nba -> Finitary.Word.lasso -> bool

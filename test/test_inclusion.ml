@@ -276,10 +276,102 @@ let live_states_alloc_test =
       if words >= 1_000_000. then
         Alcotest.failf "live_states allocated %.0f minor words" words)
 
+(* A generalized Buechi graph for the on-the-fly search: 1..12 states
+   under sparse keys, so that the search's own numbering is exercised,
+   and 0..70 acceptance sets, more than one word of marks.  Some states
+   carry every mark or none; the others carry each set with one
+   per-graph probability.  Sparse edge densities leave many trivial
+   SCCs, some of them fully marked. *)
+type gba = {
+  n : int;
+  start : int;
+  rows : int list array;
+  sets : int;
+  marks : Iset.t array;
+}
+
+let key q = (q * 7919) + 3
+let state k = (k - 3) / 7919
+
+let gen_gba =
+  let open QCheck.Gen in
+  int_range 1 12 >>= fun n ->
+  int_range 0 70 >>= fun sets ->
+  pair (oneofl [ 0.08; 0.2; 0.4 ]) (oneofl [ 0.3; 0.8; 0.97 ])
+  >>= fun (density, share) ->
+  (* the indices of the coins below [p] *)
+  let below p coins =
+    List.concat (List.mapi (fun i c -> if c < p then [ i ] else []) coins)
+  in
+  let row = map (below density) (list_repeat n (float_bound_exclusive 1.)) in
+  let marks =
+    frequency
+      [
+        (1, return (Iset.init sets (fun _ -> true)));
+        (1, return Iset.empty);
+        ( 3,
+          map
+            (fun coins -> Iset.of_list (below share coins))
+            (list_repeat sets (float_bound_exclusive 1.)) );
+      ]
+  in
+  map3
+    (fun start rows marks ->
+      { n; start; rows = Array.of_list rows; sets; marks = Array.of_list marks })
+    (int_bound (n - 1)) (list_repeat n row) (list_repeat n marks)
+
+let print_gba g =
+  Printf.sprintf "start %d, %d sets\n%s" g.start g.sets
+    (String.concat "\n"
+       (List.init g.n (fun q ->
+            Printf.sprintf "%d -> [%s] marks {%s}" q
+              (String.concat "; " (List.map string_of_int g.rows.(q)))
+              (String.concat ","
+                 (List.map string_of_int (Iset.elements g.marks.(q)))))))
+
+(* The search answers as the Emerson-Lei kernel does on the region
+   reachable from the start, with set k as the states marked k; it
+   ticks once per state it discovers, and it discovers the whole region
+   when it finds nothing. *)
+let on_the_fly_agrees g =
+  let succ q = g.rows.(q) in
+  let reach = Array.make g.n false in
+  let rec visit q =
+    if not reach.(q) then begin
+      reach.(q) <- true;
+      List.iter visit (succ q)
+    end
+  in
+  visit g.start;
+  let region = Iset.init g.n (Array.get reach) in
+  let acc =
+    Acceptance.And
+      (List.init g.sets (fun k ->
+           Acceptance.Inf (Iset.init g.n (fun q -> Iset.mem k g.marks.(q)))))
+  in
+  let expected =
+    Option.is_some (Emptiness.accepting_scc ~n:g.n ~succ acc region)
+  in
+  let budget = Budget.make ~fuel:1_000_000 () in
+  let r =
+    Emptiness.generalized_buchi ~budget ~sets:g.sets
+      ~marks:(fun k -> g.marks.(state k))
+      ~succ:(fun k -> List.map key (succ (state k)))
+      (key g.start)
+  in
+  r.accepting = expected
+  && Budget.spent budget = r.visited
+  && r.visited <= Iset.cardinal region
+  && (r.accepting || r.visited = Iset.cardinal region)
+
 let emerson_lei_tests =
   live_states_alloc_test
   :: List.map QCheck_alcotest.to_alcotest
     [
+      QCheck.Test.make ~name:"on-the-fly search = kernel on the reach"
+        ~count:2000
+        (QCheck.make ~print:print_gba gen_gba)
+        on_the_fly_agrees;
       QCheck.Test.make ~name:"kernel = enumerated accepting cycles" ~count:1000
         (arb_small ~depth:4) Emptiness_oracle.automaton_agrees;
       (* depth 2 keeps the oracle's m-fold DNF small enough to expand *)

@@ -301,11 +301,81 @@ let gen_requirement_pair =
   in
   (atoms, a, b)
 
+(* The pairs reachable from [(0, 0)] in the synchronous product,
+   counted by a BFS over the two automata's transitions. *)
+let reachable_pairs a b =
+  let seen = Hashtbl.create 64 and queue = Queue.create () in
+  let visit pair =
+    if not (Hashtbl.mem seen pair) then begin
+      Hashtbl.add seen pair ();
+      Queue.add pair queue
+    end
+  in
+  visit (0, 0);
+  while not (Queue.is_empty queue) do
+    let i, j = Queue.pop queue in
+    List.iter
+      (fun (l, i') ->
+        List.iter
+          (fun (l', j') -> if l = l' then visit (i', j'))
+          (Tableau.transitions b j))
+      (Tableau.transitions a i)
+  done;
+  Hashtbl.length seen
+
+(* [intersects a b] with the ticks it spent and the product states it
+   reports visiting. *)
+let intersects_counted a b =
+  let budget = Budget.make ~fuel:1_000_000_000 () in
+  let t = Telemetry.collector () in
+  let meets =
+    Telemetry.with_ambient t (fun () -> Tableau.intersects ~budget a b)
+  in
+  let visited =
+    match
+      List.assoc_opt "tableau.product_states"
+        (Telemetry.report t).Telemetry.histograms
+    with
+    | Some h -> int_of_float h.Telemetry.sum
+    | None -> Alcotest.fail "no tableau.product_states histogram"
+  in
+  (meets, Budget.spent budget, visited)
+
+(* One tick per product state visited; an empty product is visited
+   whole, a non-empty one only until its first accepting SCC. *)
+let budget_contract a b =
+  let meets, ticks, visited = intersects_counted a b in
+  ticks = visited
+  && if meets then ticks <= reachable_pairs a b
+     else ticks = reachable_pairs a b
+
 (* Lint decides its pairwise matrix on products of the per-requirement
    automata; the compound formulas it used to translate are the oracle *)
 let product_tests =
-  List.map QCheck_alcotest.to_alcotest
+  Alcotest.test_case "a non-empty product stops early" `Quick (fun () ->
+      let a = Tableau.translate pq (f "[] (p -> <> q)")
+      and b = Tableau.translate pq (f "[] <> p") in
+      let meets, ticks, visited = intersects_counted a b in
+      let all = reachable_pairs a b in
+      check "non-empty" true meets;
+      Alcotest.(check int) "one tick per visited state" visited ticks;
+      if ticks >= all then
+        Alcotest.failf "%d ticks on a product of %d reachable pairs" ticks all)
+  :: List.map QCheck_alcotest.to_alcotest
     [
+      QCheck.Test.make ~name:"products tick once per state visited"
+        ~count:300
+        (QCheck.make
+           ~print:(fun (_, a, b) ->
+             Formula.to_string a ^ "  ,  " ^ Formula.to_string b)
+           gen_requirement_pair)
+        (fun (atoms, a, b) ->
+          let alpha = Finitary.Alphabet.of_props (Array.to_list atoms) in
+          let pos g = Tableau.translate alpha g
+          and neg g = Tableau.translate alpha (Formula.Not g) in
+          budget_contract (pos a) (pos b)
+          && budget_contract (pos a) (neg b)
+          && budget_contract (pos b) (neg a));
       QCheck.Test.make ~name:"products agree with the compound formulas"
         ~count:500
         (QCheck.make
