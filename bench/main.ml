@@ -978,12 +978,7 @@ let inclusion_workloads () =
 
 let inclusion_json () =
   let cores = Domain.recommended_domain_count () in
-  let old_engine = Lang.engine () in
-  let timed engine f =
-    Lang.set_engine engine;
-    Fun.protect ~finally:(fun () -> Lang.set_engine old_engine) (fun () ->
-        wall_ns f)
-  in
+  let timed engine f = Lang.with_engine engine (fun () -> wall_ns f) in
   let measured =
     List.map
       (fun (name, mode, f) ->
@@ -1014,7 +1009,7 @@ let inclusion_json () =
   p "  \"cores\": %d,\n" cores;
   p "  \"engine_default\": \"antichain\",\n";
   p "  \"note\": \"explicit = complement-and-product oracle \
-     (Lang.set_engine `Explicit); antichain = on-the-fly Omega.Inclusion; \
+     (Lang.with_engine `Explicit); antichain = on-the-fly Omega.Inclusion; \
      explicit_ns null marks workloads whose explicit product cannot be \
      materialized (rebuilt 10k twins: a 10^8-state table), excluded from \
      the geomean; CI requires geomean_speedup >= 5\",\n";

@@ -86,16 +86,12 @@ let with_jobs jobs f =
       Result.join
         (Engine.protect (fun () -> Pool.with_pool ~jobs:n (fun p -> f (Some p))))
 
-(* [--engine E] selects the language-inclusion engine for this run via
-   the domain-scoped override — not the process-wide setter, so batch
-   drivers embedding the CLI (and concurrent requests in [hpt serve])
-   can never observe another run's engine. *)
-let with_engine engine f =
-  match engine with
-  | None -> f ()
-  | Some s ->
-      Result.bind (Engine.inclusion_engine_of_string s) @@ fun e ->
-      Engine.with_inclusion_engine e f
+(* [--engine E] names the language-inclusion engine; the subcommands
+   hand it to the engine's entry points as [?engine], which scope it to
+   the call (and its pool tasks). *)
+let parse_engine = function
+  | None -> Ok None
+  | Some s -> Result.map Option.some (Engine.inclusion_engine_of_string s)
 
 (* Build the budget and the telemetry handle, run [f] on them, and map
    the result to an exit code.  [Budget.make] validates its arguments
@@ -144,10 +140,11 @@ let classify_cmd =
   in
   let run props chars fuel timeout_ms stats trace jobs engine formulas =
     with_observability fuel timeout_ms stats trace @@ fun budget telemetry ->
-    with_engine engine @@ fun () ->
+    Result.bind (parse_engine engine) @@ fun engine ->
     with_jobs jobs @@ fun pool ->
     let results =
-      Engine.classify_batch ~budget ~telemetry ?pool ?props ?chars formulas
+      Engine.classify_batch ~budget ~telemetry ?pool ?engine ?props ?chars
+        formulas
     in
     let batch = List.length formulas > 1 in
     let code_of formula_s = function
@@ -371,7 +368,8 @@ let semantic_arg =
 (* Load the model, merge its inline [spec] directives (origin = the
    model file itself) with the given requirements, and run the full
    model-aware analysis. *)
-let run_model_analysis ~budget ~telemetry ~mode ?pool ~format path specs =
+let run_model_analysis ~budget ~telemetry ~mode ?pool ?engine ~format path
+    specs =
   Result.bind (Engine.protect (fun () -> Fts.Parse.load ~budget path))
   @@ fun (sys, inline) ->
   let inline_specs =
@@ -386,7 +384,7 @@ let run_model_analysis ~budget ~telemetry ~mode ?pool ~format path specs =
     (fun v ->
       print_verdict format v;
       verdict_exit_code v)
-    (Engine.analyze ~budget ~telemetry ~mode ?pool ~model:sys
+    (Engine.analyze ~budget ~telemetry ~mode ?pool ?engine ~model:sys
        (inline_specs @ specs))
 
 let lint_cmd =
@@ -405,7 +403,7 @@ let lint_cmd =
   let run fuel timeout_ms stats trace jobs engine file model format syntactic
       semantic specs =
     with_observability fuel timeout_ms stats trace @@ fun budget telemetry ->
-    with_engine engine @@ fun () ->
+    Result.bind (parse_engine engine) @@ fun engine ->
     with_jobs jobs @@ fun pool ->
     Result.bind (lint_mode syntactic semantic) @@ fun mode ->
     Result.bind (specs_of_file file) @@ fun file_specs ->
@@ -413,7 +411,8 @@ let lint_cmd =
     let all = file_specs @ cli_specs in
     match model with
     | Some path ->
-        run_model_analysis ~budget ~telemetry ~mode ?pool ~format path all
+        run_model_analysis ~budget ~telemetry ~mode ?pool ?engine ~format path
+          all
     | None ->
         if all = [] then
           Error
@@ -431,7 +430,7 @@ let lint_cmd =
               in
               print_verdict format v;
               verdict_exit_code v)
-            (Engine.lint ~budget ~telemetry ~mode ?pool
+            (Engine.lint ~budget ~telemetry ~mode ?pool ?engine
                (List.map (fun (n, s, _) -> (n, s)) all))
   in
   let info =
@@ -467,12 +466,12 @@ let analyze_cmd =
   let run fuel timeout_ms stats trace jobs engine file format syntactic
       semantic cli_specs model =
     with_observability fuel timeout_ms stats trace @@ fun budget telemetry ->
-    with_engine engine @@ fun () ->
+    Result.bind (parse_engine engine) @@ fun engine ->
     with_jobs jobs @@ fun pool ->
     Result.bind (lint_mode syntactic semantic) @@ fun mode ->
     Result.bind (specs_of_file file) @@ fun file_specs ->
     Result.bind (specs_of_cli cli_specs) @@ fun extra_specs ->
-    run_model_analysis ~budget ~telemetry ~mode ?pool ~format model
+    run_model_analysis ~budget ~telemetry ~mode ?pool ?engine ~format model
       (file_specs @ extra_specs)
   in
   let info =
@@ -562,10 +561,10 @@ let serve_cmd =
   in
   let pool_jobs_arg =
     let doc =
-      "Domains in the pool shared by the workers: a lint or analyze \
-       request fans its per-requirement pass and pairwise matrix out \
-       across $(docv) domains; a classify or equiv request runs on one.  \
-       1 (the default) keeps each request sequential."
+      "Domains in the pool shared by the workers, which pass it to \
+       every lint request: its per-requirement pass and pairwise matrix \
+       fan out across $(docv) domains; a classify or equiv request runs \
+       on one.  1 (the default) keeps each request sequential."
     in
     Arg.(
       value

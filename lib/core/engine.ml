@@ -34,7 +34,7 @@ let protect ?(budget = Budget.unlimited) ?(telemetry = Telemetry.disabled) f =
   let structural what size =
     Error (Budget_exceeded (Budget.structural budget ~what ~size))
   in
-  (* install the handle as the process ambient for the duration of the
+  (* install the handle as the domain's ambient for the duration of the
      entry point, so the leaf kernels (Graph_kernel, the successors
      memo, the Lang caches) report into the same collector *)
   try Ok (Telemetry.with_ambient telemetry f) with
@@ -73,25 +73,12 @@ let pp_error ppf = function
 
 type inclusion_engine = Omega.Lang.engine
 
-let set_inclusion_engine = Omega.Lang.set_engine
-let inclusion_engine = Omega.Lang.engine
-let with_inclusion_engine = Omega.Lang.with_engine
-let with_caches = Omega.Lang.with_caches
-
-(* The [?engine] parameters below install a scoped override for the
-   duration of the entry point, so every inclusion query it spawns —
-   including on pool worker domains, via the [Ambient] snapshot — uses
-   the request's engine without touching the process default. *)
+(* The [?engine] parameters below install the engine for the duration
+   of the entry point, so every inclusion query it spawns — including
+   on pool worker domains, which [Pool.map] hands the engine to — uses
+   the request's engine. *)
 let with_scoped ?engine f =
   match engine with None -> f () | Some e -> Omega.Lang.with_engine e f
-
-(* An explicit [?pool] wins; otherwise the batch entry points pick up
-   the domain-local default installed by [Pool.with_ambient] (the serve
-   workers install one around request handling), so they fan out
-   without each call site having to thread the handle. *)
-let effective_pool = function
-  | Some _ as p -> p
-  | None -> Pool.ambient ()
 
 let inclusion_engine_of_string = function
   | "antichain" -> Ok (`Antichain : inclusion_engine)
@@ -240,7 +227,7 @@ let classify ?budget ?telemetry ?engine ?props ?chars s =
    so the result list is identical at every job count. *)
 let classify_batch ?(budget = Budget.unlimited)
     ?(telemetry = Telemetry.disabled) ?pool ?engine ?props ?chars inputs =
-  match effective_pool pool with
+  match pool with
   | None ->
       List.map
         (fun s -> classify ~budget ~telemetry ?engine ?props ?chars s)
@@ -345,14 +332,12 @@ let witness ?(budget = Budget.unlimited) ?(telemetry = Telemetry.disabled)
 
 let lint ?(budget = Budget.unlimited) ?(telemetry = Telemetry.disabled) ?mode
     ?pool ?engine specs =
-  let pool = effective_pool pool in
   protect ~budget ~telemetry @@ fun () ->
   with_scoped ?engine @@ fun () ->
   Lint.lint_strings ~budget ?mode ?pool specs
 
 let analyze ?(budget = Budget.unlimited) ?(telemetry = Telemetry.disabled)
     ?mode ?pool ?engine ~model specs =
-  let pool = effective_pool pool in
   protect ~budget ~telemetry @@ fun () ->
   with_scoped ?engine @@ fun () ->
   let lint_verdict =

@@ -77,44 +77,27 @@ val protect :
     exception becomes the corresponding {!type:error}; anything else
     becomes [Internal].  [budget] is only used to stamp the tick count
     on structural-limit exhaustions.  [telemetry] is installed as the
-    process-wide ambient handle for the duration of the thunk (see
+    calling domain's ambient handle for the duration of the thunk (see
     {!Telemetry.with_ambient}), so the shared leaf kernels report into
     the caller's collector. *)
 
 (** {2 Inclusion-engine selection}
 
     The language-inclusion engine behind every classification, lint
-    and equivalence query (see {!Omega.Lang.set_engine}):
-    [`Antichain] (default) is the lazy on-the-fly engine, [`Explicit]
-    the complement-and-product oracle.  Verdicts are identical — the
+    and equivalence query (see {!Omega.Lang.engine}): [`Antichain]
+    (default) is the lazy on-the-fly engine, [`Explicit] the
+    complement-and-product oracle, which decides every inclusion
+    independently of {!Omega.Inclusion}.  Verdicts are identical — the
     [hpt --engine] flag exists so any run can be replayed on the
     oracle.
 
-    Selection is layered (see {!Omega.Lang}): per-call [?engine]
-    arguments beat the domain-scoped {!with_inclusion_engine}
-    override, which beats the process-wide {!set_inclusion_engine}
-    default.  Concurrent hosts — anything where two requests may be
-    in flight at once, like the serve daemon — must use the scoped
-    forms: the global setter is visible to every in-flight request on
-    every domain. *)
+    An entry point's [?engine] argument sets the engine for that call
+    only, through the domain-scoped {!Omega.Lang.with_engine}, and
+    reaches the call's pool tasks; omitted, the caller's scope
+    applies.  Nothing is process-wide, so concurrent requests (the
+    serve daemon) cannot see each other's engine. *)
 
 type inclusion_engine = Omega.Lang.engine
-
-val set_inclusion_engine : inclusion_engine -> unit
-(** Process-wide default.  Fine in a one-shot CLI; wrong in a server. *)
-
-val inclusion_engine : unit -> inclusion_engine
-(** The calling domain's effective engine (scoped override if
-    installed, else the process default). *)
-
-val with_inclusion_engine : inclusion_engine -> (unit -> 'a) -> 'a
-(** Scoped, calling-domain-only override (restored afterwards, also on
-    exceptions); {!Pool} tasks submitted inside inherit it via the
-    {!Ambient} snapshot. *)
-
-val with_caches : bool -> (unit -> 'a) -> 'a
-(** Scoped override of {!Omega.Lang.set_caches}'s toggle, same
-    discipline as {!with_inclusion_engine}. *)
 
 val inclusion_engine_of_string :
   string -> (inclusion_engine, error) result

@@ -119,9 +119,6 @@ let constant_subterms spanned =
 
 let lint_parsed ?budget ?(mode = Auto) ?pool
     (specs : (string * Logic.Formula.t * (string * Logic.Parser.spanned) option) list) =
-  (* explicit [?pool] wins; otherwise pick up the domain-local default
-     (see [Pool.with_ambient]) *)
-  let pool = match pool with Some _ as p -> p | None -> Pool.ambient () in
   let atoms =
     List.sort_uniq compare
       (List.concat_map (fun (_, f, _) -> Logic.Formula.atoms f) specs)

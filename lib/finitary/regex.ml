@@ -40,7 +40,11 @@ let parse_int st =
     advance st
   done;
   if st.pos = start then fail st "expected integer";
-  int_of_string (String.sub st.src start (st.pos - start))
+  match int_of_string_opt (String.sub st.src start (st.pos - start)) with
+  | Some k -> k
+  | None ->
+      st.pos <- start;
+      fail st "integer too large"
 
 let rec parse_expr st =
   let t = parse_term st in

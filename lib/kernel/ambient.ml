@@ -1,17 +1,10 @@
-type wrapper = { wrap : 'a. (unit -> 'a) -> 'a }
+type engine = [ `Antichain | `Explicit ]
 
-let identity = { wrap = (fun f -> f ()) }
+let engine_key : engine Domain.DLS.key = Domain.DLS.new_key (fun () -> `Antichain)
 
-let compose outer inner = { wrap = (fun f -> outer.wrap (fun () -> inner.wrap f)) }
+let engine () = Domain.DLS.get engine_key
 
-(* Registration happens at module-initialisation time (single-threaded
-   in practice), but keep the list behind an [Atomic] so a late
-   registration racing a capture is merely unordered, never torn. *)
-let providers : (unit -> wrapper) list Atomic.t = Atomic.make []
-
-let rec register p =
-  let cur = Atomic.get providers in
-  if not (Atomic.compare_and_set providers cur (cur @ [ p ])) then register p
-
-let capture () =
-  List.fold_left (fun acc p -> compose acc (p ())) identity (Atomic.get providers)
+let with_engine e f =
+  let old = Domain.DLS.get engine_key in
+  Domain.DLS.set engine_key e;
+  Fun.protect ~finally:(fun () -> Domain.DLS.set engine_key old) f

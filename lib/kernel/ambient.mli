@@ -1,40 +1,27 @@
-(** Propagation of domain-local ambient configuration into forked
-    tasks.
+(** The one piece of scoped configuration that crosses a fork: the
+    language-inclusion engine.
 
-    Several layers keep a piece of {e scoped} configuration in
-    domain-local storage so that concurrent requests cannot race each
-    other's settings: the {!Telemetry} ambient handle, the
-    language-inclusion engine override ([Omega.Lang.with_engine]), the
-    cache toggles.  Scoping via [Domain.DLS] is exactly right within
-    one domain — and silently wrong across a fork: a [Pool] task runs
-    on a worker domain whose DLS slots still hold the defaults, so a
-    request that selected the explicit oracle would fan out onto
-    workers running the antichain engine.
+    The slot lives in domain-local storage, so concurrent requests on
+    different domains cannot race each other's setting.  Scoping by
+    [Domain.DLS] is right within one domain and wrong across a fork: a
+    {!Pool} task runs on a worker domain whose slot still holds the
+    default.  [Pool.map] therefore reads {!engine} once per batch on
+    the {e submitting} domain and re-installs it with {!with_engine}
+    around every task body, so a request that selected the explicit
+    oracle never fans out onto workers running the antichain engine.
 
-    This module is the bridge.  A layer that owns a DLS-scoped setting
-    {!register}s a {e provider}; {!capture} (called by the forking
-    layer on the {e submitting} domain) snapshots every registered
-    setting into a single polymorphic wrapper, and the fork installs
-    that wrapper around each task body on whichever domain runs it.
-    [Pool.map] does this once per batch, so every task observes the
-    submitter's effective configuration — deterministically, because
-    the snapshot is taken before any task starts.
+    [Omega.Lang.engine] and [Omega.Lang.with_engine] are this slot; it
+    sits in the kernel only because [Pool] must reach it. *)
 
-    Providers must be cheap (a DLS read) and must restore the previous
-    value on exit, also on exceptions.  Registration happens at module
-    initialisation and is not synchronised beyond an [Atomic]. *)
+type engine = [ `Antichain | `Explicit ]
+(** [`Antichain]: the on-the-fly inclusion engine ([Omega.Inclusion]);
+    [`Explicit]: the complement-and-product oracle. *)
 
-type wrapper = { wrap : 'a. (unit -> 'a) -> 'a }
-(** A scoped installer: [w.wrap f] runs [f] with some captured
-    configuration installed, restoring the previous state afterwards
-    (also on exceptions). *)
+val engine : unit -> engine
+(** The calling domain's engine; [`Antichain] unless an enclosing
+    {!with_engine} says otherwise. *)
 
-val register : (unit -> wrapper) -> unit
-(** [register provider] adds a provider to the global registry.
-    [provider ()] is called at every {!capture}, on the capturing
-    domain, and must return the wrapper that re-installs the
-    currently-effective setting. *)
-
-val capture : unit -> wrapper
-(** Snapshot every registered provider on the calling domain and
-    compose the wrappers (registration order, outermost first). *)
+val with_engine : engine -> (unit -> 'a) -> 'a
+(** [with_engine e f] runs [f ()] with the engine set to [e] on the
+    calling domain, restoring the previous value afterwards (also on
+    exceptions). *)

@@ -96,31 +96,6 @@ let with_pool ~jobs f =
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
 (* ------------------------------------------------------------------ *)
-(* Ambient default pool                                                *)
-(* ------------------------------------------------------------------ *)
-
-(* A DLS-scoped default pool, used by layers (Engine, Lint, the serve
-   workers) when the caller did not pass an explicit [?pool].  The
-   scope is registered with [Ambient] so pool tasks inherit it. *)
-let ambient_key : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-
-let ambient () =
-  match Domain.DLS.get ambient_key with
-  | Some p when not p.stop -> Some p
-  | _ -> None
-
-let with_ambient p f =
-  let prev = Domain.DLS.get ambient_key in
-  Domain.DLS.set ambient_key (Some p);
-  Fun.protect ~finally:(fun () -> Domain.DLS.set ambient_key prev) f
-
-let () =
-  Ambient.register (fun () ->
-      match Domain.DLS.get ambient_key with
-      | None -> { Ambient.wrap = (fun f -> f ()) }
-      | Some p -> { Ambient.wrap = (fun f -> with_ambient p f) })
-
-(* ------------------------------------------------------------------ *)
 (* The batch map                                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -172,8 +147,8 @@ let map ?(budget = Budget.unlimited) ?telemetry t f items =
   if inline && (not record) && Budget.is_unlimited budget then
     (* Bare path: an unlimited parent cannot trip (its replicas would
        be unlimited too, and spent charges back to a counter nothing
-       reads), disabled telemetry drops every per-task report, and the
-       ambient snapshot would re-install what is already installed.
+       reads), disabled telemetry drops every per-task report, and
+       re-installing the engine would install what is already there.
        Skipping that scaffolding is what holds the tiny-batch jobs=1
        overhead gate at <= 1.004. *)
     as_task (fun () ->
@@ -185,8 +160,9 @@ let map ?(budget = Budget.unlimited) ?telemetry t f items =
     let spent = Array.make n 0 in
     let reports = Array.make n None in
     let halt_from = Atomic.make n in
-    (* taken here, on the submitting domain, before any task starts *)
-    let inherited = if inline then None else Some (Ambient.capture ()) in
+    (* read here, on the submitting domain, before any task starts; an
+       inline batch runs where it is already installed *)
+    let engine = if inline then None else Some (Ambient.engine ()) in
     let exec i =
       if Atomic.get halt_from > i then begin
         let poll () = if Atomic.get halt_from <= i then raise Cancelled in
@@ -197,7 +173,9 @@ let map ?(budget = Budget.unlimited) ?telemetry t f items =
               f { budget = tb; telemetry = tc; index = i } arr.(i))
         in
         (match
-           match inherited with None -> body () | Some a -> a.Ambient.wrap body
+           match engine with
+           | None -> body ()
+           | Some e -> Ambient.with_engine e body
          with
         | v -> slots.(i) <- Done v
         | exception Cancelled when Atomic.get halt_from <= i -> ()

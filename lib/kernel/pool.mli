@@ -28,11 +28,10 @@
       collectors up to the stop index are merged into the caller's
       handle in index order, and the replicas' spent fuel is charged
       back to the parent budget ([Budget.absorb]) over the same prefix.
-    - The submitting domain's ambient configuration ({!Ambient}
-      providers: the scoped inclusion-engine, cache-toggle and
-      default-pool overrides) is snapshotted once per batch and
-      re-installed around every task body, so tasks see the
-      submitter's settings rather than their worker domain's defaults.
+    - The submitting domain's inclusion engine ({!Ambient.engine}) is
+      read once per batch and re-installed around every task body, so
+      tasks use the submitter's engine rather than their worker
+      domain's default.
 
     Cancellation is a pure optimisation: a failure at index [i] lowers
     a watermark that later-indexed tasks observe at task start and —
@@ -71,18 +70,6 @@ val shutdown : t -> unit
 
 val with_pool : jobs:int -> (t -> 'a) -> 'a
 (** [create], run, [shutdown] — also on exceptions. *)
-
-val ambient : unit -> t option
-(** The pool installed by the innermost enclosing {!with_ambient} on
-    this domain, if any (and not shut down).  Pool-aware layers
-    ([Engine], [Lint], the serve workers) consult this when no
-    explicit pool was passed. *)
-
-val with_ambient : t -> (unit -> 'a) -> 'a
-(** [with_ambient p f] runs [f] with [p] as the domain-local default
-    pool, restoring the previous default afterwards (also on
-    exceptions).  The scope is registered as an {!Ambient} provider,
-    so tasks inherit the submitter's default. *)
 
 type ctx = {
   budget : Budget.t;  (** this task's replica budget — tick this *)

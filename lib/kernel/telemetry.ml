@@ -300,8 +300,6 @@ let ambient_key = Domain.DLS.new_key (fun () -> ref disabled)
 
 let ambient () = !(Domain.DLS.get ambient_key)
 
-let set_ambient t = Domain.DLS.get ambient_key := t
-
 let with_ambient t f =
   let cell = Domain.DLS.get ambient_key in
   let old = !cell in

@@ -133,8 +133,6 @@ val observe : t -> string -> float -> unit
 
 val ambient : unit -> t
 
-val set_ambient : t -> unit
-
 val with_ambient : t -> (unit -> 'a) -> 'a
 (** Install a handle, run, restore the previous one (also on
     exceptions). *)

@@ -158,33 +158,6 @@ let union = product (fun x y -> Acceptance.Or [ x; y ])
 
 let diff a b = inter a (complement b)
 
-let memoize_successors = Atomic.make true
-
-let set_successors_memo b = Atomic.set memoize_successors b
-
-(* Scoped override of the process-wide toggle.  [Domain.DLS] rather
-   than a dynamic-binding ref so concurrent requests in the serve
-   daemon can disagree about the setting without a lock; the [Ambient]
-   provider re-installs the submitting domain's effective value around
-   pool tasks (see [Pool]'s determinism contract). *)
-let memo_override : bool option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
-let successors_memo_enabled () =
-  match Domain.DLS.get memo_override with
-  | Some b -> b
-  | None -> Atomic.get memoize_successors
-
-let with_successors_memo b f =
-  let old = Domain.DLS.get memo_override in
-  Domain.DLS.set memo_override (Some b);
-  Fun.protect ~finally:(fun () -> Domain.DLS.set memo_override old) f
-
-let () =
-  Ambient.register (fun () ->
-      let m = successors_memo_enabled () in
-      { Ambient.wrap = (fun f -> with_successors_memo m f) })
-
 (* Deduplicated, sorted successor list of one state.  Below 64 states
    the dedup runs through a single int bitmask — [List.sort_uniq]'s
    closure and list churn is measurable on the tiny-graph benches. *)
@@ -217,7 +190,7 @@ let successors a q =
          traversals from paying for states they never visit *)
       Telemetry.incr (Telemetry.ambient ()) "automaton.successors.miss";
       let l = succ_row a q in
-      if successors_memo_enabled () then table.(q) <- l;
+      table.(q) <- l;
       l
   | l ->
       Telemetry.incr (Telemetry.ambient ()) "automaton.successors.hit";

@@ -86,27 +86,6 @@ val trim : t -> t
     recompute it — never a torn one. *)
 val successors : t -> int -> int list
 
-(** [set_successors_memo false] disables the {!successors} memo
-    process-wide (every call recomputes its row).  Test instrumentation
-    for differential cache-consistency checks — not for production
-    use.  Default: enabled.  The toggle is an [Atomic] read on the
-    fill path, so flipping it cannot race with concurrent fills. *)
-val set_successors_memo : bool -> unit
-
-(** [with_successors_memo b f] runs [f ()] with the memo toggle forced
-    to [b] {e on the calling domain only} (a [Domain.DLS] override of
-    the process-wide default; restored afterwards, also on
-    exceptions).  Registered as a {!Kernel.Ambient} provider, so
-    {!Pool} tasks inherit the submitting domain's effective value.
-    This is the form long-lived hosts (the serve daemon) must use:
-    unlike {!set_successors_memo} it cannot leak a flipped toggle into
-    unrelated concurrent requests. *)
-val with_successors_memo : bool -> (unit -> 'a) -> 'a
-
-(** The effective toggle for the calling domain: the scoped override
-    if one is installed, the process-wide default otherwise. *)
-val successors_memo_enabled : unit -> bool
-
 (** Strongly connected components (iterative Tarjan via
     {!Graph_kernel}), in topological order of the component DAG. *)
 val sccs : t -> int list list

@@ -47,32 +47,12 @@ let witness (a : Automaton.t) =
 (* ------------------------------------------------------------------ *)
 
 (* Complements are cheap to build (dual acceptance) but [equal] and the
-   classification procedures ask for the same ones repeatedly, and a
-   long-lived server sees the same specifications across requests.
-   The cache is a shared, size-bounded [Kernel.Cache] keyed by the
-   automaton's [uid] (complement construction is deterministic and a
-   uid never denotes two different automata, so entries cannot go
-   stale; eviction only costs a rebuild).  The enable toggle is an
-   [Atomic] so a test flipping it mid-run cannot tear, with a
-   [Domain.DLS] scoped override on top so the serve daemon can pin a
-   per-request setting without racing other requests; lookups are
-   gated on the effective value — a disabled cache must not serve hits
-   out of previously-warmed entries, including entries warmed by other
-   domains. *)
-let use_caches = Atomic.make true
-
-let caches_override : bool option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
-let caches_enabled () =
-  match Domain.DLS.get caches_override with
-  | Some b -> b
-  | None -> Atomic.get use_caches
-
-let with_caches b f =
-  let old = Domain.DLS.get caches_override in
-  Domain.DLS.set caches_override (Some b);
-  Fun.protect ~finally:(fun () -> Domain.DLS.set caches_override old) f
+   classification procedures ask for the same ones repeatedly on the
+   explicit path, and a long-lived server sees the same specifications
+   across requests.  The cache is a shared, size-bounded [Kernel.Cache]
+   keyed by the automaton's [uid] (complement construction is
+   deterministic and a uid never denotes two different automata, so
+   entries cannot go stale; eviction only costs a rebuild). *)
 
 (* Resident bytes attributable to keeping a cached automaton alive:
    the transition table dominates ([n] rows of [k] boxed-free ints),
@@ -93,101 +73,39 @@ let set_complement_cache_capacity c = Cache.set_capacity complement_cache c
 
 let complement_cache_stats () = Cache.stats complement_cache
 
-let set_caches b =
-  Atomic.set use_caches b;
-  if not b then begin
-    (* also drop resident entries: the toggle gates lookups, so this
-       is about memory, not correctness *)
-    Cache.invalidate complement_cache
-  end
-
 let cached_complement a =
   Telemetry.incr (Telemetry.ambient ()) "lang.complement.request";
-  if not (caches_enabled ()) then begin
-    Telemetry.incr (Telemetry.ambient ()) "lang.complement.miss";
-    Automaton.complement a
-  end
-  else
-    (* [Cache.find] inside counts the [lang.complement.hit]/[.miss] *)
-    Cache.find_or_add complement_cache a.Automaton.uid (fun () ->
-        Automaton.complement a)
+  (* [Cache.find] inside counts the [lang.complement.hit]/[.miss] *)
+  Cache.find_or_add complement_cache a.Automaton.uid (fun () ->
+      Automaton.complement a)
 
 (* ------------------------------------------------------------------ *)
 (* Engine selection                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* [`Antichain] routes different-table queries through the on-the-fly
-   engine ({!Inclusion}); [`Explicit] keeps the historical
-   complement-and-product path, retained as the differential-test
-   oracle.  The same-table fast path below is engine-independent: both
-   engines would take it anyway, and keeping it here keeps the
-   [lang.included.same_table] accounting identical across engines.
-   Selection layers a [Domain.DLS] scoped override ([with_engine]) on
-   the process-wide default ([set_engine]): scoped is what concurrent
-   hosts must use — a global flip is visible to every in-flight
-   request on every domain. *)
-type engine = [ `Antichain | `Explicit ]
+(* [`Antichain] routes every query through the on-the-fly engine
+   ({!Inclusion}, which short-cuts operands sharing one transition
+   table); [`Explicit] always builds the complement-and-product, so the
+   oracle replays same-table queries independently too.  The slot is
+   the kernel's [Ambient] one, which [Pool.map] carries into tasks. *)
+type engine = Ambient.engine
 
-let engine_slot : engine Atomic.t = Atomic.make `Antichain
-let set_engine (e : engine) = Atomic.set engine_slot e
+let engine = Ambient.engine
+let with_engine = Ambient.with_engine
 
-let engine_override : engine option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
-let engine () : engine =
-  match Domain.DLS.get engine_override with
-  | Some e -> e
-  | None -> Atomic.get engine_slot
-
-let with_engine e f =
-  let old = Domain.DLS.get engine_override in
-  Domain.DLS.set engine_override (Some e);
-  Fun.protect ~finally:(fun () -> Domain.DLS.set engine_override old) f
-
-(* Pool tasks run on worker domains whose DLS knows nothing of the
-   submitter's scoped overrides; the provider snapshots the effective
-   values so [Pool.map] can re-install them around each task. *)
-let () =
-  Ambient.register (fun () ->
-      let e = engine () and c = caches_enabled () in
-      { Ambient.wrap = (fun f -> with_engine e (fun () -> with_caches c f)) })
-
-let effective_engine = function Some e -> e | None -> engine ()
-
-let is_universal ?engine a =
-  match effective_engine engine with
+let is_universal a =
+  match engine () with
   | `Antichain -> Inclusion.is_universal a
   | `Explicit -> is_empty (cached_complement a)
 
-(* When both automata share one transition structure (safety closures,
-   liveness extensions and [with_acc] variants all reuse the argument's
-   table), every word has the same run in both, so inclusion is
-   emptiness of [acc_a /\ not acc_b] over that {e same} graph — no
-   quadratic product needed. *)
-let included ?pool:_ ?engine a b =
-  if
-    (* physical checks first: the common different-table case then
-       skips the DLS read behind [caches_enabled] entirely *)
-    a.Automaton.delta == b.Automaton.delta
-    && a.Automaton.start = b.Automaton.start
-    && caches_enabled ()
-  then begin
-    Telemetry.incr (Telemetry.ambient ()) "lang.included.same_table";
-    is_empty
-      (Automaton.with_acc a
-         (Acceptance.simplify
-            (Acceptance.And [ a.Automaton.acc; Acceptance.dual b.Automaton.acc ])))
-  end
-  else
-    match effective_engine engine with
-    | `Antichain ->
-        Telemetry.incr (Telemetry.ambient ()) "lang.included.antichain";
-        Inclusion.included a b
-    | `Explicit ->
-        Telemetry.incr (Telemetry.ambient ()) "lang.included.product";
-        is_empty (Automaton.inter a (cached_complement b))
+let included ?pool:_ a b =
+  match engine () with
+  | `Antichain -> Inclusion.included a b
+  | `Explicit ->
+      Telemetry.incr (Telemetry.ambient ()) "lang.included.product";
+      is_empty (Automaton.inter a (cached_complement b))
 
-let equal ?engine a b = included ?engine a b && included ?engine b a
+let equal a b = included a b && included b a
 
 let distinguishing_witness a b =
   match witness (Automaton.diff a b) with

@@ -15,71 +15,44 @@ val is_empty : Automaton.t -> bool
     read back as the first letter taking it. *)
 val witness : Automaton.t -> Finitary.Word.lasso option
 
-(** The engine behind {!included}/{!equal}/{!is_universal} on operands
-    with distinct transition tables: [`Antichain] (the default)
-    explores the product lazily via {!Inclusion}; [`Explicit] builds
-    the complement and the full product — asymptotically worse, kept
-    as the differential-test oracle.  Verdicts are identical; only
-    cost and telemetry counters differ.
+(** The engine behind {!included}/{!equal}/{!is_universal}:
+    [`Antichain] (the default) explores the product lazily via
+    {!Inclusion}, short-cutting operands that share one transition
+    table; [`Explicit] builds the complement and the full product on
+    every query, same-table pairs included — asymptotically worse,
+    kept as the independent differential-test oracle.  Verdicts are
+    identical; only cost and telemetry counters differ.
 
-    Selection is layered: every query takes an optional [?engine]
-    argument; absent that, a [Domain.DLS] scoped override installed by
-    {!with_engine} applies; absent both, the process-wide default set
-    by {!set_engine}.  Long-lived concurrent hosts (the serve daemon)
-    must use the scoped forms — a global flip is visible to every
-    in-flight request on every domain. *)
-type engine = [ `Antichain | `Explicit ]
-
-val set_engine : engine -> unit
-(** Set the process-wide default engine ([Atomic]; safe but global —
-    prefer {!with_engine} anywhere requests may overlap). *)
+    The engine is one domain-scoped value ({!Kernel.Ambient}): set it
+    for a scope with {!with_engine}; {!Pool} tasks submitted inside
+    the scope inherit it on their worker domains. *)
+type engine = Ambient.engine
 
 val engine : unit -> engine
-(** The calling domain's effective engine: the scoped override if one
-    is installed, the process-wide default otherwise. *)
+(** The calling domain's engine ([`Antichain] outside any
+    {!with_engine}). *)
 
 val with_engine : engine -> (unit -> 'a) -> 'a
-(** [with_engine e f] runs [f ()] with the engine forced to [e] on the
-    calling domain only (restored afterwards, also on exceptions).
-    Registered as a {!Kernel.Ambient} provider: {!Pool} tasks
-    submitted inside [f] inherit [e] on their worker domains. *)
+(** [with_engine e f] runs [f ()] with the engine set to [e] on the
+    calling domain (restored afterwards, also on exceptions). *)
 
 (** Does the automaton accept every infinite word? *)
-val is_universal : ?engine:engine -> Automaton.t -> bool
+val is_universal : Automaton.t -> bool
 
-(** Language inclusion / equality.  Three mechanisms cut the repeated
-    work: a same-transition-table fast path that replaces any product
-    with an acceptance-only emptiness check (engine-independent), the
-    lazy {!Inclusion} engine for different-table queries (default),
-    and — on the explicit oracle path — a shared size-bounded
-    complement cache ({!Kernel.Cache}, keyed by {!Automaton.t.uid}).
-    All report counters to the ambient {!Telemetry} handle
-    ([lang.complement.request/hit/miss],
-    [lang.included.same_table/antichain/product]).  One inclusion
-    runs sequentially: the pool argument is accepted and ignored, and
-    stays only because [perfbench/w_large.ml] passes one; it goes when
-    that file may change (ROADMAP item 6). *)
-val included : ?pool:Pool.t -> ?engine:engine -> Automaton.t -> Automaton.t -> bool
+(** Language inclusion / equality under the current {!engine}.  The
+    explicit path draws complements from a shared size-bounded cache
+    ({!Kernel.Cache}, keyed by {!Automaton.t.uid}).  Counters go to
+    the ambient {!Telemetry} handle: [lang.included.product] and
+    [lang.complement.request/hit/miss] on the explicit path, and
+    {!Inclusion}'s own [inclusion.*] counters on the antichain path.
+    One inclusion runs sequentially: the pool argument is accepted and
+    ignored, and stays only because [perfbench/w_large.ml] passes one;
+    it goes when that file may change (ROADMAP item 6). *)
+val included : ?pool:Pool.t -> Automaton.t -> Automaton.t -> bool
 
-val equal : ?engine:engine -> Automaton.t -> Automaton.t -> bool
+val equal : Automaton.t -> Automaton.t -> bool
 (** Both inclusion directions, in order: the second runs only when the
     first holds. *)
-
-(** [set_caches false] disables the complement cache and the
-    same-table fast path, forcing the cold path on every
-    query (and dropping resident entries — the caches are shared
-    across domains, so this reaches entries warmed by pool workers
-    too).  Test instrumentation for differential cache-consistency
-    checks — not for production use.  Default: enabled.  Lookups are
-    gated on the effective toggle, so a disabled cache never serves a
-    previously-warmed hit. *)
-val set_caches : bool -> unit
-
-val with_caches : bool -> (unit -> 'a) -> 'a
-(** Scoped, calling-domain-only override of the {!set_caches} toggle
-    (restored afterwards, also on exceptions); a {!Kernel.Ambient}
-    provider propagates it into {!Pool} tasks.  The form concurrent
-    hosts must use. *)
 
 val set_complement_cache_capacity : int -> unit
 (** Bound (in approximate resident bytes) on the shared complement

@@ -221,7 +221,7 @@ let of_engine_result ~exhausted_of = function
       | body, Some e -> (body, `Degraded e))
   | Error e -> (Protocol.engine_error_body e, `Error e)
 
-let compute ~budget (req : Protocol.request) =
+let compute ~budget ?pool (req : Protocol.request) =
   let engine = req.Protocol.engine in
   match req.Protocol.op with
   | Protocol.Classify { formula; props; chars } ->
@@ -239,7 +239,7 @@ let compute ~budget (req : Protocol.request) =
   | Protocol.Lint { specs } ->
       of_engine_result
         ~exhausted_of:(fun v -> (Protocol.lint_body v, None))
-        (Engine.lint ~budget ?engine specs)
+        (Engine.lint ~budget ?pool ?engine specs)
   | Protocol.Spin { ms } ->
       (* deliberately never polls the budget: exists to exercise the
          watchdog under --debug-ops *)
@@ -288,7 +288,7 @@ let process_request t p =
         reply t p body ~outcome:"ok" ~code:None ~cache:"hit"
     | None ->
         if key <> None then Atomic.incr t.c.cache_misses;
-        let body, outcome = compute ~budget:p.budget p.preq in
+        let body, outcome = compute ~budget:p.budget ?pool:t.pool p.preq in
         let cache = if key = None then "none" else "miss" in
         (match outcome with
         | `Ok ->
@@ -311,7 +311,7 @@ let process_refine t ~key ~rreq ~rfuel =
   let budget =
     Budget.make ~fuel:rfuel ~timeout_ms:t.cfg.max_timeout_ms ()
   in
-  let body, outcome = compute ~budget rreq in
+  let body, outcome = compute ~budget ?pool:t.pool rreq in
   match outcome with
   | `Ok ->
       Cache.add t.resp_cache key body;
@@ -372,19 +372,9 @@ let rec worker_loop t (r : runner) =
       | Refine { key; rreq; rfuel } -> process_refine t ~key ~rreq ~rfuel);
       if not (Atomic.get r.retired) then worker_loop t r
 
-(* Workers install the shared pool as their domain-local default; the
-   engine's batch entry points pick it up ([Pool.ambient]), so a lint
-   or analyze request fans its items and pairs out across [pool_jobs]
-   domains without the request path threading a handle.  The pool is
-   shared by all workers: [Pool.map] accepts concurrent batches. *)
 let spawn_worker t =
   let r = { retired = Atomic.make false } in
-  let d =
-    Domain.spawn (fun () ->
-        match t.pool with
-        | Some p -> Pool.with_ambient p (fun () -> worker_loop t r)
-        | None -> worker_loop t r)
-  in
+  let d = Domain.spawn (fun () -> worker_loop t r) in
   locked t (fun () -> t.workers <- (r, d) :: t.workers)
 
 (* ------------------------------------------------------------------ *)
@@ -770,5 +760,9 @@ let run cfg =
     workers;
   Domain.join wd;
   List.iter Domain.join readers;
-  Option.iter Pool.shutdown t.pool;
+  (* a retired worker is never joined and may still be inside a lint
+     that maps over the pool, where a shut-down pool would raise; the
+     pool then stays up and goes with the process, as that worker does *)
+  if List.for_all (fun (r, _) -> not (Atomic.get r.retired)) workers then
+    Option.iter Pool.shutdown t.pool;
   Option.iter Telemetry.close_lines t.access

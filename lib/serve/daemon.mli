@@ -33,10 +33,9 @@ type config = {
   port : int option;  (** [Some p]: TCP on 127.0.0.1:[p]; [None]: stdio *)
   jobs : int;  (** worker domains *)
   pool_jobs : int;
-      (** domains in the shared {!Kernel.Pool} installed as each
-          worker's {!Kernel.Pool.ambient} default, so a lint or analyze
-          request fans its items and pairs out; [1] (the default)
-          keeps requests strictly sequential *)
+      (** domains in the {!Kernel.Pool} shared by the workers, which
+          pass it to every lint request so its items and pairs fan
+          out; [1] (the default) keeps requests strictly sequential *)
   max_inflight : int;  (** admission gate: queued + running *)
   default_fuel : int;  (** per-request fuel when the client gives none *)
   max_fuel : int;  (** ceiling for client fuel and refinement escalation *)

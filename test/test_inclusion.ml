@@ -60,11 +60,6 @@ let arb_automaton = QCheck.make ~print:pp_auto gen_automaton
 
 let arb_pair = QCheck.pair arb_automaton arb_automaton
 
-let with_engine e f =
-  let old = Lang.engine () in
-  Lang.set_engine e;
-  Fun.protect ~finally:(fun () -> Lang.set_engine old) f
-
 (* same language, physically distinct transition table — defeats both
    the same-table fast path and the complement cache's physical key *)
 let twin (a : Automaton.t) =
@@ -153,18 +148,18 @@ let unit_tests =
         let a = incl_a 120 and b = incl_b 119 in
         let t = Telemetry.collector () in
         let v =
-          with_engine `Antichain (fun () -> Inclusion.included ~telemetry:t a b)
+          Lang.with_engine `Antichain (fun () -> Inclusion.included ~telemetry:t a b)
         in
         (* every pair of the 120 x 119 square is reached, each interned
            once *)
         Alcotest.(check int) "pairs" 14280
           (Telemetry.counter t "inclusion.pairs");
         Alcotest.(check bool) "antichain = explicit"
-          (with_engine `Explicit (fun () -> Lang.included a b))
+          (Lang.with_engine `Explicit (fun () -> Lang.included a b))
           v;
         Alcotest.(check bool) "converse: antichain = explicit"
-          (with_engine `Explicit (fun () -> Lang.included b a))
-          (with_engine `Antichain (fun () -> Lang.included b a)));
+          (Lang.with_engine `Explicit (fun () -> Lang.included b a))
+          (Lang.with_engine `Antichain (fun () -> Lang.included b a)));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -183,8 +178,8 @@ let differential_tests =
     [
       QCheck.Test.make ~name:"antichain = explicit on random pairs" ~count:500
         arb_pair (fun (a, b) ->
-          with_engine `Explicit (fun () -> verdicts a b)
-          = with_engine `Antichain (fun () -> verdicts a b));
+          Lang.with_engine `Explicit (fun () -> verdicts a b)
+          = Lang.with_engine `Antichain (fun () -> verdicts a b));
       QCheck.Test.make ~name:"antichain = explicit on same-table pairs"
         ~count:300
         (QCheck.pair arb_automaton arb_automaton)
@@ -193,18 +188,26 @@ let differential_tests =
              acceptance — the shape [Classify]'s closure comparisons
              produce *)
           let b = Automaton.with_acc a acc_donor.Automaton.acc in
-          with_engine `Explicit (fun () -> verdicts a b)
-          = with_engine `Antichain (fun () -> verdicts a b));
+          (* the oracle must build its product here too, not take the
+             antichain engine's same-table short cut *)
+          let t = Telemetry.collector () in
+          let explicit =
+            Telemetry.with_ambient t (fun () ->
+                Lang.with_engine `Explicit (fun () -> verdicts a b))
+          in
+          explicit = Lang.with_engine `Antichain (fun () -> verdicts a b)
+          && Telemetry.counter t "lang.included.product" >= 1
+          && Telemetry.counter t "inclusion.same_table" = 0);
       QCheck.Test.make ~name:"a rebuilt twin is always language-equal"
         ~count:300 arb_automaton (fun a ->
-          with_engine `Antichain (fun () -> Lang.equal a (twin a)));
+          Lang.with_engine `Antichain (fun () -> Lang.equal a (twin a)));
       QCheck.Test.make ~name:"engine toggle does not leak across queries"
         ~count:100 arb_pair (fun (a, b) ->
           (* interleave the engines query by query *)
-          let e1 = with_engine `Explicit (fun () -> Lang.included a b) in
-          let v1 = with_engine `Antichain (fun () -> Lang.included a b) in
-          let e2 = with_engine `Explicit (fun () -> Lang.equal a b) in
-          let v2 = with_engine `Antichain (fun () -> Lang.equal a b) in
+          let e1 = Lang.with_engine `Explicit (fun () -> Lang.included a b) in
+          let v1 = Lang.with_engine `Antichain (fun () -> Lang.included a b) in
+          let e2 = Lang.with_engine `Explicit (fun () -> Lang.equal a b) in
+          let v2 = Lang.with_engine `Antichain (fun () -> Lang.equal a b) in
           e1 = v1 && e2 = v2);
     ]
 
@@ -390,7 +393,7 @@ let job_counts = [ 1; 2; 4 ]
    A one-item batch runs inline on the caller, so this submits two
    items: the task that lands on the submitting domain waits until a
    worker has run [f] in the other.  The worker must see the
-   submitter's scoped engine, which only the pool's [Ambient] snapshot
+   submitter's scoped engine, which only [Pool.map]'s re-install
    carries across domains. *)
 let on_worker p f =
   if Pool.jobs p = 1 then List.hd (Pool.map p (fun _ () -> f ()) [ () ])
@@ -448,13 +451,13 @@ let pool_tests =
           (* an uninterrupted budgeted run still matches the oracle *)
           match o1 with
           | `Verdict v ->
-              v = with_engine `Explicit (fun () -> Lang.included a b)
+              v = Lang.with_engine `Explicit (fun () -> Lang.included a b)
           | `Tripped Budget.Injected -> true
           | `Tripped _ -> QCheck.Test.fail_report "wrong trip reason");
       QCheck.Test.make ~name:"Lang routing accepts a pool" ~count:100 arb_pair
         (fun (a, b) ->
           Pool.with_pool ~jobs:2 (fun p ->
-              with_engine `Antichain (fun () ->
+              Lang.with_engine `Antichain (fun () ->
                   Lang.included ~pool:p a b = Lang.included a b
                   && on_worker p (fun () -> Lang.equal a b) = Lang.equal a b)));
       QCheck.Test.make ~name:"safety_closure pooled = sequential" ~count:300

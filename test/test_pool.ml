@@ -505,10 +505,97 @@ let lint_determinism_tests =
         Alcotest.(check string) "byte-identical" one (reply 2));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* The inclusion engine crosses the fork                               *)
+(* ------------------------------------------------------------------ *)
+
+(* The engine is a domain-local value, so a worker domain's own slot
+   holds the default; [Pool.map] must hand each task the submitter's. *)
+let engine_tests =
+  let counters_of t = (Telemetry.report t).Telemetry.counters in
+  let explicit_counts run =
+    List.map
+      (fun jobs ->
+        let t = Telemetry.collector () in
+        Pool.with_pool ~jobs (fun p -> run ~telemetry:t ~pool:p);
+        let product = Telemetry.counter t "lang.included.product" in
+        let antichain =
+          List.filter
+            (fun (name, _) -> String.starts_with ~prefix:"inclusion." name)
+            (counters_of t)
+        in
+        (jobs, product, antichain))
+      [ 1; 2 ]
+  in
+  let check_counts what counts =
+    List.iter
+      (fun (jobs, product, antichain) ->
+        let at = Printf.sprintf "%s jobs=%d" what jobs in
+        check (at ^ ": products built") true (product > 0);
+        Alcotest.(check (list (pair string int)))
+          (at ^ ": no antichain inclusion") [] antichain)
+      counts;
+    match counts with
+    | (_, p1, _) :: rest ->
+        List.iter
+          (fun (jobs, p, _) ->
+            Alcotest.(check int)
+              (Printf.sprintf "%s: products at jobs=%d = jobs=1" what jobs)
+              p1 p)
+          rest
+    | [] -> ()
+  in
+  [
+    Alcotest.test_case "a task on a worker domain reads the scoped engine"
+      `Quick (fun () ->
+        Pool.with_pool ~jobs:2 (fun p ->
+            let arrived = Atomic.make 0 in
+            let seen =
+              Lang.with_engine `Explicit (fun () ->
+                  Pool.map p
+                    (fun _ () ->
+                      (* each task waits for the other, so the two run
+                         at once, on two domains *)
+                      Atomic.incr arrived;
+                      while Atomic.get arrived < 2 do
+                        Domain.cpu_relax ()
+                      done;
+                      (Domain.self (), Lang.engine ()))
+                    [ (); () ])
+            in
+            match seen with
+            | [ (d0, e0); (d1, e1) ] ->
+                check "the tasks ran on two domains" true (d0 <> d1);
+                check "both read `Explicit" true
+                  (e0 = `Explicit && e1 = `Explicit)
+            | _ -> Alcotest.fail "expected two results"));
+    Alcotest.test_case "Engine.classify_batch ~engine:`Explicit at jobs 1/2"
+      `Quick (fun () ->
+        check_counts "classify_batch"
+          (explicit_counts (fun ~telemetry ~pool ->
+               ignore
+                 (Hierarchy.Engine.classify_batch ~telemetry ~pool
+                    ~engine:`Explicit
+                    [ "[] (p -> <> q)"; "[]<> p | <>[] q"; "<> p"; "[] p" ]))));
+    Alcotest.test_case "Engine.lint ~engine:`Explicit at jobs 1/2" `Quick
+      (fun () ->
+        check_counts "lint"
+          (explicit_counts (fun ~telemetry ~pool ->
+               match
+                 Hierarchy.Engine.lint ~telemetry ~pool ~engine:`Explicit
+                   lint_specs
+               with
+               | Ok _ -> ()
+               | Error e ->
+                   Alcotest.failf "lint failed: %a" Hierarchy.Engine.pp_error
+                     e)));
+  ]
+
 let () =
   Alcotest.run "pool"
     [
       ("mechanics", unit_tests);
       ("determinism", determinism_tests);
       ("lint determinism", lint_determinism_tests);
+      ("engine", engine_tests);
     ]
