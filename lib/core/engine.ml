@@ -272,7 +272,11 @@ let classify_regex ?budget ?(telemetry = Telemetry.disabled) ?engine ?props
   with_scoped ?engine @@ fun () ->
   let a =
     Telemetry.span telemetry "engine.build" @@ fun () ->
-    Omega.Build.of_op operator (Finitary.Regex.compile alpha re)
+    let e = Finitary.Regex.parse alpha re in
+    (* a power unrolls: charge the NFA's size before building it *)
+    Budget.ticks budget (Finitary.Regex.size e);
+    Budget.check budget;
+    Omega.Build.of_op operator (Finitary.Regex.to_dfa alpha e)
   in
   report_of ~budget ~telemetry ~syntactic:None a
 

@@ -53,11 +53,12 @@ let letter_name a l =
   a.names.(l)
 
 let find_name names n =
-  let exception Found of int in
-  try
-    Array.iteri (fun i nm -> if nm = n then raise (Found i)) names;
-    None
-  with Found i -> Some i
+  let rec from i =
+    if i = Array.length names then None
+    else if String.equal names.(i) n then Some i
+    else from (i + 1)
+  in
+  from 0
 
 let letter_of_name_opt a n = find_name a.names n
 

@@ -131,76 +131,74 @@ let trim d =
     seen;
   { d with n; start = remap.(d.start); delta; accept }
 
-(* Moore partition refinement on the reachable part, then canonical
-   renumbering by BFS order from the start state. *)
+module Signatures = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (s : t) s' =
+    let rec from i = i < 0 || (s.(i) = s'.(i) && from (i - 1)) in
+    Array.length s = Array.length s' && from (Array.length s - 1)
+
+  let hash s = Array.fold_left (fun h c -> (h * 31) + c) 0 s land max_int
+end)
+
+(* Moore partition refinement on the reachable part: a state's signature
+   is its class followed by its successors' classes, and a round's new
+   classes are the distinct signatures.  Rounds only split classes, so an
+   unchanged class count means a stable partition.  Classes are then
+   renumbered canonically by BFS order from the start state. *)
 let minimize d =
   let d = trim d in
   let k = Alphabet.size d.alpha in
-  let cls = Array.init d.n (fun q -> if d.accept.(q) then 1 else 0) in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    let signature q =
-      (cls.(q), Array.to_list (Array.map (fun q' -> cls.(q')) d.delta.(q)))
+  let cls = Array.map (fun acc -> if acc then 1 else 0) d.accept in
+  let classes =
+    (if Array.mem true d.accept then 1 else 0)
+    + if Array.mem false d.accept then 1 else 0
+  in
+  let key = Array.make (k + 1) 0 in
+  let rec refine classes =
+    let ids = Signatures.create classes in
+    let next =
+      Array.init d.n (fun q ->
+          key.(0) <- cls.(q);
+          Array.iteri (fun a q' -> key.(a + 1) <- cls.(q')) d.delta.(q);
+          match Signatures.find_opt ids key with
+          | Some c -> c
+          | None ->
+              let c = Signatures.length ids in
+              Signatures.add ids (Array.copy key) c;
+              c)
     in
-    let tbl = Hashtbl.create 16 in
-    let next = Array.make d.n 0 in
-    let fresh = ref 0 in
-    for q = 0 to d.n - 1 do
-      let s = signature q in
-      match Hashtbl.find_opt tbl s with
-      | Some c -> next.(q) <- c
-      | None ->
-          Hashtbl.add tbl s !fresh;
-          next.(q) <- !fresh;
-          incr fresh
-    done;
-    if next <> cls then begin
-      Array.blit next 0 cls 0 d.n;
-      changed := true
-    end
-  done;
-  (* canonical numbering of classes by BFS from the start class *)
-  let class_delta = Hashtbl.create 16 in
-  let class_accept = Hashtbl.create 16 in
-  for q = 0 to d.n - 1 do
-    if not (Hashtbl.mem class_delta cls.(q)) then begin
-      Hashtbl.add class_delta cls.(q)
-        (Array.map (fun q' -> cls.(q')) d.delta.(q));
-      Hashtbl.add class_accept cls.(q) d.accept.(q)
-    end
-  done;
-  let order = Hashtbl.create 16 in
-  let rev = ref [] in
-  let count = ref 0 in
-  let queue = Queue.create () in
-  Queue.add cls.(d.start) queue;
-  Hashtbl.add order cls.(d.start) 0;
-  incr count;
-  rev := [ cls.(d.start) ];
-  while not (Queue.is_empty queue) do
-    let c = Queue.pop queue in
+    Array.blit next 0 cls 0 d.n;
+    let classes' = Signatures.length ids in
+    if classes' <> classes then refine classes' else classes
+  in
+  let m = refine classes in
+  (* one state per class stands for it; its row, read through [cls], is
+     the class's row *)
+  let rep = Array.make m 0 in
+  Array.iteri (fun q c -> rep.(c) <- q) cls;
+  let order = Array.make m (-1) and queue = Array.make m 0 in
+  let tail = ref 1 in
+  order.(cls.(d.start)) <- 0;
+  queue.(0) <- cls.(d.start);
+  for head = 0 to m - 1 do
     Array.iter
-      (fun c' ->
-        if not (Hashtbl.mem order c') then begin
-          Hashtbl.add order c' !count;
-          incr count;
-          rev := c' :: !rev;
-          Queue.add c' queue
+      (fun q' ->
+        let c = cls.(q') in
+        if order.(c) < 0 then begin
+          order.(c) <- !tail;
+          queue.(!tail) <- c;
+          incr tail
         end)
-      (Hashtbl.find class_delta c)
+      d.delta.(rep.(queue.(head)))
   done;
-  let n = !count in
-  let delta = Array.make n [||] and accept = Array.make n false in
-  List.iter
-    (fun c ->
-      let i = Hashtbl.find order c in
-      delta.(i) <-
-        Array.map (fun c' -> Hashtbl.find order c') (Hashtbl.find class_delta c);
-      accept.(i) <- Hashtbl.find class_accept c)
-    !rev;
-  ignore k;
-  { d with n; start = 0; delta; accept }
+  let delta =
+    Array.map
+      (fun c -> Array.map (fun q' -> order.(cls.(q'))) d.delta.(rep.(c)))
+      queue
+  in
+  let accept = Array.map (fun c -> d.accept.(rep.(c))) queue in
+  { d with n = m; start = 0; delta; accept }
 
 let live_states d =
   (* backward reachability from accepting states *)

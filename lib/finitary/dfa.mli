@@ -64,8 +64,12 @@ val xor : t -> t -> t
 (** Keep only states reachable from the start (renumbering states). *)
 val trim : t -> t
 
-(** Hopcroft-style minimization (via Moore partition refinement). The
-    result is the canonical minimal complete DFA for the language. *)
+(** Minimization by Moore partition refinement on the reachable part: a
+    state's signature is the [int array] of its class and its successors'
+    classes, and rounds stop when the class count is stable.  Classes are
+    numbered by BFS from the start over letters in order, so the result
+    is the canonical minimal complete DFA for the language: equal
+    languages give structurally equal automata. *)
 val minimize : t -> t
 
 (** Is the accepted language empty? *)

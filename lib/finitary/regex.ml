@@ -222,6 +222,21 @@ let rec fragment alpha b = function
       let rec expand k = if k = 0 then Eps else Seq (e, expand (k - 1)) in
       fragment alpha b (expand k)
 
+(* Saturating, so that a huge power reads as [max_int]. *)
+let ( +! ) a b = if a > max_int - b then max_int else a + b
+let ( *! ) a b = if a <> 0 && b > max_int / a then max_int else a * b
+
+(* The states [fragment] allocates, case by case. *)
+let rec size = function
+  | Empty | Eps | Letter _ | Any -> 2
+  | Alt (e1, e2) -> 2 +! size e1 +! size e2
+  | Seq (e1, e2) -> size e1 +! size e2
+  | Star e -> 2 +! size e
+  | Plus e ->
+      let s = size e in
+      s +! s +! 2
+  | Pow (e, k) -> (max k 0 *! size e) +! 2
+
 let to_nfa alpha e =
   let b = { next = 0; trans = []; epsilons = [] } in
   let i, f = fragment alpha b e in

@@ -31,6 +31,12 @@ type t =
     Raises [Invalid_argument] with a position message on syntax errors. *)
 val parse : Alphabet.t -> string -> t
 
+(** [size e] is the number of states {!to_nfa} builds for [e] (the
+    Thompson construction's state count, powers multiplied out),
+    saturating at [max_int].  Linear in the size of [e], not of its
+    unrolling, so a caller can charge a budget before compiling. *)
+val size : t -> int
+
 (** Compile to an epsilon-NFA (Thompson construction). *)
 val to_nfa : Alphabet.t -> t -> Nfa.t
 

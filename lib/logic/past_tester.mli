@@ -18,7 +18,14 @@ type t
 (** [make alpha ps] builds a tester tracking every formula in [ps]
     simultaneously.  Raises [Invalid_argument] if some [p] is not a past
     formula, mentions an atom unknown to [alpha], or if the combined
-    closure exceeds 62 subformulae. *)
+    closure exceeds 62 subformulae.
+
+    Cost: one pass over the closure to compile it (slots and opcodes),
+    [|alpha|] evaluations of each atom, then one step per reachable
+    state and letter, each linear in the closure size and followed by
+    one hash lookup on an [int] vector.  The result has at most
+    [2{^s} + 1] states for [s] subformulae, but only the reachable ones
+    are built. *)
 val make : Finitary.Alphabet.t -> Formula.t list -> t
 
 val alpha : t -> Finitary.Alphabet.t

@@ -141,6 +141,17 @@ let dfa_tests =
 
 let regex_tests =
   [
+    Alcotest.test_case "size counts the unrolled NFA, saturating" `Quick
+      (fun () ->
+        List.iter
+          (fun src ->
+            let e = Regex.parse ab src in
+            Alcotest.(check int) src (Regex.to_nfa ab e).Nfa.n (Regex.size e))
+          [ "(a b)^3"; "(a + b^+)^2 a*"; "()^0"; "(. b)^* a^4" ];
+        Alcotest.(check int) "a^2000000" 4_000_002
+          (Regex.size (Regex.parse ab "a^2000000"));
+        Alcotest.(check int) "saturates" max_int
+          (Regex.size Regex.(Pow (Plus (Pow (Any, max_int / 2)), 3))));
     Alcotest.test_case "powers" `Quick (fun () ->
         let d = Regex.compile ab "(a b)^3" in
         check "ababab" true (Dfa.accepts d (w "ababab"));
@@ -215,6 +226,11 @@ let qcheck_tests =
           List.for_all
             (fun word -> Dfa.accepts d word = Dfa.accepts m word)
             (Word.enumerate ab ~max_len:5));
+      QCheck.Test.make ~name:"size is the Thompson state count" ~count:60
+        arb_regex (fun e ->
+          List.for_all
+            (fun e -> Regex.size e = (Regex.to_nfa ab e).Nfa.n)
+            [ e; Regex.Pow (e, 3); Regex.Plus e ]);
       QCheck.Test.make ~name:"nfa and dfa agree" ~count:40 arb_regex (fun e ->
           let nfa = Regex.to_nfa ab e in
           let dfa = Nfa.determinize nfa in
@@ -252,6 +268,43 @@ let qcheck_tests =
            && (d = 0.) = Word.equal_lasso l1 l2));
     ]
 
+(* Canonicity of [Dfa.minimize] on random complete DFAs: same language,
+   idempotent, and blind to how the input numbers its states. *)
+let arb_dfa =
+  let gen =
+    let open QCheck.Gen in
+    int_range 2 4 >>= fun k ->
+    int_range 1 12 >>= fun n ->
+    let alpha = Alphabet.of_chars (String.sub "abcd" 0 k) in
+    int_bound (n - 1) >>= fun start ->
+    array_repeat n (array_repeat k (int_bound (n - 1))) >>= fun delta ->
+    array_repeat n bool >>= fun accept ->
+    (* a renumbering of the states *)
+    shuffle_l (List.init n Fun.id) >|= fun perm ->
+    (Dfa.make ~alpha ~n ~start ~delta ~accept, Array.of_list perm)
+  in
+  QCheck.make ~print:(fun (d, _) -> Format.asprintf "%a" Dfa.pp d) gen
+
+let renumber (d : Dfa.t) perm =
+  let delta = Array.make d.n [||] and accept = Array.make d.n false in
+  Array.iteri
+    (fun q row ->
+      delta.(perm.(q)) <- Array.map (fun q' -> perm.(q')) row;
+      accept.(perm.(q)) <- d.accept.(q))
+    d.delta;
+  Dfa.make ~alpha:d.alpha ~n:d.n ~start:perm.(d.start) ~delta ~accept
+
+let minimize_tests =
+  List.map QCheck_alcotest.to_alcotest
+    [
+      QCheck.Test.make ~name:"minimize is canonical" ~count:500 arb_dfa
+        (fun (d, perm) ->
+          let m = Dfa.minimize d in
+          Dfa.equal d m
+          && Dfa.minimize m = m
+          && Dfa.minimize (renumber d perm) = m);
+    ]
+
 let () =
   Alcotest.run "finitary"
     [
@@ -260,4 +313,5 @@ let () =
       ("dfa", dfa_tests);
       ("regex", regex_tests);
       ("properties", qcheck_tests);
+      ("minimize", minimize_tests);
     ]

@@ -75,6 +75,11 @@ let formula_tests =
         Alcotest.(check int) "size" 5 (Formula.size (f "[] (p -> <> q)")));
   ]
 
+let raises_invalid msg fn =
+  match fn () with
+  | _ -> Alcotest.failf "no Invalid_argument %S" msg
+  | exception Invalid_argument m -> Alcotest.(check string) "message" msg m
+
 (* esat: the finitary property defined by a past formula (section 4) *)
 let esat_tests =
   let w = Finitary.Word.of_string ab in
@@ -110,9 +115,10 @@ let esat_tests =
         check "O a after ab" true (Past_tester.value t q2 0);
         check "H a after ab" false (Past_tester.value t q2 1));
     Alcotest.test_case "rejects future formulas" `Quick (fun () ->
-        check "raises" true
-          (try ignore (Past_tester.esat ab (f "<> a")); false
-           with Invalid_argument _ -> true));
+        raises_invalid "Past_tester.make: not a past formula" (fun () ->
+            Past_tester.esat ab (f "<> a"));
+        raises_invalid "Past_tester.make: not a past formula" (fun () ->
+            Past_tester.make pq [ f "O p"; f "p U q" ]));
     Alcotest.test_case "empty word rejected by esat dfa" `Quick (fun () ->
         check "no eps" false
           (Finitary.Dfa.accepts_empty (Past_tester.esat ab (f "H a"))));
@@ -146,6 +152,113 @@ let esat_tests =
         same "Z a" "! Y ! a";
         same "Z (a S b)" "! Y ! (a S b)");
   ]
+
+(* The compiled tester against [Semantics], which does not use it:
+   random pure-past formulas of depth <= 4, every past operator and
+   connective, tracked one to three at a time. *)
+let gen_past atoms =
+  let open QCheck.Gen in
+  let leaf =
+    frequency
+      [ (4, map (fun a -> Formula.Atom a) (oneofa atoms));
+        (1, oneofl [ Formula.True; Formula.False; Formula.first ]) ]
+  in
+  let rec past d =
+    if d = 0 then leaf
+    else
+      let sub = past (d - 1) in
+      frequency
+        [ (1, leaf);
+          ( 2,
+            oneof
+              [ map (fun a -> Formula.Not a) sub;
+                map (fun a -> Formula.Prev a) sub;
+                map (fun a -> Formula.Wprev a) sub;
+                map (fun a -> Formula.Once a) sub;
+                map (fun a -> Formula.Hist a) sub ] );
+          ( 3,
+            oneof
+              [ map2 (fun a b -> Formula.And (a, b)) sub sub;
+                map2 (fun a b -> Formula.Or (a, b)) sub sub;
+                map2 (fun a b -> Formula.Imp (a, b)) sub sub;
+                map2 (fun a b -> Formula.Iff (a, b)) sub sub;
+                map2 (fun a b -> Formula.Since (a, b)) sub sub;
+                map2 (fun a b -> Formula.Wsince (a, b)) sub sub ] ) ]
+  in
+  int_range 1 4 >>= past
+
+let arb_tracked =
+  let gen =
+    let open QCheck.Gen in
+    oneofl [ [ "p"; "q" ]; [ "p"; "q"; "r" ] ] >>= fun props ->
+    list_size (int_range 1 3) (gen_past (Array.of_list props)) >|= fun ps ->
+    (props, ps)
+  in
+  QCheck.make
+    ~print:(fun (props, ps) ->
+      String.concat "," props ^ ": "
+      ^ String.concat "; " (List.map Formula.to_string ps))
+    gen
+
+(* Every word up to length 5, walked letter by letter through the
+   tester. *)
+let tester_agrees (props, ps) =
+  let alpha = Finitary.Alphabet.of_props props in
+  let t = Past_tester.make alpha ps in
+  let rec walk q rev_word len =
+    (len = 0
+    ||
+    let word = Array.of_list (List.rev rev_word) in
+    List.for_all Fun.id
+      (List.mapi
+         (fun i p ->
+           Past_tester.value t q i = Semantics.end_satisfies alpha p word)
+         ps))
+    && (len = 5
+       || List.for_all
+            (fun a -> walk (Past_tester.step t q a) (a :: rev_word) (len + 1))
+            (Finitary.Alphabet.letters alpha))
+  in
+  walk (Past_tester.initial t) [] 0
+
+(* [nots n g]: [g] under [n] negations, [n + 1] state-free subformulas *)
+let rec nots n g = if n = 0 then g else Formula.Not (nots (n - 1) g)
+
+let tester_tests =
+  [
+    Alcotest.test_case "62 subformulas build, 63 are refused" `Quick
+      (fun () ->
+        (* O p & q under m negations: O p, p, the m + 1 negation chain
+           and the And; the conjunction is state-free but for O p *)
+        let closure m = Formula.And (f "O p", nots m (f "q")) in
+        Alcotest.(check int) "62" 62
+          (List.length (Formula.subformulas (closure 58)));
+        let t = Past_tester.make pq [ closure 58 ] in
+        let run word =
+          List.fold_left
+            (fun q l ->
+              Past_tester.step t q (Finitary.Alphabet.letter_of_name pq l))
+            (Past_tester.initial t) word
+        in
+        check "{q}" false (Past_tester.value t (run [ "{q}" ]) 0);
+        check "{p,q}" true (Past_tester.value t (run [ "{p,q}" ]) 0);
+        check "{p} {q}" true (Past_tester.value t (run [ "{p}"; "{q}" ]) 0);
+        Alcotest.(check int) "states" 7 (Past_tester.n_states t);
+        raises_invalid "Past_tester.make: formula too large (> 62 subformulae)"
+          (fun () -> Past_tester.make pq [ closure 59 ]));
+    Alcotest.test_case "an unknown atom raises Alphabet.holds's error" `Quick
+      (fun () ->
+        (* the first unknown atom in closure order is the one named *)
+        raises_invalid "Alphabet.holds: unknown proposition \"y\""
+          (fun () -> Past_tester.make pq [ f "p"; f "O (y & x)" ]);
+        raises_invalid "Alphabet.holds: unknown letter \"c\""
+          (fun () -> Past_tester.make ab [ f "a S c" ]));
+  ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [
+        QCheck.Test.make ~name:"value = end_satisfies on every short word"
+          ~count:50 arb_tracked tester_agrees;
+      ]
 
 (* canonical-form rewriting on the edges Shape leans on: the weak
    operators W/B/Z and past nested under future modalities *)
@@ -495,6 +608,7 @@ let () =
       ("fuzz", parser_fuzz_tests);
       ("formula", formula_tests);
       ("esat", esat_tests);
+      ("tester", tester_tests);
       ("rewrite", rewrite_tests);
       ("tableau", tableau_tests);
       ("product", product_tests);
