@@ -725,9 +725,8 @@ let parallel_json () =
     Automaton.make ~alpha:ab ~n ~start:0 ~delta
       ~acc:(Acceptance.Inf (Iset.singleton 0))
   in
-  (* One large inclusion query: a lazy product of ~10^6 pairs, explored
-     and checked for emptiness sequentially; kept as a sequential
-     timing. *)
+  (* One large inclusion query: a lazy product of ~10^6 pairs, searched
+     on the fly in one sequential DFS; kept as a sequential timing. *)
   let abcd = Finitary.Alphabet.of_chars "abcd" in
   let na = 1000 and nb = 999 in
   let mk_incl_a () =

@@ -6,14 +6,26 @@ type t =
   | And of t list
   | Or of t list
 
+(* direct recursion over the lists allocates no closure per node: the
+   on-the-fly search evaluates the condition on every closing edge *)
 let rec eval_with ~meets acc run =
   match acc with
   | True -> true
   | False -> false
   | Inf s -> meets run s
   | Fin s -> not (meets run s)
-  | And l -> List.for_all (fun a -> eval_with ~meets a run) l
-  | Or l -> List.exists (fun a -> eval_with ~meets a run) l
+  | And l -> all ~meets l run
+  | Or l -> any ~meets l run
+
+and all ~meets l run =
+  match l with
+  | [] -> true
+  | a :: l -> eval_with ~meets a run && all ~meets l run
+
+and any ~meets l run =
+  match l with
+  | [] -> false
+  | a :: l -> eval_with ~meets a run || any ~meets l run
 
 let eval acc inf_set =
   eval_with ~meets:(fun inf s -> not (Iset.disjoint s inf)) acc inf_set

@@ -73,10 +73,13 @@ let subset s1 s2 =
   let rec go i = i >= n || (s1.(i) land lnot s2.(i) = 0 && go (i + 1)) in
   go 0
 
+(* a closure-free loop with [Int.min]: the on-the-fly search tests a
+   condition's atoms against a root's marks on every closing edge *)
+let rec disjoint_from s1 s2 i n =
+  i >= n || (s1.(i) land s2.(i) = 0 && disjoint_from s1 s2 (i + 1) n)
+
 let disjoint s1 s2 =
-  let n = min (Array.length s1) (Array.length s2) in
-  let rec go i = i >= n || (s1.(i) land s2.(i) = 0 && go (i + 1)) in
-  go 0
+  disjoint_from s1 s2 0 (Int.min (Array.length s1) (Array.length s2))
 
 let equal (s1 : t) (s2 : t) = s1 = s2
 

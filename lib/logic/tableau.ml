@@ -417,28 +417,41 @@ let translate ?(budget = Budget.unlimited) ?telemetry alpha f =
 
 let next_states a q = List.map snd a.succ.(q)
 
-(* The generalized Buechi search from the pre-initial state; every
-   state is its own key. *)
+(* The generalized Buechi condition on mark indices [0 .. sets-1]. *)
+let every_set sets =
+  Acceptance.And (List.init sets (fun k -> Acceptance.Inf (Iset.singleton k)))
+
+let rec targets edge = function
+  | [] -> ()
+  | (_, q) :: row ->
+      edge q;
+      targets edge row
+
+(* The on-the-fly search from the pre-initial state; every state is its
+   own key. *)
 let nonempty a =
-  (Emptiness.generalized_buchi ~sets:a.sets ~marks:(Array.get a.marks)
-     ~succ:(next_states a) 0)
+  (Emptiness.on_the_fly ~marks:(Array.get a.marks)
+     ~succ:(fun q edge -> targets edge a.succ.(q))
+     (every_set a.sets) 0)
     .accepting
 
 (* [xs] and [ys] list one state's successors grouped by letter, letters
    ascending (the order [translate] builds them in): every successor of
    [xs] with every successor of [ys] on the same letter, pair [(i, j)]
-   as the key [i * width + j], in that order *)
-let rec join width xs ys =
+   as the key [i * width + j], passed to [edge] in that order *)
+let rec join width edge xs ys =
   match (xs, ys) with
-  | [], _ | _, [] -> []
-  | (l, _) :: xs', (l', _) :: _ when l < l' -> join width xs' ys
-  | (l, _) :: _, (l', _) :: ys' when l' < l -> join width xs ys'
-  | (l, i) :: xs', _ ->
-      let rec on_letter = function
-        | (l', j) :: rest when l' = l -> ((i * width) + j) :: on_letter rest
-        | _ -> join width xs' ys
-      in
-      on_letter ys
+  | [], _ | _, [] -> ()
+  | (l, _) :: xs', (l', _) :: _ when l < l' -> join width edge xs' ys
+  | (l, _) :: _, (l', _) :: ys' when l' < l -> join width edge xs ys'
+  | (l, i) :: xs', _ -> on_letter width edge l i xs' ys ys
+
+(* the successors [j] of [ys] on letter [l], with [i]; then the rest *)
+and on_letter width edge l i xs' ys = function
+  | (l', j) :: rest when l' = l ->
+      edge ((i * width) + j);
+      on_letter width edge l i xs' ys rest
+  | _ -> join width edge xs' ys
 
 (* The synchronous product, searched from the pre-initial pair [(0, 0)]
    as it is built: pair [(i, j)] is the key [i * b.n + j], and it is in
@@ -455,9 +468,9 @@ let intersects ?budget a b =
       b.marks
   in
   let marks k = Iset.union a.marks.(k / width) shifted.(k mod width) in
-  let succ k = join width a.succ.(k / width) b.succ.(k mod width) in
+  let succ k edge = join width edge a.succ.(k / width) b.succ.(k mod width) in
   let r =
-    Emptiness.generalized_buchi ?budget ~sets:(a.sets + b.sets) ~marks ~succ 0
+    Emptiness.on_the_fly ?budget ~marks ~succ (every_set (a.sets + b.sets)) 0
   in
   Telemetry.observe telemetry "tableau.product_states" (float_of_int r.visited);
   r.accepting
@@ -507,15 +520,14 @@ let accepts_lasso a lasso =
   let p = Array.length lasso.Word.prefix in
   let total = p + Array.length lasso.Word.cycle in
   let next_pos j = if j + 1 < total then j + 1 else p in
-  let succ k =
+  let succ k edge =
     let q = k / total and j = k mod total in
-    List.filter_map
+    List.iter
       (fun (letter, q') ->
-        if letter = Word.at lasso j then Some ((q' * total) + next_pos j)
-        else None)
+        if letter = Word.at lasso j then edge ((q' * total) + next_pos j))
       a.succ.(q)
   in
-  (Emptiness.generalized_buchi ~sets:a.sets
+  (Emptiness.on_the_fly
      ~marks:(fun k -> a.marks.(k / total))
-     ~succ 0)
+     ~succ (every_set a.sets) 0)
     .accepting

@@ -54,9 +54,10 @@ val transitions : nba -> int -> (Finitary.Alphabet.letter * int) list
 
 (** Does the automaton accept some infinite word?  [satisfiable alpha f]
     is [nonempty (translate alpha f)].  Decided by
-    {!Emptiness.generalized_buchi} from the pre-initial state: the
-    search stops at the first SCC whose states meet every acceptance
-    set (one per until of the formula). *)
+    {!Emptiness.on_the_fly} from the pre-initial state, on the
+    generalized Buechi condition [And [Inf {0}; ...]] over the marks
+    (one set per until of the formula): the search stops at the first
+    SCC whose states meet every acceptance set. *)
 val nonempty : nba -> bool
 
 (** [intersects a b]: do two automata over the same alphabet accept a
@@ -65,9 +66,9 @@ val nonempty : nba -> bool
     [intersects (translate alpha f) (translate alpha g)] is
     [satisfiable alpha (f & g)] without translating the conjunction
     (and without joining the two past closures in one {!Past_tester}).
-    The product is never built whole: {!Emptiness.generalized_buchi}
+    The product is never built whole: {!Emptiness.on_the_fly}
     searches it from the pre-initial pair, joining the two successor
-    rows of a pair when it first leaves it, and stops at the first
+    rows of a pair when it discovers it, and stops at the first
     accepting SCC.  An empty product is visited whole; a non-empty one
     usually in part.  [budget] is ticked once per product state
     visited.  The search runs in a [tableau.product] span of the
@@ -123,6 +124,6 @@ val witness :
 
 (** Does the automaton accept the lasso?  (Exact; used to cross-check the
     translation against {!Semantics}.)  Decided by
-    {!Emptiness.generalized_buchi} on the product of the automaton with
+    {!Emptiness.on_the_fly} on the product of the automaton with
     the lasso's positions, explored as it is searched. *)
 val accepts_lasso : nba -> Finitary.Word.lasso -> bool

@@ -55,129 +55,79 @@ let is_empty a = not (nonempty a)
    are complete and deterministic, so the antichain construction of
    Wulf-Doyen-Henzinger-Raskin degenerates into its sweet spot: every
    macro-state is a singleton pair, the subset product is just the
-   reachable synchronous product, and we explore exactly the pairs
-   (qa, qb) some finite word actually reaches — typically a sliver of
-   the n_a * n_b square the explicit product allocates up front.
+   reachable synchronous product, and a word is in the difference iff
+   the pair run satisfies [acc_a /\ dual acc_b].  So the difference is
+   non-empty iff {!Emptiness.on_the_fly} finds a reachable cycle of
+   pairs satisfying it, and the search stops at the first one.
 
-   Two prunings keep the frontier small:
+   - keys: the pair (qa, qb) is the key [qa * b.n + qb], and its
+     successors are generated from [a.delta] and [b.delta] when the
+     search discovers it, letters in order.  The search's index starts
+     small and grows by doubling, so the many tiny inclusions of a
+     classification pay for the pairs they reach.
    - dead-[a] pruning (the "simulation" order on pairs): a pair whose
-     [a]-component cannot start an accepting [a]-run contributes
-     nothing to the difference language, so it is collapsed into a
-     single absorbing reject sink (pair id 0).  [live_states a] is one
-     linear pass, amortized against the product exploration it avoids.
-   - interning: pairs are hash-consed to dense ids (in BFS order), so
-     the SCC scan at the end runs on arrays, not on a map of pairs.
-     The index is an open-addressed {!Int_index} keyed by the int code
-     [qa * b.n + qb]: one probe sequence over two flat int arrays finds
-     a pair or claims its slot, and a binding allocates nothing.  It
-     (like the pair vectors) starts small and grows by doubling, so the
-     many tiny inclusions of a classification pay for the pairs they
-     reach, not for a large first table.
+     [a]-component cannot start an accepting [a]-run lies on no cycle
+     of the difference and leads to none, so it is never generated.
+     [live_states a] is one linear pass, amortized against the product
+     search it avoids.
+   - marks: each distinct atom set of [acc_a] and of [dual acc_b] is
+     one mark index, and a pair carries the marks of the atoms its [a]-
+     or [b]-component lies in. *)
 
-   Acceptance over the explored graph lifts each atom to the pairs
-   whose component lies in it: [a]'s atoms through the [a]-component,
-   the atoms of [b]'s dual through the [b]-component.  Because every
-   interned pair is reachable by construction, the difference is
-   non-empty iff {!Emptiness.accepting_scc} finds a cycle of pairs
-   satisfying [acc_a /\ dual acc_b] anywhere in the explored graph —
-   no separate reachability pass. *)
-
-(* Growable int vector (OCaml 5.1 has no [Dynarray] yet). *)
-type ivec = { mutable data : int array; mutable len : int }
-
-let ivec_create () = { data = Array.make 16 0; len = 0 }
-
-let ivec_push v x =
-  if v.len = Array.length v.data then begin
-    let d = Array.make (2 * v.len) 0 in
-    Array.blit v.data 0 d 0 v.len;
-    v.data <- d
-  end;
-  v.data.(v.len) <- x;
-  v.len <- v.len + 1
-
-type explored = {
-  pqa : ivec;  (** pair id -> [a]-state ([-1] for the sink, id 0) *)
-  pqb : ivec;
-  psucc : ivec;
-      (** successor ids, [Alphabet.size] per pair: pair [i]'s successor on
-          letter [l] is at [i * Alphabet.size + l] *)
-  start_id : int;  (** [0] iff [a]'s start state is already dead *)
-}
-
-let explore ~budget ~telemetry:tl (a : Automaton.t) (b : Automaton.t) =
-  let k = Alphabet.size a.alpha in
-  let a_live = live_states a in
-  let pqa = ivec_create () and pqb = ivec_create () in
-  let psucc = ivec_create () in
-  (* pair key [qa * b.n + qb] -> dense id *)
-  let index = Int_index.create 8 in
-  (* id 0: the absorbing reject sink for dead-[a] pairs *)
-  ivec_push pqa (-1);
-  ivec_push pqb (-1);
-  for _ = 1 to k do
-    ivec_push psucc 0
-  done;
-  let pruned = ref 0 in
-  let intern qa qb =
-    if not a_live.(qa) then begin
-      incr pruned;
-      0
-    end
-    else
-      let fresh = pqa.len in
-      let id = Int_index.find_or_add index ((qa * b.Automaton.n) + qb) fresh in
-      if id = fresh then begin
-        ivec_push pqa qa;
-        ivec_push pqb qb
-      end;
-      id
+(* [acc] with each atom's state set replaced by one mark index, from
+   [first] up, equal sets sharing one; and per state of an [n]-state
+   automaton, the marks of the atoms it lies in *)
+let number_atoms ~first ~n acc =
+  let atoms = ref [] in
+  let mark s =
+    let i =
+      match List.find_opt (fun (_, s') -> Iset.equal s s') !atoms with
+      | Some (i, _) -> i
+      | None ->
+          let i = first + List.length !atoms in
+          atoms := (i, s) :: !atoms;
+          i
+    in
+    Iset.singleton i
   in
-  let start_id = intern a.start b.start in
-  let i = ref 1 in
-  while !i < pqa.len do
-    Budget.tick budget;
-    let qa = pqa.data.(!i) and qb = pqb.data.(!i) in
-    (* pair [i]'s row is pushed right after pair [i - 1]'s, letters in
-       order, which also fixes the order ids are handed out in *)
-    for l = 0 to k - 1 do
-      ivec_push psucc (intern a.delta.(qa).(l) b.delta.(qb).(l))
-    done;
-    incr i
-  done;
-  Telemetry.add tl "inclusion.pairs" (pqa.len - 1);
-  Telemetry.add tl "inclusion.pruned" !pruned;
-  { pqa; pqb; psucc; start_id }
+  let acc = Acceptance.map_sets mark acc in
+  let marks = Array.make n Iset.empty in
+  List.iter
+    (fun (i, s) -> Iset.iter (fun q -> marks.(q) <- Iset.add i marks.(q)) s)
+    !atoms;
+  (acc, marks, first + List.length !atoms)
 
 let diff_nonempty ~budget ~telemetry:tl (a : Automaton.t) (b : Automaton.t) =
   if not (Alphabet.equal a.alpha b.alpha) then
     invalid_arg "Inclusion.included: alphabet mismatch";
-  let e =
-    Telemetry.span tl "inclusion.explore" (fun () ->
-        explore ~budget ~telemetry:tl a b)
-  in
-  if e.start_id = 0 then false (* L(a) empty: nothing left to include *)
-  else
-    Telemetry.span tl "inclusion.emptiness" (fun () ->
-        let count = e.pqa.len in
-        let k = Alphabet.size a.alpha in
-        (* the sink (id 0) lies in no atom and outside the region: a
-           cycle through it would otherwise satisfy a pure-[Fin]
-           condition *)
-        let lift component =
-          Acceptance.map_sets (fun s ->
-              Iset.init count (fun i ->
-                  i <> 0 && Iset.mem component.data.(i) s))
-        in
-        let acc =
-          Acceptance.And
-            [ lift e.pqa a.acc; lift e.pqb (Acceptance.dual b.acc) ]
-        in
-        Emptiness.accepting_scc ~budget ~n:count
-          ~succ:(fun i -> List.init k (fun l -> e.psucc.data.((i * k) + l)))
-          acc
-          (Iset.init count (fun i -> i <> 0))
-        <> None)
+  Telemetry.span tl "inclusion.search" @@ fun () ->
+  let a_live = live_states a in
+  if not a_live.(a.start) then false (* L(a) empty: nothing to include *)
+  else begin
+    let k = Alphabet.size a.alpha and nb = b.n in
+    let acc_a, marks_a, first = number_atoms ~first:0 ~n:a.n a.acc in
+    let acc_b, marks_b, _ =
+      number_atoms ~first ~n:nb (Acceptance.dual b.acc)
+    in
+    let pruned = ref 0 in
+    let succ key edge =
+      let ra = a.delta.(key / nb) and rb = b.delta.(key mod nb) in
+      for l = 0 to k - 1 do
+        let qa = ra.(l) in
+        if a_live.(qa) then edge ((qa * nb) + rb.(l)) else incr pruned
+      done
+    in
+    let r =
+      Emptiness.on_the_fly ~budget
+        ~marks:(fun key -> Iset.union marks_a.(key / nb) marks_b.(key mod nb))
+        ~succ
+        (Acceptance.simplify (Acceptance.And [ acc_a; acc_b ]))
+        ((a.start * nb) + b.start)
+    in
+    Telemetry.add tl "inclusion.pairs" r.visited;
+    Telemetry.add tl "inclusion.pruned" !pruned;
+    r.accepting
+  end
 
 let included ?(budget = Budget.unlimited) ?telemetry (a : Automaton.t)
     (b : Automaton.t) =
