@@ -273,9 +273,7 @@ let pr2_baseline =
 
 (* PR-4 tree timings (ns/run, same machine, same bench) recorded
    immediately before the domain pool landed; --parallel-json writes
-   the comparison to BENCH_parallel.json.  The pool must not tax the
-   path that does not use it: CI requires every jobs=1 row within 3%
-   of the no-pool run. *)
+   the comparison to BENCH_parallel.json. *)
 let pr4_baseline =
   [
     ("classify: response formula automaton", 5246.6);
@@ -683,20 +681,6 @@ let wall_ns ?(reps = 3) f =
   done;
   !best
 
-(* Twelve requirements over three shared atoms: small enough for the
-   semantic pass, large enough that the 66-pair conflict/subsumption
-   matrix dominates. *)
-let parallel_lint_specs =
-  List.init 12 (fun i ->
-      let a = [| "p"; "q"; "r" |].(i mod 3)
-      and b = [| "q"; "r"; "p" |].(i mod 3) in
-      ( Printf.sprintf "r%d" i,
-        match i mod 4 with
-        | 0 -> Printf.sprintf "[] (%s -> <> %s)" a b
-        | 1 -> Printf.sprintf "[] !(%s & %s)" a b
-        | 2 -> Printf.sprintf "[]<> %s -> []<> %s" a b
-        | _ -> Printf.sprintf "<>[] %s | []<> %s" a b ))
-
 (* Closure workload for the parallel sweep: a strongly-connected
    30k-state graph with an 8-way [Or] of [Fin]/[Inf] pairs.  Its safety
    closure is one sequential Emerson-Lei collection (the per-conjunct
@@ -797,14 +781,6 @@ let parallel_json () =
       ( "sweep: classify 10k-state single-SCC automaton",
         fun () -> ignore (Classify.classify (mk ())) )
   in
-  let lint_m =
-    measure
-      ( "lint: 12-requirement pairwise matrix",
-        fun pool () ->
-          ignore
-            (Hierarchy.Lint.lint_strings ~mode:Hierarchy.Lint.Semantic ?pool
-               parallel_lint_specs) )
-  in
   let incl_t =
     time_seq
       ( "inclusion: 1000x999-state lazy product",
@@ -851,28 +827,27 @@ let parallel_json () =
       (json_escape name) seq j1 j2 j4 (j1 /. seq) (seq /. j2) (seq /. j4)
       (if i < len - 1 then "," else "")
   in
-  let section ~last name rows =
+  let section name rows =
     p "  \"%s\": {\n" name;
     p "    \"cores\": %d,\n" cores;
     p "    \"ungated\": %b,\n" ungated;
     p "    \"rows\": [\n";
     List.iteri (fun i r -> row i (List.length rows) r) rows;
     p "    ]\n";
-    p "  }%s\n" (if last then "" else ",")
+    p "  },\n"
   in
   p "{\n";
   p "  \"unit\": \"ns/run\",\n";
   p "  \"cores\": %d,\n" cores;
   p "  \"baseline\": \"PR-4 tree, before the domain pool landed; micro \
      ratios vs the PR-9 re-pin (see DESIGN.md)\",\n";
-  p "  \"note\": \"gates (skipped, and the sections marked ungated, below \
-     4 cores): overhead_jobs1 <= 1.03 on the lint matrix and <= 1.004 \
-     on the tiny workload (inline fast path); only the lint matrix fans \
-     out, and the sequential rows take no pool, so they are one timing \
-     each with no jobs columns and no gate; micro ratio vs repin_ns \
-     within noise of 1.0 (the pool is off on the micro benches)\",\n";
-  section ~last:false "workloads" [ lint_m ];
-  section ~last:false "tiny" [ tiny_m ];
+  p "  \"note\": \"gate (skipped, and the section marked ungated, below \
+     4 cores): overhead_jobs1 <= 1.004 on the tiny workload (inline fast \
+     path); only classify batches fan out, and the sequential rows take \
+     no pool, so they are one timing each with no jobs columns and no \
+     gate; micro ratio vs repin_ns within noise of 1.0 (the pool is off \
+     on the micro benches)\",\n";
+  section "tiny" [ tiny_m ];
   p "  \"sequential\": {\n";
   p "    \"cores\": %d,\n" cores;
   p "    \"rows\": [\n";
@@ -917,7 +892,7 @@ let parallel_json () =
          %8.1fms (%.2fx)@."
         name (seq /. 1e6) (j1 /. 1e6) (j1 /. seq) (j2 /. 1e6) (seq /. j2)
         (j4 /. 1e6) (seq /. j4))
-    [ lint_m; tiny_m ];
+    [ tiny_m ];
   List.iter
     (fun (name, seq) -> Format.printf "  %-52s seq %8.1fms@." name (seq /. 1e6))
     sequential

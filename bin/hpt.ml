@@ -50,11 +50,10 @@ let trace_arg =
 
 let jobs_arg =
   let doc =
-    "Run on $(docv) domains (a fixed pool).  Only independent items fan \
-     out: the formulas of a classify batch, and the per-requirement pass \
-     and pairwise matrix of lint and analyze; one classification runs on \
-     one domain.  The result is identical to the sequential run at every \
-     job count; $(docv)=1 exercises the pool's sequential path."
+    "Run on $(docv) domains (a fixed pool).  Only the formulas of a \
+     batch fan out; one classification runs on one domain.  The result \
+     is identical to the sequential run at every job count; $(docv)=1 \
+     exercises the pool's sequential path."
   in
   Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
@@ -368,7 +367,7 @@ let semantic_arg =
 (* Load the model, merge its inline [spec] directives (origin = the
    model file itself) with the given requirements, and run the full
    model-aware analysis. *)
-let run_model_analysis ~budget ~telemetry ~mode ?pool ?engine ~format path
+let run_model_analysis ~budget ~telemetry ~mode ?engine ~format path
     specs =
   Result.bind (Engine.protect (fun () -> Fts.Parse.load ~budget path))
   @@ fun (sys, inline) ->
@@ -384,7 +383,7 @@ let run_model_analysis ~budget ~telemetry ~mode ?pool ?engine ~format path
     (fun v ->
       print_verdict format v;
       verdict_exit_code v)
-    (Engine.analyze ~budget ~telemetry ~mode ?pool ?engine ~model:sys
+    (Engine.analyze ~budget ~telemetry ~mode ?engine ~model:sys
        (inline_specs @ specs))
 
 let lint_cmd =
@@ -400,19 +399,17 @@ let lint_cmd =
     in
     Arg.(value & opt (some file) None & info [ "model" ] ~docv:"MODEL" ~doc)
   in
-  let run fuel timeout_ms stats trace jobs engine file model format syntactic
+  let run fuel timeout_ms stats trace engine file model format syntactic
       semantic specs =
     with_observability fuel timeout_ms stats trace @@ fun budget telemetry ->
     Result.bind (parse_engine engine) @@ fun engine ->
-    with_jobs jobs @@ fun pool ->
     Result.bind (lint_mode syntactic semantic) @@ fun mode ->
     Result.bind (specs_of_file file) @@ fun file_specs ->
     Result.bind (specs_of_cli specs) @@ fun cli_specs ->
     let all = file_specs @ cli_specs in
     match model with
     | Some path ->
-        run_model_analysis ~budget ~telemetry ~mode ?pool ?engine ~format path
-          all
+        run_model_analysis ~budget ~telemetry ~mode ?engine ~format path all
     | None ->
         if all = [] then
           Error
@@ -430,7 +427,7 @@ let lint_cmd =
               in
               print_verdict format v;
               verdict_exit_code v)
-            (Engine.lint ~budget ~telemetry ~mode ?pool ?engine
+            (Engine.lint ~budget ~telemetry ~mode ?engine
                (List.map (fun (n, s, _) -> (n, s)) all))
   in
   let info =
@@ -442,7 +439,7 @@ let lint_cmd =
   in
   Cmd.v info
     Term.(const run $ fuel_arg $ timeout_arg $ stats_arg $ trace_arg
-          $ jobs_arg $ engine_arg $ spec_file_arg $ model_arg $ format_arg
+          $ engine_arg $ spec_file_arg $ model_arg $ format_arg
           $ syntactic_arg $ semantic_arg $ specs_arg)
 
 (* ---------------- analyze ---------------- *)
@@ -463,15 +460,14 @@ let analyze_cmd =
     Arg.(
       value & opt_all string [] & info [ "spec"; "s" ] ~docv:"NAME=FORMULA" ~doc)
   in
-  let run fuel timeout_ms stats trace jobs engine file format syntactic
+  let run fuel timeout_ms stats trace engine file format syntactic
       semantic cli_specs model =
     with_observability fuel timeout_ms stats trace @@ fun budget telemetry ->
     Result.bind (parse_engine engine) @@ fun engine ->
-    with_jobs jobs @@ fun pool ->
     Result.bind (lint_mode syntactic semantic) @@ fun mode ->
     Result.bind (specs_of_file file) @@ fun file_specs ->
     Result.bind (specs_of_cli cli_specs) @@ fun extra_specs ->
-    run_model_analysis ~budget ~telemetry ~mode ?pool ?engine ~format model
+    run_model_analysis ~budget ~telemetry ~mode ?engine ~format model
       (file_specs @ extra_specs)
   in
   let info =
@@ -486,7 +482,7 @@ let analyze_cmd =
   in
   Cmd.v info
     Term.(const run $ fuel_arg $ timeout_arg $ stats_arg $ trace_arg
-          $ jobs_arg $ engine_arg $ spec_file_arg $ format_arg
+          $ engine_arg $ spec_file_arg $ format_arg
           $ syntactic_arg $ semantic_arg $ spec_arg $ model_arg)
 
 (* ---------------- equiv ---------------- *)
@@ -558,18 +554,6 @@ let serve_cmd =
   let serve_jobs_arg =
     let doc = "Worker domains answering requests." in
     Arg.(value & opt int d.Serve.Daemon.jobs & info [ "jobs"; "j" ] ~docv:"N" ~doc)
-  in
-  let pool_jobs_arg =
-    let doc =
-      "Domains in the pool shared by the workers, which pass it to \
-       every lint request: its per-requirement pass and pairwise matrix \
-       fan out across $(docv) domains; a classify or equiv request runs \
-       on one.  1 (the default) keeps each request sequential."
-    in
-    Arg.(
-      value
-      & opt int d.Serve.Daemon.pool_jobs
-      & info [ "pool-jobs" ] ~docv:"N" ~doc)
   in
   let refine_every_arg =
     let doc =
@@ -651,14 +635,13 @@ let serve_cmd =
       & opt int d.Serve.Daemon.max_frame
       & info [ "max-frame" ] ~docv:"BYTES" ~doc)
   in
-  let run port stdio jobs pool_jobs max_inflight default_fuel max_fuel
+  let run port stdio jobs max_inflight default_fuel max_fuel
       default_timeout_ms max_timeout_ms refine_every cache_mb access_log
       debug_ops max_frame =
     let config =
       {
         Serve.Daemon.port = (if stdio then None else port);
         jobs;
-        pool_jobs;
         max_inflight;
         default_fuel;
         max_fuel;
@@ -683,7 +666,7 @@ let serve_cmd =
          budgets, load shedding and bounded caches"
   in
   Cmd.v info
-    Term.(const run $ port_arg $ stdio_arg $ serve_jobs_arg $ pool_jobs_arg
+    Term.(const run $ port_arg $ stdio_arg $ serve_jobs_arg
           $ max_inflight_arg $ default_fuel_arg $ max_fuel_arg
           $ default_timeout_arg $ max_timeout_arg $ refine_every_arg
           $ cache_mb_arg $ access_log_arg $ debug_ops_arg $ max_frame_arg)

@@ -335,13 +335,13 @@ let witness ?(budget = Budget.unlimited) ?(telemetry = Telemetry.disabled)
   Logic.Tableau.witness ~budget ~telemetry alpha f
 
 let lint ?(budget = Budget.unlimited) ?(telemetry = Telemetry.disabled) ?mode
-    ?pool ?engine specs =
+    ?engine specs =
   protect ~budget ~telemetry @@ fun () ->
   with_scoped ?engine @@ fun () ->
-  Lint.lint_strings ~budget ?mode ?pool specs
+  Lint.lint_strings ~budget ?mode specs
 
 let analyze ?(budget = Budget.unlimited) ?(telemetry = Telemetry.disabled)
-    ?mode ?pool ?engine ~model specs =
+    ?mode ?pool:_ ?engine ~model specs =
   protect ~budget ~telemetry @@ fun () ->
   with_scoped ?engine @@ fun () ->
   let lint_verdict =
@@ -350,7 +350,7 @@ let analyze ?(budget = Budget.unlimited) ?(telemetry = Telemetry.disabled)
        never ticks the — now sticky — budget), and let the model
        checks' [Not_checked] statuses report the degradation instead of
        losing the whole report *)
-    try Lint.lint_located ~budget ?mode ?pool specs
+    try Lint.lint_located ~budget ?mode specs
     with Budget.Tripped _ ->
       Lint.lint_located ~mode:Lint.Syntactic_only specs
   in

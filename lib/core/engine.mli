@@ -93,8 +93,8 @@ val protect :
 
     An entry point's [?engine] argument sets the engine for that call
     only, through the domain-scoped {!Omega.Lang.with_engine}, and
-    reaches the call's pool tasks; omitted, the caller's scope
-    applies.  Nothing is process-wide, so concurrent requests (the
+    reaches the pool tasks of {!classify_batch}; omitted, the caller's
+    scope applies.  Nothing is process-wide, so concurrent requests (the
     serve daemon) cannot see each other's engine. *)
 
 type inclusion_engine = Omega.Lang.engine
@@ -215,14 +215,12 @@ val lint :
   ?budget:Budget.t ->
   ?telemetry:Telemetry.t ->
   ?mode:Lint.mode ->
-  ?pool:Pool.t ->
   ?engine:inclusion_engine ->
   (string * string) list ->
   (Lint.verdict, error) result
 (** Parse and lint a named-requirement specification.  [mode] selects
     how much semantic refinement {!Lint} performs (default
-    {!Lint.Auto}).  With a pool the per-item pass and the pairwise
-    matrix parallelize with a byte-identical verdict (see {!Lint.lint}). *)
+    {!Lint.Auto}). *)
 
 val analyze :
   ?budget:Budget.t ->
@@ -238,10 +236,12 @@ val analyze :
     verdict ({!Lint.with_model}).  Specs carry an optional source
     origin so findings are attributable in JSON output.  [engine]
     scopes the inclusion engine used by the vacuity queries; verdicts
-    are identical under either engine and at every pool size.  If the
-    budget trips during the formula-only pass, it degrades to the
-    syntactic-only pass and the model checks report [Not_checked] —
-    nothing is silently dropped. *)
+    are identical under either engine.  If the budget trips during the
+    formula-only pass, it degrades to the syntactic-only pass and the
+    model checks report [Not_checked] — nothing is silently dropped.
+    The pool argument is accepted and ignored: the analysis runs
+    sequentially, and the argument stays only because
+    [perfbench/w_large.ml] passes one (ROADMAP item 6). *)
 
 (** {2 Parsing and alphabets} *)
 

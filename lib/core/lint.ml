@@ -117,7 +117,7 @@ let constant_subterms spanned =
       if Logic.Shape.constant s.Logic.Parser.f <> None then []
       else List.rev (List.fold_left walk [] s.Logic.Parser.children)
 
-let lint_parsed ?budget ?(mode = Auto) ?pool
+let lint_parsed ?budget ?(mode = Auto)
     (specs : (string * Logic.Formula.t * (string * Logic.Parser.spanned) option) list) =
   let atoms =
     List.sort_uniq compare
@@ -150,7 +150,7 @@ let lint_parsed ?budget ?(mode = Auto) ?pool
   (* a requirement's tableau automaton and its negation's: the item pass
      reads [satisfiable] and [valid] off them, and the pairwise matrix
      decides every pair on their products *)
-  let build_item ?budget (iname, formula, src) =
+  let build_item (iname, formula, src) =
     let shape = Logic.Shape.infer formula in
     let klass =
       match alpha with
@@ -201,21 +201,11 @@ let lint_parsed ?budget ?(mode = Auto) ?pool
       tableaux )
   in
   (* the two semantic passes open spans on the ambient handle, so the
-     tableau spans they cause nest under them (pool tasks' reports are
-     absorbed under the innermost open span) *)
+     tableau spans they cause nest under them *)
   let tl = Telemetry.ambient () in
   let built =
-    (* the per-requirement semantic pass (one classification + two
-       tableau translations each) is independent per item: one pool
-       task per requirement, with the budget split deterministically by
-       index *)
     Telemetry.span tl "lint.items" @@ fun () ->
-    match pool with
-    | None -> List.map (build_item ?budget) specs
-    | Some p ->
-        Pool.map ?budget p
-          (fun ctx spec -> build_item ~budget:ctx.Pool.budget spec)
-          specs
+    List.map build_item specs
   in
   let items = List.map fst built in
   let spanned_of =
@@ -282,7 +272,7 @@ let lint_parsed ?budget ?(mode = Auto) ?pool
          (conflict beats either implication; a->b beats b->a): a & b is
          unsatisfiable iff A(a) x A(b) is empty, a -> b is valid iff
          A(a) x A(!b) is empty *)
-      let judge ?budget ((a, ta), (b, tb)) =
+      let judge ((a, ta), (b, tb)) =
         match (ta, tb) with
         | Some (a_pos, a_neg), Some (b_pos, b_neg)
           when eligible a && eligible b ->
@@ -293,23 +283,10 @@ let lint_parsed ?budget ?(mode = Auto) ?pool
             else `Nothing
         | (Some _ | None), (Some _ | None) -> `Nothing
       in
-      let pairs = pair_list built in
-      let verdicts =
-        (* one pool task per pair, sharing the immutable automata;
-           diagnostics are emitted after the join, in pair order, so the
-           report is byte-identical to the sequential scan at every job
-           count *)
-        Telemetry.span tl "lint.matrix" @@ fun () ->
-        match pool with
-        | None -> List.map (judge ?budget) pairs
-        | Some p ->
-            Pool.map ?budget p
-              (fun ctx pair -> judge ~budget:ctx.Pool.budget pair)
-              pairs
-      in
-      List.iter2
-        (fun ((a, _), (b, _)) verdict ->
-          match verdict with
+      Telemetry.span tl "lint.matrix" @@ fun () ->
+      List.iter
+        (fun (((a, _), (b, _)) as pair) ->
+          match judge pair with
           | `Nothing -> ()
           | `Conflict ->
               diag ~requirement:b.iname E002
@@ -322,7 +299,7 @@ let lint_parsed ?budget ?(mode = Auto) ?pool
           | `Implies_ba ->
               diag ~requirement:a.iname W105
                 "requirement %S is implied by %S: redundant" a.iname b.iname)
-        pairs verdicts
+        (pair_list built)
   | Some _ | None -> ());
   (* specification-level diagnostics *)
   let all_safety =
@@ -381,11 +358,11 @@ let lint_parsed ?budget ?(mode = Auto) ?pool
     model = None;
   }
 
-let lint ?budget ?mode ?pool specs =
-  lint_parsed ?budget ?mode ?pool (List.map (fun (n, f) -> (n, f, None)) specs)
+let lint ?budget ?mode specs =
+  lint_parsed ?budget ?mode (List.map (fun (n, f) -> (n, f, None)) specs)
 
-let lint_strings ?budget ?mode ?pool specs =
-  lint_parsed ?budget ?mode ?pool
+let lint_strings ?budget ?mode specs =
+  lint_parsed ?budget ?mode
     (List.map
        (fun (n, s) ->
          let sp = Logic.Parser.parse_spanned s in
@@ -408,10 +385,10 @@ let with_origins origins v =
         v.diagnostics;
   }
 
-let lint_located ?budget ?mode ?pool specs =
+let lint_located ?budget ?mode specs =
   with_origins
     (List.map (fun (n, _, origin) -> (n, origin)) specs)
-    (lint_strings ?budget ?mode ?pool
+    (lint_strings ?budget ?mode
        (List.map (fun (n, s, _) -> (n, s)) specs))
 
 let with_model (report : Fts.Analyze.report) v =

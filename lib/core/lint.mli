@@ -140,17 +140,10 @@ type verdict = {
     atom-free or many-atom specifications — the semantic pass degrades
     to the syntactic one (with W104) as needed.  [budget] is shared by
     all semantic constructions and interrupts them with
-    [Budget.Tripped].
-
-    With a pool the per-item semantic pass and the pairwise
-    conflict/subsumption matrix run as pool tasks (one per item, one
-    per pair); diagnostics are emitted after the join in the canonical
-    sequential order, so the verdict is byte-identical at every job
-    count. *)
+    [Budget.Tripped]. *)
 val lint :
   ?budget:Budget.t ->
   ?mode:mode ->
-  ?pool:Pool.t ->
   (string * Logic.Formula.t) list ->
   verdict
 
@@ -159,7 +152,6 @@ val lint :
 val lint_strings :
   ?budget:Budget.t ->
   ?mode:mode ->
-  ?pool:Pool.t ->
   (string * string) list ->
   verdict
 
@@ -169,7 +161,6 @@ val lint_strings :
 val lint_located :
   ?budget:Budget.t ->
   ?mode:mode ->
-  ?pool:Pool.t ->
   (string * string * origin option) list ->
   verdict
 

@@ -4,10 +4,10 @@
     [Domain.spawn] + [Mutex]/[Condition] — no dependency beyond the
     stdlib) with one combinator, {!map}, whose {e results are
     bit-identical at every job count}.  Parallelism changes wall-clock
-    time, never verdicts: the batch classifications, lint matrices and
-    serve requests built on top of this module return the same values
-    at [jobs = 1], [2] and [4], including under injected budget trips
-    and with telemetry enabled.
+    time, never verdicts: the batch classifications built on top of
+    this module ([Engine.classify_batch]) return the same values at
+    [jobs = 1], [2] and [4], including under injected budget trips and
+    with telemetry enabled.
 
     {2 Determinism contract}
 

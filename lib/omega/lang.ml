@@ -93,17 +93,19 @@ type engine = Ambient.engine
 let engine = Ambient.engine
 let with_engine = Ambient.with_engine
 
+(* The oracle trims to the reachable part before [is_empty]: the
+   product tabulates every pair, and [live_states] would walk them all. *)
 let is_universal a =
   match engine () with
   | `Antichain -> Inclusion.is_universal a
-  | `Explicit -> is_empty (cached_complement a)
+  | `Explicit -> is_empty (Automaton.trim (cached_complement a))
 
 let included ?pool:_ a b =
   match engine () with
   | `Antichain -> Inclusion.included a b
   | `Explicit ->
       Telemetry.incr (Telemetry.ambient ()) "lang.included.product";
-      is_empty (Automaton.inter a (cached_complement b))
+      is_empty (Automaton.trim (Automaton.inter a (cached_complement b)))
 
 let equal a b = included a b && included b a
 

@@ -3,7 +3,6 @@ module Engine = Hierarchy.Engine
 type config = {
   port : int option;
   jobs : int;
-  pool_jobs : int;
   max_inflight : int;
   default_fuel : int;
   max_fuel : int;
@@ -20,7 +19,6 @@ let default_config =
   {
     port = None;
     jobs = 2;
-    pool_jobs = 1;
     max_inflight = 16;
     default_fuel = 2_000_000;
     max_fuel = 50_000_000;
@@ -109,7 +107,6 @@ type t = {
   refine_q : work Queue.t;
   mutable served_since_refine : int;  (* under lock; drives the quota *)
   mutable stop : bool;  (* under lock *)
-  pool : Pool.t option;  (* shared batch pool ([pool_jobs] > 1) *)
   inflight : int Atomic.t;
   table : (int, pending) Hashtbl.t;  (* rid -> pending, under lock *)
   resp_cache : (string, Protocol.body) Cache.t;
@@ -221,7 +218,7 @@ let of_engine_result ~exhausted_of = function
       | body, Some e -> (body, `Degraded e))
   | Error e -> (Protocol.engine_error_body e, `Error e)
 
-let compute ~budget ?pool (req : Protocol.request) =
+let compute ~budget (req : Protocol.request) =
   let engine = req.Protocol.engine in
   match req.Protocol.op with
   | Protocol.Classify { formula; props; chars } ->
@@ -239,7 +236,7 @@ let compute ~budget ?pool (req : Protocol.request) =
   | Protocol.Lint { specs } ->
       of_engine_result
         ~exhausted_of:(fun v -> (Protocol.lint_body v, None))
-        (Engine.lint ~budget ?pool ?engine specs)
+        (Engine.lint ~budget ?engine specs)
   | Protocol.Spin { ms } ->
       (* deliberately never polls the budget: exists to exercise the
          watchdog under --debug-ops *)
@@ -288,7 +285,7 @@ let process_request t p =
         reply t p body ~outcome:"ok" ~code:None ~cache:"hit"
     | None ->
         if key <> None then Atomic.incr t.c.cache_misses;
-        let body, outcome = compute ~budget:p.budget ?pool:t.pool p.preq in
+        let body, outcome = compute ~budget:p.budget p.preq in
         let cache = if key = None then "none" else "miss" in
         (match outcome with
         | `Ok ->
@@ -311,7 +308,7 @@ let process_refine t ~key ~rreq ~rfuel =
   let budget =
     Budget.make ~fuel:rfuel ~timeout_ms:t.cfg.max_timeout_ms ()
   in
-  let body, outcome = compute ~budget ?pool:t.pool rreq in
+  let body, outcome = compute ~budget rreq in
   match outcome with
   | `Ok ->
       Cache.add t.resp_cache key body;
@@ -696,7 +693,6 @@ let serve_tcp t port =
 
 let run cfg =
   if cfg.jobs < 1 then invalid_arg "Daemon.run: jobs must be >= 1";
-  if cfg.pool_jobs < 1 then invalid_arg "Daemon.run: pool_jobs must be >= 1";
   if cfg.refine_every < 1 then
     invalid_arg "Daemon.run: refine_every must be >= 1";
   if cfg.max_inflight < 1 then
@@ -725,9 +721,6 @@ let run cfg =
       refine_q = Queue.create ();
       served_since_refine = 0;
       stop = false;
-      pool =
-        (if cfg.pool_jobs > 1 then Some (Pool.create ~jobs:cfg.pool_jobs)
-         else None);
       inflight = Atomic.make 0;
       table = Hashtbl.create 64;
       resp_cache =
@@ -760,9 +753,4 @@ let run cfg =
     workers;
   Domain.join wd;
   List.iter Domain.join readers;
-  (* a retired worker is never joined and may still be inside a lint
-     that maps over the pool, where a shut-down pool would raise; the
-     pool then stays up and goes with the process, as that worker does *)
-  if List.for_all (fun (r, _) -> not (Atomic.get r.retired)) workers then
-    Option.iter Pool.shutdown t.pool;
   Option.iter Telemetry.close_lines t.access

@@ -32,10 +32,6 @@
 type config = {
   port : int option;  (** [Some p]: TCP on 127.0.0.1:[p]; [None]: stdio *)
   jobs : int;  (** worker domains *)
-  pool_jobs : int;
-      (** domains in the {!Kernel.Pool} shared by the workers, which
-          pass it to every lint request so its items and pairs fan
-          out; [1] (the default) keeps requests strictly sequential *)
   max_inflight : int;  (** admission gate: queued + running *)
   default_fuel : int;  (** per-request fuel when the client gives none *)
   max_fuel : int;  (** ceiling for client fuel and refinement escalation *)
@@ -55,7 +51,7 @@ type config = {
 }
 
 val default_config : config
-(** stdio, [jobs = 2], [pool_jobs = 1], [max_inflight = 16],
+(** stdio, [jobs = 2], [max_inflight = 16],
     [refine_every = 8], 2s/10s timeouts, [cache_mb = 32], no access
     log, debug ops off, 1 MiB frames. *)
 

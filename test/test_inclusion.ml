@@ -251,6 +251,45 @@ let gen_pairs_automaton =
     (int_range 4 6 >>= fun k -> list_repeat k (pair gen_set gen_set))
     bool
 
+(* A random automaton, and the same automaton with 1-3 states appended
+   that no run reaches: their rows point anywhere, back into the
+   original states too, and each acceptance set takes a random share
+   of them, so the junk carries Inf and Fin marks alike. *)
+let gen_junked =
+  let open QCheck.Gen in
+  gen_automaton >>= fun (a : Automaton.t) ->
+  int_range 1 3 >>= fun k ->
+  let n = a.n + k in
+  list_repeat k (list_repeat 2 (int_bound (n - 1))) >>= fun rows ->
+  int >|= fun seed ->
+  let st = Random.State.make [| seed |] in
+  let marks s =
+    Iset.union s
+      (Iset.of_list
+         (List.filter
+            (fun _ -> Random.State.bool st)
+            (List.init k (( + ) a.n))))
+  in
+  ( a,
+    Automaton.make ~alpha:a.alpha ~n ~start:a.start
+      ~delta:(Array.append a.delta (Array.of_list (List.map Array.of_list rows)))
+      ~acc:(Acceptance.map_sets marks a.acc) )
+
+let arb_junked =
+  QCheck.make ~print:(fun (_, j) -> pp_auto j) gen_junked
+
+(* The explicit verdict on [L(a) <= L(b)], and the successor rows the
+   oracle asked for to reach it. *)
+let explicit_work a b =
+  let t = Telemetry.collector () in
+  let v =
+    Telemetry.with_ambient t (fun () ->
+        Lang.with_engine `Explicit (fun () -> Lang.included a b))
+  in
+  ( v,
+    Telemetry.counter t "automaton.successors.hit"
+    + Telemetry.counter t "automaton.successors.miss" )
+
 let differential_tests =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -284,6 +323,17 @@ let differential_tests =
           explicit = Lang.with_engine `Antichain (fun () -> verdicts a b)
           && Telemetry.counter t "lang.included.product" >= 1
           && Telemetry.counter t "inclusion.same_table" = 0);
+      QCheck.Test.make
+        ~name:"unreachable junk changes no verdict and no oracle work"
+        ~count:300 (QCheck.pair arb_junked arb_junked)
+        (fun ((a, a'), (b, b')) ->
+          (* the oracle trims its product to the reachable pairs, so the
+             junk adds no row to its emptiness check *)
+          let v, work = explicit_work a b in
+          explicit_work a' b' = (v, work)
+          && Lang.with_engine `Antichain (fun () -> Lang.included a' b') = v
+          && Lang.with_engine `Explicit (fun () -> verdicts a' b')
+             = Lang.with_engine `Antichain (fun () -> verdicts a b));
       QCheck.Test.make ~name:"a rebuilt twin is always language-equal"
         ~count:300 arb_automaton (fun a ->
           Lang.with_engine `Antichain (fun () -> Lang.equal a (twin a)));
