@@ -732,39 +732,6 @@ let parallel_json () =
              Acceptance.Inf (Iset.singleton 1);
            ])
   in
-  (* Reps are interleaved round-robin — rep k of every variant before
-     rep k+1 of any — so slow drift (GC heap growth, machine load)
-     biases all variants equally and the overhead gates compare minima
-     sampled under the same conditions.  The arm that goes first
-     rotates from rep to rep: the first run of a rep pays for whatever
-     the previous rep left behind (a larger heap, a cold cache), and
-     always timing the no-pool arm first showed sequential code a
-     "1.37x" jobs=2 speedup.  Reps come in multiples of the four arms,
-     so each arm leads equally often.  Each pool lives only around its
-     own timed slice: idle worker domains are not free (every minor
-     collection is a stop-the-world barrier across all live domains),
-     so the sequential baseline must run with none. *)
-  let measure ?(reps = 4) (name, wf) =
-    let best = Array.make 4 infinity in
-    let time i f =
-      let t0 = Unix.gettimeofday () in
-      f ();
-      let dt = (Unix.gettimeofday () -. t0) *. 1e9 in
-      if dt < best.(i) then best.(i) <- dt
-    in
-    let arm = function
-      | 0 -> time 0 (wf None)
-      | i ->
-          let jobs = [| 1; 2; 4 |].(i - 1) in
-          Pool.with_pool ~jobs (fun p -> time i (wf (Some p)))
-    in
-    for rep = 0 to reps - 1 do
-      for k = 0 to 3 do
-        arm ((rep + k) mod 4)
-      done
-    done;
-    (name, best.(0), best.(1), best.(2), best.(3))
-  in
   (* Code that takes no pool runs the same in every arm, so a jobs
      column would time noise: these are the best of [reps] plain runs. *)
   let time_seq ?(reps = 4) (name, f) =
@@ -794,48 +761,57 @@ let parallel_json () =
   in
   (* The tiny gate asserts a 0.4% bound on a one-item batch, which
      takes the pool's inline fast path, so both arms run the same code.
-     Many short samples beat few long ones here: on 2 shared vCPUs the
-     best of 12 samples of 500 calls read the jobs=1 overhead anywhere
-     in 0.88-1.15 over seven runs, the best of 160 samples of 25 calls
-     in 0.95-1.04 over eight; neither holds the bound on that machine. *)
-  let tiny_m =
-    measure ~reps:160
-      ( "tiny: one-item classify_batch of the response formula x25",
-        fun pool () ->
-          for _ = 1 to 25 do
-            ignore (Hierarchy.Engine.classify_batch ?pool [ "[] (p -> <> q)" ])
-          done )
+     A best-of-N per arm cannot resolve that on 2 shared vCPUs: the best
+     of 160 samples of 25 calls read the jobs=1 overhead anywhere in
+     0.95-1.04 over eight runs.  The estimator is paired instead: each
+     short no-pool sample sits next to a jobs=1 sample, the arm that
+     goes first alternates from pair to pair, and the row reports the
+     median of the per-pair jobs=1 / no-pool ratios with its quartiles.
+     Drift slower than one pair cancels inside each ratio.  A jobs=1
+     pool spawns no domain, so one pool serves every pair. *)
+  let tiny_pairs = 2001 in
+  let tiny_name = "tiny: one-item classify_batch of the response formula x5" in
+  let tiny_sample pool () =
+    for _ = 1 to 5 do
+      ignore (Hierarchy.Engine.classify_batch ?pool [ "[] (p -> <> q)" ])
+    done
   in
+  let seq_ns, jobs1_ns, ratios =
+    let time f =
+      let t0 = Monotonic_clock.now () in
+      f ();
+      Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0)
+    in
+    let pairs =
+      Pool.with_pool ~jobs:1 (fun p ->
+          Array.init tiny_pairs (fun i ->
+              if i land 1 = 0 then
+                let seq = time (tiny_sample None) in
+                (seq, time (tiny_sample (Some p)))
+              else
+                let j1 = time (tiny_sample (Some p)) in
+                (time (tiny_sample None), j1)))
+    in
+    let sorted f =
+      let a = Array.map f pairs in
+      Array.sort Float.compare a;
+      a
+    in
+    (sorted fst, sorted snd, sorted (fun (seq, j1) -> j1 /. seq))
+  in
+  let quantile a q = a.(int_of_float (q *. float_of_int (Array.length a - 1))) in
   (* each is ONE input with no batch to slice, and every one runs
      sequentially (the per-SCC, inclusion and closure fan-outs are all
      gone) *)
   let sequential = [ sweep_t; incl_t; closure_t ] in
   let micro = run_benches () in
-  (* a jobs=4 sweep on fewer than 4 cores measures oversubscription,
-     not speedup, so every section carries the core count it ran on
-     and an explicit ungated marker when the speedup gates cannot
-     apply — CI refuses to gate (and says so) instead of reading
-     meaningless numbers *)
+  (* the tiny bound is set for a 4-core runner, so every section
+     carries the core count it ran on and the tiny section an explicit
+     ungated marker below 4 cores — CI refuses to gate (and says so)
+     instead of reading numbers from a smaller machine *)
   let ungated = cores < 4 in
   let oc = open_out "BENCH_parallel.json" in
   let p fmt = Printf.fprintf oc fmt in
-  let row i len (name, seq, j1, j2, j4) =
-    p
-      "      {\"name\": \"%s\", \"seq_ns\": %.0f, \"jobs1_ns\": %.0f, \
-       \"jobs2_ns\": %.0f, \"jobs4_ns\": %.0f, \"overhead_jobs1\": %.3f, \
-       \"speedup_jobs2\": %.2f, \"speedup_jobs4\": %.2f}%s\n"
-      (json_escape name) seq j1 j2 j4 (j1 /. seq) (seq /. j2) (seq /. j4)
-      (if i < len - 1 then "," else "")
-  in
-  let section name rows =
-    p "  \"%s\": {\n" name;
-    p "    \"cores\": %d,\n" cores;
-    p "    \"ungated\": %b,\n" ungated;
-    p "    \"rows\": [\n";
-    List.iteri (fun i r -> row i (List.length rows) r) rows;
-    p "    ]\n";
-    p "  },\n"
-  in
   p "{\n";
   p "  \"unit\": \"ns/run\",\n";
   p "  \"cores\": %d,\n" cores;
@@ -843,11 +819,24 @@ let parallel_json () =
      ratios vs the PR-9 re-pin (see DESIGN.md)\",\n";
   p "  \"note\": \"gate (skipped, and the section marked ungated, below \
      4 cores): overhead_jobs1 <= 1.004 on the tiny workload (inline fast \
-     path); only classify batches fan out, and the sequential rows take \
-     no pool, so they are one timing each with no jobs columns and no \
-     gate; micro ratio vs repin_ns within noise of 1.0 (the pool is off \
-     on the micro benches)\",\n";
-  section "tiny" [ tiny_m ];
+     path), the median of reps paired jobs=1 / no-pool ratios with its \
+     quartiles beside it; only classify batches fan out, and the \
+     sequential rows take no pool, so they are one timing each with no \
+     jobs columns and no gate; micro ratio vs repin_ns within noise of \
+     1.0 (the pool is off on the micro benches)\",\n";
+  p "  \"tiny\": {\n";
+  p "    \"cores\": %d,\n" cores;
+  p "    \"ungated\": %b,\n" ungated;
+  p "    \"rows\": [\n";
+  p
+    "      {\"name\": \"%s\", \"reps\": %d, \"seq_ns\": %.0f, \
+     \"jobs1_ns\": %.0f, \"overhead_jobs1\": %.4f, \"overhead_jobs1_q1\": \
+     %.4f, \"overhead_jobs1_q3\": %.4f}\n"
+    (json_escape tiny_name) tiny_pairs (quantile seq_ns 0.5)
+    (quantile jobs1_ns 0.5) (quantile ratios 0.5) (quantile ratios 0.25)
+    (quantile ratios 0.75);
+  p "    ]\n";
+  p "  },\n";
   p "  \"sequential\": {\n";
   p "    \"cores\": %d,\n" cores;
   p "    \"rows\": [\n";
@@ -885,14 +874,14 @@ let parallel_json () =
   close_out oc;
   Format.printf "@.wrote BENCH_parallel.json (cores=%d%s)@." cores
     (if ungated then ", UNGATED: fewer than 4 cores" else "");
-  List.iter
-    (fun (name, seq, j1, j2, j4) ->
-      Format.printf
-        "  %-52s seq %8.1fms  j1 %8.1fms (x%.3f)  j2 %8.1fms (%.2fx)  j4 \
-         %8.1fms (%.2fx)@."
-        name (seq /. 1e6) (j1 /. 1e6) (j1 /. seq) (j2 /. 1e6) (seq /. j2)
-        (j4 /. 1e6) (seq /. j4))
-    [ tiny_m ];
+  Format.printf
+    "  %-52s seq %8.1fus  j1 %8.1fus  overhead x%.4f (IQR %.4f-%.4f, %d \
+     pairs)@."
+    tiny_name
+    (quantile seq_ns 0.5 /. 1e3)
+    (quantile jobs1_ns 0.5 /. 1e3)
+    (quantile ratios 0.5) (quantile ratios 0.25) (quantile ratios 0.75)
+    tiny_pairs;
   List.iter
     (fun (name, seq) -> Format.printf "  %-52s seq %8.1fms@." name (seq /. 1e6))
     sequential

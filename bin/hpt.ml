@@ -607,8 +607,7 @@ let serve_cmd =
   in
   let cache_mb_arg =
     let doc =
-      "Total size bound (MiB), split in half between the response cache and \
-       the complement cache; 0 disables caching."
+      "Size bound (MiB) of the response cache; 0 disables caching."
     in
     Arg.(
       value & opt int d.Serve.Daemon.cache_mb & info [ "cache-mb" ] ~docv:"MB" ~doc)

@@ -358,9 +358,6 @@ let lint_parsed ?budget ?(mode = Auto)
     model = None;
   }
 
-let lint ?budget ?mode specs =
-  lint_parsed ?budget ?mode (List.map (fun (n, f) -> (n, f, None)) specs)
-
 let lint_strings ?budget ?mode specs =
   lint_parsed ?budget ?mode
     (List.map

@@ -136,19 +136,11 @@ type verdict = {
       (** present when a model was analysed ({!with_model}) *)
 }
 
-(** [lint specs]: analyze each named requirement.  Never raises on
-    atom-free or many-atom specifications — the semantic pass degrades
-    to the syntactic one (with W104) as needed.  [budget] is shared by
-    all semantic constructions and interrupts them with
-    [Budget.Tripped]. *)
-val lint :
-  ?budget:Budget.t ->
-  ?mode:mode ->
-  (string * Logic.Formula.t) list ->
-  verdict
-
-(** Parse each requirement (keeping source spans for diagnostics), then
-    lint. *)
+(** [lint_strings specs]: parse each named requirement (keeping source
+    spans for diagnostics), then analyze it.  Never raises on atom-free
+    or many-atom specifications — the semantic pass degrades to the
+    syntactic one (with W104) as needed.  [budget] is shared by all
+    semantic constructions and interrupts them with [Budget.Tripped]. *)
 val lint_strings :
   ?budget:Budget.t ->
   ?mode:mode ->

@@ -8,11 +8,7 @@
    - Recency is a per-shard monotone tick stamped on every hit; the
      2-random evictor compares stamps, so it needs no list surgery on
      the hot path (the measured cost of a hit is: one mutex, one
-     hashtable probe, one store).
-   - The generation counter is global to the cache.  [invalidate]
-     bumps it before clearing the shards; [find_or_add] re-checks it
-     before installing a value computed outside the lock, so a stale
-     computation can never resurrect a cleared entry. *)
+     hashtable probe, one store). *)
 
 type ('k, 'v) entry = {
   value : 'v;
@@ -36,24 +32,20 @@ type ('k, 'v) shard = {
 }
 
 type ('k, 'v) t = {
-  cname : string;
   mask : int;  (* shard count - 1; shard count is a power of two *)
   shards : ('k, 'v) shard array;
-  hash : 'k -> int;
   weight_of : 'k -> 'v -> int;
-  capacity : int Atomic.t;  (* total, across shards *)
-  generation : int Atomic.t;
+  capacity : int;  (* total, across shards *)
 }
 
 let next_pow2 n =
   let rec go p = if p >= n then p else go (p * 2) in
   go 1
 
-let create ~name ?(shards = 8) ~capacity ~weight ?(hash = Hashtbl.hash) () =
+let create ?(shards = 8) ~capacity ~weight () =
   if shards < 1 then invalid_arg "Cache.create: shards must be >= 1";
   let n = next_pow2 shards in
   {
-    cname = name;
     mask = n - 1;
     shards =
       Array.init n (fun i ->
@@ -71,17 +63,11 @@ let create ~name ?(shards = 8) ~capacity ~weight ?(hash = Hashtbl.hash) () =
             misses = 0;
             evictions = 0;
           });
-    hash;
     weight_of = weight;
-    capacity = Atomic.make capacity;
-    generation = Atomic.make 0;
+    capacity;
   }
 
-let name t = t.cname
-
-let shard_of t k = t.shards.(t.hash k land t.mask)
-
-let shard_budget t = Atomic.get t.capacity / (t.mask + 1)
+let shard_of t k = t.shards.(Hashtbl.hash k land t.mask)
 
 let locked sh f =
   Mutex.lock sh.lock;
@@ -146,91 +132,37 @@ let push_slot sh k =
   sh.used <- sh.used + 1;
   sh.used - 1
 
-let add_locked t sh k v =
-  let w = t.weight_of k v in
-  let budget = shard_budget t in
-  if w <= budget then begin
-    (match Hashtbl.find_opt sh.tbl k with
-    | Some old -> remove_slot sh old k
-    | None -> ());
-    sh.tick <- sh.tick + 1;
-    let e = { value = v; ew = w; slot = 0; stamp = sh.tick } in
-    e.slot <- push_slot sh k;
-    Hashtbl.replace sh.tbl k e;
-    sh.weight <- sh.weight + w;
-    evict_to sh ~budget
-  end
-
-let enabled t = Atomic.get t.capacity > 0
-
-let tele t suffix =
-  Telemetry.incr (Telemetry.ambient ()) (t.cname ^ "." ^ suffix)
-
 let find t k =
-  if not (enabled t) then begin
-    tele t "miss";
-    None
-  end
+  if t.capacity <= 0 then None
   else
     let sh = shard_of t k in
-    let r =
-      locked sh (fun () ->
-          match Hashtbl.find_opt sh.tbl k with
-          | Some e ->
-              sh.tick <- sh.tick + 1;
-              e.stamp <- sh.tick;
-              sh.hits <- sh.hits + 1;
-              Some e.value
-          | None ->
-              sh.misses <- sh.misses + 1;
-              None)
-    in
-    tele t (match r with Some _ -> "hit" | None -> "miss");
-    r
+    locked sh (fun () ->
+        match Hashtbl.find_opt sh.tbl k with
+        | Some e ->
+            sh.tick <- sh.tick + 1;
+            e.stamp <- sh.tick;
+            sh.hits <- sh.hits + 1;
+            Some e.value
+        | None ->
+            sh.misses <- sh.misses + 1;
+            None)
 
 let add t k v =
-  if enabled t then
-    let sh = shard_of t k in
-    locked sh (fun () -> add_locked t sh k v)
-
-let find_or_add t k f =
-  match find t k with
-  | Some v -> v
-  | None ->
-      let gen = Atomic.get t.generation in
-      let v = f () in
-      if enabled t && Atomic.get t.generation = gen then begin
-        let sh = shard_of t k in
-        locked sh (fun () ->
-            (* a racing caller may have installed its own value while
-               we computed; keep the installed one resident and adopt
-               ours locally — both are equal by the cache contract *)
-            match Hashtbl.find_opt sh.tbl k with
-            | Some _ -> ()
-            | None -> add_locked t sh k v)
-      end;
-      v
-
-let clear_shard sh =
-  Hashtbl.reset sh.tbl;
-  sh.slots <- [||];
-  sh.used <- 0;
-  sh.weight <- 0
-
-let invalidate t =
-  (* bump first: computations that sampled the old generation must not
-     install after the clear *)
-  Atomic.incr t.generation;
-  Array.iter (fun sh -> locked sh (fun () -> clear_shard sh)) t.shards
-
-let set_capacity t c =
-  Atomic.set t.capacity c;
-  if c <= 0 then invalidate t
-  else
-    (* shrink immediately rather than waiting for the next insert *)
-    Array.iter
-      (fun sh -> locked sh (fun () -> evict_to sh ~budget:(shard_budget t)))
-      t.shards
+  if t.capacity > 0 then
+    let w = t.weight_of k v in
+    let budget = t.capacity / (t.mask + 1) in
+    if w <= budget then
+      let sh = shard_of t k in
+      locked sh (fun () ->
+          (match Hashtbl.find_opt sh.tbl k with
+          | Some old -> remove_slot sh old k
+          | None -> ());
+          sh.tick <- sh.tick + 1;
+          let e = { value = v; ew = w; slot = 0; stamp = sh.tick } in
+          e.slot <- push_slot sh k;
+          Hashtbl.replace sh.tbl k e;
+          sh.weight <- sh.weight + w;
+          evict_to sh ~budget)
 
 (* declared after every function that touches shard fields, so the
    [weight]/[hits]/... labels above keep resolving to the shard type *)
@@ -261,7 +193,7 @@ let stats t =
   {
     entries = !entries;
     weight = !weight;
-    capacity = Atomic.get t.capacity;
+    capacity = t.capacity;
     hits = !hits;
     misses = !misses;
     evictions = !evictions;

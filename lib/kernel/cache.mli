@@ -1,13 +1,8 @@
-(** Sharded, size-bounded, generation-versioned concurrent caches.
+(** Sharded, size-bounded concurrent caches.
 
-    The long-lived-process companion of the per-automaton memo tables:
-    where {!Automaton.successors} stores its rows {e inside} the value
-    they describe (so the memo dies with the automaton), a [Cache.t]
-    is {e shared across requests} — exactly the kind of state that
-    grows without bound in a daemon unless something evicts.  This
-    module promotes the memo patterns grown in PR 1–6 (CAS-installed
-    successor rows, the generation-versioned complement cache) into
-    one reusable kernel primitive:
+    A [Cache.t] is shared across requests — exactly the kind of state
+    that grows without bound in a long-lived process unless something
+    evicts.  Its one user is the serve daemon's response cache.
 
     - {b bounded}: every entry carries a caller-supplied weight
       (bytes, approximately); when a shard exceeds its share of the
@@ -22,33 +17,21 @@
       CLOCK-quality hit rates without CLOCK's hand state, and no
       global LRU list to contend on.  The sampler is a per-shard
       deterministic xorshift, so eviction behaviour is reproducible.
-    - {b generation-versioned}: {!invalidate} atomically empties the
-      cache (a generation bump plus per-shard clears), and a value
-      computed against an older generation is never installed — the
-      PR-6 rule ("a disabled cache must not serve a previously-warmed
-      hit") enforced structurally.
 
-    Lookups and insertions count against the ambient {!Telemetry}
-    handle as [<name>.hit] / [<name>.miss] / [<name>.evict]. *)
+    Hits, misses and evictions are counted per shard and read back by
+    {!stats}. *)
 
 type ('k, 'v) t
 
 val create :
-  name:string ->
-  ?shards:int ->
-  capacity:int ->
-  weight:('k -> 'v -> int) ->
-  ?hash:('k -> int) ->
-  unit ->
-  ('k, 'v) t
-(** [create ~name ~capacity ~weight ()] is an empty cache holding at
-    most [capacity] weight units in total.  [name] prefixes the
-    telemetry counters.  [shards] defaults to 8 and is rounded up to a
-    power of two; [hash] defaults to [Hashtbl.hash] (key equality is
-    structural, as in [Hashtbl]).  [capacity <= 0] disables the cache
-    entirely: every lookup misses and nothing is ever stored (a daemon
-    started with [--cache-mb 0]).  Raises [Invalid_argument] on
-    [shards < 1]. *)
+  ?shards:int -> capacity:int -> weight:('k -> 'v -> int) -> unit -> ('k, 'v) t
+(** [create ~capacity ~weight ()] is an empty cache holding at most
+    [capacity] weight units in total.  [shards] defaults to 8 and is
+    rounded up to a power of two; keys hash with [Hashtbl.hash] and
+    compare structurally, as in [Hashtbl].  [capacity <= 0] disables
+    the cache entirely: every lookup misses and nothing is ever stored
+    (a daemon started with [--cache-mb 0]).  Raises [Invalid_argument]
+    on [shards < 1]. *)
 
 val find : ('k, 'v) t -> 'k -> 'v option
 (** Touches the entry (eviction prefers colder entries). *)
@@ -57,24 +40,6 @@ val add : ('k, 'v) t -> 'k -> 'v -> unit
 (** Insert or replace, then evict while over the shard budget.  An
     entry whose weight alone exceeds the shard budget is not stored
     (it would only evict everything else and then miss anyway). *)
-
-val find_or_add : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
-(** [find_or_add t k f]: the cached value, or [f ()] installed and
-    returned.  [f] runs {e outside} the shard lock, so slow
-    constructions never block other requests; two racing callers may
-    both compute, and the loser adopts its own (equal) value while the
-    winner's stays installed.  If [f] raises, nothing is installed.
-    A value computed before an {!invalidate} is not installed after
-    it. *)
-
-val invalidate : ('k, 'v) t -> unit
-(** Empty the cache in every shard and retire in-flight
-    {!find_or_add} computations (their results are returned to their
-    callers but not installed). *)
-
-val set_capacity : ('k, 'v) t -> int -> unit
-(** Re-bound the cache; shards evict down to the new budget on their
-    next insertion.  [<= 0] disables as in {!create}. *)
 
 type stats = {
   entries : int;
@@ -88,5 +53,3 @@ type stats = {
 val stats : ('k, 'v) t -> stats
 (** Consistent-enough snapshot (per-shard counters read under the
     shard locks, summed). *)
-
-val name : ('k, 'v) t -> string

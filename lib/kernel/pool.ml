@@ -149,8 +149,8 @@ let map ?(budget = Budget.unlimited) ?telemetry t f items =
        be unlimited too, and spent charges back to a counter nothing
        reads), disabled telemetry drops every per-task report, and
        re-installing the engine would install what is already there.
-       Skipping that scaffolding is what holds the tiny-batch jobs=1
-       overhead gate at <= 1.004. *)
+       Skipping that scaffolding brings the tiny-batch jobs=1
+       overhead near its <= 1.004 gate (about 1.004 on 2 vCPUs). *)
     as_task (fun () ->
         List.mapi (fun index x -> f { budget; telemetry; index } x) items)
   else begin

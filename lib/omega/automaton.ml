@@ -7,14 +7,6 @@ type t = {
   start : int;
   delta : int array array;
   acc : Acceptance.t;
-  uid : int;
-      (* process-unique identity, fresh for every constructed value
-         (including [with_acc]/[complement] variants, which denote
-         different languages).  The shared bounded caches
-         ([Lang]'s complement cache on [Kernel.Cache])
-         key on it: an int key hashes in O(1) where structural keying
-         would traverse the transition table, and physical keying
-         cannot index a hashtable at all (the GC moves values). *)
   succ_table : int list array Atomic.t;
       (* per-state deduplicated successor lists, built lazily on the
          first [successors] call; [[||]] means "not yet computed".
@@ -27,10 +19,6 @@ type t = {
          [{a with acc}] copies share the cell, so acceptance variants
          of one structure share the memo. *)
 }
-
-let uid_counter = Atomic.make 0
-
-let fresh_uid () = Atomic.fetch_and_add uid_counter 1
 
 let make ~alpha ~n ~start ~delta ~acc =
   if n <= 0 then invalid_arg "Automaton.make: need at least one state";
@@ -49,13 +37,13 @@ let make ~alpha ~n ~start ~delta ~acc =
     not
       (Iset.for_all (fun q -> q >= 0 && q < n) (Acceptance.states acc))
   then invalid_arg "Automaton.make: acceptance mentions unknown state";
-  { alpha; n; start; delta; acc; uid = fresh_uid (); succ_table = Atomic.make [||] }
+  { alpha; n; start; delta; acc; succ_table = Atomic.make [||] }
 
 let with_acc a acc =
   if
     not (Iset.for_all (fun q -> q >= 0 && q < a.n) (Acceptance.states acc))
   then invalid_arg "Automaton.with_acc: acceptance mentions unknown state";
-  { a with acc; uid = fresh_uid () }
+  { a with acc }
 
 let const alpha acc =
   let k = Alphabet.size alpha in
@@ -65,7 +53,6 @@ let const alpha acc =
     start = 0;
     delta = [| Array.make k 0 |];
     acc;
-    uid = fresh_uid ();
     succ_table = Atomic.make [||];
   }
 
@@ -109,7 +96,7 @@ let infinity_set a lasso =
 
 let accepts a lasso = Acceptance.eval a.acc (infinity_set a lasso)
 
-let complement a = { a with acc = Acceptance.dual a.acc; uid = fresh_uid () }
+let complement a = { a with acc = Acceptance.dual a.acc }
 
 let product combine a b =
   if not (Alphabet.equal a.alpha b.alpha) then
@@ -148,7 +135,6 @@ let product combine a b =
     start = code a.start b.start;
     delta;
     acc;
-    uid = fresh_uid ();
     succ_table = Atomic.make [||];
   }
 
@@ -232,7 +218,6 @@ let trim a =
     start = remap.(a.start);
     delta;
     acc;
-    uid = fresh_uid ();
     succ_table = Atomic.make [||];
   }
 

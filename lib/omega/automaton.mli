@@ -14,14 +14,6 @@ type t = private {
   start : int;
   delta : int array array;  (** [delta.(q).(a)] *)
   acc : Acceptance.t;
-  uid : int;
-      (** process-unique identity, fresh for every constructed value —
-          including {!with_acc} and {!complement} variants, which
-          denote different languages.  The bounded cross-request
-          caches in {!Lang} key on it: an [int] hashes in O(1), where
-          structural keys would traverse the transition table and
-          physical keys cannot index a hashtable (the GC moves
-          values). *)
   succ_table : int list array Atomic.t;
       (** memoized {!successors} table, filled lazily row by row;
           [[||]] until the first query (the type is private: only this

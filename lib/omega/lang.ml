@@ -43,44 +43,7 @@ let witness (a : Automaton.t) =
        (Iset.init a.n (Array.get reach)))
 
 (* ------------------------------------------------------------------ *)
-(* Inclusion and equality                                              *)
-(* ------------------------------------------------------------------ *)
-
-(* Complements are cheap to build (dual acceptance) but [equal] and the
-   classification procedures ask for the same ones repeatedly on the
-   explicit path, and a long-lived server sees the same specifications
-   across requests.  The cache is a shared, size-bounded [Kernel.Cache]
-   keyed by the automaton's [uid] (complement construction is
-   deterministic and a uid never denotes two different automata, so
-   entries cannot go stale; eviction only costs a rebuild). *)
-
-(* Resident bytes attributable to keeping a cached automaton alive:
-   the transition table dominates ([n] rows of [k] boxed-free ints),
-   plus per-row array headers and a fixed allowance for the record and
-   its acceptance condition.  An estimate — the eviction policy only
-   needs relative sizes to be sane. *)
-let automaton_weight (a : Automaton.t) =
-  let k = Alphabet.size a.Automaton.alpha in
-  128 + (a.Automaton.n * ((8 * k) + 24))
-
-let complement_cache : (int, Automaton.t) Cache.t =
-  Cache.create ~name:"lang.complement"
-    ~capacity:(4 * 1024 * 1024)
-    ~weight:(fun _ c -> automaton_weight c)
-    ()
-
-let set_complement_cache_capacity c = Cache.set_capacity complement_cache c
-
-let complement_cache_stats () = Cache.stats complement_cache
-
-let cached_complement a =
-  Telemetry.incr (Telemetry.ambient ()) "lang.complement.request";
-  (* [Cache.find] inside counts the [lang.complement.hit]/[.miss] *)
-  Cache.find_or_add complement_cache a.Automaton.uid (fun () ->
-      Automaton.complement a)
-
-(* ------------------------------------------------------------------ *)
-(* Engine selection                                                    *)
+(* Engine selection, inclusion and equality                            *)
 (* ------------------------------------------------------------------ *)
 
 (* [`Antichain] routes every query through the on-the-fly engine
@@ -98,14 +61,14 @@ let with_engine = Ambient.with_engine
 let is_universal a =
   match engine () with
   | `Antichain -> Inclusion.is_universal a
-  | `Explicit -> is_empty (Automaton.trim (cached_complement a))
+  | `Explicit -> is_empty (Automaton.trim (Automaton.complement a))
 
 let included ?pool:_ a b =
   match engine () with
   | `Antichain -> Inclusion.included a b
   | `Explicit ->
       Telemetry.incr (Telemetry.ambient ()) "lang.included.product";
-      is_empty (Automaton.trim (Automaton.inter a (cached_complement b)))
+      is_empty (Automaton.trim (Automaton.inter a (Automaton.complement b)))
 
 let equal a b = included a b && included b a
 

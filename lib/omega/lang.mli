@@ -40,11 +40,11 @@ val with_engine : engine -> (unit -> 'a) -> 'a
 val is_universal : Automaton.t -> bool
 
 (** Language inclusion / equality under the current {!engine}.  The
-    explicit path draws complements from a shared size-bounded cache
-    ({!Kernel.Cache}, keyed by {!Automaton.t.uid}).  Counters go to
-    the ambient {!Telemetry} handle: [lang.included.product] and
-    [lang.complement.request/hit/miss] on the explicit path, and
-    {!Inclusion}'s own [inclusion.*] counters on the antichain path.
+    explicit path dualizes the right operand's acceptance
+    ({!Automaton.complement}) on every query.  Counters go to the
+    ambient {!Telemetry} handle: [lang.included.product] on the
+    explicit path, and {!Inclusion}'s own [inclusion.*] counters on
+    the antichain path.
     One inclusion runs sequentially: the pool argument is accepted and
     ignored, and stays only because [perfbench/w_large.ml] passes one;
     it goes when that file may change (ROADMAP item 6). *)
@@ -53,13 +53,6 @@ val included : ?pool:Pool.t -> Automaton.t -> Automaton.t -> bool
 val equal : Automaton.t -> Automaton.t -> bool
 (** Both inclusion directions, in order: the second runs only when the
     first holds. *)
-
-val set_complement_cache_capacity : int -> unit
-(** Bound (in approximate resident bytes) on the shared complement
-    cache; [<= 0] disables it.  Default: 4 MiB.  Shrinking evicts
-    immediately (2-random policy — see {!Kernel.Cache}). *)
-
-val complement_cache_stats : unit -> Cache.stats
 
 (** A lasso in the symmetric difference, if the languages differ. *)
 val distinguishing_witness :

@@ -480,7 +480,6 @@ let stats_body t =
       Json.Obj
         [
           ("response", cache_stats_json (Cache.stats t.resp_cache));
-          ("complement", cache_stats_json (Omega.Lang.complement_cache_stats ()));
         ] );
   ]
 
@@ -701,10 +700,6 @@ let run cfg =
      kill the process *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
-  (* carve the memory bound: half to complements, half to response
-     bodies *)
-  let bytes = cfg.cache_mb * 1024 * 1024 in
-  Omega.Lang.set_complement_cache_capacity (bytes / 2);
   let access =
     match cfg.access_log with
     | None -> None
@@ -724,7 +719,8 @@ let run cfg =
       inflight = Atomic.make 0;
       table = Hashtbl.create 64;
       resp_cache =
-        Cache.create ~name:"serve.response" ~capacity:(bytes / 2)
+        Cache.create
+          ~capacity:(cfg.cache_mb * 1024 * 1024)
           ~weight:(fun k body ->
             String.length k + String.length (Protocol.render ~id:Json.Null body))
           ();

@@ -20,10 +20,9 @@
       passed without the cooperative budget poll firing, retiring and
       replacing stuck workers (bounded) so capacity recovers even from
       non-cooperative tasks.
-    - {e Bounded caches}: the response cache here and {!Omega.Lang}'s
-      complement cache are size-bounded {!Cache}s that split the
-      [--cache-mb] budget in half each, so resident memory stays flat
-      across any number of requests.
+    - {e Bounded cache}: the response cache is a size-bounded
+      {!Cache} holding at most [--cache-mb] MiB of rendered replies,
+      so resident memory stays flat across any number of requests.
     - {e Observability of failure}: a JSONL access log (one record per
       request: latency, outcome, budget spent, cache disposition)
       through the exception-safe {!Telemetry.line_writer}, and
@@ -41,9 +40,7 @@ type config = {
       (** progress quota: after this many consecutive client requests a
           worker serves one queued refinement even while client work is
           pending, so refinements cannot starve under sustained load *)
-  cache_mb : int;
-      (** total bound, half to the response cache and half to the
-          complement cache *)
+  cache_mb : int;  (** bound on the response cache, in MiB *)
   access_log : string option;  (** JSONL path; ["-"] = stderr *)
   debug_ops : bool;
       (** enable [spin] and [inject_trip_at] (chaos/watchdog tests) *)

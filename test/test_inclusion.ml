@@ -60,8 +60,8 @@ let arb_automaton = QCheck.make ~print:pp_auto gen_automaton
 
 let arb_pair = QCheck.pair arb_automaton arb_automaton
 
-(* same language, physically distinct transition table — defeats both
-   the same-table fast path and the complement cache's physical key *)
+(* same language, physically distinct transition table — defeats the
+   same-table fast path *)
 let twin (a : Automaton.t) =
   Automaton.make ~alpha:a.alpha ~n:a.n ~start:a.start
     ~delta:(Array.map Array.copy a.delta)

@@ -104,7 +104,7 @@ let cache_tests =
     Alcotest.test_case "resident weight never exceeds capacity" `Quick
       (fun () ->
         let c =
-          Cache.create ~name:"t.bound" ~shards:1 ~capacity:1000
+          Cache.create ~shards:1 ~capacity:1000
             ~weight:(fun _ v -> v)
             ()
         in
@@ -118,37 +118,39 @@ let cache_tests =
     Alcotest.test_case "an entry wider than the budget is not stored" `Quick
       (fun () ->
         let c =
-          Cache.create ~name:"t.wide" ~shards:1 ~capacity:100
+          Cache.create ~shards:1 ~capacity:100
             ~weight:(fun _ v -> v)
             ()
         in
         Cache.add c 1 1000;
         check "not stored" true (Cache.find c 1 = None));
-    Alcotest.test_case "find_or_add computes once, then hits" `Quick (fun () ->
-        let c =
-          Cache.create ~name:"t.once" ~capacity:10_000
-            ~weight:(fun _ _ -> 1)
-            ()
-        in
-        let runs = ref 0 in
-        let f () = incr runs; 42 in
-        Alcotest.(check int) "first" 42 (Cache.find_or_add c "k" f);
-        Alcotest.(check int) "second" 42 (Cache.find_or_add c "k" f);
-        Alcotest.(check int) "computed once" 1 !runs);
-    Alcotest.test_case "invalidate empties and blocks stale installs" `Quick
+    Alcotest.test_case "stats count hits, misses and resident entries" `Quick
+      (fun () ->
+        let c = Cache.create ~capacity:10_000 ~weight:(fun _ _ -> 1) () in
+        Cache.add c "a" 1;
+        Cache.add c "b" 2;
+        check "hit a" true (Cache.find c "a" = Some 1);
+        check "hit b" true (Cache.find c "b" = Some 2);
+        check "miss" true (Cache.find c "z" = None);
+        let s = Cache.stats c in
+        Alcotest.(check (list int))
+          "entries, weight, capacity, hits, misses, evictions"
+          [ 2; 2; 10_000; 2; 1; 0 ]
+          Cache.[ s.entries; s.weight; s.capacity; s.hits; s.misses; s.evictions ]);
+    Alcotest.test_case "add replaces a key's value and weight" `Quick
       (fun () ->
         let c =
-          Cache.create ~name:"t.gen" ~capacity:10_000
-            ~weight:(fun _ _ -> 1)
-            ()
+          Cache.create ~shards:1 ~capacity:1000 ~weight:(fun _ v -> v) ()
         in
-        Cache.add c "k" 1;
-        Cache.invalidate c;
-        check "emptied" true (Cache.find c "k" = None);
-        Alcotest.(check int) "entries" 0 (Cache.stats c).Cache.entries);
+        Cache.add c "k" 100;
+        Cache.add c "k" 300;
+        check "new value" true (Cache.find c "k" = Some 300);
+        let s = Cache.stats c in
+        Alcotest.(check (list int))
+          "entries, weight" [ 1; 300 ] Cache.[ s.entries; s.weight ]);
     Alcotest.test_case "capacity 0 disables storage entirely" `Quick (fun () ->
         let c =
-          Cache.create ~name:"t.off" ~capacity:0 ~weight:(fun _ _ -> 1) ()
+          Cache.create ~capacity:0 ~weight:(fun _ _ -> 1) ()
         in
         Cache.add c "k" 1;
         check "nothing stored" true (Cache.find c "k" = None));
@@ -391,13 +393,17 @@ let bounded_cache_test () =
     | _ -> Alcotest.fail "caches is not an object"
   in
   Alcotest.(check (list string))
-    "the caches stats reports" [ "complement"; "response" ]
-    (List.sort compare (List.map fst caches));
+    "the caches stats reports" [ "response" ]
+    (List.map fst caches);
   List.iter
     (fun (which, c) ->
       let geti k = Option.bind (Json.member k c) Json.to_int_opt in
       let w = Option.value (geti "weight") ~default:max_int in
       let cap = Option.value (geti "capacity") ~default:0 in
+      Alcotest.(check int)
+        (which ^ " holds all of --cache-mb")
+        (cfg.Daemon.cache_mb * 1024 * 1024)
+        cap;
       check (which ^ " within bound") true (w <= cap))
     caches
 
