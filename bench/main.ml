@@ -168,20 +168,40 @@ let decisions () =
        Of_formula.of_string a4 "([]<> p | <>[] q) & ([]<> r | <>[] s)");
       ("Wagner staircase k=3", staircase 3);
       ("b at an even position", Build.e_re ab "(. .)* b");
+      ("[]<>p & <>[]q", fm "[]<> p & <>[] q");
     ]
   in
-  Format.printf "%-26s %-18s %5s %9s %8s@." "automaton" "class" "rank"
-    "obl.deg" "ctr-free";
-  List.iter
-    (fun (name, a) ->
-      Format.printf "%-26s %-18s %5d %9s %8b@." name
-        (Kappa.name (Classify.classify a))
-        (Classify.reactivity_rank a)
-        (match Classify.obligation_degree a with
-        | Some d -> string_of_int d
-        | None -> "-")
-        (Counter_free.is_counter_free a))
-    cases
+  (* the last two columns are Prop. 5.1's kappa-shaped automaton for
+     the class found: its states and Streett pairs *)
+  Format.printf "%-26s %-18s %5s %9s %8s %6s %5s@." "automaton" "class"
+    "rank" "obl.deg" "ctr-free" "shape" "pairs";
+  let differs =
+    List.filter
+      (fun (name, a) ->
+        let kappa = Classify.classify a in
+        let shaped = Convert.to_shape kappa a in
+        Format.printf "%-26s %-18s %5d %9s %8b %6d %5d@." name
+          (Kappa.name kappa)
+          (Classify.reactivity_rank a)
+          (match Classify.obligation_degree a with
+          | Some d -> string_of_int d
+          | None -> "-")
+          (Counter_free.is_counter_free a)
+          shaped.Automaton.n
+          (List.length
+             (Acceptance.to_streett_pairs ~n:shaped.Automaton.n
+                shaped.Automaton.acc));
+        not (Lang.equal a shaped))
+      cases
+  in
+  if differs <> [] then begin
+    List.iter
+      (fun (name, _) ->
+        Format.printf "Prop. 5.1 FAILS: the shape of %s changes its language@."
+          name)
+      differs;
+    exit 1
+  end
 
 (* ------------------------------------------------------------------ *)
 (* E14: verification of reactive programs                               *)

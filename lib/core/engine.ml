@@ -18,7 +18,6 @@ type error =
   | Parse_error of string
   | Invalid_input of string
   | Unsupported of string
-  | Not_in_class of string
   | Budget_exceeded of Budget.exhaustion
   | Internal of string
 
@@ -39,14 +38,11 @@ let protect ?(budget = Budget.unlimited) ?(telemetry = Telemetry.disabled) f =
      memo, the Lang caches) report into the same collector *)
   try Ok (Telemetry.with_ambient telemetry f) with
   | Budget.Tripped e -> Error (Budget_exceeded e)
-  | Omega.Cycles.Too_large n ->
-      structural "SCC too large for cycle enumeration" n
   | Omega.Counter_free.Monoid_too_large n ->
       structural "syntactic monoid too large" n
   | Fts.System.State_space_too_large n ->
       structural "reachable state space too large" n
   | Logic.Tableau.Unsupported m -> Error (Unsupported m)
-  | Omega.Convert.Not_in_class m -> Error (Not_in_class m)
   | Invalid_argument m when starts_with ~prefix:"Parser:" m ->
       Error (Parse_error m)
   | Invalid_argument m | Failure m | Sys_error m -> Error (Invalid_input m)
@@ -55,7 +51,7 @@ let protect ?(budget = Budget.unlimited) ?(telemetry = Telemetry.disabled) f =
   | e -> Error (Internal (Printexc.to_string e))
 
 let exit_code = function
-  | Parse_error _ | Invalid_input _ | Unsupported _ | Not_in_class _ -> 1
+  | Parse_error _ | Invalid_input _ | Unsupported _ -> 1
   | Budget_exceeded _ -> 2
   | Internal _ -> 3
 
@@ -63,7 +59,6 @@ let pp_error ppf = function
   | Parse_error m -> Fmt.pf ppf "%s" m
   | Invalid_input m -> Fmt.pf ppf "%s" m
   | Unsupported m -> Fmt.pf ppf "unsupported: %s" m
-  | Not_in_class m -> Fmt.pf ppf "not in class: %s" m
   | Budget_exceeded e -> Fmt.pf ppf "budget exceeded: %a" Budget.pp_exhaustion e
   | Internal m -> Fmt.pf ppf "internal error: %s" m
 

@@ -1,13 +1,11 @@
 (** The result-typed front door of the library.
 
-    Every entry point returns [(_, error) result]: the four legacy
-    exceptions of the lower layers ({!Omega.Cycles.Too_large}, raised
-    only by the shape conversions,
-    {!Omega.Counter_free.Monoid_too_large},
+    Every entry point returns [(_, error) result]: the three legacy
+    exceptions of the lower layers
+    ({!Omega.Counter_free.Monoid_too_large},
     {!Fts.System.State_space_too_large}, {!Logic.Tableau.Unsupported}),
-    the conversion precondition failure
-    {!Omega.Convert.Not_in_class}, parser [Invalid_argument]s and budget
-    trips are all folded into {!type:error} — no exception escapes.
+    parser [Invalid_argument]s and budget trips are all folded into
+    {!type:error} — no exception escapes.
 
     Exhaustion of a {!Budget.t} {e degrades} rather than fails:
     {!classify_formula} and friends return [Ok] with a partial
@@ -55,7 +53,6 @@ type error =
   | Parse_error of string  (** syntax error in a formula *)
   | Invalid_input of string  (** bad alphabet, atoms, arguments *)
   | Unsupported of string  (** outside the decidable tableau fragment *)
-  | Not_in_class of string  (** shape-conversion precondition failed *)
   | Budget_exceeded of Budget.exhaustion
       (** fuel / deadline / structural limit, with no partial answer *)
   | Internal of string  (** a bug: an exception we did not classify *)

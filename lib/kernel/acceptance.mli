@@ -69,8 +69,7 @@ val rabin : n:int -> (Iset.t * Iset.t) list -> t
     one [x]; [Fin] atoms cannot be merged.)  Exact for every condition,
     but its width is the product of the widths of an [Or]'s children,
     so it is kept to the shape questions that need clauses: the
-    recurrence scan of [Classify], {!to_streett_pairs} and [Convert]'s
-    Prop. 5.1 saturation.  Questions about cycles never expand the
+    recurrence scan of [Classify] and {!to_streett_pairs}.  Questions about cycles never expand the
     condition: {!Emptiness} splits on one [Fin] atom at a time. *)
 val cnf : t -> (Iset.t * Iset.t list) list
 

@@ -129,49 +129,56 @@ let obligation_degree (a : Automaton.t) =
 (* Reactivity rank (the alternating cycle decomposition)                *)
 (* ------------------------------------------------------------------ *)
 
-(* Longest alternating inclusion chain B1 < J1 < ... < Jn, read off the
-   alternating cycle decomposition (Casares, Colcombet, Fijalkow,
-   ICALP 2021): the roots are the reachable cycle-carrying SCCs, and a
-   node's children are its maximal cycles of the opposite status.  A
-   chain element below a node lies under one of its children, and
-   replacing an element by a larger cycle of the same status keeps the
-   chain, so the longest chain is a root-to-leaf path.  At depth [d]
-   (the root is 1) a path ending on a rejecting node holds [d / 2]
-   rejecting-accepting pairs, one ending on an accepting node
-   [(d - 1) / 2]; leaves dominate, since pairs only grow downwards. *)
-let reactivity_rank_raw ?(budget = Budget.unlimited)
+type acd = { cycle : Iset.t; accepting : bool; children : acd list }
+
+(* The alternating cycle decomposition (Casares, Colcombet, Fijalkow,
+   ICALP 2021): one tree per reachable cycle-carrying SCC, rooted at the
+   SCC, a node's children being its maximal cycles of the opposite
+   status.  Built depth-first, one budget tick per node. *)
+let decomposition ?(budget = Budget.unlimited)
     ?(telemetry = Telemetry.disabled) (a : Automaton.t) =
   Telemetry.span telemetry "classify.rank_search" @@ fun () ->
   let dual = Acceptance.dual a.acc in
   let nodes = ref 0 in
-  let rec deepest depth accepting c =
+  let rec node accepting c =
     Budget.tick budget;
     incr nodes;
-    let pairs = if accepting then (depth - 1) / 2 else depth / 2 in
-    List.fold_left
-      (fun best child -> max best (deepest (depth + 1) (not accepting) child))
-      pairs
-      (Emptiness.maximal_accepting_cycles ~budget ~n:a.n
-         ~succ:(Automaton.successors a)
-         (if accepting then dual else a.acc)
-         c)
+    let children =
+      Emptiness.maximal_accepting_cycles ~budget ~n:a.n
+        ~succ:(Automaton.successors a)
+        (if accepting then dual else a.acc)
+        c
+    in
+    {
+      cycle = c;
+      accepting;
+      children = List.map (node (not accepting)) children;
+    }
   in
   let reach = reachable_set a in
   Fun.protect ~finally:(fun () -> Telemetry.add telemetry "rank.nodes" !nodes)
   @@ fun () ->
-  List.fold_left
-    (fun best comp ->
+  List.filter_map
+    (fun comp ->
       if nontrivial a reach comp then
         let s = Iset.of_list comp in
-        max best (deepest 1 (Acceptance.eval a.acc s) s)
-      else best)
-    0 (sccs_within a reach)
+        Some (node (Acceptance.eval a.acc s) s)
+      else None)
+    (sccs_within a reach)
+
+(* An alternating inclusion chain below a node lies under one of its
+   children (replacing a member by a larger cycle of the same status
+   keeps the chain), so the longest chains are branches, and each
+   rejecting member needs a Streett pair of its own. *)
+let rec rejecting_depth t =
+  List.fold_left (fun m c -> max m (rejecting_depth c)) 0 t.children
+  + if t.accepting then 0 else 1
 
 let reactivity_rank ?budget ?telemetry a =
-  let n = reactivity_rank_raw ?budget ?telemetry a in
-  if n > 0 then n
-  else if Lang.is_universal a then 0
-  else 1
+  List.fold_left
+    (fun m t -> max m (rejecting_depth t))
+    0
+    (decomposition ?budget ?telemetry a)
 
 let reactivity_rank_opt ?budget ?telemetry ?pool:_ a =
   match reactivity_rank ?budget ?telemetry a with

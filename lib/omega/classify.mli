@@ -14,8 +14,10 @@
       cycle is accepting;
     - obligation iff both (equivalently, no SCC carries both accepting
       and rejecting cycles);
-    - the reactivity rank is the longest alternating inclusion chain
-      [B1 < J1 < ... < Jn] with [Bi] rejecting and [Ji] accepting;
+    - the reactivity rank is the largest number of rejecting members
+      of an alternating inclusion chain of cycles (a chain
+      [B1 < J1 < ... < Bn] ending rejecting needs [n] Streett pairs, as
+      does [B1 < J1 < ... < Jn]);
     - the obligation degree counts accepting members of alternating
       {e reachability} chains of cycles starting with a rejecting one. *)
 
@@ -33,19 +35,30 @@ val is_obligation : Automaton.t -> bool
     obligation property.  [Some 0] means the empty property. *)
 val obligation_degree : Automaton.t -> int option
 
-(** Minimal number of Streett pairs ([Some 0] iff universal); every
+(** The alternating cycle decomposition (Casares, Colcombet, Fijalkow,
+    ICALP 2021): one tree per reachable SCC that carries a cycle, rooted
+    at the SCC, whose [accepting] flag is the status of its [cycle] and
+    whose children are the maximal cycles of the opposite status inside
+    it, found by the Emerson-Lei recursion of
+    {!Emptiness.maximal_accepting_cycles} — polynomial in the states for
+    a fixed condition, exponential only in its number of distinct [Fin]
+    sets.  Children may overlap.  [budget] is ticked once per node and
+    checked at every recursion step; a trip raises [Budget.Tripped].
+    [telemetry] wraps the construction in a [classify.rank_search] span
+    and counts the nodes ([rank.nodes]).  Both {!reactivity_rank} and
+    [Convert.to_shape] read it. *)
+type acd = { cycle : Iset.t; accepting : bool; children : acd list }
+
+val decomposition :
+  ?budget:Budget.t -> ?telemetry:Telemetry.t -> Automaton.t -> acd list
+
+(** Minimal number of Streett pairs ([0] iff universal); every
     omega-regular property has a finite rank (the reactivity normal-form
-    theorem).  Exact: the longest alternating chain is a root-to-leaf
-    path of the alternating cycle decomposition (Casares, Colcombet,
-    Fijalkow, ICALP 2021), whose children are the maximal cycles of the
-    opposite status, found by the Emerson-Lei recursion of
-    {!Emptiness.maximal_accepting_cycles} — polynomial in the states
-    for a fixed condition, exponential only in its number of distinct
-    [Fin] sets.  [budget] is ticked once per decomposition node and
-    checked at every recursion step; a trip raises [Budget.Tripped]
-    (caught by {!classify_budgeted}).  [telemetry] wraps the search in
-    a [classify.rank_search] span and counts the nodes
-    ([rank.nodes]).  The search is sequential. *)
+    theorem).  Exact: the largest number of rejecting nodes on a branch
+    of the {!decomposition}, since the longest alternating chains are
+    its branches.  Budget, telemetry and the raised [Budget.Tripped] are
+    those of {!decomposition} (caught by {!classify_budgeted}).  The
+    search is sequential. *)
 val reactivity_rank :
   ?budget:Budget.t ->
   ?telemetry:Telemetry.t ->

@@ -7,13 +7,14 @@
     Every construction is validated by the test suite with a language
     equality check against the input.
 
-    The exponential steps (cycle enumeration behind the Buechi
-    saturation, the anticipation product) accept a [?budget] and are
-    interrupted by [Budget.Tripped] when it runs out; the engine
-    boundary converts that into a structured error.  They also accept
-    a [?telemetry] handle wrapping the phases in spans
-    ([convert.saturate], [convert.degeneralize], [convert.anticipate],
-    with the nested [cycles.enumerate]/[classify.rank_search]). *)
+    Above guarantee, the shapes come from one construction, the
+    ACD-transform of Casares, Colcombet and Fijalkow (ICALP 2021), read
+    off {!Classify.decomposition}: a deterministic parity automaton with
+    the fewest priorities, its min-parity condition written as a chain
+    of Streett pairs.  It ticks [?budget] once per output state (and the
+    decomposition once per node), and is interrupted by
+    [Budget.Tripped] when the budget runs out; [?telemetry] reaches the
+    decomposition's [classify.rank_search] span. *)
 
 exception Not_in_class of string
 
@@ -25,11 +26,11 @@ val to_safety : Automaton.t -> Automaton.t
 (** Guarantee shape: accepting states absorbing. *)
 val to_guarantee : Automaton.t -> Automaton.t
 
-(** Recurrence shape: deterministic Buechi ([P = empty]).  Implements the
-    paper's two steps: per-Streett-pair saturation with the states of
-    persistent cycles ([R' = R union A1, P' = empty]), then the
-    minex-style product collapsing the generalized Buechi condition to a
-    single [Inf]. *)
+(** Recurrence shape: deterministic Buechi ([P = empty]).  The
+    decomposition of a recurrence property has no accepting node below
+    a rejecting one, so the transform uses priorities 0 and 1 only and
+    its acceptance is [Inf] of the priority-0 states ([True] when every
+    cycle accepts, [False] when none does). *)
 val to_buchi :
   ?budget:Budget.t -> ?telemetry:Telemetry.t -> Automaton.t -> Automaton.t
 
@@ -38,15 +39,12 @@ val to_buchi :
 val to_cobuchi :
   ?budget:Budget.t -> ?telemetry:Telemetry.t -> Automaton.t -> Automaton.t
 
-(** Simple-reactivity shape: a single Streett pair, via the paper's
-    anticipation construction ([Q' = Q x Q^m x 2 x n x 2]): the product
-    anticipates, for each superset-closed accepting cycle [A_i], the next
-    [A_i]-state to be visited, and tracks whether the run stays inside
-    some subset-closed accepting cycle [B_j]. *)
-val to_simple_reactivity :
-  ?budget:Budget.t -> ?telemetry:Telemetry.t -> Automaton.t -> Automaton.t
-
-(** Convert to the shape canonical for the given class. *)
+(** Convert to the shape canonical for the given class: safety and
+    guarantee as above; [Recurrence] Buechi and [Persistence]
+    co-Buechi; [Obligation k] (degree at most [k]) a weak automaton,
+    every SCC inside or outside each acceptance atom; [Reactivity k]
+    exactly as many Streett pairs ({!Acceptance.to_streett_pairs}) as
+    the reactivity rank, which must be at most [k]. *)
 val to_shape :
   ?budget:Budget.t ->
   ?telemetry:Telemetry.t ->

@@ -153,7 +153,6 @@ let code_of_error : Engine.error -> string = function
   | Engine.Parse_error _ -> "parse_error"
   | Engine.Invalid_input _ -> "invalid_input"
   | Engine.Unsupported _ -> "unsupported"
-  | Engine.Not_in_class _ -> "not_in_class"
   | Engine.Budget_exceeded _ -> "budget_exceeded"
   | Engine.Internal _ -> "internal"
 

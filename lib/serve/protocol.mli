@@ -71,8 +71,8 @@ val shed_body : body
 (** [status = "shed"], code [overloaded]. *)
 
 val code_of_error : Hierarchy.Engine.error -> string
-(** [parse_error], [invalid_input], [unsupported], [not_in_class],
-    [budget_exceeded], [internal]. *)
+(** [parse_error], [invalid_input], [unsupported], [budget_exceeded],
+    [internal]. *)
 
 val engine_error_body : Hierarchy.Engine.error -> body
 

@@ -24,6 +24,8 @@ let decision_tests =
             ("[]<> p", Kappa.Recurrence);
             ("<>[] p", Kappa.Persistence);
             ("[]<> p | <>[] q", Kappa.Reactivity 1);
+            ("[]<> p & <>[] q", Kappa.Reactivity 2);
+            ("<>[] p & []<> q", Kappa.Reactivity 2);
             ("[] (p -> <> q)", Kappa.Recurrence);
             ("p U q", Kappa.Guarantee);
             ("p W q", Kappa.Safety);
@@ -66,30 +68,12 @@ let decision_tests =
         Alcotest.check kappa "class" (Kappa.Reactivity 2) (Classify.classify a));
   ]
 
-(* Wagner's staircase: over alphabet {l0..l2k}, "the largest letter seen
-   infinitely often has even index"; the canonical strictness witness for
-   the reactivity sub-hierarchy. *)
-let staircase k =
-  let alpha =
-    Finitary.Alphabet.of_names (List.init ((2 * k) + 1) (Printf.sprintf "l%d"))
-  in
-  let n = (2 * k) + 1 in
-  let delta = Array.init n (fun _ -> Array.init n Fun.id) in
-  let rec acc_for hi =
-    if hi < 0 then Acceptance.False
-    else
-      let top = Iset.singleton hi in
-      if hi mod 2 = 0 then Acceptance.Or [ Acceptance.Inf top; acc_for (hi - 1) ]
-      else Acceptance.And [ Acceptance.Fin top; acc_for (hi - 1) ]
-  in
-  Automaton.make ~alpha ~n ~start:0 ~delta ~acc:(acc_for (n - 1))
-
 let staircase_tests =
   [
     Alcotest.test_case "staircase ranks are exactly k" `Quick (fun () ->
         List.iter
           (fun k ->
-            let a = staircase k in
+            let a = Samples.staircase k in
             Alcotest.(check int) (Printf.sprintf "rank %d" k) k
               (Classify.reactivity_rank a);
             Alcotest.check kappa
@@ -98,7 +82,7 @@ let staircase_tests =
               (Classify.classify a))
           [ 1; 2; 3; 4; 5 ]);
     Alcotest.test_case "staircase membership sanity" `Quick (fun () ->
-        let a = staircase 2 in
+        let a = Samples.staircase 2 in
         let alpha = a.Automaton.alpha in
         let word names =
           Finitary.Word.lasso ~prefix:[||]
@@ -250,50 +234,10 @@ let arb_automaton =
     ~print:(fun a -> Format.asprintf "%a" Automaton.pp a)
     gen_automaton
 
-(* Wider random automata for the rank oracle: 1-10 states, 1-3
-   letters, nested [And]/[Or] of [Inf]/[Fin] atoms. *)
-let gen_wide_automaton =
-  let open QCheck.Gen in
-  frequency [ (1, int_range 1 5); (3, int_range 6 10) ] >>= fun n ->
-  int_range 1 3 >>= fun k ->
-  let gen_set = map Iset.of_list (list_size (int_range 1 2) (int_bound (n - 1))) in
-  (* alternating [And]/[Or] levels: the shape of Streett, Rabin and
-     parity conditions, whose chains reach past rank 1 *)
-  let rec gen_acc conj d =
-    let atom =
-      oneof
-        [ map (fun s -> Acceptance.Inf s) gen_set;
-          map (fun s -> Acceptance.Fin s) gen_set ]
-    in
-    if d = 0 then atom
-    else
-      map
-        (fun l -> if conj then Acceptance.And l else Acceptance.Or l)
-        (list_size (int_range 2 3)
-           (frequency [ (1, atom); (2, gen_acc (not conj) (d - 1)) ]))
-  in
-  let gen_acc = bool >>= fun conj -> int_range 1 3 >>= gen_acc conj in
-  (* letter 0 closes a cycle through every state in half the cases,
-     so one large SCC carries many nested cycles *)
-  map3
-    (fun ring rows acc ->
-      let delta = Array.of_list (List.map Array.of_list rows) in
-      if ring then Array.iteri (fun q row -> row.(0) <- (q + 1) mod n) delta;
-      Automaton.make
-        ~alpha:(Finitary.Alphabet.of_chars (String.sub "abc" 0 k))
-        ~n ~start:0 ~delta ~acc)
-    bool
-    (list_repeat n (list_repeat k (int_bound (n - 1))))
-    gen_acc
-
-let arb_wide_automaton =
-  QCheck.make
-    ~print:(fun a -> Format.asprintf "%a" Automaton.pp a)
-    gen_wide_automaton
-
 (* The oracle the decomposition replaced: every cycle of each SCC from
-   [Cycles.enumerate], then the longest alternating inclusion chain by
-   pairwise dynamic programming over the cycles sorted by size. *)
+   [Cycles.enumerate], then the most rejecting members of an
+   alternating inclusion chain, by dynamic programming over the cycles
+   sorted by size ([d.(i)]: the best chain topped by cycle [i]). *)
 let enumeration_rank a =
   let group_best group =
     let cycles = Array.of_list group in
@@ -301,23 +245,32 @@ let enumeration_rank a =
       (fun (c1, _) (c2, _) -> compare (Iset.cardinal c1) (Iset.cardinal c2))
       cycles;
     let m = Array.length cycles in
-    let d = Array.make m 0 and best = ref 0 in
+    let d = Array.make m 0 in
     for i = 0 to m - 1 do
       let ci, fi = cycles.(i) in
-      d.(i) <- (if fi then 0 else 1);
+      let below = ref 0 in
       for j = 0 to i - 1 do
         let cj, fj = cycles.(j) in
-        if d.(j) > 0 && fj <> fi && Iset.subset cj ci && not (Iset.equal cj ci)
-        then d.(i) <- max d.(i) (d.(j) + 1)
+        if fj <> fi && Iset.subset cj ci && not (Iset.equal cj ci) then
+          below := max !below d.(j)
       done;
-      if fi then best := max !best (d.(i) / 2)
+      d.(i) <- (!below + if fi then 0 else 1)
     done;
-    !best
+    Array.fold_left max 0 d
   in
-  let raw =
-    List.fold_left (fun r g -> max r (group_best g)) 0 (Cycles.enumerate a)
-  in
-  if raw > 0 then raw else if Lang.is_universal a then 0 else 1
+  List.fold_left (fun r g -> max r (group_best g)) 0 (Cycles.enumerate a)
+
+(* The paper's condition for simple reactivity (section 5.1): every
+   accepting cycle is superset-closed (every cycle containing it
+   accepts) or subset-closed (every cycle inside it accepts). *)
+let simple_reactivity_condition a =
+  let cycles = List.concat (Cycles.enumerate a) in
+  List.for_all
+    (fun (j, fj) ->
+      (not fj)
+      || List.for_all (fun (x, fx) -> fx || not (Iset.subset j x)) cycles
+      || List.for_all (fun (x, fx) -> fx || not (Iset.subset x j)) cycles)
+    cycles
 
 (* Maximal elements of the enumerated cycles inside [s] that satisfy
    [acc], sorted. *)
@@ -340,12 +293,16 @@ let random_tests =
   List.map QCheck_alcotest.to_alcotest
     [
       QCheck.Test.make ~name:"decomposition rank = enumeration rank"
-        ~count:2000 arb_wide_automaton
+        ~count:2000 Samples.arb_wide_automaton
         (fun a -> Classify.reactivity_rank a = enumeration_rank a);
+      QCheck.Test.make ~name:"rank <= 1 iff paper's condition holds"
+        ~count:2000 Samples.arb_wide_automaton
+        (fun a ->
+          (Classify.reactivity_rank a <= 1) = simple_reactivity_condition a);
       QCheck.Test.make ~name:"kernel = enumerated accepting cycles"
-        ~count:500 arb_wide_automaton Emptiness_oracle.automaton_agrees;
+        ~count:500 Samples.arb_wide_automaton Emptiness_oracle.automaton_agrees;
       QCheck.Test.make ~name:"maximal accepting cycles = enumerated maxima"
-        ~count:500 arb_wide_automaton
+        ~count:500 Samples.arb_wide_automaton
         (fun a ->
           let reach = Automaton.reachable a in
           List.for_all

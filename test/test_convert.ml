@@ -27,6 +27,24 @@ let shape_is_cobuchi (a : Automaton.t) =
   | Acceptance.Fin _ | Acceptance.True | Acceptance.False -> true
   | Acceptance.Inf _ | Acceptance.And _ | Acceptance.Or _ -> false
 
+let pairs (a : Automaton.t) =
+  List.length (Acceptance.to_streett_pairs ~n:a.n a.acc)
+
+let rec atoms = function
+  | Acceptance.True | Acceptance.False -> []
+  | Acceptance.Inf s | Acceptance.Fin s -> [ s ]
+  | Acceptance.And l | Acceptance.Or l -> List.concat_map atoms l
+
+(* Weak: every SCC lies inside or outside each acceptance atom. *)
+let is_weak (a : Automaton.t) =
+  List.for_all
+    (fun comp ->
+      let c = Iset.of_list comp in
+      List.for_all
+        (fun s -> Iset.subset c s || Iset.disjoint c s)
+        (atoms a.acc))
+    (Automaton.sccs a)
+
 let conversion_tests =
   [
     Alcotest.test_case "to_safety" `Quick (fun () ->
@@ -71,22 +89,6 @@ let conversion_tests =
             check "language preserved" true (Lang.equal a b);
             check "co-Buechi shape" true (shape_is_cobuchi b))
           [ Build.p_re ab ".* b"; fm "<>[] p | <>[] q"; fm "p -> <>[] q" ]);
-    Alcotest.test_case "to_simple_reactivity" `Quick (fun () ->
-        List.iter
-          (fun a ->
-            let c = Convert.to_simple_reactivity a in
-            check "language preserved" true (Lang.equal a c);
-            check "single pair" true
-              (List.length
-                 (Acceptance.to_streett_pairs ~n:c.Automaton.n
-                    c.Automaton.acc)
-              <= 1))
-          [
-            fm "[]<> p | <>[] q";
-            fm "[]<> p -> []<> q";
-            Build.r_re ab ".* b";
-            Automaton.union (Build.r_re ab ".* b") (Build.p_re ab ".* a");
-          ]);
     Alcotest.test_case "conversions reject wrong classes" `Quick (fun () ->
         check "to_safety on recurrence" true
           (try ignore (Convert.to_safety (Build.r_re ab ".* b")); false
@@ -94,18 +96,49 @@ let conversion_tests =
         check "to_buchi on persistence-only" true
           (try ignore (Convert.to_buchi (Build.p_re ab ".* b")); false
            with Convert.Not_in_class _ -> true);
-        let a4 = Finitary.Alphabet.of_props [ "p"; "q"; "r"; "s" ] in
-        let rank2 =
-          Of_formula.of_string a4 "([]<> p | <>[] q) & ([]<> r | <>[] s)"
-        in
-        check "to_simple_reactivity on rank 2" true
-          (try ignore (Convert.to_simple_reactivity rank2); false
+        check "to_shape simple reactivity on rank 2" true
+          (try
+             ignore
+               (Convert.to_shape (Kappa.Reactivity 1) (fm "[]<> p & <>[] q"));
+             false
            with Convert.Not_in_class _ -> true));
     Alcotest.test_case "to_shape dispatch" `Quick (fun () ->
         let a = fm "[] (p -> <> q)" in
         let c = Convert.to_shape (Classify.classify a) a in
         check "language preserved" true (Lang.equal a c));
+    Alcotest.test_case "to_shape gives rank-many pairs" `Quick (fun () ->
+        List.iter
+          (fun (name, a, k) ->
+            let c = Convert.to_shape (Kappa.Reactivity k) a in
+            check (name ^ ": language preserved") true (Lang.equal a c);
+            Alcotest.(check int) (name ^ ": pairs") k (pairs c))
+          (("[]<> p & <>[] q", fm "[]<> p & <>[] q", 2)
+          :: List.map
+               (fun k -> (Printf.sprintf "staircase %d" k, Samples.staircase k, k))
+               [ 1; 2; 3; 4; 5 ]));
   ]
+
+(* Prop. 5.1 on random automata: the shape for the class [classify]
+   finds accepts the same language under both inclusion engines, and
+   has the class's shape. *)
+let has_shape kappa (c : Automaton.t) =
+  match kappa with
+  | Kappa.Safety | Kappa.Guarantee | Kappa.Obligation _ -> is_weak c
+  | Kappa.Recurrence -> shape_is_buchi c
+  | Kappa.Persistence -> shape_is_cobuchi c
+  | Kappa.Reactivity k -> pairs c = k
+
+let shape_tests =
+  List.map QCheck_alcotest.to_alcotest
+    [
+      QCheck.Test.make ~name:"to_shape: same language, class's shape"
+        ~count:1000 Samples.arb_wide_automaton (fun a ->
+          let kappa = Classify.classify a in
+          let c = Convert.to_shape kappa a in
+          Lang.equal a c
+          && Lang.with_engine `Explicit (fun () -> Lang.equal a c)
+          && has_shape kappa c);
+    ]
 
 (* streett pair extraction *)
 let pair_tests =
@@ -144,4 +177,8 @@ let pair_tests =
 
 let () =
   Alcotest.run "convert"
-    [ ("conversions", conversion_tests); ("pairs", pair_tests) ]
+    [
+      ("conversions", conversion_tests);
+      ("pairs", pair_tests);
+      ("shapes", shape_tests);
+    ]
