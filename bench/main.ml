@@ -171,6 +171,7 @@ let decisions () =
       ("[]<>p & <>[]q", fm "[]<> p & <>[] q");
     ]
   in
+  let edges = [ ("true", Automaton.full ab); ("false", Automaton.empty_lang ab) ] in
   (* the last two columns are Prop. 5.1's kappa-shaped automaton for
      the class found: its states and Streett pairs *)
   Format.printf "%-26s %-18s %5s %9s %8s %6s %5s@." "automaton" "class"
@@ -192,16 +193,32 @@ let decisions () =
              (Acceptance.to_streett_pairs ~n:shaped.Automaton.n
                 shaped.Automaton.acc));
         not (Lang.equal a shaped))
-      cases
+      (cases @ edges)
   in
-  if differs <> [] then begin
-    List.iter
-      (fun (name, _) ->
-        Format.printf "Prop. 5.1 FAILS: the shape of %s changes its language@."
-          name)
-      differs;
-    exit 1
-  end
+  (* the edges are safety, with a one-state shape and G_delta/F_sigma
+     witnesses equal to the language itself *)
+  let off_edge =
+    List.filter
+      (fun (_, a) ->
+        (not (Kappa.equal (Classify.classify a) Kappa.Safety))
+        || (Convert.to_shape Kappa.Safety a).Automaton.n <> 1
+        || not
+             (List.for_all (Lang.equal a)
+                (Hierarchy.Topology.g_delta_witnesses a 2
+                @ Hierarchy.Topology.f_sigma_witnesses a 2)))
+      edges
+  in
+  List.iter
+    (fun (name, _) ->
+      Format.printf "Prop. 5.1 FAILS: the shape of %s changes its language@."
+        name)
+    differs;
+  List.iter
+    (fun (name, _) ->
+      Format.printf "E12 FAILS: %s is off its edge (class, shape or witnesses)@."
+        name)
+    off_edge;
+  if differs <> [] || off_edge <> [] then exit 1
 
 (* ------------------------------------------------------------------ *)
 (* E14: verification of reactive programs                               *)

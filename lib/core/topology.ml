@@ -48,8 +48,8 @@ let g_delta_witnesses a k =
     match b.Automaton.acc with
     | Acceptance.Inf s -> s
     | Acceptance.True -> Iset.of_list (List.init b.Automaton.n Fun.id)
-    | Acceptance.False | Acceptance.Fin _ | Acceptance.And _ | Acceptance.Or _
-      ->
+    | Acceptance.False -> Iset.empty
+    | Acceptance.Fin _ | Acceptance.And _ | Acceptance.Or _ ->
         invalid_arg "Topology.g_delta_witnesses: not a Buechi automaton"
   in
   List.init k (fun j -> nth_open b acc_set (j + 1))

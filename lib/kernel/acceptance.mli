@@ -68,8 +68,8 @@ val rabin : n:int -> (Iset.t * Iset.t) list -> t
     [x] or avoids some [y in ys].  ([Inf] atoms in a clause union into
     one [x]; [Fin] atoms cannot be merged.)  Exact for every condition,
     but its width is the product of the widths of an [Or]'s children,
-    so it is kept to the shape questions that need clauses: the
-    recurrence scan of [Classify] and {!to_streett_pairs}.  Questions about cycles never expand the
+    so it is kept to the one shape question that needs clauses,
+    {!to_streett_pairs}.  Questions about cycles never expand the
     condition: {!Emptiness} splits on one [Fin] atom at a time. *)
 val cnf : t -> (Iset.t * Iset.t list) list
 

@@ -3,168 +3,146 @@ let is_safety a = Lang.equal a (Lang.safety_closure a)
 let is_guarantee a = is_safety (Automaton.complement a)
 
 (* ------------------------------------------------------------------ *)
-(* Polynomial cycle-structure checks (Wagner / Landweber, section 5.1)  *)
-(* ------------------------------------------------------------------ *)
-
-(* SCCs of the subgraph induced on [allowed] (reachable part only),
-   as state lists, at a cost proportional to [allowed]: the per-SCC
-   checks below scan one component at a time. *)
-let sccs_within (a : Automaton.t) allowed =
-  Graph_kernel.sccs_region ~n:a.n ~succ:(Automaton.successors a) allowed
-
-let nontrivial (a : Automaton.t) within comp =
-  Graph_kernel.nontrivial
-    ~succ:(fun q ->
-      List.filter (fun q' -> Iset.mem q' within) (Automaton.successors a q))
-    comp
-
-(* Does [region] contain a cycle satisfying [acc]? *)
-let has_cycle (a : Automaton.t) acc region =
-  Emptiness.accepting_scc ~n:a.n ~succ:(Automaton.successors a) acc region
-  <> None
-
-let reachable_set (a : Automaton.t) =
-  let reach = Automaton.reachable a in
-  Iset.init a.n (fun q -> reach.(q))
-
-(* Recurrence (Wagner): no rejecting cycle contains an accepting cycle.
-   A cycle is rejecting iff it fits some dual clause (x, ys): it avoids
-   x and meets every y in ys.  If any such rejecting cycle A contains an
-   accepting one, so does the whole SCC S of (graph minus x) around A:
-   S avoids x, still meets every y, and is itself a (rejecting) cycle
-   containing the accepting witness.  So scanning those SCCs is exact. *)
-let is_recurrence (a : Automaton.t) =
-  let reach = reachable_set a in
-  List.for_all
-    (fun (x, ys) ->
-      let allowed = Iset.diff reach x in
-      List.for_all
-        (fun comp ->
-          let s = Iset.of_list comp in
-          (not (nontrivial a allowed comp))
-          || List.exists (fun y -> Iset.disjoint s y) ys
-          || not (has_cycle a a.acc s))
-        (sccs_within a allowed))
-    (Acceptance.cnf a.acc)
-
-let is_persistence a = is_recurrence (Automaton.complement a)
-
-(* Obligation: no reachable SCC carries both an accepting and a rejecting
-   cycle. *)
-let scc_flags (a : Automaton.t) =
-  let reach = reachable_set a in
-  List.filter_map
-    (fun comp ->
-      if not (nontrivial a reach comp) then None
-      else
-        let s = Iset.of_list comp in
-        let acc = has_cycle a a.acc s in
-        let rej = has_cycle a (Acceptance.dual a.acc) s in
-        Some (s, acc, rej))
-    (sccs_within a reach)
-
-let is_obligation a =
-  List.for_all (fun (_, acc, rej) -> not (acc && rej)) (scc_flags a)
-
-(* Obligation degree: with pure SCC flags, the separating pattern for the
-   k-th conjunctive level is a flag-alternating reachability chain
-   notF (F notF)^k; the degree is one more than the best accepting count
-   of a chain starting and ending with rejecting SCCs. *)
-let obligation_degree (a : Automaton.t) =
-  let flags = scc_flags a in
-  if List.exists (fun (_, acc, rej) -> acc && rej) flags then None
-  else begin
-    let flagged =
-      List.filter_map
-        (fun (s, acc, rej) ->
-          if acc then Some (s, true)
-          else if rej then Some (s, false)
-          else None)
-        flags
-    in
-    let reach_from states =
-      Graph_kernel.reachable ~n:a.n ~succ:(Automaton.successors a)
-        ~starts:(Iset.elements states)
-    in
-    let arr =
-      Array.of_list (List.map (fun (s, f) -> (s, f, reach_from s)) flagged)
-    in
-    let m = Array.length arr in
-    let reaches i j =
-      let _, _, r = arr.(i) in
-      let sj, _, _ = arr.(j) in
-      i <> j && Iset.exists (fun q -> r.(q)) sj
-    in
-    (* best accepting-count of an alternating chain from i to a rejecting
-       SCC *)
-    let memo = Array.make m min_int in
-    let rec chain i =
-      if memo.(i) > min_int then memo.(i)
-      else begin
-        let _, fi, _ = arr.(i) in
-        let best = ref (if fi then min_int else 0) in
-        for j = 0 to m - 1 do
-          if reaches i j then begin
-            let _, fj, _ = arr.(j) in
-            if fj <> fi then
-              let cj = chain j in
-              if cj > min_int then
-                best := max !best (cj + if fi then 1 else 0)
-          end
-        done;
-        memo.(i) <- !best;
-        !best
-      end
-    in
-    let deg_raw = ref 0 in
-    for i = 0 to m - 1 do
-      let _, fi, _ = arr.(i) in
-      if not fi then deg_raw := max !deg_raw (chain i)
-    done;
-    let any_accepting = List.exists (fun (_, f) -> f) flagged in
-    Some (if any_accepting then !deg_raw + 1 else 0)
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Reactivity rank (the alternating cycle decomposition)                *)
+(* The alternating cycle decomposition, expanded on demand              *)
 (* ------------------------------------------------------------------ *)
 
 type acd = { cycle : Iset.t; accepting : bool; children : acd list }
 
-(* The alternating cycle decomposition (Casares, Colcombet, Fijalkow,
-   ICALP 2021): one tree per reachable cycle-carrying SCC, rooted at the
-   SCC, a node's children being its maximal cycles of the opposite
-   status.  Built depth-first, one budget tick per node. *)
-let decomposition ?(budget = Budget.unlimited)
-    ?(telemetry = Telemetry.disabled) (a : Automaton.t) =
-  Telemetry.span telemetry "classify.rank_search" @@ fun () ->
-  let dual = Acceptance.dual a.acc in
-  let nodes = ref 0 in
-  let rec node accepting c =
-    Budget.tick budget;
-    incr nodes;
-    let children =
-      Emptiness.maximal_accepting_cycles ~budget ~n:a.n
-        ~succ:(Automaton.successors a)
-        (if accepting then dual else a.acc)
-        c
+(* A node of the decomposition (Casares, Colcombet, Fijalkow, ICALP
+   2021) whose children, the maximal cycles of the opposite status
+   inside it, are found on first use. *)
+type node = { set : Iset.t; status : bool; mutable kids : node list option }
+
+(* One forest per classification: one tree per reachable cycle-carrying
+   SCC, rooted at the SCC.  Every column reads it, the low ones only
+   its top two levels, so they are decided before the deeper levels
+   spend fuel. *)
+type forest = {
+  aut : Automaton.t;
+  dual : Acceptance.t;
+  budget : Budget.t;
+  telemetry : Telemetry.t;
+  roots : node list Lazy.t;
+}
+
+let forest ?(budget = Budget.unlimited) ?(telemetry = Telemetry.disabled)
+    (a : Automaton.t) =
+  let roots =
+    lazy
+      (let reach = Automaton.reachable a in
+       let succ = Automaton.successors a in
+       List.filter_map
+         (fun comp ->
+           if Graph_kernel.nontrivial ~succ comp then
+             let s = Iset.of_list comp in
+             Some { set = s; status = Acceptance.eval a.acc s; kids = None }
+           else None)
+         (Graph_kernel.sccs_region ~n:a.n ~succ
+            (Iset.init a.n (fun q -> reach.(q)))))
+  in
+  { aut = a; dual = Acceptance.dual a.acc; budget; telemetry; roots }
+
+let roots f = Lazy.force f.roots
+
+(* Expanding a node costs one tick and one [rank.nodes] count. *)
+let children f t =
+  match t.kids with
+  | Some k -> k
+  | None ->
+      Budget.tick f.budget;
+      Telemetry.incr f.telemetry "rank.nodes";
+      let a = f.aut in
+      let k =
+        List.map
+          (fun c -> { set = c; status = not t.status; kids = None })
+          (Emptiness.maximal_accepting_cycles ~budget:f.budget ~n:a.n
+             ~succ:(Automaton.successors a)
+             (if t.status then f.dual else a.acc)
+             t.set)
+      in
+      t.kids <- Some k;
+      k
+
+(* ------------------------------------------------------------------ *)
+(* Wagner's cycle conditions as reads of the forest (section 5.1)      *)
+(* ------------------------------------------------------------------ *)
+
+(* Recurrence: no rejecting cycle contains an accepting one; dually for
+   persistence.  Such a pair lies in one SCC.  If the root has the outer
+   cycle's status, the root contains both; otherwise the outer cycle
+   lies in one of the root's children.  So the nodes of the top two
+   levels with that status all being childless is exact.  The whole
+   level is expanded before it is read. *)
+let top_childless f status =
+  List.concat_map (fun r -> r :: children f r) (roots f)
+  |> List.filter (fun t -> t.status = status)
+  |> List.map (children f)
+  |> List.for_all List.is_empty
+
+let recurrence f = top_childless f false
+let persistence f = top_childless f true
+
+(* Obligation: no SCC carries cycles of both statuses, i.e. every root is
+   childless. *)
+let obligation f = List.for_all List.is_empty (List.map (children f) (roots f))
+
+(* The degree: with each SCC of one status, the separating pattern for
+   the k-th conjunctive level is a status-alternating reachability chain
+   notF (F notF)^k; the degree is one more than the best accepting count
+   of a chain starting and ending with rejecting SCCs. *)
+let obligation_degree_of f =
+  if not (obligation f) then None
+  else begin
+    let a = f.aut in
+    let roots = Array.of_list (roots f) in
+    let reach =
+      Array.map
+        (fun r ->
+          Graph_kernel.reachable ~n:a.n ~succ:(Automaton.successors a)
+            ~starts:(Iset.elements r.set))
+        roots
     in
+    (* best accepting count of an alternating chain from root i to a
+       rejecting root; SCCs reach each other acyclically *)
+    let memo = Array.make (Array.length roots) None in
+    let rec chain i =
+      match memo.(i) with
+      | Some c -> c
+      | None ->
+          let fi = roots.(i).status in
+          let best = ref (if fi then min_int else 0) in
+          Array.iteri
+            (fun j r ->
+              if
+                r.status <> fi
+                && Iset.exists (fun q -> reach.(i).(q)) r.set
+              then
+                let cj = chain j in
+                if cj > min_int then
+                  best := max !best (cj + Bool.to_int fi))
+            roots;
+          memo.(i) <- Some !best;
+          !best
+    in
+    let deg = ref 0 in
+    Array.iteri
+      (fun i r -> if not r.status then deg := max !deg (chain i))
+      roots;
+    Some (if Array.exists (fun r -> r.status) roots then !deg + 1 else 0)
+  end
+
+(* The forest made strict inside the rank span: the nodes the low
+   columns left unexpanded are expanded depth-first. *)
+let expand f =
+  Telemetry.span f.telemetry "classify.rank_search" @@ fun () ->
+  let rec strict t =
     {
-      cycle = c;
-      accepting;
-      children = List.map (node (not accepting)) children;
+      cycle = t.set;
+      accepting = t.status;
+      children = List.map strict (children f t);
     }
   in
-  let reach = reachable_set a in
-  Fun.protect ~finally:(fun () -> Telemetry.add telemetry "rank.nodes" !nodes)
-  @@ fun () ->
-  List.filter_map
-    (fun comp ->
-      if nontrivial a reach comp then
-        let s = Iset.of_list comp in
-        Some (node (Acceptance.eval a.acc s) s)
-      else None)
-    (sccs_within a reach)
+  List.map strict (roots f)
 
 (* An alternating inclusion chain below a node lies under one of its
    children (replacing a member by a larger cycle of the same status
@@ -174,11 +152,15 @@ let rec rejecting_depth t =
   List.fold_left (fun m c -> max m (rejecting_depth c)) 0 t.children
   + if t.accepting then 0 else 1
 
-let reactivity_rank ?budget ?telemetry a =
-  List.fold_left
-    (fun m t -> max m (rejecting_depth t))
-    0
-    (decomposition ?budget ?telemetry a)
+let rank f =
+  List.fold_left (fun m t -> max m (rejecting_depth t)) 0 (expand f)
+
+let is_recurrence a = recurrence (forest a)
+let is_persistence a = persistence (forest a)
+let obligation_degree a = obligation_degree_of (forest a)
+let is_obligation a = obligation (forest a)
+let decomposition ?budget ?telemetry a = expand (forest ?budget ?telemetry a)
+let reactivity_rank ?budget ?telemetry a = rank (forest ?budget ?telemetry a)
 
 let reactivity_rank_opt ?budget ?telemetry ?pool:_ a =
   match reactivity_rank ?budget ?telemetry a with
@@ -190,19 +172,19 @@ let reactivity_rank_opt ?budget ?telemetry ?pool:_ a =
 (* ------------------------------------------------------------------ *)
 
 (* Columns run in hierarchy order and short-circuit past the expensive
-   high columns as soon as a low one decides.  One [obligation_degree]
-   call decides both the class test and the degree ([Some] iff
-   obligation). *)
+   high columns as soon as a low one decides; the cycle columns share
+   one forest.  The obligation degree is [Some d] iff obligation. *)
 let classify a =
   if is_safety a then Kappa.Safety
   else if is_guarantee a then Kappa.Guarantee
   else
-    match obligation_degree a with
+    let f = forest a in
+    match obligation_degree_of f with
     | Some d -> Kappa.Obligation (max 1 d)
     | None ->
-        if is_recurrence a then Kappa.Recurrence
-        else if is_persistence a then Kappa.Persistence
-        else Kappa.Reactivity (max 1 (reactivity_rank a))
+        if recurrence f then Kappa.Recurrence
+        else if persistence f then Kappa.Persistence
+        else Kappa.Reactivity (max 1 (rank f))
 
 (* ------------------------------------------------------------------ *)
 (* Budget-aware classification: the uniform degradation mechanism      *)
@@ -278,18 +260,15 @@ let classify_budgeted ?(budget = Budget.unlimited)
           exhaustion := Some e;
           None)
   in
+  let f = forest ~budget ~telemetry a in
   let saf = guard "safety" (fun () -> is_safety a) in
   let gua = guard "guarantee" (fun () -> is_guarantee a) in
-  (* [obligation_degree] is [Some d] iff the property is an
-     obligation (of degree d), so one guarded call decides both the
-     class test and the degree *)
-  let deg = guard "obligation" (fun () -> obligation_degree a) in
-  let recu = guard "recurrence" (fun () -> is_recurrence a) in
-  let pers = guard "persistence" (fun () -> is_persistence a) in
-  let rank =
-    guard "reactivity" (fun () ->
-        reactivity_rank ~budget ~telemetry a)
-  in
+  (* [Some d] iff the property is an obligation (of degree d), so one
+     guarded call decides both the class test and the degree *)
+  let deg = guard "obligation" (fun () -> obligation_degree_of f) in
+  let recu = guard "recurrence" (fun () -> recurrence f) in
+  let pers = guard "persistence" (fun () -> persistence f) in
+  let rank = guard "reactivity" (fun () -> rank f) in
   let cols = (saf, gua, deg, recu, pers, rank) in
   { verdict = verdict_of cols; row = row_of cols; exhaustion = !exhaustion }
 

@@ -6,20 +6,28 @@
     section 2); the syntactic closure-based check of section 5.1 is also
     provided for Streett-shaped automata.  Recurrence, persistence,
     obligation and the two sub-hierarchies are decided by Wagner's cycle
-    conditions, quoted in section 5.1:
+    conditions, quoted in section 5.1, each read off one
+    {!decomposition} whose nodes are expanded on first use:
 
     - recurrence iff every accessible cycle containing an accepting cycle
-      is accepting;
+      is accepting: no rejecting node in the top two levels of the
+      decomposition has children;
     - persistence iff every accessible cycle contained in an accepting
-      cycle is accepting;
+      cycle is accepting: the same with accepting nodes;
     - obligation iff both (equivalently, no SCC carries both accepting
-      and rejecting cycles);
+      and rejecting cycles): every root is childless;
     - the reactivity rank is the largest number of rejecting members
       of an alternating inclusion chain of cycles (a chain
       [B1 < J1 < ... < Bn] ending rejecting needs [n] Streett pairs, as
-      does [B1 < J1 < ... < Jn]);
+      does [B1 < J1 < ... < Jn]): the most rejecting nodes on a branch;
     - the obligation degree counts accepting members of alternating
-      {e reachability} chains of cycles starting with a rejecting one. *)
+      {e reachability} chains of cycles starting with a rejecting one,
+      over the roots and their statuses.
+
+    Expanding a node costs one budget tick, so under
+    {!classify_budgeted} the obligation, recurrence and persistence
+    columns spend fuel too: together the first two levels, before the
+    rank column expands the rest. *)
 
 val is_safety : Automaton.t -> bool
 
@@ -42,11 +50,11 @@ val obligation_degree : Automaton.t -> int option
     it, found by the Emerson-Lei recursion of
     {!Emptiness.maximal_accepting_cycles} — polynomial in the states for
     a fixed condition, exponential only in its number of distinct [Fin]
-    sets.  Children may overlap.  [budget] is ticked once per node and
-    checked at every recursion step; a trip raises [Budget.Tripped].
-    [telemetry] wraps the construction in a [classify.rank_search] span
-    and counts the nodes ([rank.nodes]).  Both {!reactivity_rank} and
-    [Convert.to_shape] read it. *)
+    sets.  Children may overlap.  [budget] is ticked once per node
+    expanded and checked at every recursion step; a trip raises
+    [Budget.Tripped].  [telemetry] wraps the construction in a
+    [classify.rank_search] span and counts the expanded nodes
+    ([rank.nodes]).  Fully expanded; [Convert.to_shape] reads it. *)
 type acd = { cycle : Iset.t; accepting : bool; children : acd list }
 
 val decomposition :
@@ -80,7 +88,7 @@ val reactivity_rank_opt :
     then obligation (with its degree), then recurrence/persistence, then
     reactivity (with its rank).  A property that is both safety and
     guarantee is reported as safety.  Total and exact: no column
-    enumerates cycles. *)
+    enumerates cycles, and the cycle columns share one decomposition. *)
 val classify : Automaton.t -> Kappa.t
 
 (** All six basic classes ([index 1] for the compound ones) that contain
@@ -111,10 +119,12 @@ type budgeted = {
 }
 
 (** Total: never raises, whatever the budget.  With the default
-    unlimited budget, [verdict] is [`Exact (classify a)].  [telemetry]
-    wraps each membership column that actually runs in a
-    [classify.<column>] span (columns skipped by the sticky guard
-    record nothing).
+    unlimited budget, [verdict] is [`Exact (classify a)].  The cycle
+    columns read one decomposition, ticking [budget] once per node they
+    expand (see the header).  [telemetry] wraps each membership column
+    that actually runs in a [classify.<column>] span (columns skipped
+    by the sticky guard record nothing) and counts the expanded nodes
+    ([rank.nodes]).
 
     The pool argument is accepted and ignored: the columns run
     sequentially, and the argument stays only because

@@ -146,10 +146,87 @@ let witness_tests =
            with Convert.Not_in_class _ -> true));
   ]
 
+(* Automata at the lattice's edges: each accepts nothing or
+   everything. *)
+let edge_automata =
+  let make ~start delta acc =
+    Automaton.make ~alpha:ab ~n:(Array.length delta) ~start ~delta ~acc
+  in
+  let one = Iset.singleton in
+  [
+    ("empty", Automaton.empty_lang ab);
+    ("full", Automaton.full ab);
+    ("one state, Inf & Fin", make ~start:0 [| [| 0; 0 |] |]
+       (Acceptance.And [ Acceptance.Inf (one 0); Acceptance.Fin (one 0) ]));
+    ("one state, Inf | Fin", make ~start:0 [| [| 0; 0 |] |]
+       (Acceptance.Or [ Acceptance.Inf (one 0); Acceptance.Fin (one 0) ]));
+    ("dead start", make ~start:0 [| [| 1; 1 |]; [| 1; 1 |] |]
+       (Acceptance.Inf (one 0)));
+    ("transient start", make ~start:0 [| [| 1; 1 |]; [| 1; 1 |] |]
+       (Acceptance.Inf (one 1)));
+    ("empty start, live others",
+     make ~start:0 [| [| 0; 0 |]; [| 2; 1 |]; [| 1; 2 |] |]
+       (Acceptance.Inf (one 1)));
+  ]
+
+let edge_tests =
+  List.map
+    (fun (name, a) ->
+      Alcotest.test_case name `Quick (fun () ->
+          let edge =
+            if Lang.is_empty a then Automaton.empty_lang ab
+            else Automaton.full ab
+          in
+          check "an edge" true (Lang.equal a edge);
+          (* every public function of Classify answers *)
+          check "safety" true (Classify.is_safety a);
+          check "guarantee" true (Classify.is_guarantee a);
+          check "recurrence" true (Classify.is_recurrence a);
+          check "persistence" true (Classify.is_persistence a);
+          check "obligation" true (Classify.is_obligation a);
+          check "degree" true
+            (Classify.obligation_degree a
+            = Some (if Lang.is_empty a then 0 else 1));
+          check "every root childless" true
+            (List.for_all
+               (fun (t : Classify.acd) -> t.children = [])
+               (Classify.decomposition a));
+          check "rank" true
+            (Classify.reactivity_rank a = if Lang.is_empty a then 1 else 0);
+          check "rank_opt" true
+            (Classify.reactivity_rank_opt a
+            = Some (Classify.reactivity_rank a));
+          check "class" true (Classify.classify a = Kappa.Safety);
+          check "row" true
+            (List.for_all
+               (fun (_, m) -> m = Some true)
+               (Classify.memberships a));
+          check "budgeted" true
+            ((Classify.classify_budgeted a).Classify.verdict
+            = `Exact Kappa.Safety);
+          (* Prop. 5.1's shape, and every Topology function *)
+          check "shape" true
+            (Lang.equal a (Convert.to_shape (Classify.classify a) a));
+          check "closure" true (Lang.equal a (T.closure a));
+          check "interior" true (Lang.equal a (T.interior a));
+          check "clopen" true (T.is_closed a && T.is_open a);
+          check "G_delta and F_sigma" true (T.is_g_delta a && T.is_f_sigma a);
+          check "dense iff full" (not (Lang.is_empty a)) (T.is_dense a);
+          check "limit iff full" (not (Lang.is_empty a))
+            (T.is_limit_of a (lasso "a(b)"));
+          List.iter
+            (fun w -> check "G_delta witness" true (Lang.equal a w))
+            (T.g_delta_witnesses a 3);
+          List.iter
+            (fun w -> check "F_sigma witness" true (Lang.equal a w))
+            (T.f_sigma_witnesses a 3)))
+    edge_automata
+
 let () =
   Alcotest.run "topology"
     [
       ("metric", metric_tests);
       ("classes", class_correspondence_tests);
       ("witnesses", witness_tests);
+      ("edges", edge_tests);
     ]
