@@ -61,8 +61,9 @@ let engine_arg =
   let doc =
     "Language-inclusion engine: $(b,antichain) (on-the-fly lazy product, \
      the default) or $(b,explicit) (complement-and-product oracle).  \
-     Verdicts are identical; the oracle exists to replay any run on the \
-     historical path."
+     Only analyze's M310 vacuity check runs an inclusion query; \
+     classification and lint run none.  Verdicts are identical; the \
+     oracle exists to replay any run on the historical path."
   in
   Arg.(value & opt (some string) None & info [ "engine" ] ~docv:"ENGINE" ~doc)
 

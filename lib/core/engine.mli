@@ -80,8 +80,11 @@ val protect :
 
 (** {2 Inclusion-engine selection}
 
-    The language-inclusion engine behind every classification, lint
-    and equivalence query (see {!Omega.Lang.engine}): [`Antichain]
+    The language-inclusion engine behind the {!Omega.Lang} inclusion
+    queries (see {!Omega.Lang.engine}).  Classification and lint run
+    none; in this library only {!analyze}'s M310 vacuity check asks one
+    ([Lang.included]), and callers of [Lang.included], [Lang.equal] and
+    [Lang.is_universal] can too.  [`Antichain]
     (default) is the lazy on-the-fly engine, [`Explicit] the
     complement-and-product oracle, which decides every inclusion
     independently of {!Omega.Inclusion}.  Verdicts are identical — the

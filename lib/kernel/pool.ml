@@ -40,18 +40,30 @@ exception Cancelled
 let jobs t = t.jobs
 
 (* Set on worker domains for their whole life, and on a submitting
-   domain while it runs tasks: a [map] issued there runs inline. *)
-let in_task : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
+   domain while it runs tasks: a [map] issued there runs inline.  One
+   cell per domain, so that setting it is a plain write rather than a
+   [Domain.DLS.set]. *)
+let in_task : bool ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref false)
 
-let as_task f =
-  if Domain.DLS.get in_task then f ()
+(* [f x] with [in_task] set, and reset afterwards unless it already
+   was, on success and on an exception alike. *)
+let as_task f x =
+  let flag = Domain.DLS.get in_task in
+  if !flag then f x
   else begin
-    Domain.DLS.set in_task true;
-    Fun.protect ~finally:(fun () -> Domain.DLS.set in_task false) f
+    flag := true;
+    match f x with
+    | v ->
+        flag := false;
+        v
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        flag := false;
+        Printexc.raise_with_backtrace e bt
   end
 
 let worker t () =
-  Domain.DLS.set in_task true;
+  Domain.DLS.get in_task := true;
   let rec loop () =
     Mutex.lock t.mutex;
     while (not t.stop) && Queue.is_empty t.queue do
@@ -126,7 +138,7 @@ let fan_out t ~helpers n exec =
   done;
   Condition.broadcast t.cond;
   Mutex.unlock t.mutex;
-  as_task participate;
+  as_task participate ();
   Mutex.lock m;
   while Atomic.get pending > 0 do
     Condition.wait finished m
@@ -142,17 +154,22 @@ let map ?(budget = Budget.unlimited) ?telemetry t f items =
   let inline =
     t.jobs = 1
     || (match items with [] | [ _ ] -> true | _ -> false)
-    || Domain.DLS.get in_task
+    || !(Domain.DLS.get in_task)
   in
   if inline && (not record) && Budget.is_unlimited budget then
     (* Bare path: an unlimited parent cannot trip (its replicas would
        be unlimited too, and spent charges back to a counter nothing
        reads), disabled telemetry drops every per-task report, and
        re-installing the engine would install what is already there.
-       Skipping that scaffolding brings the tiny-batch jobs=1
-       overhead near its <= 1.004 gate (about 1.004 on 2 vCPUs). *)
-    as_task (fun () ->
-        List.mapi (fun index x -> f { budget; telemetry; index } x) items)
+       The tiny-batch jobs=1 row of the parallel bench times this path
+       against no pool (gate <= 1.004). *)
+    let rec run index = function
+      | [] -> []
+      | x :: rest ->
+          let y = f { budget; telemetry; index } x in
+          y :: run (index + 1) rest
+    in
+    as_task (run 0) items
   else begin
     let arr = Array.of_list items in
     let n = Array.length arr in
@@ -186,7 +203,7 @@ let map ?(budget = Budget.unlimited) ?telemetry t f items =
         if record then reports.(i) <- Some (Telemetry.report tc)
       end
     in
-    if inline then as_task (fun () -> for i = 0 to n - 1 do exec i done)
+    if inline then as_task (fun () -> for i = 0 to n - 1 do exec i done) ()
     else fan_out t ~helpers:(min (t.jobs - 1) (n - 1)) n exec;
     (* Charge the prefix up to the stop index back to the parent budget
        and merge its collectors in index order; later results are

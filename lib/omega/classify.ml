@@ -1,7 +1,3 @@
-let is_safety a = Lang.equal a (Lang.safety_closure a)
-
-let is_guarantee a = is_safety (Automaton.complement a)
-
 (* ------------------------------------------------------------------ *)
 (* The alternating cycle decomposition, expanded on demand              *)
 (* ------------------------------------------------------------------ *)
@@ -16,33 +12,48 @@ type node = { set : Iset.t; status : bool; mutable kids : node list option }
 (* One forest per classification: one tree per reachable cycle-carrying
    SCC, rooted at the SCC.  Every column reads it, the low ones only
    its top two levels, so they are decided before the deeper levels
-   spend fuel. *)
+   spend fuel.  [reach.(i).(j)] says that root [i] reaches root [j]
+   ([i <> j]); it is built on first use, once. *)
 type forest = {
   aut : Automaton.t;
   dual : Acceptance.t;
   budget : Budget.t;
   telemetry : Telemetry.t;
-  roots : node list Lazy.t;
+  roots : node array Lazy.t;
+  reach : bool array array Lazy.t;
 }
 
 let forest ?(budget = Budget.unlimited) ?(telemetry = Telemetry.disabled)
     (a : Automaton.t) =
+  let succ = Automaton.successors a in
   let roots =
     lazy
       (let reach = Automaton.reachable a in
-       let succ = Automaton.successors a in
-       List.filter_map
-         (fun comp ->
-           if Graph_kernel.nontrivial ~succ comp then
-             let s = Iset.of_list comp in
-             Some { set = s; status = Acceptance.eval a.acc s; kids = None }
-           else None)
-         (Graph_kernel.sccs_region ~n:a.n ~succ
-            (Iset.init a.n (fun q -> reach.(q)))))
+       Graph_kernel.sccs_region ~n:a.n ~succ
+         (Iset.init a.n (fun q -> reach.(q)))
+       |> List.filter_map (fun comp ->
+              if Graph_kernel.nontrivial ~succ comp then
+                let s = Iset.of_list comp in
+                Some { set = s; status = Acceptance.eval a.acc s; kids = None }
+              else None)
+       |> Array.of_list)
   in
-  { aut = a; dual = Acceptance.dual a.acc; budget; telemetry; roots }
+  let reach =
+    lazy
+      (let roots = Lazy.force roots in
+       Array.map
+         (fun r ->
+           let seen =
+             Graph_kernel.reachable ~n:a.n ~succ ~starts:(Iset.elements r.set)
+           in
+           Array.map
+             (fun r' -> r' != r && Iset.exists (fun q -> seen.(q)) r'.set)
+             roots)
+         roots)
+  in
+  { aut = a; dual = Acceptance.dual a.acc; budget; telemetry; roots; reach }
 
-let roots f = Lazy.force f.roots
+let roots f = Array.to_list (Lazy.force f.roots)
 
 (* Expanding a node costs one tick and one [rank.nodes] count. *)
 let children f t =
@@ -86,6 +97,25 @@ let persistence f = top_childless f true
    childless. *)
 let obligation f = List.for_all List.is_empty (List.map (children f) (roots f))
 
+(* Safety: no reachable rejecting cycle reaches an accepting one; dually
+   for guarantee.  A root with children holds cycles of both statuses,
+   which reach each other, so the automaton is neither.  When every
+   root is childless, every cycle has its SCC's status, and the roots'
+   reachability decides. *)
+let none_reach f status =
+  obligation f
+  &&
+  let roots = Lazy.force f.roots and reach = Lazy.force f.reach in
+  not
+    (Seq.exists
+       (fun (i, r) ->
+         r.status = status
+         && Array.exists2 (fun r' e -> e && r'.status <> status) roots reach.(i))
+       (Array.to_seqi roots))
+
+let safety f = none_reach f false
+let guarantee f = none_reach f true
+
 (* The degree: with each SCC of one status, the separating pattern for
    the k-th conjunctive level is a status-alternating reachability chain
    notF (F notF)^k; the degree is one more than the best accepting count
@@ -93,15 +123,7 @@ let obligation f = List.for_all List.is_empty (List.map (children f) (roots f))
 let obligation_degree_of f =
   if not (obligation f) then None
   else begin
-    let a = f.aut in
-    let roots = Array.of_list (roots f) in
-    let reach =
-      Array.map
-        (fun r ->
-          Graph_kernel.reachable ~n:a.n ~succ:(Automaton.successors a)
-            ~starts:(Iset.elements r.set))
-        roots
-    in
+    let roots = Lazy.force f.roots and reach = Lazy.force f.reach in
     (* best accepting count of an alternating chain from root i to a
        rejecting root; SCCs reach each other acyclically *)
     let memo = Array.make (Array.length roots) None in
@@ -113,10 +135,7 @@ let obligation_degree_of f =
           let best = ref (if fi then min_int else 0) in
           Array.iteri
             (fun j r ->
-              if
-                r.status <> fi
-                && Iset.exists (fun q -> reach.(i).(q)) r.set
-              then
+              if r.status <> fi && reach.(i).(j) then
                 let cj = chain j in
                 if cj > min_int then
                   best := max !best (cj + Bool.to_int fi))
@@ -155,6 +174,8 @@ let rec rejecting_depth t =
 let rank f =
   List.fold_left (fun m t -> max m (rejecting_depth t)) 0 (expand f)
 
+let is_safety a = safety (forest a)
+let is_guarantee a = guarantee (forest a)
 let is_recurrence a = recurrence (forest a)
 let is_persistence a = persistence (forest a)
 let obligation_degree a = obligation_degree_of (forest a)
@@ -175,10 +196,10 @@ let reactivity_rank_opt ?budget ?telemetry ?pool:_ a =
    high columns as soon as a low one decides; the cycle columns share
    one forest.  The obligation degree is [Some d] iff obligation. *)
 let classify a =
-  if is_safety a then Kappa.Safety
-  else if is_guarantee a then Kappa.Guarantee
+  let f = forest a in
+  if safety f then Kappa.Safety
+  else if guarantee f then Kappa.Guarantee
   else
-    let f = forest a in
     match obligation_degree_of f with
     | Some d -> Kappa.Obligation (max 1 d)
     | None ->
@@ -261,8 +282,8 @@ let classify_budgeted ?(budget = Budget.unlimited)
           None)
   in
   let f = forest ~budget ~telemetry a in
-  let saf = guard "safety" (fun () -> is_safety a) in
-  let gua = guard "guarantee" (fun () -> is_guarantee a) in
+  let saf = guard "safety" (fun () -> safety f) in
+  let gua = guard "guarantee" (fun () -> guarantee f) in
   (* [Some d] iff the property is an obligation (of degree d), so one
      guarded call decides both the class test and the degree *)
   let deg = guard "obligation" (fun () -> obligation_degree_of f) in

@@ -1,14 +1,18 @@
 (** Deciding the class of a property given by a deterministic automaton —
     the decision procedures of section 5.1.
 
-    Safety and guarantee are decided semantically through the safety
-    closure characterization ([Pi] is safety iff [Pi = A(Pref(Pi))],
-    section 2); the syntactic closure-based check of section 5.1 is also
-    provided for Streett-shaped automata.  Recurrence, persistence,
-    obligation and the two sub-hierarchies are decided by Wagner's cycle
-    conditions, quoted in section 5.1, each read off one
-    {!decomposition} whose nodes are expanded on first use:
+    Every column is a read of one {!decomposition} whose nodes are
+    expanded on first use, following the cycle conditions of section
+    5.1 (Wagner's, for the upper four):
 
+    - safety iff no reachable rejecting cycle reaches an accepting one:
+      every root is childless (no SCC carries cycles of both statuses)
+      and no rejecting root reaches an accepting root; guarantee is the
+      same with the statuses swapped.  This is the safety closure
+      characterization of section 2 ([Pi] is safety iff
+      [Pi = A(Pref(Pi))]) read on the automaton: a run that stays among
+      states with a non-empty future has an infinity set that is a
+      cycle which reaches an accepting cycle;
     - recurrence iff every accessible cycle containing an accepting cycle
       is accepting: no rejecting node in the top two levels of the
       decomposition has children;
@@ -24,10 +28,11 @@
       {e reachability} chains of cycles starting with a rejecting one,
       over the roots and their statuses.
 
-    Expanding a node costs one budget tick, so under
-    {!classify_budgeted} the obligation, recurrence and persistence
-    columns spend fuel too: together the first two levels, before the
-    rank column expands the rest. *)
+    The roots' reachability is computed once, on first use, and read by
+    the safety, guarantee and degree columns.  Expanding a node costs
+    one budget tick, so under {!classify_budgeted} every column spends
+    fuel: the safety column expands the roots, recurrence and
+    persistence their children, and the rank column the rest. *)
 
 val is_safety : Automaton.t -> bool
 
@@ -60,6 +65,25 @@ type acd = { cycle : Iset.t; accepting : bool; children : acd list }
 val decomposition :
   ?budget:Budget.t -> ?telemetry:Telemetry.t -> Automaton.t -> acd list
 
+(** The {!decomposition} before it is expanded, for a caller that reads
+    a column off it before using the whole tree: each node is expanded
+    once, on first use, so a column read and then {!expand} together
+    build the decomposition once.  [budget] and [telemetry] are those of
+    {!decomposition}. *)
+type forest
+
+val forest :
+  ?budget:Budget.t -> ?telemetry:Telemetry.t -> Automaton.t -> forest
+
+(** The columns of {!is_recurrence} and {!obligation_degree}, read off
+    the forest's top levels. *)
+val recurrence : forest -> bool
+
+val obligation_degree_of : forest -> int option
+
+(** The whole forest, expanded: [decomposition a = expand (forest a)]. *)
+val expand : forest -> acd list
+
 (** Minimal number of Streett pairs ([0] iff universal); every
     omega-regular property has a finite rank (the reactivity normal-form
     theorem).  Exact: the largest number of rejecting nodes on a branch
@@ -88,7 +112,7 @@ val reactivity_rank_opt :
     then obligation (with its degree), then recurrence/persistence, then
     reactivity (with its rank).  A property that is both safety and
     guarantee is reported as safety.  Total and exact: no column
-    enumerates cycles, and the cycle columns share one decomposition. *)
+    enumerates cycles, and the columns share one decomposition. *)
 val classify : Automaton.t -> Kappa.t
 
 (** All six basic classes ([index 1] for the compound ones) that contain
@@ -119,9 +143,10 @@ type budgeted = {
 }
 
 (** Total: never raises, whatever the budget.  With the default
-    unlimited budget, [verdict] is [`Exact (classify a)].  The cycle
-    columns read one decomposition, ticking [budget] once per node they
-    expand (see the header).  [telemetry] wraps each membership column
+    unlimited budget, [verdict] is [`Exact (classify a)].  The columns
+    read one decomposition, ticking [budget] once per node they expand
+    (see the header), so a trip at the first tick leaves every column
+    [None].  [telemetry] wraps each membership column
     that actually runs in a [classify.<column>] span (columns skipped
     by the sticky guard record nothing) and counts the expanded nodes
     ([rank.nodes]).

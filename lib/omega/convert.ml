@@ -46,9 +46,8 @@ let rec branch q after (t : Classify.acd) =
    [top - 1]; edges between trees get [top].  The min-parity condition
    is then a chain of Streett pairs, one per odd priority, and there are
    as many odd priorities as rejecting nodes on the longest branch. *)
-let acd_transform ?(budget = Budget.unlimited) ?telemetry (a : Automaton.t)
-    =
-  let trees = Array.of_list (Classify.decomposition ~budget ?telemetry a) in
+let acd_transform ?(budget = Budget.unlimited) (a : Automaton.t) trees =
+  let trees = Array.of_list trees in
   let tree_of = Array.make a.n (-1) in
   Array.iteri
     (fun i (t : Classify.acd) -> Iset.iter (fun q -> tree_of.(q) <- i) t.cycle)
@@ -116,13 +115,21 @@ let acd_transform ?(budget = Budget.unlimited) ?telemetry (a : Automaton.t)
   Automaton.make ~alpha:a.alpha ~n ~start ~delta
     ~acc:(Acceptance.simplify (Acceptance.And pairs))
 
-let to_buchi ?budget ?telemetry a =
-  require (Classify.is_recurrence a) "recurrence";
-  acd_transform ?budget ?telemetry a
+(* The precondition is read off the forest the transform then expands,
+   so the decomposition is built once. *)
+let shaped ?budget ?telemetry a precondition cls =
+  let f = Classify.forest ?budget ?telemetry a in
+  require (precondition f) cls;
+  acd_transform ?budget a (Classify.expand f)
 
+let to_buchi ?budget ?telemetry a =
+  shaped ?budget ?telemetry a Classify.recurrence "recurrence"
+
+(* Persistence of [a] is recurrence of its complement. *)
 let to_cobuchi ?budget ?telemetry a =
-  require (Classify.is_persistence a) "persistence";
-  Automaton.complement (to_buchi ?budget ?telemetry (Automaton.complement a))
+  Automaton.complement
+    (shaped ?budget ?telemetry (Automaton.complement a) Classify.recurrence
+       "persistence")
 
 let to_shape ?budget ?telemetry kappa a =
   match kappa with
@@ -131,14 +138,16 @@ let to_shape ?budget ?telemetry kappa a =
   | Kappa.Recurrence -> to_buchi ?budget ?telemetry a
   | Kappa.Persistence -> to_cobuchi ?budget ?telemetry a
   | Kappa.Obligation k ->
-      require
-        (match Classify.obligation_degree a with
-        | Some d -> d <= k
-        | None -> false)
-        (Kappa.name kappa);
-      acd_transform ?budget ?telemetry a
+      shaped ?budget ?telemetry a
+        (fun f ->
+          match Classify.obligation_degree_of f with
+          | Some d -> d <= k
+          | None -> false)
+        (Kappa.name kappa)
   | Kappa.Reactivity k ->
-      let b = acd_transform ?budget ?telemetry a in
+      let b =
+        acd_transform ?budget a (Classify.decomposition ?budget ?telemetry a)
+      in
       require
         (List.length (Acceptance.to_streett_pairs ~n:b.n b.acc) <= k)
         (Kappa.name kappa);

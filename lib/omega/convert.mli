@@ -11,10 +11,13 @@
     ACD-transform of Casares, Colcombet and Fijalkow (ICALP 2021), read
     off {!Classify.decomposition}: a deterministic parity automaton with
     the fewest priorities, its min-parity condition written as a chain
-    of Streett pairs.  It ticks [?budget] once per output state (and the
-    decomposition once per node), and is interrupted by
-    [Budget.Tripped] when the budget runs out; [?telemetry] reaches the
-    decomposition's [classify.rank_search] span. *)
+    of Streett pairs.  The precondition (recurrence, or the obligation
+    degree) is read off the same decomposition ({!Classify.forest}), so
+    a conversion builds it once.  It ticks [?budget] once per output
+    state (and the decomposition once per node, the precondition's
+    nodes included), and is interrupted by [Budget.Tripped] when the
+    budget runs out; [?telemetry] reaches the decomposition's
+    [classify.rank_search] span. *)
 
 exception Not_in_class of string
 

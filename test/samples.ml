@@ -20,6 +20,15 @@ let staircase k =
   in
   Automaton.make ~alpha ~n ~start:0 ~delta ~acc:(acc_for (n - 1))
 
+(* A universal k-state cycle over [alpha]: intersecting with it keeps
+   the language but inflates every SCC by a factor of k. *)
+let counter alpha k =
+  let delta =
+    Array.init k (fun q ->
+        Array.make (Finitary.Alphabet.size alpha) ((q + 1) mod k))
+  in
+  Automaton.make ~alpha ~n:k ~start:0 ~delta ~acc:Acceptance.True
+
 (* Wider random automata for the rank oracle: 1-10 states, 1-3
    letters, nested [And]/[Or] of [Inf]/[Fin] atoms. *)
 let gen_wide_automaton =

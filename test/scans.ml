@@ -1,11 +1,17 @@
-(* Wagner's cycle conditions (section 5.1) by direct SCC scans: the
-   oracle for the columns [Classify] reads off its alternating cycle
+(* Wagner's cycle conditions (section 5.1) by direct SCC scans, and
+   safety and guarantee by the closure characterization (section 2):
+   the oracle for the columns [Classify] reads off its alternating cycle
    decomposition.  Recurrence loops over the clauses of the dual
    condition's conjunctive normal form, which can be exponential;
    persistence is recurrence of the complement; obligation and its
    degree read two Emerson-Lei searches per SCC. *)
 
 open Omega
+
+(* Safety: the property equals its safety closure A(Pref(Pi)); guarantee
+   is safety of the complement. *)
+let is_safety a = Lang.equal a (Lang.safety_closure a)
+let is_guarantee a = is_safety (Automaton.complement a)
 
 (* SCCs of the subgraph induced on [allowed] (reachable part only). *)
 let sccs_within (a : Automaton.t) allowed =
@@ -121,3 +127,8 @@ let agrees a =
   && Classify.is_persistence a = is_persistence a
   && Classify.is_obligation a = is_obligation a
   && Classify.obligation_degree a = obligation_degree a
+
+(* The safety and guarantee reads agree with closure equality. *)
+let closure_agrees a =
+  Classify.is_safety a = is_safety a
+  && Classify.is_guarantee a = is_guarantee a

@@ -84,8 +84,9 @@ let staircase_tests =
     Alcotest.test_case "staircase tree reads = SCC scans" `Quick (fun () ->
         List.iter
           (fun k ->
+            let a = Samples.staircase k in
             check (Printf.sprintf "k=%d" k) true
-              (Scans.agrees (Samples.staircase k)))
+              (Scans.agrees a && Scans.closure_agrees a))
           [ 2; 3; 4; 5 ]);
     Alcotest.test_case "staircase membership sanity" `Quick (fun () ->
         let a = Samples.staircase 2 in
@@ -431,15 +432,9 @@ let random_tests =
             row);
       QCheck.Test.make ~name:"tree reads = SCC scans" ~count:2000
         Samples.arb_wide_automaton Scans.agrees;
+      QCheck.Test.make ~name:"forest safety/guarantee = closure equality"
+        ~count:2000 Samples.arb_wide_automaton Scans.closure_agrees;
     ]
-
-(* A universal k-state cycle over [alpha]: intersecting with it keeps
-   the language but inflates every SCC by a factor of k. *)
-let counter alpha k =
-  let delta =
-    Array.init k (fun q -> Array.make (Finitary.Alphabet.size alpha) ((q + 1) mod k))
-  in
-  Automaton.make ~alpha ~n:k ~start:0 ~delta ~acc:Acceptance.True
 
 let budget_tests =
   [
@@ -448,7 +443,7 @@ let budget_tests =
         (* regression: this SCC is past the old enumeration caps (22
            states, 4000 cycles), which left the rank a lower bound and
            the reactivity membership unknown *)
-        let big = Automaton.inter (fm "[]<> p | <>[] q") (counter pq 30) in
+        let big = Automaton.inter (fm "[]<> p | <>[] q") (Samples.counter pq 30) in
         Alcotest.check kappa "exact simple reactivity" (Kappa.Reactivity 1)
           (Classify.classify big);
         Alcotest.(check int) "rank" 1 (Classify.reactivity_rank big);
@@ -458,14 +453,15 @@ let budget_tests =
       (fun () ->
         List.iter
           (fun f ->
-            check f true (Scans.agrees (Automaton.inter (fm f) (counter pq 30))))
+            let a = Automaton.inter (fm f) (Samples.counter pq 30) in
+            check f true (Scans.agrees a && Scans.closure_agrees a))
           [
             "[]<> p | <>[] q"; "[]<> p"; "<>[] p"; "[] p | <> q";
             "[] p & <> q"; "[]<> p & <>[] q"; "[] (p -> <> q)";
           ]);
     Alcotest.test_case "a trip at the rank column's first tick degrades"
       `Quick (fun () ->
-        let big = Automaton.inter (fm "[]<> p | <>[] q") (counter pq 30) in
+        let big = Automaton.inter (fm "[]<> p | <>[] q") (Samples.counter pq 30) in
         (* the low columns expand the decomposition's top two levels,
            one tick per node, so the rank column's first tick follows
            them *)
@@ -490,23 +486,24 @@ let budget_tests =
           (match r.Classify.exhaustion with
           | Some { Budget.reason = Budget.Injected; _ } -> true
           | _ -> false));
-    Alcotest.test_case "a trip at the first tick degrades from obligation on"
+    Alcotest.test_case "a trip at the first tick degrades from safety on"
       `Quick (fun () ->
-        let big = Automaton.inter (fm "[]<> p | <>[] q") (counter pq 30) in
+        (* the safety column expands the decomposition's roots, so it
+           spends the first tick *)
+        let big = Automaton.inter (fm "[]<> p | <>[] q") (Samples.counter pq 30) in
         let r =
           Classify.classify_budgeted ~budget:(Budget.inject_trip_at 1) big
         in
-        check "lower bound is simple obligation" true
+        check "no bound" true
           (r.Classify.verdict
-          = `Interval { Classify.at_least = Some (Kappa.Obligation 1); at_most = None });
-        check "safety and guarantee decided, the rest unknown" true
-          (List.map (fun (_, m) -> m = None) r.Classify.row
-          = [ false; false; true; true; true; true ]));
+          = `Interval { Classify.at_least = None; at_most = None });
+        check "every column unknown" true
+          (List.for_all (fun (_, m) -> m = None) r.Classify.row));
     Alcotest.test_case "polynomial classes never hit the budget" `Quick
       (fun () ->
         (* same SCC inflation, but the class is decidable by the
            polynomial columns alone *)
-        let big = Automaton.inter (fm "[]<> p") (counter pq 30) in
+        let big = Automaton.inter (fm "[]<> p") (Samples.counter pq 30) in
         Alcotest.check kappa "exact recurrence" Kappa.Recurrence
           (Classify.classify big));
     Alcotest.test_case "a 10k-state automaton classifies" `Slow (fun () ->
@@ -524,6 +521,34 @@ let budget_tests =
         Alcotest.check kappa "recurrence" Kappa.Recurrence (Classify.classify a);
         check "every membership decided" true
           (List.for_all (fun (_, m) -> m <> None) (Classify.memberships a)));
+    Alcotest.test_case
+      "a trip after the top level leaves safety, guarantee and obligation \
+       decided" `Quick (fun () ->
+        (* safety expands the roots, recurrence and persistence their
+           children: a trip at any tick past the roots, up to the first
+           one past their children, spares the first three columns *)
+        let big = Automaton.inter (fm "[]<> p | <>[] q") (Samples.counter pq 30) in
+        let trees = Classify.decomposition big in
+        let roots = List.length trees in
+        let top =
+          List.fold_left
+            (fun n (t : Classify.acd) -> n + List.length t.children)
+            roots trees
+        in
+        let exact = Classify.memberships big in
+        for trip = roots + 1 to top + 1 do
+          let r =
+            Classify.classify_budgeted ~budget:(Budget.inject_trip_at trip)
+              big
+          in
+          check (Printf.sprintf "trip at %d tripped" trip) true
+            (r.Classify.exhaustion <> None);
+          check
+            (Printf.sprintf "trip at %d: the first three columns" trip)
+            true
+            (List.filteri (fun i _ -> i < 3) r.Classify.row
+            = List.filteri (fun i _ -> i < 3) exact)
+        done);
   ]
 
 let () =

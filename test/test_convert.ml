@@ -116,6 +116,27 @@ let conversion_tests =
           :: List.map
                (fun k -> (Printf.sprintf "staircase %d" k, Samples.staircase k, k))
                [ 1; 2; 3; 4; 5 ]));
+    Alcotest.test_case "a conversion builds the decomposition once" `Quick
+      (fun () ->
+        (* the precondition is read off the tree the transform expands,
+           so the conversion passes the SCC kernel over no more states
+           than the decomposition alone *)
+        let a = Automaton.inter (fm "[]<> p") (Samples.counter pq 30) in
+        let scc_counts run =
+          let t = Telemetry.collector () in
+          Telemetry.with_ambient t (fun () -> ignore (run ()));
+          ( Telemetry.counter t "graph.scc.components",
+            Telemetry.counter t "graph.scc.nodes" )
+        in
+        let pair = Alcotest.(pair int int) in
+        Alcotest.check pair "decomposition" (2, 90)
+          (scc_counts (fun () -> Classify.decomposition a));
+        Alcotest.check pair "to_buchi" (2, 90)
+          (scc_counts (fun () -> Convert.to_buchi a));
+        let b = Automaton.inter (fm "<>[] p") (Samples.counter pq 30) in
+        Alcotest.check pair "to_cobuchi"
+          (scc_counts (fun () -> Classify.decomposition b))
+          (scc_counts (fun () -> Convert.to_cobuchi b)));
   ]
 
 (* Prop. 5.1 on random automata: the shape for the class [classify]

@@ -509,14 +509,20 @@ let engine_tests =
                 check "both read `Explicit" true
                   (e0 = `Explicit && e1 = `Explicit)
             | _ -> Alcotest.fail "expected two results"));
-    Alcotest.test_case "Engine.classify_batch ~engine:`Explicit at jobs 1/2"
-      `Quick (fun () ->
-        check_counts "classify_batch"
+    Alcotest.test_case "Engine.analyze ~engine:`Explicit at jobs 1/2" `Quick
+      (fun () ->
+        (* M310's vacuity check is the one inclusion query behind an
+           analysis; request_grant.spec holds this one requirement *)
+        let sys, _ = Fts.Parse.load "../examples/specs/request_grant.fts" in
+        let spec = [ ("response", "[] (req=1 -> <> gnt=1)", None) ] in
+        check_counts "analyze"
           (explicit_counts (fun ~telemetry ~pool ->
                ignore
-                 (Hierarchy.Engine.classify_batch ~telemetry ~pool
-                    ~engine:`Explicit
-                    [ "[] (p -> <> q)"; "[]<> p | <>[] q"; "<> p"; "[] p" ]))));
+                 (Pool.map ~telemetry pool
+                    (fun ctx () ->
+                      Hierarchy.Engine.analyze ~telemetry:ctx.Pool.telemetry
+                        ~engine:`Explicit ~model:sys spec)
+                    [ (); () ]))));
   ]
 
 let () =

@@ -181,6 +181,8 @@ let edge_tests =
           (* every public function of Classify answers *)
           check "safety" true (Classify.is_safety a);
           check "guarantee" true (Classify.is_guarantee a);
+          check "forest safety/guarantee = closure equality" true
+            (Scans.closure_agrees a);
           check "recurrence" true (Classify.is_recurrence a);
           check "persistence" true (Classify.is_persistence a);
           check "obligation" true (Classify.is_obligation a);
