@@ -109,12 +109,14 @@ let alphabet ?props ?chars formulas =
 (* Classification                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Report on a translated automaton.  [classify_budgeted] already
+(* Report on a translated automaton.  [classify_forest] already
    degrades the verdict columns; the three SL/expressibility bits are
    guarded the same way here so a trip mid-bit yields [None] for it and
-   everything after, never an exception. *)
+   everything after, never an exception.  The columns, the liveness bit
+   and the counter-freedom bit read one forest. *)
 let report_of ~budget ~telemetry ~syntactic (a : Omega.Automaton.t) =
-  let b = Omega.Classify.classify_budgeted ~budget ~telemetry a in
+  let forest = Omega.Classify.forest ~budget ~telemetry a in
+  let b = Omega.Classify.classify_forest forest in
   let exhausted = ref b.Omega.Classify.exhaustion in
   let record e = if !exhausted = None then exhausted := Some e in
   let opt f =
@@ -133,7 +135,8 @@ let report_of ~budget ~telemetry ~syntactic (a : Omega.Automaton.t) =
   in
   let span name f = Telemetry.span telemetry name f in
   let is_liveness =
-    opt (fun () -> span "engine.liveness" (fun () -> Omega.Lang.is_liveness a))
+    opt (fun () ->
+        span "engine.liveness" (fun () -> Omega.Classify.liveness forest))
   in
   let is_uniform_liveness =
     opt (fun () ->
@@ -142,7 +145,7 @@ let report_of ~budget ~telemetry ~syntactic (a : Omega.Automaton.t) =
   in
   let counter_free =
     opt (fun () ->
-        Omega.Counter_free.is_counter_free ~budget ~telemetry a)
+        Omega.Counter_free.of_forest ~budget ~telemetry forest)
   in
   let verdict =
     match b.Omega.Classify.verdict with

@@ -51,6 +51,26 @@ let rec states = function
   | And l | Or l ->
       List.fold_left (fun acc a -> Iset.union acc (states a)) Iset.empty l
 
+let number_atoms ~first ~n acc =
+  let atoms = ref [] in
+  let mark s =
+    let i =
+      match List.find_opt (fun (_, s') -> Iset.equal s s') !atoms with
+      | Some (i, _) -> i
+      | None ->
+          let i = first + List.length !atoms in
+          atoms := (i, s) :: !atoms;
+          i
+    in
+    Iset.singleton i
+  in
+  let acc = map_sets mark acc in
+  let marks = Array.make n Iset.empty in
+  List.iter
+    (fun (i, s) -> Iset.iter (fun q -> marks.(q) <- Iset.add i marks.(q)) s)
+    !atoms;
+  (acc, marks, first + List.length !atoms)
+
 let buchi r = Inf r
 
 let complement_set ~n s =

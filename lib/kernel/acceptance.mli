@@ -42,6 +42,15 @@ val map_sets : (Iset.t -> Iset.t) -> t -> t
 (** All states mentioned by the condition. *)
 val states : t -> Iset.t
 
+(** [number_atoms ~first ~n acc] = [(acc', marks, next)]: [acc] with
+    each atom's state set replaced by one mark index, numbered from
+    [first] up to [next - 1], equal sets sharing one; and per state of
+    an [n]-state automaton, the marks of the atoms it lies in.  A run
+    satisfies [acc] iff the union of its infinity set's marks satisfies
+    [acc'], which is how the on-the-fly searches of products read a
+    component's condition ({!Emptiness.on_the_fly}). *)
+val number_atoms : first:int -> n:int -> t -> t * Iset.t array * int
+
 (** The paper's basic automaton shapes. *)
 
 (** [buchi r]: [Inf r] (recurrence automata have [P = empty]). *)

@@ -70,3 +70,17 @@ let find_or_add t k v =
     if 2 * t.size > Array.length keys then grow t;
     v
   end
+
+module Arrays = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (u : t) v =
+    let n = Array.length u in
+    n = Array.length v
+    &&
+    let rec from i = i = n || (u.(i) = v.(i) && from (i + 1)) in
+    from 0
+
+  let hash (v : t) =
+    Array.fold_left (fun h x -> (h * 65599) + x) 0 v land max_int
+end)

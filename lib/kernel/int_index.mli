@@ -20,3 +20,8 @@ val find_or_add : t -> int -> int -> int
 (** [find_or_add t k v] is the value bound to [k]; when [k] is absent
     it binds [k] to [v] first (and returns [v]).  One probe sequence
     either way.  Raises [Invalid_argument] on a negative key. *)
+
+(** Hash tables keyed by int arrays (vector states, transformations).
+    The hash reads every entry; [Hashtbl.hash] reads only the first
+    ten, so long arrays sharing a prefix would collide. *)
+module Arrays : Hashtbl.S with type key = int array

@@ -116,6 +116,26 @@ let none_reach f status =
 let safety f = none_reach f false
 let guarantee f = none_reach f true
 
+(* Liveness: every reachable state can still reach an accepting cycle.
+   A run of a complete automaton ends in a bottom root (none of its
+   states has a successor outside it), and every state reaches one, so
+   the property is live iff every bottom root holds an accepting cycle:
+   it is accepting, or has children, which are accepting cycles. *)
+let liveness f =
+  let delta = f.aut.delta in
+  List.for_all
+    (fun r ->
+      (not
+         (Iset.for_all
+            (fun q -> Array.for_all (fun q' -> Iset.mem q' r.set) delta.(q))
+            r.set))
+      || r.status
+      || children f r <> [])
+    (roots f)
+
+let sccs f = List.map (fun r -> r.set) (roots f)
+let automaton f = f.aut
+
 (* The degree: with each SCC of one status, the separating pattern for
    the k-th conjunctive level is a status-alternating reachability chain
    notF (F notF)^k; the degree is one more than the best accepting count
@@ -267,8 +287,8 @@ let row_of (saf, gua, deg, recu, pers, rank) =
    guarantee, obligation, recurrence, persistence, rank — which is
    exactly what makes the interval computation a case analysis on that
    prefix. *)
-let classify_budgeted ?(budget = Budget.unlimited)
-    ?(telemetry = Telemetry.disabled) ?pool:_ a =
+let classify_forest f =
+  let budget = f.budget and telemetry = f.telemetry in
   let exhaustion = ref None in
   let guard what f =
     match !exhaustion with
@@ -281,7 +301,6 @@ let classify_budgeted ?(budget = Budget.unlimited)
           exhaustion := Some e;
           None)
   in
-  let f = forest ~budget ~telemetry a in
   let saf = guard "safety" (fun () -> safety f) in
   let gua = guard "guarantee" (fun () -> guarantee f) in
   (* [Some d] iff the property is an obligation (of degree d), so one
@@ -292,5 +311,8 @@ let classify_budgeted ?(budget = Budget.unlimited)
   let rank = guard "reactivity" (fun () -> rank f) in
   let cols = (saf, gua, deg, recu, pers, rank) in
   { verdict = verdict_of cols; row = row_of cols; exhaustion = !exhaustion }
+
+let classify_budgeted ?budget ?telemetry ?pool:_ a =
+  classify_forest (forest ?budget ?telemetry a)
 
 let memberships a = (classify_budgeted a).row

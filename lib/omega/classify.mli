@@ -81,6 +81,22 @@ val recurrence : forest -> bool
 
 val obligation_degree_of : forest -> int option
 
+(** Is the property a liveness property (section 2: every finite word
+    extends to a word of the property)?  A root is {e bottom} when none
+    of its states has a successor outside it.  Every run of a complete
+    automaton ends in a bottom root, so the property is live iff every
+    bottom root holds an accepting cycle: the root is accepting or has
+    children.  Only rejecting bottom roots are expanded, one tick each;
+    after a column has expanded the roots the read spends nothing. *)
+val liveness : forest -> bool
+
+(** The forest's automaton, and the state sets of its roots: the
+    reachable SCCs that carry a cycle, computed once per forest
+    without spending fuel. *)
+val automaton : forest -> Automaton.t
+
+val sccs : forest -> Iset.t list
+
 (** The whole forest, expanded: [decomposition a = expand (forest a)]. *)
 val expand : forest -> acd list
 
@@ -161,3 +177,8 @@ val classify_budgeted :
   ?pool:Pool.t ->
   Automaton.t ->
   budgeted
+
+(** [classify_budgeted ?budget ?telemetry a] is [classify_forest]
+    applied to [forest ?budget ?telemetry a], which a caller that reads
+    more of the forest afterwards builds itself. *)
+val classify_forest : forest -> budgeted

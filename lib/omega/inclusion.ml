@@ -74,29 +74,6 @@ let is_empty a = not (nonempty a)
      one mark index, and a pair carries the marks of the atoms its [a]-
      or [b]-component lies in. *)
 
-(* [acc] with each atom's state set replaced by one mark index, from
-   [first] up, equal sets sharing one; and per state of an [n]-state
-   automaton, the marks of the atoms it lies in *)
-let number_atoms ~first ~n acc =
-  let atoms = ref [] in
-  let mark s =
-    let i =
-      match List.find_opt (fun (_, s') -> Iset.equal s s') !atoms with
-      | Some (i, _) -> i
-      | None ->
-          let i = first + List.length !atoms in
-          atoms := (i, s) :: !atoms;
-          i
-    in
-    Iset.singleton i
-  in
-  let acc = Acceptance.map_sets mark acc in
-  let marks = Array.make n Iset.empty in
-  List.iter
-    (fun (i, s) -> Iset.iter (fun q -> marks.(q) <- Iset.add i marks.(q)) s)
-    !atoms;
-  (acc, marks, first + List.length !atoms)
-
 let diff_nonempty ~budget ~telemetry:tl (a : Automaton.t) (b : Automaton.t) =
   if not (Alphabet.equal a.alpha b.alpha) then
     invalid_arg "Inclusion.included: alphabet mismatch";
@@ -105,9 +82,11 @@ let diff_nonempty ~budget ~telemetry:tl (a : Automaton.t) (b : Automaton.t) =
   if not a_live.(a.start) then false (* L(a) empty: nothing to include *)
   else begin
     let k = Alphabet.size a.alpha and nb = b.n in
-    let acc_a, marks_a, first = number_atoms ~first:0 ~n:a.n a.acc in
+    let acc_a, marks_a, first =
+      Acceptance.number_atoms ~first:0 ~n:a.n a.acc
+    in
     let acc_b, marks_b, _ =
-      number_atoms ~first ~n:nb (Acceptance.dual b.acc)
+      Acceptance.number_atoms ~first ~n:nb (Acceptance.dual b.acc)
     in
     let pruned = ref 0 in
     let succ key edge =

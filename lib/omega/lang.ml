@@ -102,10 +102,7 @@ let liveness_extension ?budget (a : Automaton.t) =
   Automaton.make ~alpha:a.alpha ~n:a.n ~start:a.start ~delta:a.delta
     ~acc:(Acceptance.simplify (Acceptance.Or [ a.acc; Acceptance.Inf dead ]))
 
-let is_liveness (a : Automaton.t) =
-  let live = live_states a in
-  let reach = Automaton.reachable a in
-  Array.for_all2 (fun r l -> (not r) || l) reach live
+let is_liveness a = Classify.liveness (Classify.forest a)
 
 let safety_liveness_decomposition ?budget a =
   (safety_closure ?budget a, liveness_extension ?budget a)
@@ -117,76 +114,67 @@ let safety_liveness_decomposition ?budget a =
 (* Pi is uniformly live iff one word is accepted from every state
    reachable in >= 1 step: run the automaton from all those m states
    simultaneously and ask for a word accepted by every component.  The
-   vector-state interning below is a subset construction — worst-case
-   exponential in [a.n] — so the expansion loop ticks [?budget] once
-   per interned vector state.  The joint condition is an [And] of m
-   lifted copies of [a.acc], whose DNF width is the product of the
-   copies' widths; [Emptiness.accepting_scc] decides it by SCC
-   recursion, worst-case exponential in the number of distinct [Fin]
-   sets left after restricting to an SCC, and checks the deadline of
-   [?budget] (without spending fuel) at every recursion step. *)
+   vector states are the keys of one {!Emptiness.on_the_fly} search,
+   interned as they are generated; there can be exponentially many in
+   [a.n], and the search ticks [?budget] once per vector it discovers
+   in each of its at most two runs, and stops at the first accepting
+   cycle.  Component c carries [a]'s atom marks shifted by [c * t], and
+   the condition is the [And] of the m shifted copies of [a.acc],
+   never put in DNF. *)
 let is_uniform_liveness ?(budget = Budget.unlimited) (a : Automaton.t) =
   let reach = Automaton.reachable a in
   let starts =
-    List.sort_uniq Stdlib.compare
+    List.sort_uniq Int.compare
       (List.concat_map
-         (fun q ->
-           if reach.(q) then Array.to_list a.delta.(q) else [])
+         (fun q -> if reach.(q) then Array.to_list a.delta.(q) else [])
          (List.init a.n Fun.id))
   in
-  let k = Alphabet.size a.alpha in
   let m = List.length starts in
-  let index = Hashtbl.create 64 in
-  let vectors = ref [] in
-  let count = ref 0 in
-  let intern v =
-    match Hashtbl.find_opt index v with
-    | Some i -> (i, true)
-    | None ->
-        let i = !count in
-        incr count;
-        Hashtbl.add index v i;
-        vectors := (i, v) :: !vectors;
-        (i, false)
-  in
-  let v0 = starts in
-  let i0, _ = intern v0 in
-  let rows = Hashtbl.create 64 in
-  let queue = Queue.create () in
-  Queue.add (i0, v0) queue;
-  while not (Queue.is_empty queue) do
-    let i, v = Queue.pop queue in
-    if not (Hashtbl.mem rows i) then begin
-      Budget.tick budget;
-      let row =
-        Array.init k (fun l ->
-            let v' = List.map (fun q -> a.delta.(q).(l)) v in
-            let j, existed = intern v' in
-            if not existed then Queue.add (j, v') queue;
-            j)
-      in
-      Hashtbl.add rows i row
-    end
-  done;
-  let n' = !count in
-  let delta = Array.init n' (fun i -> Hashtbl.find rows i) in
-  (* component c of vector-state i *)
-  let component = Array.make n' [||] in
-  List.iter (fun (i, v) -> component.(i) <- Array.of_list v) !vectors;
-  let lift c s =
-    let out = ref Iset.empty in
-    for i = 0 to n' - 1 do
-      if Iset.mem component.(i).(c) s then out := Iset.add i !out
-    done;
-    !out
-  in
-  let acc =
+  let acc, marks, t = Acceptance.number_atoms ~first:0 ~n:a.n a.acc in
+  let shift c x = Iset.of_list (List.map (( + ) (c * t)) (Iset.elements x)) in
+  let joint =
     Acceptance.simplify
-      (Acceptance.And
-         (List.init m (fun c -> Acceptance.map_sets (lift c) a.acc)))
+      (Acceptance.And (List.init m (fun c -> Acceptance.map_sets (shift c) acc)))
   in
-  let joint = Automaton.make ~alpha:a.alpha ~n:n' ~start:i0 ~delta ~acc in
-  (* every interned vector is reachable, so the region is all of them *)
-  Emptiness.accepting_scc ~budget ~n:n' ~succ:(Automaton.successors joint) acc
-    (Iset.init n' (fun _ -> true))
-  <> None
+  let index = Int_index.Arrays.create 64 in
+  let vectors = ref (Array.make 16 [||]) in
+  let vmarks = ref (Array.make 16 Iset.empty) in
+  let buf = Array.make m 0 in
+  (* the id of the vector in [buf], copied when it is new *)
+  let intern () =
+    match Int_index.Arrays.find index buf with
+    | i -> i
+    | exception Not_found ->
+        let i = Int_index.Arrays.length index in
+        let v = Array.copy buf in
+        Int_index.Arrays.add index v i;
+        if i = Array.length !vectors then begin
+          vectors := Array.append !vectors (Array.make i [||]);
+          vmarks := Array.append !vmarks (Array.make i Iset.empty)
+        end;
+        !vectors.(i) <- v;
+        !vmarks.(i) <-
+          Iset.init (m * t) (fun j -> Iset.mem (j mod t) marks.(v.(j / t)));
+        i
+  in
+  let k = Alphabet.size a.alpha in
+  let succ key edge =
+    let v = !vectors.(key) in
+    for l = 0 to k - 1 do
+      for c = 0 to m - 1 do
+        buf.(c) <- a.delta.(v.(c)).(l)
+      done;
+      edge (intern ())
+    done
+  in
+  List.iteri (fun c q -> buf.(c) <- q) starts;
+  let start = intern () in
+  let r =
+    Emptiness.on_the_fly ~budget
+      ~marks:(fun key -> !vmarks.(key))
+      ~succ joint start
+  in
+  (* a condition that is false on every cycle makes no run; the one
+     tick keeps every call interruptible *)
+  if r.runs = 0 then Budget.tick budget;
+  r.accepting

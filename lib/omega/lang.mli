@@ -83,7 +83,9 @@ val safety_closure :
 val liveness_extension : ?budget:Budget.t -> Automaton.t -> Automaton.t
 
 (** Is the property a liveness property ([Pref(Pi) = Sigma+];
-    topologically: is the set dense)? *)
+    topologically: is the set dense)?  A read of the bottom SCCs of a
+    fresh {!Classify.forest} ({!Classify.liveness}): every one must hold
+    an accepting cycle. *)
 val is_liveness : Automaton.t -> bool
 
 (** The decomposition [Pi = Pi_S inter Pi_L] of the paper's claim:
@@ -93,11 +95,15 @@ val safety_liveness_decomposition :
   ?budget:Budget.t -> Automaton.t -> Automaton.t * Automaton.t
 
 (** Is the property a {e uniform} liveness property: is there a single
-    infinite word [w] with [Sigma+ . w <= Pi]?  Decided exactly by a
-    product over all states reachable in at least one step — a subset
-    construction, worst-case exponential in [a.n], so the expansion
-    ticks [?budget] once per vector state.  Its m-fold conjunction of
-    acceptance copies is decided by {!Emptiness.accepting_scc}, never
-    in DNF, with a deadline check per recursion step.  Raises
-    [Budget.Tripped] when fuel or the deadline runs out. *)
+    infinite word [w] with [Sigma+ . w <= Pi]?  Decided exactly by one
+    {!Emptiness.on_the_fly} search of the synchronous product of [m]
+    copies of the automaton, started at the [m] states reachable in at
+    least one step.  Its keys are vector states, interned as the search
+    generates them — there can be exponentially many in [a.n] — and its
+    condition is the [And] of the [m] copies of [a.acc], each on its own
+    marks, never put in DNF.  The search stops at the first accepting
+    cycle, and ticks [?budget] once per vector it discovers in each of
+    its at most two runs (once in all when the condition is false on
+    every cycle, so the first tick always falls inside the call).
+    Raises [Budget.Tripped] when fuel or the deadline runs out. *)
 val is_uniform_liveness : ?budget:Budget.t -> Automaton.t -> bool

@@ -132,3 +132,59 @@ let agrees a =
 let closure_agrees a =
   Classify.is_safety a = is_safety a
   && Classify.is_guarantee a = is_guarantee a
+
+(* Liveness by backward reachability: every reachable state reaches an
+   accepting cycle ({!Lang.live_states}). *)
+let is_liveness (a : Automaton.t) =
+  let live = Lang.live_states a in
+  let reach = Automaton.reachable a in
+  Array.for_all2 (fun r l -> (not r) || l) reach live
+
+(* Counter-freedom on the whole transition monoid of the trimmed
+   automaton, generated by the letter transformations breadth-first:
+   counter-free iff every element is aperiodic. *)
+let compose f g = Array.map (fun q -> g.(q)) f
+
+let monoid ?(max_monoid = 200000) a =
+  let a = Automaton.trim a in
+  let gens =
+    List.init (Finitary.Alphabet.size a.alpha) (fun l ->
+        Array.init a.n (fun q -> a.delta.(q).(l)))
+  in
+  let seen = Hashtbl.create 256 in
+  let elements = ref [] in
+  let queue = Queue.create () in
+  let add f =
+    if not (Hashtbl.mem seen f) then begin
+      Hashtbl.add seen f ();
+      if Hashtbl.length seen > max_monoid then
+        raise (Counter_free.Monoid_too_large (Hashtbl.length seen));
+      elements := f :: !elements;
+      Queue.add f queue
+    end
+  in
+  List.iter add gens;
+  while not (Queue.is_empty queue) do
+    let f = Queue.pop queue in
+    List.iter (fun g -> add (compose f g)) gens
+  done;
+  !elements
+
+(* f is aperiodic iff iterating powers reaches a fixpoint (cycle of
+   length 1); a cycle of length > 1 exhibits modulo counting. *)
+let aperiodic f =
+  let seen = Hashtbl.create 16 in
+  let rec iter g i =
+    match Hashtbl.find_opt seen g with
+    | Some j -> i - j = 1
+    | None ->
+        Hashtbl.add seen g i;
+        let g' = compose g f in
+        if g' = g then true else iter g' (i + 1)
+  in
+  iter f 0
+
+let is_counter_free ?max_monoid a =
+  List.for_all aperiodic (monoid ?max_monoid a)
+
+let monoid_size ?max_monoid a = List.length (monoid ?max_monoid a)

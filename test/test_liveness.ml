@@ -104,6 +104,65 @@ let uniform_tests =
         check "uniformly live" true (Lang.is_uniform_liveness x));
   ]
 
+(* The vector states of the uniform-liveness product: the automaton
+   run from every state reachable in >= 1 step at once, all of them
+   reachable from that start vector. *)
+let vector_states (a : Automaton.t) =
+  let reach = Automaton.reachable a in
+  let start =
+    List.sort_uniq compare
+      (List.concat_map
+         (fun q -> if reach.(q) then Array.to_list a.delta.(q) else [])
+         (List.init a.n Fun.id))
+  in
+  let seen = Hashtbl.create 64 in
+  let rec visit v =
+    if not (Hashtbl.mem seen v) then begin
+      Hashtbl.add seen v ();
+      for l = 0 to Finitary.Alphabet.size a.alpha - 1 do
+        visit (List.map (fun q -> a.delta.(q).(l)) v)
+      done
+    end
+  in
+  visit start;
+  Hashtbl.length seen
+
+let stops_early_test =
+  Alcotest.test_case "a uniformly live search stops before the last vector"
+    `Quick (fun () ->
+      (* the search stops at the first accepting cycle, so it spends
+         fewer ticks than there are vector states *)
+      List.iter
+        (fun (name, a) ->
+          let budget = Budget.make ~fuel:1_000_000 () in
+          check (name ^ ": uniformly live") true
+            (Lang.is_uniform_liveness ~budget a);
+          let spent = Budget.spent budget and n = vector_states a in
+          if spent >= n then
+            Alcotest.failf "%s: %d ticks for %d vector states" name spent n)
+        [
+          ("E(.* a b)", Build.e_re ab ".* a b");
+          ("E(.* a a b b)", Build.e_re ab ".* a a b b");
+          ("R(.* a a b b)", Build.r_re ab ".* a a b b");
+          ( "E(a .* a a) + E(b .* b b)",
+            Automaton.union (Build.e_re ab "a .* a a") (Build.e_re ab "b .* b b")
+          );
+        ])
+
+(* Liveness read off the bottom roots of the cycle decomposition
+   against backward reachability from the accepting cycles. *)
+let random_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"forest liveness = backward-reachability liveness"
+         ~count:2000 Samples.arb_wide_automaton (fun a ->
+           Lang.is_liveness a = Scans.is_liveness a));
+  ]
+
 let () =
   Alcotest.run "liveness"
-    [ ("safety-liveness", liveness_tests); ("uniform", uniform_tests) ]
+    [
+      ("safety-liveness", liveness_tests);
+      ("uniform", uniform_tests @ [ stops_early_test ]);
+      ("random", random_tests);
+    ]

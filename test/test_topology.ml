@@ -195,6 +195,13 @@ let edge_tests =
                (Classify.decomposition a));
           check "rank" true
             (Classify.reactivity_rank a = if Lang.is_empty a then 1 else 0);
+          (* the section 2 bits: the full language is (uniformly) live,
+             the empty one is not; neither counts (an unreachable
+             counter, as in the last automaton, does not count) *)
+          check "liveness" (not (Lang.is_empty a)) (Lang.is_liveness a);
+          check "uniform liveness" (not (Lang.is_empty a))
+            (Lang.is_uniform_liveness a);
+          check "counter-free" true (Counter_free.is_counter_free a);
           check "rank_opt" true
             (Classify.reactivity_rank_opt a
             = Some (Classify.reactivity_rank a));
