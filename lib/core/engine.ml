@@ -139,9 +139,14 @@ let report_of ~budget ~telemetry ~syntactic (a : Omega.Automaton.t) =
         span "engine.liveness" (fun () -> Omega.Classify.liveness forest))
   in
   let is_uniform_liveness =
-    opt (fun () ->
-        span "engine.uniform_liveness" (fun () ->
-            Omega.Lang.is_uniform_liveness ~budget a))
+    (* uniform liveness implies liveness, so a property that is not
+       live needs no search *)
+    match is_liveness with
+    | Some false -> Some false
+    | _ ->
+        opt (fun () ->
+            span "engine.uniform_liveness" (fun () ->
+                Omega.Lang.is_uniform_liveness ~budget a))
   in
   let counter_free =
     opt (fun () ->

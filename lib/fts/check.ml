@@ -14,11 +14,37 @@ type result = Holds | Fails of trace
 
 let labels_of sys = Array.append [| "-" |] (System.internal_transition_names sys)
 
-let atom_at sys labels state lab atom =
-  if String.length atom > 6 && String.sub atom 0 6 = "taken_" then
-    let tn = String.sub atom 6 (String.length atom - 6) in
-    labels.(lab) = tn
-  else System.atom_holds sys state atom
+(* The letter of every split node over [atoms] (bit i: the i-th atom
+   holds).  State atoms are read once per state and [taken_tau] atoms
+   once per label; node [sid * n_labels + lab] ORs the two.  An atom is
+   parsed only when some state reads it, so a system without states
+   accepts any atom. *)
+let letters sys labels atoms =
+  let states = System.internal_states sys in
+  let n_labels = Array.length labels in
+  let state_bits = Array.make (Array.length states) 0 in
+  let label_bits = Array.make n_labels 0 in
+  List.iteri
+    (fun i atom ->
+      let bit = 1 lsl i in
+      if String.length atom > 6 && String.sub atom 0 6 = "taken_" then begin
+        let tn = String.sub atom 6 (String.length atom - 6) in
+        Array.iteri
+          (fun lab l ->
+            if l = tn then label_bits.(lab) <- label_bits.(lab) lor bit)
+          labels
+      end
+      else if Array.length states > 0 then begin
+        let holds = System.atom_pred sys atom in
+        Array.iteri
+          (fun sid st ->
+            if holds st then state_bits.(sid) <- state_bits.(sid) lor bit)
+          states
+      end)
+    atoms;
+  Array.init
+    (Array.length states * n_labels)
+    (fun v -> state_bits.(v / n_labels) lor label_bits.(v mod n_labels))
 
 (* Fairness acceptance over split nodes.  [fairness] defaults to the
    system's own requirement set; {!has_fair_computation} overrides it to
@@ -62,23 +88,20 @@ let split_graph ~budget ~telemetry sys n_labels =
   let n = n_states * n_labels in
   Budget.ticks budget n;
   Telemetry.add telemetry "fts.split_nodes" n;
-  let succ = Array.make n [] in
+  let out = Array.make n_states [] in
   List.iter
     (fun (src, t, dst) ->
       (* system edge with transition index t (0 = idle) enters node
          (dst, t + 1) from every node at state src *)
       Budget.tick budget;
-      for lab = 0 to n_labels - 1 do
-        let v = (src * n_labels) + lab in
-        succ.(v) <- ((dst * n_labels) + t + 1) :: succ.(v)
-      done)
+      out.(src) <- ((dst * n_labels) + t + 1) :: out.(src))
     (System.internal_edges sys);
-  { Graph.n; succ }
+  (* the labels of a state share its successor list *)
+  { Graph.n; succ = Array.init n (fun v -> out.(v / n_labels)) }
 
 let check_with_acc ?fairness ~budget ~telemetry sys spec_formula =
   let labels = labels_of sys in
   let n_labels = Array.length labels in
-  let states = System.internal_states sys in
   let graph = split_graph ~budget ~telemetry sys n_labels in
   let starts =
     List.map (fun sid -> sid * n_labels) (System.internal_init_ids sys)
@@ -101,15 +124,6 @@ let check_with_acc ?fairness ~budget ~telemetry sys spec_formula =
               ("Check: formula outside the canonical fragment: "
               ^ Logic.Formula.to_string f)
       in
-      let letter_of v =
-        let sid = v / n_labels and lab = v mod n_labels in
-        List.fold_left
-          (fun acc (i, atom) ->
-            if atom_at sys labels states.(sid) lab atom then acc lor (1 lsl i)
-            else acc)
-          0
-          (List.mapi (fun i a -> (i, a)) atoms)
-      in
       (* product with the complement of the spec *)
       Telemetry.span telemetry "fts.product" @@ fun () ->
       let m = spec.Omega.Automaton.n in
@@ -117,11 +131,12 @@ let check_with_acc ?fairness ~budget ~telemetry sys spec_formula =
       Budget.ticks budget pn;
       Telemetry.add telemetry "fts.product_states" pn;
       Telemetry.observe telemetry "fts.state_space" (float_of_int pn);
+      let letter = letters sys labels atoms in
       let psucc = Array.make pn [] in
       for v = 0 to graph.Graph.n - 1 do
         List.iter
           (fun w ->
-            let lw = letter_of w in
+            let lw = letter.(w) in
             Budget.ticks budget m;
             for q = 0 to m - 1 do
               let q' = Omega.Automaton.step spec q lw in
@@ -132,7 +147,7 @@ let check_with_acc ?fairness ~budget ~telemetry sys spec_formula =
       let pstarts =
         List.map
           (fun v ->
-            let q = Omega.Automaton.step spec spec.Omega.Automaton.start (letter_of v) in
+            let q = Omega.Automaton.step spec spec.Omega.Automaton.start letter.(v) in
             (v * m) + q)
           starts
       in
@@ -199,17 +214,49 @@ let has_fair_computation ?(budget = Budget.unlimited)
   Telemetry.span telemetry "fts.lasso_search" @@ fun () ->
   Graph.accepting_scc ~budget graph ~starts acc <> None
 
-(* Closure subsets are sorted lists of split-node ids.  On a counter
-   they grow as intervals [[1..k]] sharing long prefixes, and
-   [Hashtbl.hash] reads only the first ten elements of a list, so with
-   the polymorphic table those keys all land in one bucket and are
-   compared as long lists.  This table hashes every element. *)
-module Subsets = Hashtbl.Make (struct
-  type t = int list
-
-  let equal = List.equal Int.equal
-  let hash l = List.fold_left (fun h x -> (h * 31) + x) 0 l land max_int
-end)
+(* Sorts [a] ascending.  Keys are split-node ids below [1 lsl (width *
+   passes)]; short arrays take an insertion sort, longer ones an LSD
+   radix sort on [width]-bit digits through [tmp] (at least as long as
+   [a]) and the [1 lsl width] counters [count]. *)
+let sort_nodes ~tmp ~count ~width ~passes a =
+  let c = Array.length a in
+  if c < 24 then
+    for i = 1 to c - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
+  else begin
+    let src = ref a and dst = ref tmp in
+    for p = 0 to passes - 1 do
+      let shift = width * p and mask = (1 lsl width) - 1 in
+      let s = !src and d = !dst in
+      Array.fill count 0 (mask + 1) 0;
+      for i = 0 to c - 1 do
+        let b = (s.(i) lsr shift) land mask in
+        count.(b) <- count.(b) + 1
+      done;
+      let sum = ref 0 in
+      for b = 0 to mask do
+        let x = count.(b) in
+        count.(b) <- !sum;
+        sum := !sum + x
+      done;
+      for i = 0 to c - 1 do
+        let x = s.(i) in
+        let b = (x lsr shift) land mask in
+        d.(count.(b)) <- x;
+        count.(b) <- count.(b) + 1
+      done;
+      src := d;
+      dst := s
+    done;
+    if !src != a then Array.blit !src 0 a 0 c
+  end
 
 (* Subset construction for the safety closure of the system's
    computation language, projected onto valuations of [atoms].  The
@@ -228,82 +275,124 @@ let closure_automaton ?(budget = Budget.unlimited)
     invalid_arg "Check.closure_automaton: too many distinct atoms";
   let labels = labels_of sys in
   let n_labels = Array.length labels in
-  let states = System.internal_states sys in
   let graph = split_graph ~budget ~telemetry sys n_labels in
   Telemetry.span telemetry "fts.closure_automaton" @@ fun () ->
   let alpha = Alphabet.of_props atoms in
   let k = Alphabet.size alpha in
-  let indexed = List.mapi (fun i a -> (i, a)) atoms in
-  let letter =
-    Array.init graph.Graph.n (fun v ->
-        let sid = v / n_labels and lab = v mod n_labels in
-        List.fold_left
-          (fun acc (i, atom) ->
-            if atom_at sys labels states.(sid) lab atom then acc lor (1 lsl i)
-            else acc)
-          0 indexed)
-  in
+  let letter = letters sys labels atoms in
   Budget.ticks budget graph.Graph.n;
+  (* the labels of a state share its successors, so a subset is
+     expanded once per distinct state *)
+  let succ =
+    Array.init (graph.Graph.n / n_labels) (fun sid ->
+        Array.of_list graph.Graph.succ.(sid * n_labels))
+  in
   (* Breadth-first subset construction.  DFA state 0 is the pre-initial
-     state (no letter read yet); every other DFA state [id + 1] is the
-     sorted subset of split nodes interned as [id]; the empty subset is
-     the reject sink. *)
-  let table = Subsets.create 64 in
-  let grow = ref (Array.make 64 [||]) in
-  let subs = ref (Array.make 64 []) in
-  let ensure n =
-    let cap = Array.length !grow in
-    if n > cap then begin
-      let cap' = max n (2 * cap) in
-      let g = Array.make cap' [||] and s = Array.make cap' [] in
-      Array.blit !grow 0 g 0 cap;
-      Array.blit !subs 0 s 0 cap;
-      grow := g;
-      subs := s
+     state (no letter read yet); every other DFA state [id] is the
+     sorted array of split nodes [subs.(id)], numbered in order of first
+     occurrence; the empty subset is the reject sink. *)
+  let table = Int_index.Arrays.create 64 in
+  let subs = ref (Array.make 64 [||]) and rows = ref (Array.make 64 [||]) in
+  let count = ref 0 in
+  let fresh s =
+    incr count;
+    let id = !count in
+    if id >= Array.length !subs then begin
+      let grow a = Array.append a (Array.make (Array.length a) [||]) in
+      subs := grow !subs;
+      rows := grow !rows
+    end;
+    !subs.(id) <- s;
+    Budget.tick budget;
+    id
+  in
+  let sink = ref 0 in
+  (* The successors of the subset being expanded, deduplicated by
+     [stamp] and bucketed by letter: bucket [l] is [bufs.(l)] up to
+     [fill.(l)]. *)
+  let stamp = Array.make graph.Graph.n (-1) and cur = ref 0 in
+  let bufs = Array.make k [||] and fill = Array.make k 0 in
+  let add w =
+    if stamp.(w) <> !cur then begin
+      stamp.(w) <- !cur;
+      let l = letter.(w) in
+      let c = fill.(l) in
+      if c = Array.length bufs.(l) then begin
+        let b = Array.make (max 8 (2 * c)) 0 in
+        Array.blit bufs.(l) 0 b 0 c;
+        bufs.(l) <- b
+      end;
+      bufs.(l).(c) <- w;
+      fill.(l) <- c + 1
     end
   in
-  (* DFA id of subset [s], interning (and ticking) when fresh; a miss
-     is inserted with [add], since [replace] would rescan the bucket *)
-  let intern s =
-    match Subsets.find_opt table s with
-    | Some id -> id + 1
-    | None ->
-        let id = Subsets.length table in
-        Subsets.add table s id;
-        ensure (id + 2);
-        !subs.(id + 1) <- s;
-        Budget.tick budget;
-        id + 1
+  (* node ids have [bits] bits, split into the fewest digits of at
+     most 8 bits, of equal width *)
+  let bits =
+    let rec go b = if graph.Graph.n <= 1 lsl b then b else go (b + 1) in
+    go 1
   in
-  let bucketize vs =
-    let buckets = Array.make k [] in
-    List.iter (fun w -> buckets.(letter.(w)) <- w :: buckets.(letter.(w))) vs;
-    Array.map (fun l -> intern (List.sort_uniq compare l)) buckets
+  let passes = (bits + 7) / 8 in
+  let width = (bits + passes - 1) / passes in
+  let tmp = Array.make graph.Graph.n 0 and radix = Array.make (1 lsl width) 0 in
+  (* one DFA row: the id of every bucket in letter order, interning
+     (and ticking) fresh subsets as they first occur *)
+  let row () =
+    let r = Array.make k 0 in
+    for l = 0 to k - 1 do
+      let c = fill.(l) in
+      if c = 0 then begin
+        if !sink = 0 then sink := fresh [||];
+        r.(l) <- !sink
+      end
+      else begin
+        fill.(l) <- 0;
+        let s = Array.sub bufs.(l) 0 c in
+        sort_nodes ~tmp ~count:radix ~width ~passes s;
+        r.(l) <-
+          (match Int_index.Arrays.find_opt table s with
+          | Some id -> id
+          | None ->
+              let id = fresh s in
+              Int_index.Arrays.add table s id;
+              id)
+      end
+    done;
+    r
   in
-  let starts =
-    List.map (fun sid -> sid * n_labels) (System.internal_init_ids sys)
-  in
-  (* bind rows before storing them: interning can resize [grow], so
-     the [!grow] deref must come after the row is built *)
-  let row0 = bucketize starts in
-  !grow.(0) <- row0;
+  List.iter
+    (fun sid -> add (sid * n_labels))
+    (System.internal_init_ids sys);
+  (* bind rows before storing them: interning can resize [rows], so
+     the [!rows] deref must come after the row is built *)
+  let row0 = row () in
+  !rows.(0) <- row0;
   let i = ref 1 in
-  while !i <= Subsets.length table do
+  while !i <= !count do
     let s = !subs.(!i) in
-    Budget.ticks budget (List.length s + k);
-    let row = bucketize (List.concat_map (fun v -> graph.Graph.succ.(v)) s) in
-    !grow.(!i) <- row;
+    Budget.ticks budget (Array.length s + k);
+    cur := !i;
+    let last = ref (-1) in
+    Array.iter
+      (fun v ->
+        let sid = v / n_labels in
+        if sid <> !last then begin
+          last := sid;
+          Array.iter add succ.(sid)
+        end)
+      s;
+    let r = row () in
+    !rows.(!i) <- r;
     incr i
   done;
-  let n = Subsets.length table + 1 in
+  let n = !count + 1 in
   Telemetry.add telemetry "fts.closure_states" n;
-  let delta = Array.init n (fun i -> !grow.(i)) in
+  let delta = Array.sub !rows 0 n in
   let acc =
     (* a word is in the closure iff its run never reaches the sink;
        the sink is absorbing, so "never reaches" = "visits finitely" *)
-    match Subsets.find_opt table [] with
-    | Some sink -> Acceptance.Fin (Iset.add (sink + 1) Iset.empty)
-    | None -> Acceptance.True
+    if !sink > 0 then Acceptance.Fin (Iset.add !sink Iset.empty)
+    else Acceptance.True
   in
   Omega.Automaton.make ~alpha ~n ~start:0 ~delta ~acc
 

@@ -130,26 +130,37 @@ let n_reachable t = Array.length t.states
 
 let reachable_states t = Array.to_list t.states
 
-(* "x=3" or "x" (nonzero) or "en_tau"; "taken_tau" depends on the
-   incoming edge and is resolved in Check, not here. *)
-let atom_holds t s atom =
+(* "x=3" or "x" (nonzero) or "en_tau", parsed once into a state test;
+   "taken_tau" depends on the incoming edge and is resolved in Check,
+   not here. *)
+let atom_pred t atom =
+  let var_at name =
+    match Hashtbl.find_opt t.var_index name with
+    | Some i -> i
+    | None -> invalid_arg ("System.value: unknown variable " ^ name)
+  in
   match String.index_opt atom '=' with
   | Some i ->
       let name = String.sub atom 0 i in
       let v = int_of_string (String.sub atom (i + 1) (String.length atom - i - 1)) in
-      value t s name = v
+      let x = var_at name in
+      fun s -> s.(x) = v
   | None ->
       if String.length atom > 3 && String.sub atom 0 3 = "en_" then begin
         let tn = String.sub atom 3 (String.length atom - 3) in
-        if tn = idle_name then true
+        if tn = idle_name then fun _ -> true
         else
           match List.find_opt (fun tr -> tr.tname = tn) t.transitions with
-          | Some tr -> tr.guard s
+          | Some tr -> tr.guard
           | None -> invalid_arg ("System.atom_holds: unknown transition " ^ tn)
       end
       else if String.length atom > 6 && String.sub atom 0 6 = "taken_" then
         invalid_arg "System.atom_holds: taken_* atoms are resolved by Check"
-      else value t s atom <> 0
+      else
+        let x = var_at atom in
+        fun s -> s.(x) <> 0
+
+let atom_holds t s atom = atom_pred t atom s
 
 let rec state_formula_holds t s (f : Logic.Formula.t) =
   match f with

@@ -77,6 +77,11 @@ val reachable_states : t -> state list
     {!Check}.) *)
 val atom_holds : t -> state -> string -> bool
 
+(** [atom_pred t atom] is [fun s -> atom_holds t s atom] with the atom
+    parsed once; it raises as {!atom_holds} does, before any state is
+    read. *)
+val atom_pred : t -> string -> state -> bool
+
 (** Does the state satisfy a state formula (a {!Logic.Formula.t} with
     no temporal operators, atoms as above, except [taken_*])? *)
 val state_formula_holds : t -> state -> Logic.Formula.t -> bool

@@ -82,5 +82,9 @@ module Arrays = Hashtbl.Make (struct
     from 0
 
   let hash (v : t) =
-    Array.fold_left (fun h x -> (h * 65599) + x) 0 v land max_int
+    let h = ref 0 in
+    for i = 0 to Array.length v - 1 do
+      h := (!h * 65599) + v.(i)
+    done;
+    !h land max_int
 end)

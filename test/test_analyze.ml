@@ -6,7 +6,8 @@
      action never delivers);
    - differential-tests M302/M303 against an independent brute-force
      reachability over random small systems, and the closure automaton
-     behind M310 against brute-force prefix runs;
+     behind M310 against brute-force prefix runs and against the
+     list-keyed subset construction of [Closure_oracle];
    - checks the determinism contract: reports are structurally equal
      under either inclusion engine, at jobs 1/2/4, and at every
      injected budget-trip position. *)
@@ -92,23 +93,43 @@ let gen_raw =
         tables)
     (list_size (1 -- 4) table)
 
-let arb_system =
+let print_system (raws, init) =
+  let b = Buffer.create 128 in
+  Printf.bprintf b "init=%d" init;
+  List.iter
+    (fun r ->
+      Printf.bprintf b "\n%s:" r.rname;
+      Array.iteri
+        (fun i (g, succs) ->
+          Printf.bprintf b " %d:%c[%s]" i
+            (if g then '+' else '-')
+            (String.concat "," (List.map string_of_int succs)))
+        r.table)
+    raws;
+  Buffer.contents b
+
+let gen_system = QCheck.Gen.(pair gen_raw (int_bound (n_full - 1)))
+let arb_system = QCheck.make ~print:print_system gen_system
+
+(* A system with 1-4 atoms of its own: [x=v], [y=v], and [en_t] and
+   [taken_t] for every transition [t], idling included. *)
+let arb_system_atoms =
+  let open QCheck.Gen in
+  let gen =
+    gen_system >>= fun ((raws, _) as input) ->
+    let names = System.idle_name :: List.map (fun r -> r.rname) raws in
+    let pool =
+      Array.of_list
+        ([ "x=0"; "x=1"; "x=2"; "y=0"; "y=1" ]
+        @ List.map (( ^ ) "en_") names
+        @ List.map (( ^ ) "taken_") names)
+    in
+    map (fun atoms -> (input, atoms)) (list_size (1 -- 4) (oneofa pool))
+  in
   QCheck.make
-    ~print:(fun (raws, init) ->
-      let b = Buffer.create 128 in
-      Printf.bprintf b "init=%d" init;
-      List.iter
-        (fun r ->
-          Printf.bprintf b "\n%s:" r.rname;
-          Array.iteri
-            (fun i (g, succs) ->
-              Printf.bprintf b " %d:%c[%s]" i
-                (if g then '+' else '-')
-                (String.concat "," (List.map string_of_int succs)))
-            r.table)
-        raws;
-      Buffer.contents b)
-    QCheck.Gen.(pair gen_raw (int_bound (n_full - 1)))
+    ~print:(fun (input, atoms) ->
+      print_system input ^ "\natoms=" ^ String.concat "," atoms)
+    gen
 
 let system_of_raw (raws, init) =
   System.make
@@ -124,6 +145,114 @@ let system_of_raw (raws, init) =
            })
          raws)
     ~fairness:[] ()
+
+(* Boolean flags v0..v(k-1), each flipped by its own transition: the
+   closure over the atoms [vi=1] is sparse, with few successors per
+   subset and one letter per state. *)
+let flags k =
+  System.make
+    ~vars:
+      (List.init k (fun i ->
+           { System.name = Printf.sprintf "v%d" i; lo = 0; hi = 1 }))
+    ~init:[ Array.make k 0 ]
+    ~transitions:
+      (List.init k (fun i ->
+           {
+             System.tname = Printf.sprintf "f%d" i;
+             guard = (fun _ -> true);
+             action =
+               (fun s ->
+                 let s' = Array.copy s in
+                 s'.(i) <- 1 - s.(i);
+                 [ s' ]);
+           }))
+    ~fairness:[] ()
+
+(* A counter over 0..n-1 stepping by +1 or +7, each step also picking a
+   mode bit m: over [m=0] and [x=0] the closure subsets are long runs
+   of split nodes, sorted by the radix passes. *)
+let mode_counter n =
+  System.make
+    ~vars:
+      [ { System.name = "x"; lo = 0; hi = n - 1 }; { name = "m"; lo = 0; hi = 1 } ]
+    ~init:[ [| 0; 0 |] ]
+    ~transitions:
+      (List.map
+         (fun h ->
+           {
+             System.tname = Printf.sprintf "hop%d" h;
+             guard = (fun _ -> true);
+             action =
+               (fun s ->
+                 let x' = (s.(0) + h) mod n in
+                 [ [| x'; 0 |]; [| x'; 1 |] ]);
+           })
+         [ 1; 7 ])
+    ~fairness:[] ()
+
+(* The same closure subset found in two orders.  From s=0, t1/t2/t5
+   enter P (s=1), Q (s=2) and R (s=3).  P moves to s=5 by t4 and Q to
+   s=4 by t3; R does both.  Expanding {P, Q} meets Q's successor first
+   when the key is stored in discovery order, and expanding {R} meets
+   it last, so only keys sorted by node id intern the two as one. *)
+let two_orders =
+  let step targets =
+    {
+      System.tname = "";
+      guard = (fun s -> List.mem_assoc s.(0) targets);
+      action = (fun s -> [ [| List.assoc s.(0) targets |] ]);
+    }
+  in
+  System.make
+    ~vars:[ { System.name = "s"; lo = 0; hi = 5 } ]
+    ~init:[ [| 0 |] ]
+    ~transitions:
+      (List.map
+         (fun (tname, targets) -> { (step targets) with tname })
+         [
+           ("t1", [ (0, 1) ]);
+           ("t2", [ (0, 2) ]);
+           ("t3", [ (2, 4); (3, 4) ]);
+           ("t4", [ (1, 5); (3, 5) ]);
+           ("t5", [ (0, 3) ]);
+         ])
+    ~fairness:[] ()
+
+(* [closure_automaton] and the list-keyed oracle build the same
+   automaton for the same spend, and trip at the same tick under every
+   fuel up to that spend. *)
+let same_as_oracle sys atoms =
+  let outcome build fuel =
+    let budget = Budget.make ~fuel () in
+    match build budget with
+    | (a : Omega.Automaton.t) -> Ok (a.n, a.delta, a.acc, Budget.spent budget)
+    | exception Budget.Tripped e -> Error e
+  in
+  let ours budget = Check.closure_automaton ~budget sys ~atoms in
+  let oracle budget = Closure_oracle.closure_automaton ~budget sys ~atoms in
+  let fuel = 1 lsl 40 in
+  let spent =
+    match outcome oracle fuel with Ok (_, _, _, s) -> s | Error _ -> 0
+  in
+  outcome ours fuel = outcome oracle fuel
+  && List.for_all
+       (fun f ->
+         match (outcome ours f, outcome oracle f) with
+         | Error e, Error e' -> e = e'
+         | _ -> false)
+       (List.init spent (fun i -> i + 1))
+
+(* One unbudgeted-size run of each side: the same automaton, with
+   [states] states, for the same spend. *)
+let same_automaton ~states sys atoms =
+  let budget = Budget.make ~fuel:(1 lsl 40) () in
+  let a = Check.closure_automaton ~budget sys ~atoms in
+  let budget' = Budget.make ~fuel:(1 lsl 40) () in
+  let b = Closure_oracle.closure_automaton ~budget:budget' sys ~atoms in
+  Alcotest.(check int) "closure states" states a.n;
+  check "same automaton" true
+    (a.n = b.n && a.delta = b.delta && a.acc = b.acc);
+  Alcotest.(check int) "same spend" (Budget.spent budget') (Budget.spent budget)
 
 (* The independent oracle: plain BFS over the raw tables. *)
 let brute_reachable (raws, init) =
@@ -253,6 +382,22 @@ let differential_tests =
                   let q = List.fold_left (fun q l -> a.delta.(q).(l)) 0 w in
                   live = not (Iset.mem q sink))
             (List.concat_map words [ 1; 2; 3; 4 ]));
+      QCheck.Test.make ~name:"closure_automaton = subset oracle" ~count:300
+        arb_system_atoms (fun (input, atoms) ->
+          same_as_oracle (system_of_raw input) atoms);
+    ]
+  @ [
+      Alcotest.test_case "closure keys do not depend on discovery order"
+        `Quick (fun () ->
+          check "same as the oracle" true
+            (same_as_oracle two_orders [ "s=0"; "s=3"; "taken_idle" ]));
+      Alcotest.test_case "closure_automaton = subset oracle on 8 flags"
+        `Quick (fun () ->
+          same_automaton ~states:2307 (flags 8)
+            (List.init 8 (Printf.sprintf "v%d=1")));
+      Alcotest.test_case "closure_automaton = subset oracle on a mode counter"
+        `Quick (fun () ->
+          same_automaton ~states:325 (mode_counter 40) [ "m=0"; "x=0" ]);
     ]
 
 (* ------------------------------------------------------------------ *)

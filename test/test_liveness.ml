@@ -150,13 +150,25 @@ let stops_early_test =
         ])
 
 (* Liveness read off the bottom roots of the cycle decomposition
-   against backward reachability from the accepting cycles. *)
+   against backward reachability from the accepting cycles, and the
+   implication [Engine] relies on to skip the uniform-liveness search
+   on a property that is not live. *)
 let random_tests =
   [
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"forest liveness = backward-reachability liveness"
          ~count:2000 Samples.arb_wide_automaton (fun a ->
            Lang.is_liveness a = Scans.is_liveness a));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"uniform liveness implies liveness"
+         ~count:2000 Samples.arb_wide_automaton (fun a ->
+           (* the vector search is exponential in the states; the 3 in
+              100 cases it cannot decide in 20,000 ticks pass *)
+           match
+             Lang.is_uniform_liveness ~budget:(Budget.make ~fuel:20_000 ()) a
+           with
+           | uniform -> (not uniform) || Scans.is_liveness a
+           | exception Budget.Tripped _ -> true));
   ]
 
 let () =
