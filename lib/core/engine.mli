@@ -37,7 +37,9 @@ type report = {
   is_uniform_liveness : bool option;
   counter_free : bool option;
       (** the three SL/expressibility bits; [None] when the budget
-          tripped before they were computed *)
+          tripped before they were computed.  Uniform liveness implies
+          liveness, so [is_liveness = Some false] gives
+          [is_uniform_liveness = Some false] without a search. *)
   n_states : int option;
       (** automaton size; [None] when the formula is outside the
           canonical fragment or translation was interrupted *)

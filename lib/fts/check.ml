@@ -97,7 +97,11 @@ let split_graph ~budget ~telemetry sys n_labels =
       out.(src) <- ((dst * n_labels) + t + 1) :: out.(src))
     (System.internal_edges sys);
   (* the labels of a state share its successor list *)
-  { Graph.n; succ = Array.init n (fun v -> out.(v / n_labels)) }
+  let succ = Array.make n [] in
+  Array.iteri
+    (fun sid l -> Array.fill succ (sid * n_labels) n_labels l)
+    out;
+  { Graph.n; succ }
 
 let check_with_acc ?fairness ~budget ~telemetry sys spec_formula =
   let labels = labels_of sys in

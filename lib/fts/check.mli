@@ -67,13 +67,27 @@ val has_fair_computation :
     [Invalid_argument] on an empty or oversized (> 14) atom set or an
     unknown atom.
 
-    The construction is sequential (fanning out its subset levels
-    never beat one domain).  The pool argument is accepted and
-    ignored, and stays only because [perfbench/w_large.ml] passes one;
-    it goes when that file may change (ROADMAP item 6).  [?budget]
-    is charged for the split graph, once per fresh subset, and
-    [|s| + k] ticks when subset [s] is expanded over the [k]
-    letters. *)
+    The construction is a sequential breadth-first subset
+    construction (fanning out its subset levels never beat one
+    domain).  A subset is a sorted int array of split-node ids,
+    interned in an {!Int_index.Arrays} table; DFA state 0 is the
+    pre-initial state and the subsets get ids 1, 2, ... in order of
+    first occurrence, the empty one (the sink) at the first empty
+    letter bucket.  Every split node's letter is its state's atom bits
+    OR its entering label's [taken_tau] bits.  All labels of a state
+    have the same successors, so a subset is expanded once per
+    distinct state; the successors are deduplicated with a per-node
+    stamp, bucketed by letter, and each bucket is sorted (insertion
+    sort when short, radix sort on node ids otherwise).  The work per
+    subset [s] with successor set [S] is O(|s| + |S| log n + k), never
+    a scan of the whole split graph.
+
+    The pool argument is accepted and ignored, and stays only because
+    [perfbench/w_large.ml] passes one; it goes when that file may
+    change (ROADMAP item 6).  [?budget] is charged for the split
+    graph (its nodes and edges), its node count again, once per fresh
+    subset, and [|s| + k] ticks when subset [s] ([|s|] split nodes) is
+    expanded over the [k] letters. *)
 val closure_automaton :
   ?budget:Budget.t ->
   ?telemetry:Telemetry.t ->
