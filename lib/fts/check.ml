@@ -42,9 +42,14 @@ let letters sys labels atoms =
           states
       end)
     atoms;
-  Array.init
-    (Array.length states * n_labels)
-    (fun v -> state_bits.(v / n_labels) lor label_bits.(v mod n_labels))
+  let letter = Array.make (Array.length states * n_labels) 0 in
+  Array.iteri
+    (fun sid bits ->
+      for lab = 0 to n_labels - 1 do
+        letter.((sid * n_labels) + lab) <- bits lor label_bits.(lab)
+      done)
+    state_bits;
+  letter
 
 (* Fairness acceptance over split nodes.  [fairness] defaults to the
    system's own requirement set; {!has_fair_computation} overrides it to

@@ -242,8 +242,9 @@ let same_as_oracle sys atoms =
          | _ -> false)
        (List.init spent (fun i -> i + 1))
 
-(* One unbudgeted-size run of each side: the same automaton, with
-   [states] states, for the same spend. *)
+(* One run of each side under ample fuel: the same automaton, with
+   [states] states, for the same spend.  (Sweeping every fuel up to
+   these spends would take hundreds of thousands of runs.) *)
 let same_automaton ~states sys atoms =
   let budget = Budget.make ~fuel:(1 lsl 40) () in
   let a = Check.closure_automaton ~budget sys ~atoms in
