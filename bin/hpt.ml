@@ -57,16 +57,6 @@ let jobs_arg =
   in
   Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
-let engine_arg =
-  let doc =
-    "Language-inclusion engine: $(b,antichain) (on-the-fly lazy product, \
-     the default) or $(b,explicit) (complement-and-product oracle).  \
-     Only analyze's M310 vacuity check runs an inclusion query; \
-     classification and lint run none.  Verdicts are identical; the \
-     oracle exists to replay any run on the historical path."
-  in
-  Arg.(value & opt (some string) None & info [ "engine" ] ~docv:"ENGINE" ~doc)
-
 let formula_arg =
   let doc = "Temporal formula, e.g. '[] (p -> <> q)'." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"FORMULA" ~doc)
@@ -85,13 +75,6 @@ let with_jobs jobs f =
   | Some n ->
       Result.join
         (Engine.protect (fun () -> Pool.with_pool ~jobs:n (fun p -> f (Some p))))
-
-(* [--engine E] names the language-inclusion engine; the subcommands
-   hand it to the engine's entry points as [?engine], which scope it to
-   the call (and its pool tasks). *)
-let parse_engine = function
-  | None -> Ok None
-  | Some s -> Result.map Option.some (Engine.inclusion_engine_of_string s)
 
 (* Build the budget and the telemetry handle, run [f] on them, and map
    the result to an exit code.  [Budget.make] validates its arguments
@@ -138,13 +121,11 @@ let classify_cmd =
     in
     Arg.(non_empty & pos_all string [] & info [] ~docv:"FORMULA" ~doc)
   in
-  let run props chars fuel timeout_ms stats trace jobs engine formulas =
+  let run props chars fuel timeout_ms stats trace jobs formulas =
     with_observability fuel timeout_ms stats trace @@ fun budget telemetry ->
-    Result.bind (parse_engine engine) @@ fun engine ->
     with_jobs jobs @@ fun pool ->
     let results =
-      Engine.classify_batch ~budget ~telemetry ?pool ?engine ?props ?chars
-        formulas
+      Engine.classify_batch ~budget ~telemetry ?pool ?props ?chars formulas
     in
     let batch = List.length formulas > 1 in
     let code_of formula_s = function
@@ -173,7 +154,7 @@ let classify_cmd =
   in
   Cmd.v info
     Term.(const run $ props_arg $ chars_arg $ fuel_arg $ timeout_arg
-          $ stats_arg $ trace_arg $ jobs_arg $ engine_arg $ formulas_arg)
+          $ stats_arg $ trace_arg $ jobs_arg $ formulas_arg)
 
 (* ---------------- build ---------------- *)
 
@@ -368,8 +349,7 @@ let semantic_arg =
 (* Load the model, merge its inline [spec] directives (origin = the
    model file itself) with the given requirements, and run the full
    model-aware analysis. *)
-let run_model_analysis ~budget ~telemetry ~mode ?engine ~format path
-    specs =
+let run_model_analysis ~budget ~telemetry ~mode ~format path specs =
   Result.bind (Engine.protect (fun () -> Fts.Parse.load ~budget path))
   @@ fun (sys, inline) ->
   let inline_specs =
@@ -384,7 +364,7 @@ let run_model_analysis ~budget ~telemetry ~mode ?engine ~format path
     (fun v ->
       print_verdict format v;
       verdict_exit_code v)
-    (Engine.analyze ~budget ~telemetry ~mode ?engine ~model:sys
+    (Engine.analyze ~budget ~telemetry ~mode ~model:sys
        (inline_specs @ specs))
 
 let lint_cmd =
@@ -400,17 +380,16 @@ let lint_cmd =
     in
     Arg.(value & opt (some file) None & info [ "model" ] ~docv:"MODEL" ~doc)
   in
-  let run fuel timeout_ms stats trace engine file model format syntactic
-      semantic specs =
+  let run fuel timeout_ms stats trace file model format syntactic semantic
+      specs =
     with_observability fuel timeout_ms stats trace @@ fun budget telemetry ->
-    Result.bind (parse_engine engine) @@ fun engine ->
     Result.bind (lint_mode syntactic semantic) @@ fun mode ->
     Result.bind (specs_of_file file) @@ fun file_specs ->
     Result.bind (specs_of_cli specs) @@ fun cli_specs ->
     let all = file_specs @ cli_specs in
     match model with
     | Some path ->
-        run_model_analysis ~budget ~telemetry ~mode ?engine ~format path all
+        run_model_analysis ~budget ~telemetry ~mode ~format path all
     | None ->
         if all = [] then
           Error
@@ -428,7 +407,7 @@ let lint_cmd =
               in
               print_verdict format v;
               verdict_exit_code v)
-            (Engine.lint ~budget ~telemetry ~mode ?engine
+            (Engine.lint ~budget ~telemetry ~mode
                (List.map (fun (n, s, _) -> (n, s)) all))
   in
   let info =
@@ -440,7 +419,7 @@ let lint_cmd =
   in
   Cmd.v info
     Term.(const run $ fuel_arg $ timeout_arg $ stats_arg $ trace_arg
-          $ engine_arg $ spec_file_arg $ model_arg $ format_arg
+          $ spec_file_arg $ model_arg $ format_arg
           $ syntactic_arg $ semantic_arg $ specs_arg)
 
 (* ---------------- analyze ---------------- *)
@@ -461,14 +440,13 @@ let analyze_cmd =
     Arg.(
       value & opt_all string [] & info [ "spec"; "s" ] ~docv:"NAME=FORMULA" ~doc)
   in
-  let run fuel timeout_ms stats trace engine file format syntactic
-      semantic cli_specs model =
+  let run fuel timeout_ms stats trace file format syntactic semantic
+      cli_specs model =
     with_observability fuel timeout_ms stats trace @@ fun budget telemetry ->
-    Result.bind (parse_engine engine) @@ fun engine ->
     Result.bind (lint_mode syntactic semantic) @@ fun mode ->
     Result.bind (specs_of_file file) @@ fun file_specs ->
     Result.bind (specs_of_cli cli_specs) @@ fun extra_specs ->
-    run_model_analysis ~budget ~telemetry ~mode ?engine ~format model
+    run_model_analysis ~budget ~telemetry ~mode ~format model
       (file_specs @ extra_specs)
   in
   let info =
@@ -483,7 +461,7 @@ let analyze_cmd =
   in
   Cmd.v info
     Term.(const run $ fuel_arg $ timeout_arg $ stats_arg $ trace_arg
-          $ engine_arg $ spec_file_arg $ format_arg
+          $ spec_file_arg $ format_arg
           $ syntactic_arg $ semantic_arg $ spec_arg $ model_arg)
 
 (* ---------------- equiv ---------------- *)

@@ -63,30 +63,6 @@ let pp_error ppf = function
   | Internal m -> Fmt.pf ppf "internal error: %s" m
 
 (* ------------------------------------------------------------------ *)
-(* Inclusion-engine selection                                          *)
-(* ------------------------------------------------------------------ *)
-
-type inclusion_engine = Omega.Lang.engine
-
-(* The [?engine] parameters below install the engine for the duration
-   of the entry point, so every inclusion query it spawns — including
-   on pool worker domains, which [Pool.map] hands the engine to — uses
-   the request's engine. *)
-let with_scoped ?engine f =
-  match engine with None -> f () | Some e -> Omega.Lang.with_engine e f
-
-let inclusion_engine_of_string = function
-  | "antichain" -> Ok (`Antichain : inclusion_engine)
-  | "explicit" -> Ok (`Explicit : inclusion_engine)
-  | s ->
-      Error
-        (Invalid_input
-           (Printf.sprintf
-              "unknown inclusion engine %S (expected 'antichain' or \
-               'explicit')"
-              s))
-
-(* ------------------------------------------------------------------ *)
 (* Parsing and alphabets                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -176,9 +152,8 @@ let report_of ~budget ~telemetry ~syntactic (a : Omega.Automaton.t) =
   }
 
 let classify_automaton ?(budget = Budget.unlimited)
-    ?(telemetry = Telemetry.disabled) ?engine ?formula a =
+    ?(telemetry = Telemetry.disabled) ?formula a =
   protect ~budget ~telemetry @@ fun () ->
-  with_scoped ?engine @@ fun () ->
   let syntactic =
     Option.bind formula (fun f -> Logic.Shape.upper (Logic.Shape.infer f))
   in
@@ -200,9 +175,8 @@ let outside_fragment ~telemetry ~syntactic ~exhausted =
   }
 
 let classify_formula ?(budget = Budget.unlimited)
-    ?(telemetry = Telemetry.disabled) ?engine alpha f =
+    ?(telemetry = Telemetry.disabled) alpha f =
   protect ~budget ~telemetry @@ fun () ->
-  with_scoped ?engine @@ fun () ->
   let syntactic = Logic.Shape.upper (Logic.Shape.infer f) in
   let translation =
     (* degrade, don't fail, when the budget trips inside translation:
@@ -215,10 +189,10 @@ let classify_formula ?(budget = Budget.unlimited)
   | `Done None -> outside_fragment ~telemetry ~syntactic ~exhausted:None
   | `Done (Some a) -> report_of ~budget ~telemetry ~syntactic a
 
-let classify ?budget ?telemetry ?engine ?props ?chars s =
+let classify ?budget ?telemetry ?props ?chars s =
   Result.bind (parse s) @@ fun f ->
   Result.bind (alphabet ?props ?chars [ f ]) @@ fun alpha ->
-  classify_formula ?budget ?telemetry ?engine alpha f
+  classify_formula ?budget ?telemetry alpha f
 
 (* One result per input, in input order.  Without a pool this is a
    plain [List.map] over {!classify} with the shared budget (so inputs
@@ -229,25 +203,25 @@ let classify ?budget ?telemetry ?engine ?props ?chars s =
    others — and the collectors merge into [telemetry] in input order,
    so the result list is identical at every job count. *)
 let classify_batch ?(budget = Budget.unlimited)
-    ?(telemetry = Telemetry.disabled) ?pool ?engine ?props ?chars inputs =
+    ?(telemetry = Telemetry.disabled) ?pool ?props ?chars inputs =
   match pool with
   | None ->
       List.map
-        (fun s -> classify ~budget ~telemetry ?engine ?props ?chars s)
+        (fun s -> classify ~budget ~telemetry ?props ?chars s)
         inputs
   | Some p ->
       Pool.map ~budget ~telemetry p
         (fun ctx s ->
           classify ~budget:ctx.Pool.budget ~telemetry:ctx.Pool.telemetry
-            ?engine ?props ?chars s)
+            ?props ?chars s)
         inputs
 
 (* Classify [op(regex)] for one of the paper's four finitary-to-
    infinitary operators: the [hpt build] path.  The alphabet must be
    given explicitly ([--props] or [--chars]); regex letters cannot be
    inferred. *)
-let classify_regex ?budget ?(telemetry = Telemetry.disabled) ?engine ?props
-    ?chars ~op re =
+let classify_regex ?budget ?(telemetry = Telemetry.disabled) ?props ?chars
+    ~op re =
   let operator =
     match String.lowercase_ascii op with
     | "a" -> Ok Omega.Build.A
@@ -272,7 +246,6 @@ let classify_regex ?budget ?(telemetry = Telemetry.disabled) ?engine ?props
   Result.bind alpha @@ fun alpha ->
   let budget = Option.value budget ~default:Budget.unlimited in
   protect ~budget ~telemetry @@ fun () ->
-  with_scoped ?engine @@ fun () ->
   let a =
     Telemetry.span telemetry "engine.build" @@ fun () ->
     let e = Finitary.Regex.parse alpha re in
@@ -338,15 +311,13 @@ let witness ?(budget = Budget.unlimited) ?(telemetry = Telemetry.disabled)
   Logic.Tableau.witness ~budget ~telemetry alpha f
 
 let lint ?(budget = Budget.unlimited) ?(telemetry = Telemetry.disabled) ?mode
-    ?engine specs =
+    specs =
   protect ~budget ~telemetry @@ fun () ->
-  with_scoped ?engine @@ fun () ->
   Lint.lint_strings ~budget ?mode specs
 
 let analyze ?(budget = Budget.unlimited) ?(telemetry = Telemetry.disabled)
-    ?mode ?pool:_ ?engine ~model specs =
+    ?mode ?pool:_ ~model specs =
   protect ~budget ~telemetry @@ fun () ->
-  with_scoped ?engine @@ fun () ->
   let lint_verdict =
     (* the formula-only pass degrades rather than aborts: if the budget
        trips inside it, fall back to the syntactic-only pass (which

@@ -80,37 +80,11 @@ val protect :
     {!Telemetry.with_ambient}), so the shared leaf kernels report into
     the caller's collector. *)
 
-(** {2 Inclusion-engine selection}
-
-    The language-inclusion engine behind the {!Omega.Lang} inclusion
-    queries (see {!Omega.Lang.engine}).  Classification and lint run
-    none; in this library only {!analyze}'s M310 vacuity check asks one
-    ([Lang.included]), and callers of [Lang.included], [Lang.equal] and
-    [Lang.is_universal] can too.  [`Antichain]
-    (default) is the lazy on-the-fly engine, [`Explicit] the
-    complement-and-product oracle, which decides every inclusion
-    independently of {!Omega.Inclusion}.  Verdicts are identical — the
-    [hpt --engine] flag exists so any run can be replayed on the
-    oracle.
-
-    An entry point's [?engine] argument sets the engine for that call
-    only, through the domain-scoped {!Omega.Lang.with_engine}, and
-    reaches the pool tasks of {!classify_batch}; omitted, the caller's
-    scope applies.  Nothing is process-wide, so concurrent requests (the
-    serve daemon) cannot see each other's engine. *)
-
-type inclusion_engine = Omega.Lang.engine
-
-val inclusion_engine_of_string :
-  string -> (inclusion_engine, error) result
-(** ["antichain"] or ["explicit"]; anything else is [Invalid_input]. *)
-
 (** {2 Classification} *)
 
 val classify_automaton :
   ?budget:Budget.t ->
   ?telemetry:Telemetry.t ->
-  ?engine:inclusion_engine ->
   ?formula:Logic.Formula.t ->
   Omega.Automaton.t ->
   (report, error) result
@@ -120,7 +94,6 @@ val classify_automaton :
 val classify_formula :
   ?budget:Budget.t ->
   ?telemetry:Telemetry.t ->
-  ?engine:inclusion_engine ->
   Finitary.Alphabet.t ->
   Logic.Formula.t ->
   (report, error) result
@@ -131,7 +104,6 @@ val classify_formula :
 val classify :
   ?budget:Budget.t ->
   ?telemetry:Telemetry.t ->
-  ?engine:inclusion_engine ->
   ?props:string ->
   ?chars:string ->
   string ->
@@ -143,7 +115,6 @@ val classify_batch :
   ?budget:Budget.t ->
   ?telemetry:Telemetry.t ->
   ?pool:Pool.t ->
-  ?engine:inclusion_engine ->
   ?props:string ->
   ?chars:string ->
   string list ->
@@ -160,7 +131,6 @@ val classify_batch :
 val classify_regex :
   ?budget:Budget.t ->
   ?telemetry:Telemetry.t ->
-  ?engine:inclusion_engine ->
   ?props:string ->
   ?chars:string ->
   op:string ->
@@ -217,7 +187,6 @@ val lint :
   ?budget:Budget.t ->
   ?telemetry:Telemetry.t ->
   ?mode:Lint.mode ->
-  ?engine:inclusion_engine ->
   (string * string) list ->
   (Lint.verdict, error) result
 (** Parse and lint a named-requirement specification.  [mode] selects
@@ -229,16 +198,13 @@ val analyze :
   ?telemetry:Telemetry.t ->
   ?mode:Lint.mode ->
   ?pool:Pool.t ->
-  ?engine:inclusion_engine ->
   model:Fts.System.t ->
   (string * string * Lint.origin option) list ->
   (Lint.verdict, error) result
 (** Model-aware analysis: lint the (possibly empty) specification, run
     every {!Fts.Analyze} check against [model], and merge both into one
     verdict ({!Lint.with_model}).  Specs carry an optional source
-    origin so findings are attributable in JSON output.  [engine]
-    scopes the inclusion engine used by the vacuity queries; verdicts
-    are identical under either engine.  If the budget trips during the
+    origin so findings are attributable in JSON output.  If the budget trips during the
     formula-only pass, it degrades to the syntactic-only pass and the
     model checks report [Not_checked] — nothing is silently dropped.
     The pool argument is accepted and ignored: the analysis runs

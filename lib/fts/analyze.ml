@@ -315,8 +315,9 @@ let closure_cache ~budget ~telemetry sys =
         a
 
 (* Pre-charge inclusion/classification work by product size so that
-   trip points are identical under both inclusion engines and at every
-   job count (the [Lang] layer itself never ticks this budget). *)
+   trip points do not depend on how far the inclusion search explores
+   and are identical at every job count (the [Lang] layer itself never
+   ticks this budget). *)
 let precharge ~budget (a : Omega.Automaton.t) (b : Omega.Automaton.t) =
   Budget.ticks budget (a.Omega.Automaton.n * b.Omega.Automaton.n)
 

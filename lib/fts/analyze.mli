@@ -25,9 +25,9 @@
     - {b M310} — antecedent-failure vacuity: a positive-polarity
       subformula [[] (p -> q)] still holds with its consequent replaced
       by [false] — the model satisfies the requirement without ever
-      exercising [q].  Checked as closure ⊆ L(φ[q ← false]) through the
-      {!Omega} inclusion engine (honouring the ambient engine
-      selection), with the closure from {!Check.closure_automaton};
+      exercising [q].  Checked as closure ⊆ L(φ[q ← false]) by
+      [Omega.Lang.included], with the closure from
+      {!Check.closure_automaton};
       ignoring fairness over-approximates the computations, so a
       reported vacuity is sound.
     - {b M311} — a spec atom is constant across every reachable state
@@ -43,10 +43,9 @@
     when the budget trips, the tripped check and all later ones report
     {!Not_checked} (the budget is sticky), findings already emitted are
     kept, and nothing is silently dropped.  Verdicts are deterministic:
-    identical on any domain and under either inclusion engine,
-    including the positions of injected budget trips (inclusion work is
-    pre-charged to the budget by product size, not by engine-dependent
-    exploration). *)
+    identical on any domain, including the positions of injected budget
+    trips (inclusion work is pre-charged to the budget by product size,
+    not by the search's own exploration). *)
 
 type code = M301 | M302 | M303 | M304 | M310 | M311 | H312
 

@@ -159,8 +159,7 @@ let map ?(budget = Budget.unlimited) ?telemetry t f items =
   if inline && (not record) && Budget.is_unlimited budget then
     (* Bare path: an unlimited parent cannot trip (its replicas would
        be unlimited too, and spent charges back to a counter nothing
-       reads), disabled telemetry drops every per-task report, and
-       re-installing the engine would install what is already there.
+       reads), and disabled telemetry drops every per-task report.
        The tiny-batch jobs=1 row of the parallel bench times this path
        against no pool (gate <= 1.004). *)
     let rec run index = function
@@ -177,22 +176,14 @@ let map ?(budget = Budget.unlimited) ?telemetry t f items =
     let spent = Array.make n 0 in
     let reports = Array.make n None in
     let halt_from = Atomic.make n in
-    (* read here, on the submitting domain, before any task starts; an
-       inline batch runs where it is already installed *)
-    let engine = if inline then None else Some (Ambient.engine ()) in
     let exec i =
       if Atomic.get halt_from > i then begin
         let poll () = if Atomic.get halt_from <= i then raise Cancelled in
         let tb = Budget.split budget ~among:n ~index:i ~poll () in
         let tc = if record then Telemetry.collector () else Telemetry.disabled in
-        let body () =
-          Telemetry.with_ambient tc (fun () ->
-              f { budget = tb; telemetry = tc; index = i } arr.(i))
-        in
         (match
-           match engine with
-           | None -> body ()
-           | Some e -> Ambient.with_engine e body
+           Telemetry.with_ambient tc (fun () ->
+               f { budget = tb; telemetry = tc; index = i } arr.(i))
          with
         | v -> slots.(i) <- Done v
         | exception Cancelled when Atomic.get halt_from <= i -> ()

@@ -28,10 +28,6 @@
       collectors up to the stop index are merged into the caller's
       handle in index order, and the replicas' spent fuel is charged
       back to the parent budget ([Budget.absorb]) over the same prefix.
-    - The submitting domain's inclusion engine ({!Ambient.engine}) is
-      read once per batch and re-installed around every task body, so
-      tasks use the submitter's engine rather than their worker
-      domain's default.
 
     Cancellation is a pure optimisation: a failure at index [i] lowers
     a watermark that later-indexed tasks observe at task start and —

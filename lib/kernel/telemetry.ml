@@ -289,7 +289,7 @@ let absorb t (r : report) =
         r.histograms
 
 (* ------------------------------------------------------------------ *)
-(* Ambient handle                                                      *)
+(* The ambient handle                                                  *)
 (* ------------------------------------------------------------------ *)
 
 (* Domain-local, so pool workers each get their own ambient slot: a

@@ -37,7 +37,7 @@
     [classify.rank_search], [cycles.enumerate], [monoid.saturate],
     [tableau.translate], [translate.of_canon], [fts.product],
     [engine.liveness].  Counters and histogram names follow the same
-    convention ([automaton.successors.hit], [lang.included.product],
+    convention ([automaton.successors.hit], [inclusion.pairs],
     [cycles.scc_size]).  See DESIGN.md, "Telemetry and profiling
     hooks". *)
 
@@ -122,7 +122,7 @@ val observe : t -> string -> float -> unit
 (** Record one value into a histogram (power-of-two buckets, plus
     count/sum/min/max). *)
 
-(** {2 Ambient handle}
+(** {2 The ambient handle}
 
     Leaf kernels that cannot thread a handle through their signature
     ([Automaton.successors] is passed around as a bare [int -> int

@@ -50,7 +50,7 @@ let is_empty a = not (nonempty a)
 (* ------------------------------------------------------------------ *)
 
 (* [included a b] decides L(a) <= L(b) as emptiness of L(a) \ L(b),
-   but — unlike the explicit path ([Automaton.inter a (complement b)])
+   but — unlike the product oracle ([Automaton.inter a (complement b)])
    — never materializes the quadratic product table.  Both operands
    are complete and deterministic, so the antichain construction of
    Wulf-Doyen-Henzinger-Raskin degenerates into its sweet spot: every

@@ -6,8 +6,8 @@
 
     [included a b] decides [L(a) <= L(b)] by searching the reachable
     synchronous product {e lazily} — never building
-    [Automaton.complement] into a product table the way the explicit
-    path does.  For deterministic operands the antichain construction
+    [Automaton.complement] into a product table the way the test
+    suite's complement-and-product oracle does.  For deterministic operands the antichain construction
     (Wulf-Doyen-Henzinger-Raskin, CAV 2006) collapses to its best
     case: every macro-state is a singleton pair, so the difference
     [L(a) \ L(b)] is non-empty iff a reachable cycle of pairs satisfies
@@ -66,8 +66,8 @@ val is_universal :
   Automaton.t ->
   bool
 (** [is_universal a] = [included (Automaton.full a.alpha) a]: the
-    searched product has at most [a.n] pairs, against the explicit
-    path's complement-and-emptiness over all of [a]. *)
+    searched product has at most [a.n] pairs, against the oracle's
+    complement-and-emptiness over all of [a]. *)
 
 (** {2 Emptiness core}
 

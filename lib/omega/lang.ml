@@ -43,32 +43,11 @@ let witness (a : Automaton.t) =
        (Iset.init a.n (Array.get reach)))
 
 (* ------------------------------------------------------------------ *)
-(* Engine selection, inclusion and equality                            *)
+(* Inclusion and equality                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* [`Antichain] routes every query through the on-the-fly engine
-   ({!Inclusion}, which short-cuts operands sharing one transition
-   table); [`Explicit] always builds the complement-and-product, so the
-   oracle replays same-table queries independently too.  The slot is
-   the kernel's [Ambient] one, which [Pool.map] carries into tasks. *)
-type engine = Ambient.engine
-
-let engine = Ambient.engine
-let with_engine = Ambient.with_engine
-
-(* The oracle trims to the reachable part before [is_empty]: the
-   product tabulates every pair, and [live_states] would walk them all. *)
-let is_universal a =
-  match engine () with
-  | `Antichain -> Inclusion.is_universal a
-  | `Explicit -> is_empty (Automaton.trim (Automaton.complement a))
-
-let included ?pool:_ a b =
-  match engine () with
-  | `Antichain -> Inclusion.included a b
-  | `Explicit ->
-      Telemetry.incr (Telemetry.ambient ()) "lang.included.product";
-      is_empty (Automaton.trim (Automaton.inter a (Automaton.complement b)))
+let is_universal a = Inclusion.is_universal a
+let included ?pool:_ a b = Inclusion.included a b
 
 let equal a b = included a b && included b a
 

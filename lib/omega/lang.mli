@@ -15,36 +15,15 @@ val is_empty : Automaton.t -> bool
     read back as the first letter taking it. *)
 val witness : Automaton.t -> Finitary.Word.lasso option
 
-(** The engine behind {!included}/{!equal}/{!is_universal}:
-    [`Antichain] (the default) explores the product lazily via
-    {!Inclusion}, short-cutting operands that share one transition
-    table; [`Explicit] builds the complement and the full product on
-    every query, same-table pairs included — asymptotically worse,
-    kept as the independent differential-test oracle.  Verdicts are
-    identical; only cost and telemetry counters differ.
-
-    The engine is one domain-scoped value ({!Kernel.Ambient}): set it
-    for a scope with {!with_engine}; {!Pool} tasks submitted inside
-    the scope inherit it on their worker domains. *)
-type engine = Ambient.engine
-
-val engine : unit -> engine
-(** The calling domain's engine ([`Antichain] outside any
-    {!with_engine}). *)
-
-val with_engine : engine -> (unit -> 'a) -> 'a
-(** [with_engine e f] runs [f ()] with the engine set to [e] on the
-    calling domain (restored afterwards, also on exceptions). *)
-
-(** Does the automaton accept every infinite word? *)
+(** Does the automaton accept every infinite word?
+    ({!Inclusion.is_universal}) *)
 val is_universal : Automaton.t -> bool
 
-(** Language inclusion / equality under the current {!engine}.  The
-    explicit path dualizes the right operand's acceptance
-    ({!Automaton.complement}) on every query.  Counters go to the
-    ambient {!Telemetry} handle: [lang.included.product] on the
-    explicit path, and {!Inclusion}'s own [inclusion.*] counters on
-    the antichain path.
+(** Language inclusion, decided by {!Inclusion}'s on-the-fly product
+    search, which short-cuts operands sharing one transition table.
+    Its [inclusion.*] counters go to the ambient {!Telemetry} handle.
+    The test suite checks every verdict against an independent
+    complement-and-product oracle ([Scans.included_by_product]).
     One inclusion runs sequentially: the pool argument is accepted and
     ignored, and stays only because [perfbench/w_large.ml] passes one;
     it goes when that file may change (ROADMAP item 6). *)

@@ -219,13 +219,12 @@ let of_engine_result ~exhausted_of = function
   | Error e -> (Protocol.engine_error_body e, `Error e)
 
 let compute ~budget (req : Protocol.request) =
-  let engine = req.Protocol.engine in
   match req.Protocol.op with
   | Protocol.Classify { formula; props; chars } ->
       of_engine_result
         ~exhausted_of:(fun (r : Engine.report) ->
           (Protocol.report_body r, r.Engine.exhausted))
-        (Engine.classify ~budget ?engine ?props ?chars formula)
+        (Engine.classify ~budget ?props ?chars formula)
   | Protocol.Equiv { f1; f2; props; chars } ->
       of_engine_result
         ~exhausted_of:(fun (alpha, v) -> (Protocol.equiv_body alpha v, None))
@@ -236,7 +235,7 @@ let compute ~budget (req : Protocol.request) =
   | Protocol.Lint { specs } ->
       of_engine_result
         ~exhausted_of:(fun v -> (Protocol.lint_body v, None))
-        (Engine.lint ~budget ?engine specs)
+        (Engine.lint ~budget specs)
   | Protocol.Spin { ms } ->
       (* deliberately never polls the budget: exists to exercise the
          watchdog under --debug-ops *)

@@ -20,7 +20,6 @@ type request = {
   op_name : string;
   fuel : int option;
   timeout_ms : float option;
-  engine : Engine.inclusion_engine option;
   inject_trip_at : int option;
 }
 
@@ -99,21 +98,12 @@ let parse_request j =
           Spin { ms = Option.value (opt_int j "ms") ~default:100 }
       | other -> reject "invalid_request" (Printf.sprintf "unknown op %S" other)
     in
-    let engine =
-      match opt_string j "engine" with
-      | None -> None
-      | Some s -> (
-          match Engine.inclusion_engine_of_string s with
-          | Ok e -> Some e
-          | Error e -> reject "invalid_input" (Fmt.str "%a" Engine.pp_error e))
-    in
     {
       id;
       op;
       op_name;
       fuel = opt_int j "fuel";
       timeout_ms = opt_float j "timeout_ms";
-      engine;
       inject_trip_at = opt_int j "inject_trip_at";
     }
   with

@@ -4,8 +4,7 @@
     {2 Requests}
 
     {[ {"id": <any>, "op": "classify", "formula": "[] p",
-        "props": "p,q", "fuel": 100000, "timeout_ms": 250,
-        "engine": "antichain"} ]}
+        "props": "p,q", "fuel": 100000, "timeout_ms": 250} ]}
 
     [id] is echoed verbatim in the response ([null] when absent or
     unparseable).  Ops: [ping], [classify], [lint] (with [specs]: a
@@ -45,7 +44,6 @@ type request = {
   op_name : string;  (** for the access log *)
   fuel : int option;
   timeout_ms : float option;
-  engine : Hierarchy.Engine.inclusion_engine option;
   inject_trip_at : int option;  (** debug only *)
 }
 
@@ -95,7 +93,5 @@ val pong_body : body
 val cache_key : request -> string option
 (** A canonical key for the response cache: [Some] only for the
     deterministic query ops ([classify]/[lint]/[equiv]) — and the key
-    covers the full payload but {e not} the budget or engine: cached
-    entries are exact (non-degraded) results, which are
-    budget-independent, and verdicts are engine-independent by the
-    {!Omega.Lang.engine} contract. *)
+    covers the full payload but {e not} the budget: cached entries are
+    exact (non-degraded) results, which are budget-independent. *)

@@ -8,6 +8,21 @@
 
 open Omega
 
+(* Inclusion by complement and product: L(a) <= L(b) iff the product of
+   [a] with the complement of [b] is empty.  The oracle for
+   [Lang.included], decided independently of [Inclusion]'s on-the-fly
+   search: it builds the complement and the full product table on every
+   query, same-table operands included, and trims the product to its
+   reachable pairs before the emptiness check (which would otherwise
+   walk every tabulated pair). *)
+let included_by_product a b =
+  Lang.is_empty (Automaton.trim (Automaton.inter a (Automaton.complement b)))
+
+let equal_by_product a b = included_by_product a b && included_by_product b a
+
+let is_universal_by_product a =
+  Lang.is_empty (Automaton.trim (Automaton.complement a))
+
 (* Safety: the property equals its safety closure A(Pref(Pi)); guarantee
    is safety of the complement. *)
 let is_safety a = Lang.equal a (Lang.safety_closure a)

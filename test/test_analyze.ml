@@ -8,9 +8,10 @@
      reachability over random small systems, and the closure automaton
      behind M310 against brute-force prefix runs and against the
      list-keyed subset construction of [Closure_oracle];
+   - replays M310 on the complement-and-product inclusion oracle
+     ([Scans.included_by_product]) over the example models;
    - checks the determinism contract: reports are structurally equal
-     under either inclusion engine, at jobs 1/2/4, and at every
-     injected budget-trip position. *)
+     at jobs 1/2/4 and at every injected budget-trip position. *)
 
 open Fts
 
@@ -402,7 +403,115 @@ let differential_tests =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Determinism: engines, job counts, injected budget trips            *)
+(* M310 replayed on the complement-and-product oracle                  *)
+(* ------------------------------------------------------------------ *)
+
+(* M310's candidates, enumerated as the check does: the positive-polarity
+   [[] (ant -> cons)] subformulas with a consequent other than [false]
+   and a non-constant antecedent. *)
+let m310_candidates f =
+  let open Logic.Formula in
+  List.filter_map
+    (fun sub ->
+      match sub with
+      | Alw (Imp (ant, cons))
+        when cons <> False && ant <> True && ant <> False
+             && polarity_of_occurrence f ~sub = Some true ->
+          Some (sub, ant)
+      | _ -> None)
+    (subformulas f)
+
+(* The (requirement, locus) pairs M310 must report: each candidate whose
+   weakening [f[sub <- [] (ant -> false)]] contains the model's safety
+   closure, decided by the oracle instead of [Lang.included]. *)
+let m310_by_product sys specs =
+  List.concat_map
+    (fun (name, f) ->
+      let atoms = List.sort_uniq compare (Logic.Formula.atoms f) in
+      let alpha = Finitary.Alphabet.of_props atoms in
+      let closure = Check.closure_automaton sys ~atoms in
+      List.filter_map
+        (fun (sub, ant) ->
+          let weakened =
+            Logic.Formula.replace f ~sub
+              ~by:Logic.Formula.(Alw (Imp (ant, False)))
+          in
+          match Omega.Of_formula.translate alpha weakened with
+          | Some aut' when Scans.included_by_product closure aut' ->
+              Some (name, [ Logic.Formula.to_string sub ])
+          | _ -> None)
+        (m310_candidates f))
+    specs
+
+let m310_findings sys specs =
+  List.filter_map
+    (fun f ->
+      match f.Analyze.code, f.requirement with
+      | Analyze.M310, Some name -> Some (name, f.locus)
+      | _ -> None)
+    (Analyze.analyze ~specs sys).findings
+
+(* A [.spec] file's [NAME = FORMULA] lines, as [hpt --file] reads them. *)
+let load_spec path =
+  In_channel.with_open_text path In_channel.input_lines
+  |> List.filter_map (fun l ->
+         let l = String.trim l in
+         if l = "" || l.[0] = '#' then None
+         else
+           match String.index_opt l '=' with
+           | None -> Alcotest.failf "%s: no '=' in %S" path l
+           | Some i ->
+               Some
+                 ( String.trim (String.sub l 0 i),
+                   Logic.Parser.parse
+                     (String.sub l (i + 1) (String.length l - i - 1)) ))
+
+let example name =
+  let sys, inline = Parse.load ("../examples/specs/" ^ name ^ ".fts") in
+  let inline =
+    List.map
+      (fun s -> (s.Parse.sname, Logic.Parser.parse s.Parse.stext))
+      inline
+  in
+  (sys, inline @ load_spec ("../examples/specs/" ^ name ^ ".spec"))
+
+(* The 201-state counter of [bench/main.exe --analyze-json]. *)
+let counter_200 =
+  ( fst
+      (Parse.parse
+         {|var x 0..200
+init x=0
+trans inc:   !(x=200) -> x:=x+1
+trans reset: x=200    -> x:=0
+fair weak inc|}),
+    [ ("progress", Logic.Parser.parse "[] (x=0 -> <> x=200)") ] )
+
+let m310_replay_test =
+  Alcotest.test_case "M310 matches its product-oracle replay" `Quick
+    (fun () ->
+      let models =
+        [
+          ("mutex_dead", example "mutex_dead");
+          ("request_grant", example "request_grant");
+          ("counter-200", counter_200);
+        ]
+      in
+      let sorted = List.sort compare in
+      let reported =
+        List.map
+          (fun (label, (sys, specs)) ->
+            let expected = sorted (m310_by_product sys specs) in
+            Alcotest.(check (list (pair string (list string))))
+              label expected
+              (sorted (m310_findings sys specs));
+            List.length expected)
+          models
+      in
+      (* request_grant's response requirement is the vacuous one *)
+      Alcotest.(check (list int)) "findings per model" [ 0; 1; 0 ] reported)
+
+(* ------------------------------------------------------------------ *)
+(* Determinism: job counts, injected budget trips                     *)
 (* ------------------------------------------------------------------ *)
 
 let request_grant_text =
@@ -445,10 +554,7 @@ let determinism_tests =
                f.Analyze.code = Analyze.M310
                && f.requirement = Some "response")
              reference.findings));
-    Alcotest.test_case "explicit engine = antichain engine" `Quick (fun () ->
-        check "equal reports" true
-          (Omega.Lang.with_engine `Explicit (fun () -> run_analysis ())
-          = reference));
+    m310_replay_test;
     Alcotest.test_case "jobs 1/2/4 = sequential" `Quick (fun () ->
         List.iter
           (fun jobs ->
@@ -460,12 +566,6 @@ let determinism_tests =
         List.iter
           (fun n ->
             let base = run_analysis ~budget:(Budget.inject_trip_at n) () in
-            check
-              (Printf.sprintf "trip@%d explicit" n)
-              true
-              (Omega.Lang.with_engine `Explicit (fun () ->
-                   run_analysis ~budget:(Budget.inject_trip_at n) ())
-              = base);
             List.iter
               (fun jobs ->
                 let r =

@@ -1,9 +1,9 @@
-(* The on-the-fly antichain inclusion engine against the explicit
-   complement-and-product oracle: identical verdicts on random automata
-   (including same-table pairs and rebuilt twins), bit-identical
-   behaviour at jobs 1/2/4 (the per-conjunct fan-outs of inclusion and
-   of the safety closure), and identical degradation under injected
-   budget trips. *)
+(* The on-the-fly antichain inclusion engine against the
+   complement-and-product oracle ([Scans.included_by_product]):
+   identical verdicts on random automata (including same-table pairs
+   and rebuilt twins), bit-identical behaviour at jobs 1/2/4 (the
+   per-conjunct fan-outs of inclusion and of the safety closure), and
+   identical degradation under injected budget trips. *)
 
 open Omega
 
@@ -194,18 +194,14 @@ let unit_tests =
            nothing and discovers the whole 120 x 119 square *)
         let a = settle 120 and b = visit 119 in
         let t = Telemetry.collector () in
-        let v =
-          Lang.with_engine `Antichain (fun () ->
-              Inclusion.included ~telemetry:t a b)
-        in
+        let v = Inclusion.included ~telemetry:t a b in
         Alcotest.(check bool) "L(a) <= L(b)" true v;
         Alcotest.(check int) "pairs, one run" 14280
           (Telemetry.counter t "inclusion.pairs");
         Alcotest.(check int) "pruned" 0
           (Telemetry.counter t "inclusion.pruned");
-        Alcotest.(check bool) "antichain = explicit"
-          (Lang.with_engine `Explicit (fun () -> Lang.included a b))
-          v;
+        Alcotest.(check bool) "antichain = oracle"
+          (Scans.included_by_product a b) v;
         (* the converse fails, and the search stops at its first
            accepting SCC: letter 'a' holds [b] at 0 while [a] counts
            through all 120 states and back *)
@@ -215,13 +211,12 @@ let unit_tests =
         let pairs = Telemetry.counter t "inclusion.pairs" in
         if pairs <= 0 || pairs >= 14280 then
           Alcotest.failf "converse discovered %d pairs" pairs;
-        Alcotest.(check bool) "converse: antichain = explicit"
-          (Lang.with_engine `Explicit (fun () -> Lang.included b a))
-          v);
+        Alcotest.(check bool) "converse: antichain = oracle"
+          (Scans.included_by_product b a) v);
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Differential: antichain vs the explicit oracle                      *)
+(* Differential: antichain vs the complement-and-product oracle        *)
 (* ------------------------------------------------------------------ *)
 
 let verdicts a b =
@@ -230,6 +225,13 @@ let verdicts a b =
     Lang.equal a b,
     Lang.is_universal a,
     Lang.is_universal b )
+
+let oracle_verdicts a b =
+  ( Scans.included_by_product a b,
+    Scans.included_by_product b a,
+    Scans.equal_by_product a b,
+    Scans.is_universal_by_product a,
+    Scans.is_universal_by_product b )
 
 (* Streett and Rabin conditions of 4-6 pairs on 4-6 states: their
    difference conditions carry that many [Fin] atoms, so the on-the-fly
@@ -278,13 +280,12 @@ let gen_junked =
 let arb_junked =
   QCheck.make ~print:(fun (_, j) -> pp_auto j) gen_junked
 
-(* The explicit verdict on [L(a) <= L(b)], and the successor rows the
-   oracle asked for to reach it. *)
-let explicit_work a b =
+(* The oracle's verdict on [L(a) <= L(b)], and the successor rows it
+   asked for to reach it. *)
+let oracle_work a b =
   let t = Telemetry.collector () in
   let v =
-    Telemetry.with_ambient t (fun () ->
-        Lang.with_engine `Explicit (fun () -> Lang.included a b))
+    Telemetry.with_ambient t (fun () -> Scans.included_by_product a b)
   in
   ( v,
     Telemetry.counter t "automaton.successors.hit"
@@ -298,13 +299,9 @@ let differential_tests =
         (QCheck.pair
            (QCheck.make ~print:pp_auto gen_pairs_automaton)
            (QCheck.make ~print:pp_auto gen_pairs_automaton))
-        (fun (a, b) ->
-          Lang.with_engine `Explicit (fun () -> verdicts a b)
-          = Lang.with_engine `Antichain (fun () -> verdicts a b));
+        (fun (a, b) -> oracle_verdicts a b = verdicts a b);
       QCheck.Test.make ~name:"antichain = explicit on random pairs" ~count:500
-        arb_pair (fun (a, b) ->
-          Lang.with_engine `Explicit (fun () -> verdicts a b)
-          = Lang.with_engine `Antichain (fun () -> verdicts a b));
+        arb_pair (fun (a, b) -> oracle_verdicts a b = verdicts a b);
       QCheck.Test.make ~name:"antichain = explicit on same-table pairs"
         ~count:300
         (QCheck.pair arb_automaton arb_automaton)
@@ -313,37 +310,39 @@ let differential_tests =
              acceptance — the shape [Classify]'s closure comparisons
              produce *)
           let b = Automaton.with_acc a acc_donor.Automaton.acc in
-          (* the oracle must build its product here too, not take the
-             antichain engine's same-table short cut *)
+          (* the antichain engine takes its same-table short cut here;
+             the oracle builds its product all the same *)
           let t = Telemetry.collector () in
-          let explicit =
-            Telemetry.with_ambient t (fun () ->
-                Lang.with_engine `Explicit (fun () -> verdicts a b))
-          in
-          explicit = Lang.with_engine `Antichain (fun () -> verdicts a b)
-          && Telemetry.counter t "lang.included.product" >= 1
-          && Telemetry.counter t "inclusion.same_table" = 0);
+          let antichain = Telemetry.with_ambient t (fun () -> verdicts a b) in
+          let o = Telemetry.collector () in
+          let oracle = Telemetry.with_ambient o (fun () -> oracle_verdicts a b) in
+          oracle = antichain
+          && Telemetry.counter t "inclusion.same_table" >= 1
+          && (Telemetry.report o).Telemetry.counters
+             |> List.for_all (fun (name, _) ->
+                    not (String.starts_with ~prefix:"inclusion." name)));
       QCheck.Test.make
         ~name:"unreachable junk changes no verdict and no oracle work"
         ~count:300 (QCheck.pair arb_junked arb_junked)
         (fun ((a, a'), (b, b')) ->
           (* the oracle trims its product to the reachable pairs, so the
              junk adds no row to its emptiness check *)
-          let v, work = explicit_work a b in
-          explicit_work a' b' = (v, work)
-          && Lang.with_engine `Antichain (fun () -> Lang.included a' b') = v
-          && Lang.with_engine `Explicit (fun () -> verdicts a' b')
-             = Lang.with_engine `Antichain (fun () -> verdicts a b));
+          let v, work = oracle_work a b in
+          oracle_work a' b' = (v, work)
+          && Lang.included a' b' = v
+          && oracle_verdicts a' b' = verdicts a b);
       QCheck.Test.make ~name:"a rebuilt twin is always language-equal"
         ~count:300 arb_automaton (fun a ->
-          Lang.with_engine `Antichain (fun () -> Lang.equal a (twin a)));
+          Lang.equal a (twin a) && Scans.equal_by_product a (twin a));
       QCheck.Test.make ~name:"engine toggle does not leak across queries"
         ~count:100 arb_pair (fun (a, b) ->
-          (* interleave the engines query by query *)
-          let e1 = Lang.with_engine `Explicit (fun () -> Lang.included a b) in
-          let v1 = Lang.with_engine `Antichain (fun () -> Lang.included a b) in
-          let e2 = Lang.with_engine `Explicit (fun () -> Lang.equal a b) in
-          let v2 = Lang.with_engine `Antichain (fun () -> Lang.equal a b) in
+          (* interleave the oracle and [Lang] query by query, so state
+             either leaves on an automaton (its successors memo) reaches
+             the other's next query *)
+          let e1 = Scans.included_by_product a b in
+          let v1 = Lang.included a b in
+          let e2 = Scans.equal_by_product a b in
+          let v2 = Lang.equal a b in
           e1 = v1 && e2 = v2);
     ]
 
@@ -587,13 +586,11 @@ let job_counts = [ 1; 2; 4 ]
 (* [f ()] as a pool task, on a worker domain whenever the pool has one.
    A one-item batch runs inline on the caller, so this submits two
    items: the task that lands on the submitting domain waits until a
-   worker has run [f] in the other.  The worker must see the
-   submitter's scoped engine, which only [Pool.map]'s re-install
-   carries across domains. *)
+   worker has run [f] in the other. *)
 let on_worker p f =
   if Pool.jobs p = 1 then List.hd (Pool.map p (fun _ () -> f ()) [ () ])
   else begin
-    let me = Domain.self () and engine = Lang.engine () in
+    let me = Domain.self () in
     let result = Atomic.make None and claimed = Atomic.make false in
     ignore
       (Pool.map p
@@ -604,15 +601,11 @@ let on_worker p f =
              done
            else if Atomic.compare_and_set claimed false true then
              Atomic.set result
-               (Some
-                  ( Domain.self (),
-                    Lang.engine (),
-                    try Ok (f ()) with e -> Error e )))
+               (Some (Domain.self (), try Ok (f ()) with e -> Error e)))
          [ (); () ]);
     match Atomic.get result with
-    | Some (d, e, r) ->
+    | Some (d, r) ->
         if d = me then Alcotest.fail "on_worker ran on the submitter";
-        if e <> engine then Alcotest.fail "worker lost the engine override";
         (match r with Ok v -> v | Error e -> raise e)
     | None -> assert false
   end
@@ -645,24 +638,19 @@ let pool_tests =
           &&
           (* an uninterrupted budgeted run still matches the oracle *)
           match o1 with
-          | `Verdict v ->
-              v = Lang.with_engine `Explicit (fun () -> Lang.included a b)
+          | `Verdict v -> v = Scans.included_by_product a b
           | `Tripped Budget.Injected -> true
           | `Tripped _ -> QCheck.Test.fail_report "wrong trip reason");
       QCheck.Test.make ~name:"Lang routing accepts a pool" ~count:100 arb_pair
         (fun (a, b) ->
           Pool.with_pool ~jobs:2 (fun p ->
-              Lang.with_engine `Antichain (fun () ->
-                  Lang.included ~pool:p a b = Lang.included a b
-                  && on_worker p (fun () -> Lang.equal a b) = Lang.equal a b)));
+              Lang.included ~pool:p a b = Lang.included a b
+              && on_worker p (fun () -> Lang.equal a b) = Lang.equal a b));
       QCheck.Test.make ~name:"safety_closure pooled = sequential" ~count:300
         arb_automaton (fun a ->
           let reference =
             (Lang.live_states a, pp_auto (Lang.safety_closure a))
           in
-          (* under a scoped (calling-domain-only) explicit engine, so
-             [on_worker] checks that the override reaches the worker *)
-          Lang.with_engine `Explicit @@ fun () ->
           List.for_all
             (fun jobs ->
               Pool.with_pool ~jobs (fun p ->

@@ -445,86 +445,6 @@ let batch_tests =
           (List.map strip (Hierarchy.Engine.classify_batch inputs) = r1));
   ]
 
-(* ------------------------------------------------------------------ *)
-(* The inclusion engine crosses the fork                               *)
-(* ------------------------------------------------------------------ *)
-
-(* The engine is a domain-local value, so a worker domain's own slot
-   holds the default; [Pool.map] must hand each task the submitter's. *)
-let engine_tests =
-  let counters_of t = (Telemetry.report t).Telemetry.counters in
-  let explicit_counts run =
-    List.map
-      (fun jobs ->
-        let t = Telemetry.collector () in
-        Pool.with_pool ~jobs (fun p -> run ~telemetry:t ~pool:p);
-        let product = Telemetry.counter t "lang.included.product" in
-        let antichain =
-          List.filter
-            (fun (name, _) -> String.starts_with ~prefix:"inclusion." name)
-            (counters_of t)
-        in
-        (jobs, product, antichain))
-      [ 1; 2 ]
-  in
-  let check_counts what counts =
-    List.iter
-      (fun (jobs, product, antichain) ->
-        let at = Printf.sprintf "%s jobs=%d" what jobs in
-        check (at ^ ": products built") true (product > 0);
-        Alcotest.(check (list (pair string int)))
-          (at ^ ": no antichain inclusion") [] antichain)
-      counts;
-    match counts with
-    | (_, p1, _) :: rest ->
-        List.iter
-          (fun (jobs, p, _) ->
-            Alcotest.(check int)
-              (Printf.sprintf "%s: products at jobs=%d = jobs=1" what jobs)
-              p1 p)
-          rest
-    | [] -> ()
-  in
-  [
-    Alcotest.test_case "a task on a worker domain reads the scoped engine"
-      `Quick (fun () ->
-        Pool.with_pool ~jobs:2 (fun p ->
-            let arrived = Atomic.make 0 in
-            let seen =
-              Lang.with_engine `Explicit (fun () ->
-                  Pool.map p
-                    (fun _ () ->
-                      (* each task waits for the other, so the two run
-                         at once, on two domains *)
-                      Atomic.incr arrived;
-                      while Atomic.get arrived < 2 do
-                        Domain.cpu_relax ()
-                      done;
-                      (Domain.self (), Lang.engine ()))
-                    [ (); () ])
-            in
-            match seen with
-            | [ (d0, e0); (d1, e1) ] ->
-                check "the tasks ran on two domains" true (d0 <> d1);
-                check "both read `Explicit" true
-                  (e0 = `Explicit && e1 = `Explicit)
-            | _ -> Alcotest.fail "expected two results"));
-    Alcotest.test_case "Engine.analyze ~engine:`Explicit at jobs 1/2" `Quick
-      (fun () ->
-        (* M310's vacuity check is the one inclusion query behind an
-           analysis; request_grant.spec holds this one requirement *)
-        let sys, _ = Fts.Parse.load "../examples/specs/request_grant.fts" in
-        let spec = [ ("response", "[] (req=1 -> <> gnt=1)", None) ] in
-        check_counts "analyze"
-          (explicit_counts (fun ~telemetry ~pool ->
-               ignore
-                 (Pool.map ~telemetry pool
-                    (fun ctx () ->
-                      Hierarchy.Engine.analyze ~telemetry:ctx.Pool.telemetry
-                        ~engine:`Explicit ~model:sys spec)
-                    [ (); () ]))));
-  ]
-
 let () =
   Alcotest.run "pool"
     [
@@ -532,5 +452,4 @@ let () =
       ("determinism", determinism_tests);
       (* the group keeps its historical name, so the test's id is stable *)
       ("lint determinism", batch_tests);
-      ("engine", engine_tests);
     ]

@@ -184,9 +184,18 @@ let protocol_tests =
             ({|{"id":1,"op":"classify"}|}, "invalid_request");
             ({|{"id":1,"op":"launch"}|}, "invalid_request");
             ({|{"id":1,"op":"lint","specs":"no"}|}, "invalid_request");
-            ( {|{"id":1,"op":"classify","formula":"[] p","engine":"quantum"}|},
-              "invalid_input" );
-          ]);
+          ];
+        (* "engine" is no request field: like any unknown member it is
+           ignored, and the frame keys the cache as the frame without it *)
+        match
+          ( parse {|{"id":1,"op":"classify","formula":"[] p","engine":"quantum"}|},
+            parse {|{"id":1,"op":"classify","formula":"[] p"}|} )
+        with
+        | Ok r, Ok r' ->
+            let key = Protocol.cache_key r in
+            check "same cache key" true
+              (key <> None && key = Protocol.cache_key r')
+        | _ -> Alcotest.fail "an unknown member rejected the frame");
     Alcotest.test_case "cache keys: stable, distinct, absent for ops" `Quick
       (fun () ->
         let k s =

@@ -221,18 +221,18 @@ let fresh (a : Automaton.t) =
     ~delta:(Array.map Array.copy a.delta)
     ~acc:a.acc
 
-(* Run [f] on the explicit oracle, which never takes the same-table
-   short cut and is the only path that builds complements, so the
-   cold runs below are independent of the antichain engine. *)
-let explicit f = Lang.with_engine `Explicit f
+(* Inclusion and equality on the complement-and-product oracle, which
+   never takes the same-table short cut, so the cold runs below are
+   independent of the antichain engine. *)
+let oracle a b = (Scans.included_by_product a b, Scans.equal_by_product a b)
 
 let differential_tests =
   List.map QCheck_alcotest.to_alcotest
     [
       QCheck.Test.make ~name:"caches never change the classification"
         ~count:300 arb_automaton (fun a ->
-          let cold = explicit (fun () -> Classify.classify (fresh a)) in
-          let cold_row = explicit (fun () -> Classify.memberships (fresh a)) in
+          let cold = Classify.classify (fresh a) in
+          let cold_row = Classify.memberships (fresh a) in
           let warm = Classify.classify a in
           (* second run hits the now-populated memo *)
           let warm2 = Classify.classify a in
@@ -243,14 +243,14 @@ let differential_tests =
         ~count:300
         (QCheck.pair arb_automaton arb_automaton)
         (fun (a, b) ->
-          let verdicts a b = (Lang.included a b, Lang.equal a b) in
-          let cold = explicit (fun () -> verdicts (fresh a) (fresh b)) in
-          (* the explicit oracle answers the same values twice alike,
-             and the antichain engine (the last call), which reads the
+          let cold = oracle (fresh a) (fresh b) in
+          (* the oracle answers the same values twice alike, and the
+             antichain engine (the last call), which reads the
              successors memos of [a] and [b], agrees with it *)
-          let warm1 = explicit (fun () -> verdicts a b) in
-          let warm2 = explicit (fun () -> verdicts a b) in
-          cold = warm1 && warm1 = warm2 && warm2 = verdicts a b);
+          let warm1 = oracle a b in
+          let warm2 = oracle a b in
+          cold = warm1 && warm1 = warm2
+          && warm2 = (Lang.included a b, Lang.equal a b));
       QCheck.Test.make
         ~name:"successors memo: identical lists, hits + misses = calls"
         ~count:300
@@ -278,46 +278,50 @@ let differential_tests =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* The explicit oracle on pool workers                                 *)
+(* Inclusion on pool workers                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Pool tasks submitted inside [Lang.with_engine] run that engine on
-   their worker domains, and each task's counters merge into the
-   caller's ambient handle: one explicit product per inclusion, with
-   the verdicts of the sequential antichain engine. *)
-let pool_oracle_tests =
+(* Inclusions run as pool tasks on two domains: each task's
+   [inclusion.*] counters merge into the caller's ambient handle, to
+   the sums of the sequential run, and the verdicts are the oracle's.
+   Each pair also runs reversed, so tasks on both domains read the
+   same automata's successors memos. *)
+let pool_inclusion_tests =
   let pairs =
     QCheck.Gen.(
       generate ~rand:(Random.State.make [| 29 |]) ~n:40
         (pair gen_automaton gen_automaton))
   in
-  let sequential = List.map (fun (a, b) -> Lang.included a b) pairs in
+  let pairs = pairs @ List.map (fun (a, b) -> (b, a)) pairs in
+  let expected = List.map (fun (a, b) -> Scans.included_by_product a b) pairs in
+  let inclusion_counters t =
+    List.filter
+      (fun (name, _) -> String.starts_with ~prefix:"inclusion." name)
+      (Telemetry.report t).Telemetry.counters
+  in
+  let run ?pool () =
+    let t = Telemetry.collector () in
+    let got =
+      Telemetry.with_ambient t (fun () ->
+          match pool with
+          | None -> List.map (fun (a, b) -> Lang.included a b) pairs
+          | Some p -> Pool.map p (fun _ (a, b) -> Lang.included a b) pairs)
+    in
+    (got, inclusion_counters t)
+  in
   [
-    Alcotest.test_case "workers inherit the engine and agree" `Quick
+    Alcotest.test_case "worker counters merge to the sequential sums" `Quick
       (fun () ->
+        let seq, seq_counters = run () in
+        Alcotest.(check (list bool)) "sequential = oracle" expected seq;
+        (match List.assoc_opt "inclusion.pairs" seq_counters with
+        | Some n when n > 0 -> ()
+        | _ -> Alcotest.fail "the sequential run explored no pair");
         Pool.with_pool ~jobs:2 (fun p ->
-            let t = Telemetry.collector () in
-            let got =
-              Telemetry.with_ambient t (fun () ->
-                  explicit (fun () ->
-                      Pool.map p (fun _ (a, b) -> Lang.included a b) pairs))
-            in
-            Alcotest.(check (list bool)) "verdicts as sequential" sequential got;
-            Alcotest.(check int)
-              "one product per inclusion" (List.length pairs)
-              (Telemetry.counter t "lang.included.product")));
-    Alcotest.test_case "the antichain engine builds no product" `Quick
-      (fun () ->
-        Pool.with_pool ~jobs:2 (fun p ->
-            let t = Telemetry.collector () in
-            let got =
-              Telemetry.with_ambient t (fun () ->
-                  Pool.map p (fun _ (a, b) -> Lang.included a b) pairs)
-            in
-            Alcotest.(check (list bool)) "verdicts as sequential" sequential got;
-            Alcotest.(check int)
-              "no explicit product" 0
-              (Telemetry.counter t "lang.included.product")));
+            let got, counters = run ~pool:p () in
+            Alcotest.(check (list bool)) "pooled = oracle" expected got;
+            Alcotest.(check (list (pair string int)))
+              "inclusion counters" seq_counters counters));
   ]
 
 let () =
@@ -325,5 +329,7 @@ let () =
     [
       ("handle", unit_tests);
       ("cache differential", differential_tests);
-      ("pool explicit oracle", pool_oracle_tests);
+      (* 20 characters, as wide as the group it replaced, so alcotest
+         truncates the other test names where it did before *)
+      ("pool inclusion merge", pool_inclusion_tests);
     ]

@@ -228,7 +228,46 @@ let edge_tests =
             (T.g_delta_witnesses a 3);
           List.iter
             (fun w -> check "F_sigma witness" true (Lang.equal a w))
-            (T.f_sigma_witnesses a 3)))
+            (T.f_sigma_witnesses a 3);
+          (* every public function of Lang answers *)
+          let nonempty = not (Lang.is_empty a) in
+          check "nonempty" nonempty (Lang.nonempty a);
+          check "pref" true
+            (Finitary.Dfa.equal_nonepsilon (Lang.pref a)
+               (if nonempty then Finitary.Dfa.sigma_plus ab
+                else Finitary.Dfa.empty_lang ab));
+          check "witness" nonempty
+            (match Lang.witness a with
+            | Some w -> Automaton.accepts a w
+            | None -> false);
+          Array.iteri
+            (fun q live ->
+              check "live_states" live
+                (Lang.nonempty
+                   (Automaton.make ~alpha:ab ~n:a.n ~start:q ~delta:a.delta
+                      ~acc:a.acc)))
+            (Lang.live_states a);
+          check "safety closure" true (Lang.equal (Lang.safety_closure a) a);
+          check "liveness extension is full" true
+            (Lang.is_universal (Lang.liveness_extension a));
+          let s, l = Lang.safety_liveness_decomposition a in
+          check "decomposition" true (Lang.equal (Automaton.inter s l) a);
+          (* the inclusion queries against the product oracle, on every
+             ordered pair of edge automata *)
+          check "is_universal = oracle" (Scans.is_universal_by_product a)
+            (Lang.is_universal a);
+          List.iter
+            (fun (_, b) ->
+              check "included = oracle" (Scans.included_by_product a b)
+                (Lang.included a b);
+              check "equal = oracle" (Scans.equal_by_product a b)
+                (Lang.equal a b);
+              match Lang.distinguishing_witness a b with
+              | None -> check "no witness iff equal" true (Lang.equal a b)
+              | Some w ->
+                  check "witness in exactly one" true
+                    (Automaton.accepts a w <> Automaton.accepts b w))
+            edge_automata))
     edge_automata
 
 let () =
