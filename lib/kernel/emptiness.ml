@@ -168,17 +168,23 @@ let pop s =
 
 let peek s = s.data.(s.top - 1)
 
+(* The answers [succ k i] may give besides a successor key. *)
+let skip = -1
+let past_end = -2
+
 (* One run of Couvreur's SCC-root-stack search for [acc], with the keys
    whose marks meet [cut] kept off every cycle.  Keys are numbered in
    discovery order, so a key's number is its DFS index and the open
-   roots increase from the bottom of [roots] up.  A key's successors
-   are copied onto [edges] when it is discovered, first successor on
-   top, and a frame is two ints: the key's number and the bottom of its
-   edges.  An edge to an open state closes a cycle through it: every
-   root above it joins it (their SCCs are one), and the merged root's
-   states form a cycle whose infinity set is exactly them, so it
-   accepts once [acc] holds on its marks.  A state whose root finishes
-   lies in a completed SCC, and edges into it are ignored from then on.
+   roots increase from the bottom of [roots] up.  A frame is three
+   ints: the key's number, the key and the next position to ask [succ]
+   for, so a key's successors are asked for one at a time, in position
+   order, and only while its frame is on top; a run that accepts early
+   never asks for the rest.  An edge to an open state closes a cycle
+   through it: every root above it joins it (their SCCs are one), and
+   the merged root's states form a cycle whose infinity set is exactly
+   them, so it accepts once [acc] holds on its marks.  A state whose
+   root finishes lies in a completed SCC, and edges into it are ignored
+   from then on.
 
    A [Fin]-free [acc] is monotone: an SCC whose marks fail it holds no
    accepting cycle.  With a [Fin] atom left ([split]), a smaller cycle
@@ -194,15 +200,13 @@ let peek s = s.data.(s.top - 1)
 type run = {
   budget : Budget.t;
   marks : int -> Iset.t;
-  succ : int -> (int -> unit) -> unit;
+  succ : int -> int -> int;
   cut : Iset.t;
   acc : Acceptance.t;
   index : Int_index.t;  (** key -> number *)
   mutable count : int;  (** keys discovered *)
   mutable closed : Bytes.t;  (** per number: closed or cut *)
-  frames : ints;
-  edges : ints;
-  edge : int -> unit;  (** pushes onto [edges] *)
+  frames : ints;  (** number, key, next position *)
   open_ : ints;
   roots : ints;  (** the first number of each open root *)
   mutable seen : Iset.t array;  (** the marks root [i] has absorbed *)
@@ -211,20 +215,10 @@ type run = {
   keys : ints;  (** number -> key, kept when [split] *)
 }
 
-let expand r v key =
+let enter r v key =
   push r.frames v;
-  let lo = r.edges.top in
-  push r.frames lo;
-  r.succ key r.edge;
-  let d = r.edges.data in
-  let i = ref lo and j = ref (r.edges.top - 1) in
-  while !i < !j do
-    let x = d.(!i) in
-    d.(!i) <- d.(!j);
-    d.(!j) <- x;
-    incr i;
-    decr j
-  done
+  push r.frames key;
+  push r.frames 0
 
 (* [key] is already bound to the next number *)
 let discover r key =
@@ -252,7 +246,7 @@ let discover r key =
     r.seen.(i) <- m;
     push r.roots v;
     push r.open_ v;
-    expand r v key
+    enter r v key
   end
 
 (* the root below every root above the open state [w] absorbs them *)
@@ -280,8 +274,8 @@ let close r v =
 (* Does a cycle inside the finished SCC [scc], whose marks are [u],
    satisfy [acc]?  The last merge into its root evaluated [acc] on [u];
    a singleton's only cycle is itself.  The search runs on the SCC's
-   keys renumbered [0 .. s-1], its successors regenerated and kept
-   inside it. *)
+   keys renumbered [0 .. s-1], its successors asked for again position
+   by position and kept inside it. *)
 let inside r u scc =
   match scc with
   | [] | [ _ ] -> false
@@ -295,11 +289,15 @@ let inside r u scc =
           let local = Int_index.create s in
           Array.iteri (fun i k -> ignore (Int_index.find_or_add local k i)) keys;
           let succ i =
-            let out = ref [] in
-            r.succ keys.(i) (fun k ->
+            let rec walk p out =
+              let k = r.succ keys.(i) p in
+              if k >= 0 then
                 let j = Int_index.find local k in
-                if j >= 0 then out := j :: !out);
-            !out
+                walk (p + 1) (if j >= 0 then j :: out else out)
+              else if k = skip then walk (p + 1) out
+              else out
+            in
+            walk 0 []
           in
           let marks = Array.map r.marks keys in
           let lifted =
@@ -312,16 +310,19 @@ let inside r u scc =
                (Iset.init s (fun _ -> true))))
 
 let rec loop r =
-  if r.frames.top = 0 then
+  let t = r.frames.top in
+  if t = 0 then
     if r.pending.top = 0 then false
     else begin
-      expand r (-1) (pop r.pending);
+      enter r (-1) (pop r.pending);
       loop r
     end
   else
-    let v = r.frames.data.(r.frames.top - 2) in
-    if r.edges.top > peek r.frames then begin
-      let key = pop r.edges in
+    let f = r.frames.data in
+    let p = f.(t - 1) in
+    let key = r.succ f.(t - 2) p in
+    if key >= 0 then begin
+      f.(t - 1) <- p + 1;
       let w = Int_index.find_or_add r.index key r.count in
       if w = r.count then begin
         discover r key;
@@ -330,8 +331,13 @@ let rec loop r =
       else if Bytes.get r.closed w = '\000' && merge r w then true
       else loop r
     end
+    else if key = skip then begin
+      f.(t - 1) <- p + 1;
+      loop r
+    end
     else begin
-      r.frames.top <- r.frames.top - 2;
+      let v = f.(t - 3) in
+      r.frames.top <- t - 3;
       if v >= 0 && peek r.roots = v then begin
         r.roots.top <- r.roots.top - 1;
         let u = r.seen.(r.roots.top) in
@@ -342,8 +348,6 @@ let rec loop r =
 
 (* The verdict and the number of keys discovered. *)
 let run ~budget ~marks ~succ ~cut acc start =
-  (* a tableau state has a successor per letter, most of them repeats *)
-  let edges = { data = Array.make 32 0; top = 0 } in
   let r =
     {
       budget;
@@ -355,8 +359,6 @@ let run ~budget ~marks ~succ ~cut acc start =
       count = 0;
       closed = Bytes.make 16 '\000';
       frames = ints ();
-      edges;
-      edge = push edges;
       open_ = ints ();
       roots = ints ();
       seen = Iset.[| empty; empty; empty; empty; empty; empty; empty; empty |];

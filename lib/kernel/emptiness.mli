@@ -78,34 +78,50 @@ type search = { accepting : bool; visited : int; runs : int }
     reachable, how many keys the search discovered, summed over its
     runs, and how many runs it made. *)
 
+val skip : int
+(** [-1]: what [succ k i] answers when position [i] of [k] holds no
+    successor (see {!on_the_fly}). *)
+
+val past_end : int
+(** [-2]: what [succ k i] answers when [k] has no position [i] or
+    later; any answer below [-1] means the same. *)
+
 val on_the_fly :
   ?budget:Budget.t ->
   marks:(int -> Iset.t) ->
-  succ:(int -> (int -> unit) -> unit) ->
+  succ:(int -> int -> int) ->
   Acceptance.t ->
   int ->
   search
 (** [on_the_fly ~marks ~succ acc start]: is a cycle reachable from
     [start] whose marks satisfy [acc]?  States are non-negative int
-    keys, not a dense range: [succ k f] calls [f] on each successor of
-    [k] in order, and [marks k] is the set of mark indices [k] carries.
-    The atoms of [acc] are sets of mark indices, and a cycle satisfies
-    [acc] when the union of its keys' marks does ([Acceptance.eval]):
-    [Inf X] holds when some key on the cycle carries a mark in [X],
-    [Fin X] when none does.  A generalized Buechi condition with [n]
-    sets is [And [Inf {0}; ...; Inf {n-1}]].  [acc] is searched as
-    given: [False] makes no run, so a caller whose condition may
-    simplify to [False] passes it through [Acceptance.simplify] first.
+    keys, not a dense range, and [marks k] is the set of mark indices
+    [k] carries.  Successors are asked for by position: for [i = 0, 1,
+    ...], [succ k i] is the successor of [k] at position [i] (a key),
+    {!skip} when that position holds none, and {!past_end} once [i] is
+    past [k]'s last position.  The search asks for [k]'s positions in
+    increasing order from [0], never twice for one position in one
+    walk, and stops asking as soon as it accepts, so a caller may
+    generate a successor only when it is asked for.  The atoms of
+    [acc] are sets of mark indices, and a cycle satisfies [acc] when
+    the union of its keys' marks does ([Acceptance.eval]): [Inf X]
+    holds when some key on the cycle carries a mark in [X], [Fin X]
+    when none does.  A generalized Buechi condition with [n] sets is
+    [And [Inf {0}; ...; Inf {n-1}]].  [acc] is searched as given:
+    [False] makes no run, so a caller whose condition may simplify to
+    [False] passes it through [Acceptance.simplify] first.
 
     The graph is never built: Couvreur's SCC-root-stack search
     ("On-the-fly verification of linear temporal logic", FM 1999) runs
-    a depth-first search from [start], calls [marks] and [succ] on a
-    key when it discovers it, copies the successors onto a flat edge
-    stack, and numbers keys in discovery order in an {!Int_index}.
-    Frames, roots and open states are ints on flat stacks.  Each open
-    root keeps the union of the marks of the states it has absorbed;
-    an edge back to an open state merges the roots above it into one,
-    and for a [Fin]-free condition, which is monotone, the run stops as
+    a depth-first search from [start], calls [marks] on a key when it
+    discovers it, and numbers keys in discovery order in an
+    {!Int_index}.  A depth-first frame is three ints on a flat stack
+    (the key's number, the key and its next position), and [succ] is
+    asked for a key's next position only while its frame is on top;
+    roots and open states are ints on flat stacks too.  Each open root
+    keeps the union of the marks of the states it has absorbed; an
+    edge back to an open state merges the roots above it into one, and
+    for a [Fin]-free condition, which is monotone, the run stops as
     soon as that root's union satisfies it.  A key whose marks satisfy
     the condition but that lies on no cycle accepts nothing.
 
@@ -119,12 +135,15 @@ val on_the_fly :
     run whose condition still has a [Fin] evaluates it on each merged
     root's marks as well, and when an SCC of several states finishes
     without accepting, decides the SCC with {!accepting_scc} on the
-    condition restricted to its marks, if that still has a [Fin].
+    condition restricted to its marks, if that still has a [Fin]; that
+    check walks the positions of the SCC's keys once more, from [0]
+    to {!past_end}.
 
     [visited] counts the keys discovered, summed over the [runs]: a run
-    that finds nothing discovers every key reachable from [start].
-    [?budget] is ticked once per key discovered in each run, so a
-    search spends exactly [visited] ticks. *)
+    that finds nothing discovers every key reachable from [start], and
+    asks for every position of every key it discovers.  [?budget] is
+    ticked once per key discovered in each run, so a search spends
+    exactly [visited] ticks. *)
 
 val lasso :
   succ:(int -> int list) ->

@@ -251,16 +251,23 @@ let build_graph ~budget ~count terms phi =
 
 module Int_table = Hashtbl.Make (Int)
 
+(* A state's row lists its edges, letters ascending: edge [i] reads
+   [letters.(q).(i)] into [targets.(q).(i)].  [distinct.(q)] lists the
+   row's targets once each, in the order they first occur. *)
 type nba = {
   alpha : Alphabet.t;
   n : int;  (* concrete states; 0 is the pre-initial state *)
-  succ : (Alphabet.letter * int) list array;
+  letters : Alphabet.letter array array;
+  targets : int array array;
+  distinct : int array array;
   sets : int;  (* generalized Buechi: one acceptance set per until *)
   marks : Iset.t array;  (* the sets each state belongs to *)
 }
 
 let size a = a.n
-let transitions a q = a.succ.(q)
+
+let transitions a q =
+  List.combine (Array.to_list a.letters.(q)) (Array.to_list a.targets.(q))
 
 (* What entering a node demands of the letter read and of the stepped
    tester state: its literals, read in [Ids.for_all] order up to the
@@ -362,28 +369,57 @@ let translate ?(budget = Budget.unlimited) ?telemetry alpha f =
         state_nodes := nd :: !state_nodes;
         i
   in
-  let successors src ts =
-    match targets.(src) with
-    | [] -> []
-    | tgts ->
-        List.concat_map
-          (fun letter ->
-            let ts' = Past_tester.step tester ts letter in
-            List.filter_map
-              (fun (nd, e) ->
-                if admits e letter ts' then Some (letter, intern nd ts')
-                else None)
-              tgts)
-          letters
+  (* A state's row is built on scratch arrays that double when full,
+     then copied out.  [stamp.(q)] is the last row that listed [q]; [q]
+     is at most the number of states so far, so one doubling makes
+     room for it. *)
+  let edge_letters = ref (Array.make 16 0) in
+  let edge_targets = ref (Array.make 16 0) in
+  let firsts = ref (Array.make 16 0) and stamp = ref (Array.make 64 (-1)) in
+  let put buf i x =
+    if i = Array.length !buf then buf := Array.append !buf (Array.make i 0);
+    !buf.(i) <- x
   in
-  let rows = ref [ successors 0 (Past_tester.initial tester) ] in
+  let rows_letters = ref [] and rows_targets = ref [] in
+  let rows_distinct = ref [] in
+  let successors row src ts =
+    let len = ref 0 and d = ref 0 in
+    List.iter
+      (fun letter ->
+        let ts' = Past_tester.step tester ts letter in
+        List.iter
+          (fun (nd, e) ->
+            if admits e letter ts' then begin
+              let q = intern nd ts' in
+              put edge_letters !len letter;
+              put edge_targets !len q;
+              incr len;
+              if q = Array.length !stamp then
+                stamp := Array.append !stamp (Array.make q (-1));
+              if !stamp.(q) <> row then begin
+                !stamp.(q) <- row;
+                put firsts !d q;
+                incr d
+              end
+            end)
+          targets.(src))
+      (match targets.(src) with [] -> [] | _ -> letters);
+    rows_letters := Array.sub !edge_letters 0 !len :: !rows_letters;
+    rows_targets := Array.sub !edge_targets 0 !len :: !rows_targets;
+    rows_distinct := Array.sub !firsts 0 !d :: !rows_distinct
+  in
+  successors 0 0 (Past_tester.initial tester);
+  let row = ref 1 in
   while not (Queue.is_empty queue) do
     Budget.tick budget;
     let src, ts = Queue.pop queue in
-    rows := successors src ts :: !rows
+    successors !row src ts;
+    incr row
   done;
-  let succ = Array.of_list (List.rev !rows) in
-  let n = Array.length succ in
+  let rows r = Array.of_list (List.rev !r) in
+  let letters = rows rows_letters and targets = rows rows_targets in
+  let distinct = rows rows_distinct in
+  let n = Array.length targets in
   Telemetry.observe telemetry "tableau.states" (float_of_int n);
   (* generalized Buechi condition, one set per until [u = _ U rhs]:
      the states whose node does not promise [u] or already meets
@@ -409,53 +445,42 @@ let translate ?(budget = Budget.unlimited) ?telemetry alpha f =
   List.iteri
     (fun i nd -> marks.(n - 1 - i) <- node_marks.(nd.id))
     !state_nodes;
-  { alpha; n; succ; sets; marks }
+  { alpha; n; letters; targets; distinct; sets; marks }
 
 (* ------------------------------------------------------------------ *)
 (* Emptiness and membership                                            *)
 (* ------------------------------------------------------------------ *)
 
-let next_states a q = List.map snd a.succ.(q)
+let next_states a q = Array.to_list a.targets.(q)
 
 (* The generalized Buechi condition on mark indices [0 .. sets-1]. *)
 let every_set sets =
   Acceptance.And (List.init sets (fun k -> Acceptance.Inf (Iset.singleton k)))
 
-let rec targets edge = function
-  | [] -> ()
-  | (_, q) :: row ->
-      edge q;
-      targets edge row
+(* The successor of [q] at position [i] of [row], which lists them *)
+let at row i = if i < Array.length row then row.(i) else Emptiness.past_end
 
 (* The on-the-fly search from the pre-initial state; every state is its
-   own key. *)
+   own key.  It walks each state's distinct targets: a repeated edge in
+   one frame can neither discover a key nor change an open root's
+   marks. *)
 let nonempty a =
   (Emptiness.on_the_fly ~marks:(Array.get a.marks)
-     ~succ:(fun q edge -> targets edge a.succ.(q))
+     ~succ:(fun q i -> at a.distinct.(q) i)
      (every_set a.sets) 0)
     .accepting
 
-(* [xs] and [ys] list one state's successors grouped by letter, letters
-   ascending (the order [translate] builds them in): every successor of
-   [xs] with every successor of [ys] on the same letter, pair [(i, j)]
-   as the key [i * width + j], passed to [edge] in that order *)
-let rec join width edge xs ys =
-  match (xs, ys) with
-  | [], _ | _, [] -> ()
-  | (l, _) :: xs', (l', _) :: _ when l < l' -> join width edge xs' ys
-  | (l, _) :: _, (l', _) :: ys' when l' < l -> join width edge xs ys'
-  | (l, i) :: xs', _ -> on_letter width edge l i xs' ys ys
-
-(* the successors [j] of [ys] on letter [l], with [i]; then the rest *)
-and on_letter width edge l i xs' ys = function
-  | (l', j) :: rest when l' = l ->
-      edge ((i * width) + j);
-      on_letter width edge l i xs' ys rest
-  | _ -> join width edge xs' ys
-
 (* The synchronous product, searched from the pre-initial pair [(0, 0)]
    as it is built: pair [(i, j)] is the key [i * b.n + j], and it is in
-   [a]'s sets under their own indices and in [b]'s shifted past them. *)
+   [a]'s sets under their own indices and in [b]'s shifted past them.
+   The successors of [(i, j)] are every successor [i'] of [i] with every
+   successor [j'] of [j] on the same letter, in the order of [i]'s row.
+   Both rows are letter-sorted, so a cursor walks them as a merge: [x]
+   in [i]'s row, [y0] at the start of [j]'s block on [x]'s letter, [y]
+   in that block, which is walked again for each successor of [i] on
+   the letter.  The search walks a key's positions in order and the
+   walks nest, so the open cursors sit on one stack, five ints each:
+   [i], [j], [x], [y0], [y]. *)
 let intersects ?budget a b =
   if not (a.alpha == b.alpha || Alphabet.equal a.alpha b.alpha) then
     invalid_arg "Tableau.intersects: alphabet mismatch";
@@ -468,7 +493,51 @@ let intersects ?budget a b =
       b.marks
   in
   let marks k = Iset.union a.marks.(k / width) shifted.(k mod width) in
-  let succ k edge = join width edge a.succ.(k / width) b.succ.(k mod width) in
+  let cursors = ref (Array.make 40 0) and top = ref 0 in
+  let rec next c t la ta lb tb =
+    let x = c.(t - 3) and y0 = c.(t - 2) and y = c.(t - 1) in
+    if x >= Array.length la || y0 >= Array.length lb then begin
+      top := t - 5;
+      Emptiness.past_end
+    end
+    else if la.(x) < lb.(y0) then begin
+      c.(t - 3) <- x + 1;
+      c.(t - 1) <- y0;
+      next c t la ta lb tb
+    end
+    else if lb.(y0) < la.(x) then begin
+      c.(t - 2) <- y0 + 1;
+      c.(t - 1) <- y0 + 1;
+      next c t la ta lb tb
+    end
+    else if y < Array.length lb && lb.(y) = la.(x) then begin
+      c.(t - 1) <- y + 1;
+      (ta.(x) * width) + tb.(y)
+    end
+    else begin
+      c.(t - 3) <- x + 1;
+      c.(t - 1) <- y0;
+      next c t la ta lb tb
+    end
+  in
+  let succ k p =
+    if p = 0 then begin
+      if !top + 5 > Array.length !cursors then
+        cursors := Array.append !cursors !cursors;
+      let c = !cursors and t = !top in
+      c.(t) <- k / width;
+      c.(t + 1) <- k mod width;
+      c.(t + 2) <- 0;
+      c.(t + 3) <- 0;
+      c.(t + 4) <- 0;
+      top := t + 5
+    end;
+    let c = !cursors and t = !top in
+    let i = c.(t - 5) and j = c.(t - 4) in
+    if (i * width) + j <> k then
+      invalid_arg "Tableau.intersects: successor walks do not nest";
+    next c t a.letters.(i) a.targets.(i) b.letters.(j) b.targets.(j)
+  in
   let r =
     Emptiness.on_the_fly ?budget ~marks ~succ (every_set (a.sets + b.sets)) 0
   in
@@ -505,8 +574,11 @@ let witness ?budget ?telemetry alpha f =
          let rec letters q = function
            | [] -> []
            | q' :: rest ->
-               fst (List.find (fun (_, w) -> w = q') a.succ.(q))
-               :: letters q' rest
+               let rec first i =
+                 if a.targets.(q).(i) = q' then a.letters.(q).(i)
+                 else first (i + 1)
+               in
+               first 0 :: letters q' rest
          in
          let anchor = List.nth prefix (List.length prefix - 1) in
          Word.lasso
@@ -520,12 +592,13 @@ let accepts_lasso a lasso =
   let p = Array.length lasso.Word.prefix in
   let total = p + Array.length lasso.Word.cycle in
   let next_pos j = if j + 1 < total then j + 1 else p in
-  let succ k edge =
+  let succ k i =
     let q = k / total and j = k mod total in
-    List.iter
-      (fun (letter, q') ->
-        if letter = Word.at lasso j then edge ((q' * total) + next_pos j))
-      a.succ.(q)
+    let row = a.targets.(q) in
+    if i >= Array.length row then Emptiness.past_end
+    else if a.letters.(q).(i) = Word.at lasso j then
+      (row.(i) * total) + next_pos j
+    else Emptiness.skip
   in
   (Emptiness.on_the_fly
      ~marks:(fun k -> a.marks.(k / total))

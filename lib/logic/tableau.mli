@@ -57,7 +57,10 @@ val transitions : nba -> int -> (Finitary.Alphabet.letter * int) list
     {!Emptiness.on_the_fly} from the pre-initial state, on the
     generalized Buechi condition [And [Inf {0}; ...]] over the marks
     (one set per until of the formula): the search stops at the first
-    SCC whose states meet every acceptance set. *)
+    SCC whose states meet every acceptance set.  It walks each state's
+    distinct targets, once each in the order they first occur in its
+    row: a repeated edge in one frame can neither discover a state nor
+    change an open root's marks. *)
 val nonempty : nba -> bool
 
 (** [intersects a b]: do two automata over the same alphabet accept a
@@ -67,9 +70,11 @@ val nonempty : nba -> bool
     [satisfiable alpha (f & g)] without translating the conjunction
     (and without joining the two past closures in one {!Past_tester}).
     The product is never built whole: {!Emptiness.on_the_fly}
-    searches it from the pre-initial pair, joining the two successor
-    rows of a pair when it discovers it, and stops at the first
-    accepting SCC.  An empty product is visited whole; a non-empty one
+    searches it from the pre-initial pair and stops at the first
+    accepting SCC.  It asks for a pair's successors by position, and a
+    merge cursor over the two letter-sorted rows answers with the next
+    pair of targets on a shared letter, in the order of the first
+    automaton's row.  An empty product is visited whole; a non-empty one
     usually in part.  [budget] is ticked once per product state
     visited.  The search runs in a [tableau.product] span of the
     ambient telemetry handle, which also records the number of states
@@ -125,5 +130,7 @@ val witness :
 (** Does the automaton accept the lasso?  (Exact; used to cross-check the
     translation against {!Semantics}.)  Decided by
     {!Emptiness.on_the_fly} on the product of the automaton with
-    the lasso's positions, explored as it is searched. *)
+    the lasso's positions, explored as it is searched: position [i] of
+    a pair is edge [i] of the state's row, which holds no successor
+    when its letter is not the lasso's. *)
 val accepts_lasso : nba -> Finitary.Word.lasso -> bool

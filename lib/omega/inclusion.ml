@@ -60,14 +60,17 @@ let is_empty a = not (nonempty a)
    non-empty iff {!Emptiness.on_the_fly} finds a reachable cycle of
    pairs satisfying it, and the search stops at the first one.
 
-   - keys: the pair (qa, qb) is the key [qa * b.n + qb], and its
-     successors are generated from [a.delta] and [b.delta] when the
-     search discovers it, letters in order.  The search's index starts
-     small and grows by doubling, so the many tiny inclusions of a
-     classification pay for the pairs they reach.
+   - keys: the pair (qa, qb) is the key [qa * b.n + qb], and the
+     position of a successor is its letter: the search asks for one
+     letter's successor at a time, from [a.delta] and [b.delta], and
+     only while the pair's frame is on top of its stack, so a search
+     that accepts early never generates the rest.  The search's index
+     starts small and grows by doubling, so the many tiny inclusions of
+     a classification pay for the pairs they reach.
    - dead-[a] pruning (the "simulation" order on pairs): a pair whose
      [a]-component cannot start an accepting [a]-run lies on no cycle
-     of the difference and leads to none, so it is never generated.
+     of the difference and leads to none, so its letter answers
+     [Emptiness.skip] and it is never generated.
      [live_states a] is one linear pass, amortized against the product
      search it avoids.
    - marks: each distinct atom set of [acc_a] and of [dual acc_b] is
@@ -89,12 +92,15 @@ let diff_nonempty ~budget ~telemetry:tl (a : Automaton.t) (b : Automaton.t) =
       Acceptance.number_atoms ~first ~n:nb (Acceptance.dual b.acc)
     in
     let pruned = ref 0 in
-    let succ key edge =
-      let ra = a.delta.(key / nb) and rb = b.delta.(key mod nb) in
-      for l = 0 to k - 1 do
-        let qa = ra.(l) in
-        if a_live.(qa) then edge ((qa * nb) + rb.(l)) else incr pruned
-      done
+    let succ key l =
+      if l >= k then Emptiness.past_end
+      else
+        let qa = a.delta.(key / nb).(l) in
+        if a_live.(qa) then (qa * nb) + b.delta.(key mod nb).(l)
+        else begin
+          incr pruned;
+          Emptiness.skip
+        end
     in
     let r =
       Emptiness.on_the_fly ~budget

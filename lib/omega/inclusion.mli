@@ -14,13 +14,16 @@
     [a.acc /\ dual b.acc].  One {!Emptiness.on_the_fly} search answers
     that, and stops at the first accepting SCC:
 
-    - {b keys}: the pair [(qa, qb)] is the key [qa * b.n + qb], and its
-      successors are generated from [a.delta] and [b.delta], letters in
-      order, when the search discovers it;
-    - {b dead-[a] pruning}: a successor whose [a]-component has an empty
-      residual language ([live_states a]) is skipped, as no accepting
-      cycle passes through or after it (the antichain/simulation order
-      on pairs);
+    - {b keys}: the pair [(qa, qb)] is the key [qa * b.n + qb], and a
+      successor's position is its letter: the search asks for one
+      letter at a time, in order, while the pair's frame is on top of
+      its stack, and the successor is read from [a.delta] and
+      [b.delta] only then, so a search that accepts early never
+      generates the rest;
+    - {b dead-[a] pruning}: a letter whose [a]-successor has an empty
+      residual language ([live_states a]) answers {!Emptiness.skip},
+      as no accepting cycle passes through or after that pair (the
+      antichain/simulation order on pairs);
     - {b marks}: each distinct atom set of [a.acc] and of [dual b.acc]
       is one mark, and a pair carries those its components lie in; a
       [Fin] atom splits the search into runs (see
@@ -34,10 +37,11 @@
     of the search.  One [inclusion.search] span (around [live_states a]
     and the search) and the counters [inclusion.pairs] (pairs
     discovered, summed over the runs), [inclusion.pruned] (dead-[a]
-    successors skipped each time a pair's successors are generated:
-    once per pair discovered in each run, and again whenever a run
-    re-checks a finished SCC for a [Fin] atom left in its condition and
-    regenerates them) and [inclusion.same_table] report to
+    letters the search asked for: at most once per letter of each pair
+    discovered in each run, and all of them in a run that finds
+    nothing; again whenever a run re-checks a finished SCC for a [Fin]
+    atom left in its condition and walks its pairs' letters once more)
+    and [inclusion.same_table] report to
     [?telemetry] (default: the ambient handle). *)
 
 val included :

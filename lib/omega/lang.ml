@@ -94,12 +94,13 @@ let safety_liveness_decomposition ?budget a =
    reachable in >= 1 step: run the automaton from all those m states
    simultaneously and ask for a word accepted by every component.  The
    vector states are the keys of one {!Emptiness.on_the_fly} search,
-   interned as they are generated; there can be exponentially many in
-   [a.n], and the search ticks [?budget] once per vector it discovers
-   in each of its at most two runs, and stops at the first accepting
-   cycle.  Component c carries [a]'s atom marks shifted by [c * t], and
-   the condition is the [And] of the m shifted copies of [a.acc],
-   never put in DNF. *)
+   whose positions are the letters: a vector is interned only when the
+   search asks for it.  There can be exponentially many in [a.n], and
+   the search ticks [?budget] once per vector it discovers in each of
+   its at most two runs, and stops at the first accepting cycle.
+   Component c carries [a]'s atom marks shifted by [c * t], and the
+   condition is the [And] of the m shifted copies of [a.acc], never
+   put in DNF. *)
 let is_uniform_liveness ?(budget = Budget.unlimited) (a : Automaton.t) =
   let reach = Automaton.reachable a in
   let starts =
@@ -137,14 +138,15 @@ let is_uniform_liveness ?(budget = Budget.unlimited) (a : Automaton.t) =
         i
   in
   let k = Alphabet.size a.alpha in
-  let succ key edge =
-    let v = !vectors.(key) in
-    for l = 0 to k - 1 do
+  let succ key l =
+    if l >= k then Emptiness.past_end
+    else begin
+      let v = !vectors.(key) in
       for c = 0 to m - 1 do
         buf.(c) <- a.delta.(v.(c)).(l)
       done;
-      edge (intern ())
-    done
+      intern ()
+    end
   in
   List.iteri (fun c q -> buf.(c) <- q) starts;
   let start = intern () in

@@ -26,12 +26,14 @@ val is_universal : Automaton.t -> bool
     complement-and-product oracle ([Scans.included_by_product]).
     One inclusion runs sequentially: the pool argument is accepted and
     ignored, and stays only because [perfbench/w_large.ml] passes one;
-    it goes when that file may change (ROADMAP item 6). *)
+    it goes when that file may change (ROADMAP item 6).  Raises
+    [Invalid_argument] when the two alphabets differ. *)
 val included : ?pool:Pool.t -> Automaton.t -> Automaton.t -> bool
 
 val equal : Automaton.t -> Automaton.t -> bool
 (** Both inclusion directions, in order: the second runs only when the
-    first holds. *)
+    first holds.  Raises [Invalid_argument] when the two alphabets
+    differ. *)
 
 (** A lasso in the symmetric difference, if the languages differ. *)
 val distinguishing_witness :
@@ -77,8 +79,9 @@ val safety_liveness_decomposition :
     infinite word [w] with [Sigma+ . w <= Pi]?  Decided exactly by one
     {!Emptiness.on_the_fly} search of the synchronous product of [m]
     copies of the automaton, started at the [m] states reachable in at
-    least one step.  Its keys are vector states, interned as the search
-    generates them — there can be exponentially many in [a.n] — and its
+    least one step.  Its keys are vector states, and a successor's
+    position is its letter: a vector is interned only when the search
+    asks for it (there can be exponentially many in [a.n]).  Its
     condition is the [And] of the [m] copies of [a.acc], each on its own
     marks, never put in DNF.  The search stops at the first accepting
     cycle, and ticks [?budget] once per vector it discovers in each of

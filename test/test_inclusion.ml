@@ -253,16 +253,17 @@ let gen_pairs_automaton =
     (int_range 4 6 >>= fun k -> list_repeat k (pair gen_set gen_set))
     bool
 
-(* A random automaton, and the same automaton with 1-3 states appended
-   that no run reaches: their rows point anywhere, back into the
-   original states too, and each acceptance set takes a random share
-   of them, so the junk carries Inf and Fin marks alike. *)
-let gen_junked =
+(* [a] with 1-3 states appended that no run reaches: their rows point
+   anywhere, back into the original states too, and each acceptance
+   set takes a random share of them, so the junk carries Inf and Fin
+   marks alike. *)
+let add_junk (a : Automaton.t) =
   let open QCheck.Gen in
-  gen_automaton >>= fun (a : Automaton.t) ->
   int_range 1 3 >>= fun k ->
   let n = a.n + k in
-  list_repeat k (list_repeat 2 (int_bound (n - 1))) >>= fun rows ->
+  list_repeat k
+    (list_repeat (Finitary.Alphabet.size a.alpha) (int_bound (n - 1)))
+  >>= fun rows ->
   int >|= fun seed ->
   let st = Random.State.make [| seed |] in
   let marks s =
@@ -272,13 +273,106 @@ let gen_junked =
             (fun _ -> Random.State.bool st)
             (List.init k (( + ) a.n))))
   in
-  ( a,
-    Automaton.make ~alpha:a.alpha ~n ~start:a.start
-      ~delta:(Array.append a.delta (Array.of_list (List.map Array.of_list rows)))
-      ~acc:(Acceptance.map_sets marks a.acc) )
+  Automaton.make ~alpha:a.alpha ~n ~start:a.start
+    ~delta:(Array.append a.delta (Array.of_list (List.map Array.of_list rows)))
+    ~acc:(Acceptance.map_sets marks a.acc)
+
+(* A random automaton, and the same with junk. *)
+let gen_junked =
+  QCheck.Gen.(gen_automaton >>= fun a -> add_junk a >|= fun j -> (a, j))
 
 let arb_junked =
   QCheck.make ~print:(fun (_, j) -> pp_auto j) gen_junked
+
+(* Automata at the lattice's edges, over one, two or three letters:
+   the empty and the full automaton, one state under a random
+   condition, a dead start (a transient start in front of a rejecting
+   sink), and a start whose language is empty while another state's is
+   not (state 2 loops on the first letter under [Inf {2}], and no run
+   from the start reaches it).  Each may get 1-3 states appended that
+   no run reaches, with random rows and random shares of every
+   acceptance set. *)
+let gen_edge alpha =
+  let open QCheck.Gen in
+  let k = Finitary.Alphabet.size alpha in
+  let make ~n delta acc =
+    Automaton.make ~alpha ~n ~start:0 ~delta:(Array.of_list delta) ~acc
+  in
+  let one = Iset.singleton in
+  let one_state =
+    map
+      (fun acc -> make ~n:1 [ Array.make k 0 ] acc)
+      (oneofl
+         Acceptance.
+           [
+             True;
+             False;
+             Inf (one 0);
+             Fin (one 0);
+             Inf Iset.empty;
+             Fin Iset.empty;
+             And [ Inf (one 0); Fin (one 0) ];
+             Or [ Inf (one 0); Fin (one 0) ];
+           ])
+  in
+  let dead_start =
+    map
+      (fun acc -> make ~n:2 [ Array.make k 1; Array.make k 1 ] acc)
+      (oneofl
+         Acceptance.[ Inf (one 0); Fin (one 1); Fin (Iset.of_list [ 0; 1 ]) ])
+  in
+  let empty_start =
+    map2
+      (fun row rest ->
+        make ~n:3
+          [ Array.of_list row; Array.make k 1; Array.of_list (2 :: rest) ]
+          (Acceptance.Inf (one 2)))
+      (list_repeat k (int_bound 1))
+      (list_repeat (k - 1) (int_bound 2))
+  in
+  let base =
+    oneof
+      [
+        return (Automaton.empty_lang alpha);
+        return (Automaton.full alpha);
+        one_state;
+        dead_start;
+        empty_start;
+      ]
+  in
+  base >>= fun a -> oneof [ return a; add_junk a ]
+
+(* Two edge automata, over one alphabet or, one time in eight, two. *)
+let gen_edge_pair =
+  let open QCheck.Gen in
+  let alphabets = List.map Finitary.Alphabet.of_chars [ "a"; "ab"; "abc" ] in
+  oneofl alphabets >>= fun alpha ->
+  frequency [ (7, return alpha); (1, oneofl alphabets) ] >>= fun beta ->
+  pair (gen_edge alpha) (gen_edge beta)
+
+(* The answer of [f], or the exception it raised. *)
+let guard f = try Ok (f ()) with e -> Error (Printexc.to_string e)
+
+(* [Lang.included], [equal] and [is_universal] answer as the product
+   oracle does, and raise only what their interfaces document: an
+   alphabet mismatch is an [Invalid_argument]. *)
+let edge_agrees (a, (b : Automaton.t)) =
+  let universal (x : Automaton.t) =
+    guard (fun () -> Lang.is_universal x)
+    = Ok (Scans.is_universal_by_product x)
+  in
+  universal a && universal b
+  &&
+  if Finitary.Alphabet.equal a.alpha b.alpha then
+    guard (fun () -> Lang.included a b) = Ok (Scans.included_by_product a b)
+    && guard (fun () -> Lang.included b a) = Ok (Scans.included_by_product b a)
+    && guard (fun () -> Lang.equal a b) = Ok (Scans.equal_by_product a b)
+  else
+    let mismatch f =
+      match f () with _ -> false | exception Invalid_argument _ -> true
+    in
+    mismatch (fun () -> Lang.included a b)
+    && mismatch (fun () -> Lang.equal a b)
 
 (* The oracle's verdict on [L(a) <= L(b)], and the successor rows it
    asked for to reach it. *)
@@ -331,6 +425,12 @@ let differential_tests =
           oracle_work a' b' = (v, work)
           && Lang.included a' b' = v
           && oracle_verdicts a' b' = verdicts a b);
+      QCheck.Test.make ~name:"edge automata: Lang inclusion = product oracle"
+        ~count:1000
+        (QCheck.make
+           ~print:(fun (a, b) -> pp_auto a ^ "\n" ^ pp_auto b)
+           gen_edge_pair)
+        edge_agrees;
       QCheck.Test.make ~name:"a rebuilt twin is always language-equal"
         ~count:300 arb_automaton (fun a ->
           Lang.equal a (twin a) && Scans.equal_by_product a (twin a));
@@ -414,18 +514,72 @@ let live_states_alloc_test =
       if words >= 1_000_000. then
         Alcotest.failf "live_states allocated %.0f minor words" words)
 
+(* Two counters over four letters whose first letter steps both, so
+   the search's depth-first stack chains through every pair it
+   discovers before it closes a cycle: 4,761 pairs at 120 x 119, and a
+   difference found in the first run.  A frame is three ints and a
+   key's successors are asked for one at a time, so the search
+   allocates its index and flat stacks, which double up to that depth,
+   and nothing per successor: about 33 words per pair.  Copying each
+   key's successors onto an edge stack when it was discovered took
+   about 40. *)
+let chase_a na =
+  Automaton.make ~alpha:abcd ~n:na ~start:0
+    ~delta:
+      (Array.init na (fun q ->
+           [| (q + 1) mod na; q; (q + 3) mod na; (q + 5) mod na |]))
+    ~acc:(Acceptance.Inf (Iset.singleton 0))
+
+let chase_b nb =
+  Automaton.make ~alpha:abcd ~n:nb ~start:0
+    ~delta:
+      (Array.init nb (fun q ->
+           [| (q + 1) mod nb; (q + 2) mod nb; q; (q + 7) mod nb |]))
+    ~acc:
+      (Acceptance.And
+         [
+           Acceptance.Inf (Iset.singleton 0); Acceptance.Inf (Iset.singleton 1);
+         ])
+
+(* Words allocated so far, minor and major.  The minor count is
+   [Gc.minor_words]: on OCaml 5.1 the one [Gc.counters] returns can
+   count words allocated in one interval in the next, which here read
+   up to 72 words per pair now and then. *)
+let words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+let search_alloc_test =
+  Alcotest.test_case "a deep product search allocates no successor copies"
+    `Quick (fun () ->
+      let a = chase_a 120 and b = chase_b 119 in
+      (* the first call fills [a]'s successor memo for [live_states] *)
+      ignore (Inclusion.included a b);
+      let t = Telemetry.collector () in
+      let before = words () in
+      let v = Inclusion.included ~telemetry:t a b in
+      let per_pair =
+        (words () -. before) /. float (Telemetry.counter t "inclusion.pairs")
+      in
+      Alcotest.(check bool) "L(a) not <= L(b)" false v;
+      Alcotest.(check int) "pairs" 4761 (Telemetry.counter t "inclusion.pairs");
+      if per_pair > 36. then
+        Alcotest.failf "the search allocated %.1f words per pair" per_pair)
+
 (* A graph for the on-the-fly search: 1..12 states under sparse keys,
    so that the search's own numbering is exercised, and 0..70 marks,
    more than one word of them.  Some states carry every mark or none;
    the others carry each mark with one per-graph probability.  Sparse
    edge densities leave many trivial SCCs, some of them fully marked.
-   The condition is the generalized Buechi one over every mark, or a
-   random tree of [Inf]/[Fin] atoms over a few marks under [And]s and
-   [Or]s; the cut is empty or a random set of marks. *)
+   A row lists a state's successors by position, and a share of its
+   positions ([-1]) hold none.  The condition is the generalized
+   Buechi one over every mark, or a random tree of [Inf]/[Fin] atoms
+   over a few marks under [And]s and [Or]s; the cut is empty or a
+   random set of marks. *)
 type graph = {
   n : int;
   start : int;
-  rows : int list array;
+  rows : int array array;
   sets : int;
   marks : Iset.t array;
   acc : Acceptance.t;
@@ -439,13 +593,30 @@ let gen_graph =
   let open QCheck.Gen in
   int_range 1 12 >>= fun n ->
   int_range 0 70 >>= fun sets ->
-  pair (oneofl [ 0.08; 0.2; 0.4 ]) (oneofl [ 0.3; 0.8; 0.97 ])
-  >>= fun (density, share) ->
+  triple
+    (oneofl [ 0.08; 0.2; 0.4 ])
+    (oneofl [ 0.3; 0.8; 0.97 ])
+    (oneofl [ 0.; 0.1; 0.4 ])
+  >>= fun (density, share, holes) ->
   (* the indices of the coins below [p] *)
   let below p coins =
     List.concat (List.mapi (fun i c -> if c < p then [ i ] else []) coins)
   in
-  let row = map (below density) (list_repeat n (float_bound_exclusive 1.)) in
+  (* state [i] when its coin is below [density], a hole when it is
+     below [density + holes] *)
+  let row =
+    map
+      (fun coins ->
+        Array.of_list
+          (List.concat
+             (List.mapi
+                (fun i c ->
+                  if c < density then [ i ]
+                  else if c < density +. holes then [ -1 ]
+                  else [])
+                coins)))
+      (list_repeat n (float_bound_exclusive 1.))
+  in
   let marks =
     frequency
       [
@@ -511,9 +682,16 @@ let print_graph g =
     (String.concat "\n"
        (List.init g.n (fun q ->
             Printf.sprintf "%d -> [%s] marks {%s}" q
-              (String.concat "; " (List.map string_of_int g.rows.(q)))
+              (String.concat "; "
+                 (List.map string_of_int (Array.to_list g.rows.(q))))
               (String.concat ","
                  (List.map string_of_int (Iset.elements g.marks.(q)))))))
+
+(* The distinct [Fin] sets of a condition. *)
+let rec fin_sets = function
+  | Acceptance.Fin x -> [ x ]
+  | And l | Or l -> List.concat_map fin_sets l
+  | True | False | Inf _ -> []
 
 (* The search answers as the Emerson-Lei kernel does on the states
    reachable from the start, cut states removed, with each atom over
@@ -523,9 +701,19 @@ let print_graph g =
    one never accepts.  It makes at most two runs, however many
    [Fin] atoms the condition has, ticks once per key it discovers in
    each run, and a run that finds nothing discovers every reachable
-   key, cut keys included. *)
+   key, cut keys included.
+
+   Every call to [succ] is logged.  A state past its row answers
+   [Emptiness.past_end] or, on odd states, [min_int]: any answer below
+   [-1] ends the row.  When the condition has at most one distinct
+   [Fin] set, the split removes it and no finished SCC is walked
+   again, so each run (its calls start at the start's position 0)
+   asks for each (key, position) at most once, a key's positions from
+   0 up; a run that finds nothing asks for every position of every
+   reachable key, its end included, and an accepting search asks for
+   nothing after the successor that closed its cycle. *)
 let on_the_fly_agrees g =
-  let succ q = g.rows.(q) in
+  let succ q = List.filter (fun q' -> q' >= 0) (Array.to_list g.rows.(q)) in
   let reach = Array.make g.n false in
   let rec visit q =
     if not reach.(q) then begin
@@ -549,20 +737,75 @@ let on_the_fly_agrees g =
   let acc =
     if Iset.is_empty g.cut then g.acc else Acceptance.And [ Fin g.cut; g.acc ]
   in
+  let calls = ref [] in
+  let positional k i =
+    let q = state k in
+    let row = g.rows.(q) in
+    let answer =
+      if i >= Array.length row then
+        if q mod 2 = 0 then Emptiness.past_end else min_int
+      else if row.(i) < 0 then Emptiness.skip
+      else key row.(i)
+    in
+    calls := (k, i, answer) :: !calls;
+    answer
+  in
   let r =
     Emptiness.on_the_fly ~budget
       ~marks:(fun k -> g.marks.(state k))
-      ~succ:(fun k edge -> List.iter (fun q -> edge (key q)) (succ (state k)))
-      acc (key g.start)
+      ~succ:positional acc (key g.start)
   in
+  let calls = List.rev !calls in
+  (* the calls of each run *)
+  let runs =
+    List.fold_left
+      (fun runs ((k, i, _) as c) ->
+        match runs with
+        | _ when k = key g.start && i = 0 -> [ c ] :: runs
+        | run :: rest -> (c :: run) :: rest
+        | [] -> [ [ c ] ])
+      [] calls
+    |> List.rev_map List.rev
+  in
+  let once_per_run run =
+    let asked = Hashtbl.create 16 in
+    List.for_all
+      (fun (k, i, _) ->
+        let fresh =
+          (not (Hashtbl.mem asked (k, i)))
+          && (i = 0 || Hashtbl.mem asked (k, i - 1))
+        in
+        Hashtbl.replace asked (k, i) ();
+        fresh)
+      run
+  in
+  (* positions [0 .. length] of each reachable row, its end included *)
+  let positions = ref 0 in
+  Array.iteri
+    (fun q r -> if r then positions := !positions + Array.length g.rows.(q) + 1)
+    reach;
+  let every_position run =
+    List.length run = !positions
+    && List.for_all
+         (fun (k, i, _) ->
+           reach.(state k) && i <= Array.length g.rows.(state k))
+         run
+  in
+  let distinct_fins = List.sort_uniq Iset.compare (fin_sets acc) in
   r.accepting = expected
   && r.runs <= 2
   && Budget.spent budget = r.visited
   && r.visited <= r.runs * reached
   && (r.accepting || r.visited = r.runs * reached)
+  && (List.length distinct_fins > 1
+     || List.length runs = r.runs
+        && List.for_all once_per_run runs
+        && (if r.accepting then
+              match List.rev calls with (_, _, w) :: _ -> w >= 0 | [] -> false
+            else List.for_all every_position runs))
 
 let emerson_lei_tests =
-  live_states_alloc_test
+  live_states_alloc_test :: search_alloc_test
   :: List.map QCheck_alcotest.to_alcotest
     [
       QCheck.Test.make ~name:"on-the-fly search = kernel on the reach"
