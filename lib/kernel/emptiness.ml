@@ -145,29 +145,6 @@ let maximal_accepting_cycles ?(budget = Budget.unlimited) ~n ~succ acc s =
   in
   maximal acc s
 
-(* A growable stack of ints on one flat array.  Most searches are tiny
-   (a tableau product stops after a handful of states), so a stack
-   starts as an 8-slot literal, which is allocated inline where
-   [Array.make] is a C call. *)
-type ints = { mutable data : int array; mutable top : int }
-
-let ints () = { data = [| 0; 0; 0; 0; 0; 0; 0; 0 |]; top = 0 }
-
-let push s x =
-  if s.top = Array.length s.data then begin
-    let d = Array.make (2 * s.top) 0 in
-    Array.blit s.data 0 d 0 s.top;
-    s.data <- d
-  end;
-  s.data.(s.top) <- x;
-  s.top <- s.top + 1
-
-let pop s =
-  s.top <- s.top - 1;
-  s.data.(s.top)
-
-let peek s = s.data.(s.top - 1)
-
 (* The answers [succ k i] may give besides a successor key. *)
 let skip = -1
 let past_end = -2
@@ -196,7 +173,15 @@ let past_end = -2
    A cut key is closed as soon as it is discovered and waits on
    [pending]; it is expanded only when [frames] is empty, in a frame
    numbered [-1] that has no root, so every open state is closed by
-   then and no cycle can pass through it. *)
+   then and no cycle can pass through it.
+
+   Every stack is an {!Int_stack}, and [seen] follows [roots] in chunks
+   of the same size, so the state of a run that chains through a
+   million keys is never copied: it starts as small literals and, past
+   one chunk, grows by adding chunks.  The index is paged, so it costs
+   about a word per key when the keys are dense.  Only [closed], a
+   byte per number, still doubles: its copies come to a quarter of a
+   word per key. *)
 type run = {
   budget : Budget.t;
   marks : int -> Iset.t;
@@ -206,14 +191,65 @@ type run = {
   index : Int_index.t;  (** key -> number *)
   mutable count : int;  (** keys discovered *)
   mutable closed : Bytes.t;  (** per number: closed or cut *)
-  frames : ints;  (** number, key, next position *)
-  open_ : ints;
-  roots : ints;  (** the first number of each open root *)
-  mutable seen : Iset.t array;  (** the marks root [i] has absorbed *)
-  pending : ints;  (** cut keys not yet expanded *)
+  frames : Int_stack.t;  (** number, key, next position *)
+  open_ : Int_stack.t;
+  roots : Int_stack.t;  (** the first number of each open root *)
+  mutable seen : Iset.t array;
+      (** the marks root [i] has absorbed, for [i] below {!Int_stack.chunk} *)
+  mutable more_seen : Iset.t array array;
+      (** chunk [i / Int_stack.chunk] of [seen] past the first *)
+  pending : Int_stack.t;  (** cut keys not yet expanded *)
   split : bool;  (** [acc] has a [Fin] atom *)
-  keys : ints;  (** number -> key, kept when [split] *)
+  keys : Int_stack.t;  (** number -> key, kept when [split] *)
 }
+
+let get_seen r i =
+  if i < Int_stack.chunk then r.seen.(i)
+  else r.more_seen.(i / Int_stack.chunk).(i mod Int_stack.chunk)
+
+(* [i] is at most one past the last root set: the first chunk doubles
+   up to {!Int_stack.chunk}, as a stack does, then chunks are added *)
+let set_seen r i m =
+  if i < Int_stack.chunk then begin
+    if i = Array.length r.seen then begin
+      let s = Array.make (min (2 * i) Int_stack.chunk) Iset.empty in
+      Array.blit r.seen 0 s 0 i;
+      r.seen <- s
+    end;
+    r.seen.(i) <- m
+  end
+  else begin
+    let c = i / Int_stack.chunk in
+    if c >= Array.length r.more_seen then begin
+      let d = Array.make (2 * c) [||] in
+      Array.blit r.more_seen 0 d 0 (Array.length r.more_seen);
+      r.more_seen <- d
+    end;
+    if Array.length r.more_seen.(c) = 0 then
+      r.more_seen.(c) <- Array.make Int_stack.chunk Iset.empty;
+    r.more_seen.(c).(i mod Int_stack.chunk) <- m
+  end
+
+(* The common case of {!Int_stack.push}, [drop] and [peek], inside one
+   chunk, in line: a run pushes and pops several ints per key, and a
+   call into another module is not inlined.  Crossing a chunk boundary
+   goes through {!Int_stack}. *)
+let push (s : Int_stack.t) x =
+  if s.top < Array.length s.data then begin
+    Array.unsafe_set s.data s.top x;
+    s.top <- s.top + 1
+  end
+  else Int_stack.push s x
+
+let drop (s : Int_stack.t) n =
+  if s.top > n then s.top <- s.top - n else Int_stack.drop s n
+
+let peek (s : Int_stack.t) = s.data.(s.top - 1)
+
+let pop s =
+  let x = peek s in
+  drop s 1;
+  x
 
 let enter r v key =
   push r.frames v;
@@ -237,13 +273,7 @@ let discover r key =
     push r.pending key
   end
   else begin
-    let i = r.roots.top in
-    if i = Array.length r.seen then begin
-      let s = Array.make (2 * i) Iset.empty in
-      Array.blit r.seen 0 s 0 i;
-      r.seen <- s
-    end;
-    r.seen.(i) <- m;
+    set_seen r (Int_stack.length r.roots) m;
     push r.roots v;
     push r.open_ v;
     enter r v key
@@ -253,12 +283,13 @@ let discover r key =
 let merge r w =
   let m = ref Iset.empty in
   while peek r.roots > w do
-    m := Iset.union r.seen.(r.roots.top - 1) !m;
-    r.roots.top <- r.roots.top - 1
+    drop r.roots 1;
+    m := Iset.union (get_seen r (Int_stack.length r.roots)) !m
   done;
-  let i = r.roots.top - 1 in
-  r.seen.(i) <- Iset.union r.seen.(i) !m;
-  Acceptance.eval r.acc r.seen.(i)
+  let i = Int_stack.length r.roots - 1 in
+  let u = Iset.union (get_seen r i) !m in
+  set_seen r i u;
+  Acceptance.eval r.acc u
 
 (* closes the SCC of the finished root [v], and returns its numbers
    when they are kept *)
@@ -284,9 +315,9 @@ let inside r u scc =
       match first_fin acc with
       | None -> false
       | Some _ ->
-          let keys = Array.of_list (List.map (Array.get r.keys.data) scc) in
+          let keys = Array.of_list (List.map (Int_stack.get r.keys) scc) in
           let s = Array.length keys in
-          let local = Int_index.create s in
+          let local = Int_index.create () in
           Array.iteri (fun i k -> ignore (Int_index.find_or_add local k i)) keys;
           let succ i =
             let rec walk p out =
@@ -337,17 +368,23 @@ let rec loop r =
     end
     else begin
       let v = f.(t - 3) in
-      r.frames.top <- t - 3;
+      drop r.frames 3;
       if v >= 0 && peek r.roots = v then begin
-        r.roots.top <- r.roots.top - 1;
-        let u = r.seen.(r.roots.top) in
+        drop r.roots 1;
+        let u = get_seen r (Int_stack.length r.roots) in
         inside r u (close r v) || loop r
       end
       else loop r
     end
 
+(* The stack a run that never pushes onto [pending] (its cut is empty)
+   or [keys] (it keeps no [Fin]) holds in their place: it stays empty,
+   so runs on any domain may share it. *)
+let unused = Int_stack.create ()
+
 (* The verdict and the number of keys discovered. *)
 let run ~budget ~marks ~succ ~cut acc start =
+  let split = Option.is_some (first_fin acc) in
   let r =
     {
       budget;
@@ -355,16 +392,22 @@ let run ~budget ~marks ~succ ~cut acc start =
       succ;
       cut;
       acc;
-      index = Int_index.create 8;
+      index = Int_index.create ();
       count = 0;
       closed = Bytes.make 16 '\000';
-      frames = ints ();
-      open_ = ints ();
-      roots = ints ();
-      seen = Iset.[| empty; empty; empty; empty; empty; empty; empty; empty |];
-      pending = ints ();
-      split = Option.is_some (first_fin acc);
-      keys = ints ();
+      frames = Int_stack.create ();
+      open_ = Int_stack.create ();
+      roots = Int_stack.create ();
+      seen =
+        Iset.
+          [|
+            empty; empty; empty; empty; empty; empty; empty; empty; empty;
+            empty; empty; empty; empty; empty; empty; empty;
+          |];
+      more_seen = [||];
+      pending = (if Iset.is_empty cut then unused else Int_stack.create ());
+      split;
+      keys = (if split then Int_stack.create () else unused);
     }
   in
   ignore (Int_index.find_or_add r.index start 0);

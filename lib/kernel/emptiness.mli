@@ -115,14 +115,18 @@ val on_the_fly :
     ("On-the-fly verification of linear temporal logic", FM 1999) runs
     a depth-first search from [start], calls [marks] on a key when it
     discovers it, and numbers keys in discovery order in an
-    {!Int_index}.  A depth-first frame is three ints on a flat stack
-    (the key's number, the key and its next position), and [succ] is
-    asked for a key's next position only while its frame is on top;
-    roots and open states are ints on flat stacks too.  Each open root
-    keeps the union of the marks of the states it has absorbed; an
-    edge back to an open state merges the roots above it into one, and
-    for a [Fin]-free condition, which is monotone, the run stops as
-    soon as that root's union satisfies it.  A key whose marks satisfy
+    {!Int_index}.  A depth-first frame is three ints on an
+    {!Int_stack} (the key's number, the key and its next position),
+    and [succ] is asked for a key's next position only while its frame
+    is on top; roots and open states are ints on stacks of their own.
+    Every stack starts as a small literal and, past one chunk, grows by
+    adding chunks, and the index adds 16-slot pages that never move, so
+    the search does not copy its frames, roots or keys as it deepens,
+    and its memory follows the keys it reaches, not the range of the
+    keys.  Each open root keeps the union of the marks of the states it
+    has absorbed; an edge back to an open state merges the roots above
+    it into one, and for a [Fin]-free condition, which is monotone, the
+    run stops as soon as that root's union satisfies it.  A key whose marks satisfy
     the condition but that lies on no cycle accepts nothing.
 
     The condition's first [Fin X] splits the search (Baier et al.,

@@ -106,7 +106,7 @@ let sccs_region ~n ~succ region =
       ~state:Fun.id
       ~roots:(fun visit -> Bitset.iter visit region)
   else begin
-    let members = Array.make r 0 and local = Int_index.create r in
+    let members = Array.make r 0 and local = Int_index.create () in
     let i = ref 0 in
     Bitset.iter
       (fun q ->

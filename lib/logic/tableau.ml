@@ -479,8 +479,9 @@ let nonempty a =
    in [i]'s row, [y0] at the start of [j]'s block on [x]'s letter, [y]
    in that block, which is walked again for each successor of [i] on
    the letter.  The search walks a key's positions in order and the
-   walks nest, so the open cursors sit on one stack, five ints each:
-   [i], [j], [x], [y0], [y]. *)
+   walks nest, so the open cursors sit on one {!Int_stack}, five ints
+   each, [i], [j], [x], [y0], [y], and a cursor is read and moved in
+   place in the stack's top chunk. *)
 let intersects ?budget a b =
   if not (a.alpha == b.alpha || Alphabet.equal a.alpha b.alpha) then
     invalid_arg "Tableau.intersects: alphabet mismatch";
@@ -493,11 +494,11 @@ let intersects ?budget a b =
       b.marks
   in
   let marks k = Iset.union a.marks.(k / width) shifted.(k mod width) in
-  let cursors = ref (Array.make 40 0) and top = ref 0 in
+  let cursors = Int_stack.create () in
   let rec next c t la ta lb tb =
     let x = c.(t - 3) and y0 = c.(t - 2) and y = c.(t - 1) in
     if x >= Array.length la || y0 >= Array.length lb then begin
-      top := t - 5;
+      Int_stack.drop cursors 5;
       Emptiness.past_end
     end
     else if la.(x) < lb.(y0) then begin
@@ -522,17 +523,13 @@ let intersects ?budget a b =
   in
   let succ k p =
     if p = 0 then begin
-      if !top + 5 > Array.length !cursors then
-        cursors := Array.append !cursors !cursors;
-      let c = !cursors and t = !top in
-      c.(t) <- k / width;
-      c.(t + 1) <- k mod width;
-      c.(t + 2) <- 0;
-      c.(t + 3) <- 0;
-      c.(t + 4) <- 0;
-      top := t + 5
+      Int_stack.push cursors (k / width);
+      Int_stack.push cursors (k mod width);
+      Int_stack.push cursors 0;
+      Int_stack.push cursors 0;
+      Int_stack.push cursors 0
     end;
-    let c = !cursors and t = !top in
+    let c = cursors.data and t = cursors.top in
     let i = c.(t - 5) and j = c.(t - 4) in
     if (i * width) + j <> k then
       invalid_arg "Tableau.intersects: successor walks do not nest";

@@ -64,9 +64,11 @@ let is_empty a = not (nonempty a)
      position of a successor is its letter: the search asks for one
      letter's successor at a time, from [a.delta] and [b.delta], and
      only while the pair's frame is on top of its stack, so a search
-     that accepts early never generates the rest.  The search's index
-     starts small and grows by doubling, so the many tiny inclusions of
-     a classification pay for the pairs they reach.
+     that accepts early never generates the rest.  The search's stacks
+     and index start small and grow by chunks and pages, never copying
+     what they hold, so the many tiny inclusions of a classification
+     and a chain through a million pairs each pay for the pairs they
+     reach.
    - dead-[a] pruning (the "simulation" order on pairs): a pair whose
      [a]-component cannot start an accepting [a]-run lies on no cycle
      of the difference and leads to none, so its letter answers

@@ -519,10 +519,10 @@ let live_states_alloc_test =
    discovers before it closes a cycle: 4,761 pairs at 120 x 119, and a
    difference found in the first run.  A frame is three ints and a
    key's successors are asked for one at a time, so the search
-   allocates its index and flat stacks, which double up to that depth,
-   and nothing per successor: about 33 words per pair.  Copying each
-   key's successors onto an edge stack when it was discovered took
-   about 40. *)
+   allocates its paged index and its chunked stacks and nothing per
+   successor: about 19 words per pair here, where the first chunk's
+   doublings still weigh.  Copying each key's successors onto an edge
+   stack when it was discovered took about 40. *)
 let chase_a na =
   Automaton.make ~alpha:abcd ~n:na ~start:0
     ~delta:
@@ -564,6 +564,52 @@ let search_alloc_test =
       Alcotest.(check bool) "L(a) not <= L(b)" false v;
       Alcotest.(check int) "pairs" 4761 (Telemetry.counter t "inclusion.pairs");
       if per_pair > 36. then
+        Alcotest.failf "the search allocated %.1f words per pair" per_pair)
+
+(* At 300 x 299 the chain holds 29,901 pairs, several chunks of every
+   stack.  Stacks and an index that double up to that depth copy all
+   they hold at each doubling, about 25 words per pair; stacks that add
+   chunks and an index that adds pages read about 13. *)
+let deep_alloc_test =
+  Alcotest.test_case "a deeper product search allocates no stack copies"
+    `Quick (fun () ->
+      let a = chase_a 300 and b = chase_b 299 in
+      ignore (Inclusion.included a b);
+      let t = Telemetry.collector () in
+      let before = words () in
+      let v = Inclusion.included ~telemetry:t a b in
+      let pairs = Telemetry.counter t "inclusion.pairs" in
+      let per_pair = (words () -. before) /. float pairs in
+      Alcotest.(check bool) "L(a) not <= L(b)" false v;
+      Alcotest.(check int) "pairs" 29901 pairs;
+      if per_pair > 18. then
+        Alcotest.failf "the search allocated %.1f words per pair" per_pair)
+
+(* A 20,000-state sweep against its rebuilt twin reaches the 20,000
+   diagonal pairs [q * (n + 1)], one per page of the index: memory must
+   follow the keys reached, about 52 words per pair with [live_states]
+   and the marks (61 with the flat table the index replaced), not the
+   4 * 10^8 codes of the square, which a directory indexed by page
+   number would pay for (about 4,150 words per pair). *)
+let sparse_alloc_test =
+  Alcotest.test_case "a sparse product search allocates per key reached"
+    `Quick (fun () ->
+      let n = 20_000 in
+      let sweep =
+        Automaton.make ~alpha:ab ~n ~start:0
+          ~delta:(Array.init n (fun q -> [| (q + 1) mod n; q |]))
+          ~acc:(Acceptance.Inf (Iset.singleton 0))
+      in
+      let twin = twin sweep in
+      ignore (Inclusion.included sweep twin);
+      let t = Telemetry.collector () in
+      let before = words () in
+      let v = Inclusion.included ~telemetry:t sweep twin in
+      let pairs = Telemetry.counter t "inclusion.pairs" in
+      let per_pair = (words () -. before) /. float pairs in
+      Alcotest.(check bool) "L(sweep) <= L(twin)" true v;
+      Alcotest.(check int) "pairs" n pairs;
+      if per_pair > 100. then
         Alcotest.failf "the search allocated %.1f words per pair" per_pair)
 
 (* A graph for the on-the-fly search: 1..12 states under sparse keys,
@@ -804,8 +850,94 @@ let on_the_fly_agrees g =
               match List.rev calls with (_, _, w) :: _ -> w >= 0 | [] -> false
             else List.for_all every_position runs))
 
+(* A ring of [n] states, several stack chunks long, with back edges:
+   under [And [Fin {0}; Fin {1}; Inf {2}]] the search splits on
+   [Fin {0}] and keeps [Fin {1}], so the ring's SCC, whose marks fail
+   the condition (a state outside the cycle [lo .. hi] carries mark
+   1), finishes whole and is decided by the per-SCC recursion, on keys
+   read back by number from every chunk of [keys].  The back edge [hi
+   -> lo] closes the cycle [lo .. hi], which mostly meets mark 2 and
+   avoids mark 1, so that only that recursion finds it; random cuts
+   (mark 0), marks and back edges vary the rest.  Keys are sparse, [q
+   * 7919 + 3].  The verdict is the Emerson-Lei kernel's on the
+   explicit graph. *)
+let gen_ring =
+  let open QCheck.Gen in
+  int_range (2 * Int_stack.chunk) (5 * Int_stack.chunk) >>= fun n ->
+  let pick = int_bound (n - 1) in
+  int_range 0 (n / 2) >>= fun lo ->
+  int_range (lo + 1) (n - 2) >>= fun hi ->
+  let inside = int_range lo hi in
+  let outside =
+    map (fun d -> (hi + 1 + d) mod n) (int_bound (n - hi + lo - 2))
+  in
+  let maybe p g =
+    map2 (fun x c -> if c < p then [ x ] else []) g (float_bound_exclusive 1.)
+  in
+  quad
+    (list_size (int_range 0 2) (pair pick pick))
+    (list_size (int_range 0 2) pick)
+    (map2 ( @ ) (map (fun q -> [ q ]) outside) (maybe 0.3 inside))
+    (map2 ( @ ) (maybe 0.8 inside) (maybe 0.3 outside))
+  >>= fun (chords, fin0, fin1, inf2) ->
+  return (n, (hi, lo) :: chords, fin0, fin1, inf2)
+
+let print_ring (n, chords, fin0, fin1, inf2) =
+  let l xs = String.concat "," (List.map string_of_int xs) in
+  Printf.sprintf "n %d, back edges [%s], Fin0 {%s}, Fin1 {%s}, Inf2 {%s}" n
+    (String.concat "; "
+       (List.map (fun (a, b) -> Printf.sprintf "%d->%d" (max a b) (min a b))
+          chords))
+    (l fin0) (l fin1) (l inf2)
+
+let ring_agrees (n, chords, fin0, fin1, inf2) =
+  let rows =
+    Array.init n (fun q ->
+        (q + 1) mod n
+        :: List.filter_map
+             (fun (a, b) -> if max a b = q then Some (min a b) else None)
+             chords)
+  in
+  let marks =
+    Array.init n (fun q ->
+        Iset.of_list
+          (List.filter_map
+             (fun (k, qs) -> if List.mem q qs then Some k else None)
+             [ (0, fin0); (1, fin1); (2, inf2) ]))
+  in
+  let acc =
+    Acceptance.And
+      [
+        Fin (Iset.singleton 0); Fin (Iset.singleton 1); Inf (Iset.singleton 2);
+      ]
+  in
+  let lifted =
+    Acceptance.map_sets
+      (fun x -> Iset.init n (fun q -> not (Iset.disjoint marks.(q) x)))
+      acc
+  in
+  let expected =
+    Emptiness.accepting_scc ~n ~succ:(fun q -> rows.(q)) lifted
+      (Iset.init n (fun _ -> true))
+  in
+  let succ k i =
+    let row = rows.(state k) in
+    if i < List.length row then key (List.nth row i) else Emptiness.past_end
+  in
+  let r =
+    Emptiness.on_the_fly ~marks:(fun k -> marks.(state k)) ~succ acc (key 0)
+  in
+  r.accepting = Option.is_some expected
+
+let ring_test =
+  QCheck.Test.make ~name:"a ring over several chunks under Fin = kernel"
+    ~count:30
+    (QCheck.make ~print:print_ring gen_ring)
+    ring_agrees
+
 let emerson_lei_tests =
-  live_states_alloc_test :: search_alloc_test
+  live_states_alloc_test :: search_alloc_test :: deep_alloc_test
+  :: sparse_alloc_test
   :: List.map QCheck_alcotest.to_alcotest
     [
       QCheck.Test.make ~name:"on-the-fly search = kernel on the reach"
@@ -818,6 +950,7 @@ let emerson_lei_tests =
       QCheck.Test.make ~name:"is_uniform_liveness = restart-product oracle"
         ~count:300 (arb_small ~depth:2) (fun a ->
           Lang.is_uniform_liveness a = uniform_oracle a);
+      ring_test;
     ]
 
 (* ------------------------------------------------------------------ *)

@@ -331,7 +331,7 @@ let int_index_tests =
         QCheck.(
           pair (int_range 1 1000) (list (pair (int_bound 2000) (int_bound 3))))
         (fun (stride, steps) ->
-          let t = Int_index.create 1 and h = Hashtbl.create 16 in
+          let t = Int_index.create () and h = Hashtbl.create 16 in
           List.for_all
             (fun (k, scale) ->
               let key = k * (if scale = 0 then 1 else stride * scale) in
@@ -349,6 +349,66 @@ let int_index_tests =
                  = Option.value ~default:(-1) (Hashtbl.find_opt h (key + 1)))
             steps
           && Int_index.find t (-1) = -1);
+      (* tens of thousands of keys: the pages fill several chunks of
+         their stack, and the page table doubles many times *)
+      QCheck.Test.make ~name:"many dense and sparse keys agree with Hashtbl"
+        ~count:20
+        QCheck.(pair (int_range 1 40_000) (int_range 1 5_000))
+        (fun (n, stride) ->
+          let t = Int_index.create () and h = Hashtbl.create n in
+          let keys = List.init n (fun i -> ((i * 7) mod n) * stride) in
+          List.iteri
+            (fun v k ->
+              let v' = Int_index.find_or_add t k v in
+              if not (Hashtbl.mem h k) then Hashtbl.add h k v';
+              assert (v' = Hashtbl.find h k))
+            keys;
+          List.for_all
+            (fun k ->
+              Int_index.find t k = Hashtbl.find h k
+              && Int_index.find t (k + 1)
+                 = Option.value ~default:(-1) (Hashtbl.find_opt h (k + 1)))
+            keys);
+    ]
+
+(* The chunked stack against an array, on pushes and pops of groups of
+   [w] ints that cross chunk boundaries back and forth, with a write by
+   position after each move and reads of every position. *)
+let int_stack_tests =
+  List.map QCheck_alcotest.to_alcotest
+    [
+      QCheck.Test.make ~name:"push/drop/get agree with an array" ~count:100
+        QCheck.(
+          pair (oneofl [ 1; 3; 5; 16 ])
+            (list_of_size Gen.(int_range 1 12) (int_range (-9000) 9000)))
+        (fun (w, moves) ->
+          let s = Int_stack.create () in
+          let pushed = List.fold_left (fun n m -> n + max m 0) 0 moves in
+          let model = Array.make (pushed * w) 0 and l = ref 0 in
+          List.for_all
+            (fun m ->
+              if m >= 0 then
+                for _ = 1 to m * w do
+                  Int_stack.push s !l;
+                  model.(!l) <- !l;
+                  incr l
+                done
+              else
+                for _ = 1 to min (-m) (!l / w) do
+                  Int_stack.drop s w;
+                  l := !l - w
+                done;
+              if !l > 0 then begin
+                Int_stack.set s (!l / 2) (-7);
+                model.(!l / 2) <- -7
+              end;
+              let rec same i =
+                i = !l || (Int_stack.get s i = model.(i) && same (i + 1))
+              in
+              Int_stack.length s = !l
+              && (!l = 0 || s.data.(s.top - 1) = model.(!l - 1))
+              && same 0)
+            moves);
     ]
 
 let () =
@@ -358,4 +418,5 @@ let () =
       ("deep", deep_tests);
       ("bitset", bitset_tests);
       ("int index", int_index_tests);
+      ("int stack", int_stack_tests);
     ]
