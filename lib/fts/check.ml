@@ -7,47 +7,61 @@ type trace = {
 
 type result = Holds | Fails of trace
 
-(* Edge-split graph: node (state id, entering label); label 0 means
-   "initial" (no position precedes), label l >= 1 means the system moved
-   by transition labels.(l) — labels.(1) is the idling transition.  Node
-   ids are dense: sid * n_labels + lab. *)
+(* Edge-split graph: node (state id, entering label class); label 0
+   means "initial" (no position precedes), label l >= 1 means the
+   system moved by transition labels.(l) — labels.(1) is the idling
+   transition.  [classes.(l)] is the class of label l and node (sid, c)
+   is [sid * width + c], for a [width] of at least the number of
+   classes.  {!holds} gives every label its own class ([width] =
+   [n_labels], so node ids are dense); {!closure_automaton} merges the
+   labels no requested atom tells apart. *)
 
 let labels_of sys = Array.append [| "-" |] (System.internal_transition_names sys)
 
-(* The letter of every split node over [atoms] (bit i: the i-th atom
-   holds).  State atoms are read once per state and [taken_tau] atoms
-   once per label; node [sid * n_labels + lab] ORs the two.  An atom is
-   parsed only when some state reads it, so a system without states
-   accepts any atom. *)
-let letters sys labels atoms =
-  let states = System.internal_states sys in
-  let n_labels = Array.length labels in
-  let state_bits = Array.make (Array.length states) 0 in
-  let label_bits = Array.make n_labels 0 in
+let is_taken atom = String.length atom > 6 && String.sub atom 0 6 = "taken_"
+
+(* The [taken_tau] bits of every label over [atoms] (bit i: the i-th
+   atom holds). *)
+let label_bits labels atoms =
+  let bits = Array.make (Array.length labels) 0 in
   List.iteri
     (fun i atom ->
-      let bit = 1 lsl i in
-      if String.length atom > 6 && String.sub atom 0 6 = "taken_" then begin
+      if is_taken atom then begin
         let tn = String.sub atom 6 (String.length atom - 6) in
         Array.iteri
-          (fun lab l ->
-            if l = tn then label_bits.(lab) <- label_bits.(lab) lor bit)
+          (fun lab l -> if l = tn then bits.(lab) <- bits.(lab) lor (1 lsl i))
           labels
-      end
-      else if Array.length states > 0 then begin
-        let holds = System.atom_pred sys atom in
-        Array.iteri
-          (fun sid st ->
-            if holds st then state_bits.(sid) <- state_bits.(sid) lor bit)
-          states
       end)
     atoms;
-  let letter = Array.make (Array.length states * n_labels) 0 in
+  bits
+
+(* The state-atom bits of every state over [atoms].  An atom is parsed
+   only when some state reads it, so a system without states accepts
+   any atom. *)
+let state_bits sys atoms =
+  let states = System.internal_states sys in
+  let bits = Array.make (Array.length states) 0 in
+  if Array.length states > 0 then
+    List.iteri
+      (fun i atom ->
+        if not (is_taken atom) then begin
+          let holds = System.atom_pred sys atom in
+          Array.iteri
+            (fun sid st -> if holds st then bits.(sid) <- bits.(sid) lor (1 lsl i))
+            states
+        end)
+      atoms;
+  bits
+
+(* The letter of every node: node [sid * width + c] ORs the state's
+   bits and the class's [taken_tau] bits. *)
+let letters ~width state_bits class_bits =
+  let letter = Array.make (Array.length state_bits * width) 0 in
   Array.iteri
     (fun sid bits ->
-      for lab = 0 to n_labels - 1 do
-        letter.((sid * n_labels) + lab) <- bits lor label_bits.(lab)
-      done)
+      Array.iteri
+        (fun c cb -> letter.((sid * width) + c) <- bits lor cb)
+        class_bits)
     state_bits;
   letter
 
@@ -86,32 +100,34 @@ let fairness_acc ?fairness sys labels n_labels =
   in
   Acceptance.And conjuncts
 
-let split_graph ~budget ~telemetry sys n_labels =
+let split_graph ~budget ~telemetry sys ~classes ~width =
   Telemetry.span telemetry "fts.split_graph" @@ fun () ->
-  let states = System.internal_states sys in
-  let n_states = Array.length states in
-  let n = n_states * n_labels in
-  Budget.ticks budget n;
-  Telemetry.add telemetry "fts.split_nodes" n;
+  let n_states = Array.length (System.internal_states sys) in
+  let nodes = n_states * (1 + Array.fold_left max 0 classes) in
+  Budget.ticks budget nodes;
+  Telemetry.add telemetry "fts.split_nodes" nodes;
   let out = Array.make n_states [] in
   List.iter
     (fun (src, t, dst) ->
       (* system edge with transition index t (0 = idle) enters node
-         (dst, t + 1) from every node at state src *)
+         (dst, class of label t + 1) from every node at state src *)
       Budget.tick budget;
-      out.(src) <- ((dst * n_labels) + t + 1) :: out.(src))
+      out.(src) <- ((dst * width) + classes.(t + 1)) :: out.(src))
     (System.internal_edges sys);
-  (* the labels of a state share its successor list *)
+  (* the classes of a state share its successor list *)
+  let n = n_states * width in
   let succ = Array.make n [] in
-  Array.iteri
-    (fun sid l -> Array.fill succ (sid * n_labels) n_labels l)
-    out;
+  Array.iteri (fun sid l -> Array.fill succ (sid * width) width l) out;
   { Graph.n; succ }
 
 let check_with_acc ?fairness ~budget ~telemetry sys spec_formula =
   let labels = labels_of sys in
   let n_labels = Array.length labels in
-  let graph = split_graph ~budget ~telemetry sys n_labels in
+  let graph =
+    split_graph ~budget ~telemetry sys
+      ~classes:(Array.init n_labels Fun.id)
+      ~width:n_labels
+  in
   let starts =
     List.map (fun sid -> sid * n_labels) (System.internal_init_ids sys)
   in
@@ -140,7 +156,10 @@ let check_with_acc ?fairness ~budget ~telemetry sys spec_formula =
       Budget.ticks budget pn;
       Telemetry.add telemetry "fts.product_states" pn;
       Telemetry.observe telemetry "fts.state_space" (float_of_int pn);
-      let letter = letters sys labels atoms in
+      let letter =
+        letters ~width:n_labels (state_bits sys atoms)
+          (label_bits labels atoms)
+      in
       let psucc = Array.make pn [] in
       for v = 0 to graph.Graph.n - 1 do
         List.iter
@@ -223,7 +242,7 @@ let has_fair_computation ?(budget = Budget.unlimited)
   Telemetry.span telemetry "fts.lasso_search" @@ fun () ->
   Graph.accepting_scc ~budget graph ~starts acc <> None
 
-(* Sorts [a] ascending.  Keys are split-node ids below [1 lsl (width *
+(* Sorts [a] ascending.  Keys are node ids below [1 lsl (width *
    passes)]; short arrays take an insertion sort, longer ones an LSD
    radix sort on [width]-bit digits through [tmp] (at least as long as
    [a]) and the [1 lsl width] counters [count]. *)
@@ -267,6 +286,30 @@ let sort_nodes ~tmp ~count ~width ~passes a =
     if !src != a then Array.blit !src 0 a 0 c
   end
 
+(* the least [b] with [n <= 1 lsl b] *)
+let bit_width n =
+  let rec go b = if n <= 1 lsl b then b else go (b + 1) in
+  go 0
+
+(* The labels with equal [taken_tau] bits, numbered in order of their
+   first label: the class of every label and the bits of every class. *)
+let label_classes label_bits =
+  let class_of = Hashtbl.create 8 in
+  let classes =
+    Array.map
+      (fun b ->
+        match Hashtbl.find_opt class_of b with
+        | Some c -> c
+        | None ->
+            let c = Hashtbl.length class_of in
+            Hashtbl.add class_of b c;
+            c)
+      label_bits
+  in
+  let class_bits = Array.make (Hashtbl.length class_of) 0 in
+  Array.iteri (fun lab c -> class_bits.(c) <- label_bits.(lab)) classes;
+  (classes, class_bits)
+
 (* Subset construction for the safety closure of the system's
    computation language, projected onto valuations of [atoms].  The
    result is a complete deterministic automaton accepting exactly the
@@ -275,30 +318,42 @@ let sort_nodes ~tmp ~count ~width ~passes a =
    closure over-approximates the fair computations, which is what makes
    vacuity verdicts derived from it sound).  Correct because the prefix
    language of a graph is closed: a word is in the closure iff the
-   subset automaton never empties. *)
+   subset automaton never empties.
+
+   Two labels with the same [taken_tau] bits over [atoms] give a state
+   two nodes with the same letter and the same successors, so the
+   nodes are one: a node is (state, label class), packed as
+   [(sid lsl cbits) lor c], and read back with a shift.  With no
+   [taken_tau] atom every label is in class 0 and a node is a state. *)
 let closure_automaton ?(budget = Budget.unlimited)
     ?(telemetry = Telemetry.disabled) ?pool:_ sys ~atoms =
   let atoms = List.sort_uniq compare atoms in
   if atoms = [] then invalid_arg "Check.closure_automaton: no atoms";
   if List.length atoms > 14 then
     invalid_arg "Check.closure_automaton: too many distinct atoms";
-  let labels = labels_of sys in
-  let n_labels = Array.length labels in
-  let graph = split_graph ~budget ~telemetry sys n_labels in
+  let classes, class_bits = label_classes (label_bits (labels_of sys) atoms) in
+  let n_classes = Array.length class_bits in
+  let cbits = bit_width n_classes in
+  let graph =
+    split_graph ~budget ~telemetry sys ~classes ~width:(1 lsl cbits)
+  in
   Telemetry.span telemetry "fts.closure_automaton" @@ fun () ->
   let alpha = Alphabet.of_props atoms in
   let k = Alphabet.size alpha in
-  let letter = letters sys labels atoms in
-  Budget.ticks budget graph.Graph.n;
-  (* the labels of a state share its successors, so a subset is
+  let n_states = graph.Graph.n lsr cbits in
+  let letter =
+    letters ~width:(1 lsl cbits) (state_bits sys atoms) class_bits
+  in
+  Budget.ticks budget (n_states * n_classes);
+  (* the classes of a state share its successors, so a subset is
      expanded once per distinct state *)
   let succ =
-    Array.init (graph.Graph.n / n_labels) (fun sid ->
-        Array.of_list graph.Graph.succ.(sid * n_labels))
+    Array.init n_states (fun sid ->
+        Array.of_list graph.Graph.succ.(sid lsl cbits))
   in
   (* Breadth-first subset construction.  DFA state 0 is the pre-initial
      state (no letter read yet); every other DFA state [id] is the
-     sorted array of split nodes [subs.(id)], numbered in order of first
+     sorted array of nodes [subs.(id)], numbered in order of first
      occurrence; the empty subset is the reject sink. *)
   let table = Int_index.Arrays.create 64 in
   let subs = ref (Array.make 64 [||]) and rows = ref (Array.make 64 [||]) in
@@ -337,10 +392,7 @@ let closure_automaton ?(budget = Budget.unlimited)
   in
   (* node ids have [bits] bits, split into the fewest digits of at
      most 8 bits, of equal width *)
-  let bits =
-    let rec go b = if graph.Graph.n <= 1 lsl b then b else go (b + 1) in
-    go 1
-  in
+  let bits = max 1 (bit_width graph.Graph.n) in
   let passes = (bits + 7) / 8 in
   let width = (bits + passes - 1) / passes in
   let tmp = Array.make graph.Graph.n 0 and radix = Array.make (1 lsl width) 0 in
@@ -370,7 +422,7 @@ let closure_automaton ?(budget = Budget.unlimited)
     r
   in
   List.iter
-    (fun sid -> add (sid * n_labels))
+    (fun sid -> add ((sid lsl cbits) lor classes.(0)))
     (System.internal_init_ids sys);
   (* bind rows before storing them: interning can resize [rows], so
      the [!rows] deref must come after the row is built *)
@@ -384,7 +436,7 @@ let closure_automaton ?(budget = Budget.unlimited)
     let last = ref (-1) in
     Array.iter
       (fun v ->
-        let sid = v / n_labels in
+        let sid = v lsr cbits in
         if sid <> !last then begin
           last := sid;
           Array.iter add succ.(sid)

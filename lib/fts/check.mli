@@ -59,7 +59,8 @@ val has_fair_computation :
 (** [closure_automaton sys ~atoms] is the safety closure of the system's
     computation language, projected onto valuations of [atoms], as a
     complete deterministic automaton (subset construction over the
-    edge-split reachable graph; the empty subset is a rejecting sink).
+    reachable graph whose nodes are states with the class of their
+    entering label; the empty subset is a rejecting sink).
     Fairness is ignored, so the result {e over-approximates} the fair
     computations — sound for vacuity checks of the form
     "closure ⊆ L(φ') implies every fair computation satisfies φ'".
@@ -69,25 +70,30 @@ val has_fair_computation :
 
     The construction is a sequential breadth-first subset
     construction (fanning out its subset levels never beat one
-    domain).  A subset is a sorted int array of split-node ids,
-    interned in an {!Int_index.Arrays} table; DFA state 0 is the
-    pre-initial state and the subsets get ids 1, 2, ... in order of
-    first occurrence, the empty one (the sink) at the first empty
-    letter bucket.  Every split node's letter is its state's atom bits
-    OR its entering label's [taken_tau] bits.  All labels of a state
-    have the same successors, so a subset is expanded once per
-    distinct state; the successors are deduplicated with a per-node
-    stamp, bucketed by letter, and each bucket is sorted (insertion
-    sort when short, radix sort on node ids otherwise).  The work per
-    subset [s] with successor set [S] is O(|s| + |S| log n + k), never
-    a scan of the whole split graph.
+    domain).  Two labels are in one class when their [taken_tau] bits
+    over [atoms] are equal; the classes are numbered in order of their
+    first label, and a node is [(sid lsl cbits) lor class], with
+    [cbits] the bits the class numbers need.  Without a [taken_tau]
+    atom there is one class and a node is a state.  A node's letter is
+    its state's atom bits OR its class's [taken_tau] bits.  A subset
+    is a sorted int array of nodes, interned in an
+    {!Int_index.Arrays} table; DFA state 0 is the pre-initial state
+    and the subsets get ids 1, 2, ... in order of first occurrence,
+    the empty one (the sink) at the first empty letter bucket.  All
+    classes of a state have the same successors, so a subset is
+    expanded once per distinct state; the successors are deduplicated
+    with a per-node stamp, bucketed by letter, and each bucket is
+    sorted (insertion sort when short, radix sort on node ids
+    otherwise).  The work per subset [s] with successor set [S] is
+    O(|s| + |S| log n + k), never a scan of the whole graph.
 
     The pool argument is accepted and ignored, and stays only because
     [perfbench/w_large.ml] passes one; it goes when that file may
-    change (ROADMAP item 6).  [?budget] is charged for the split
-    graph (its nodes and edges), its node count again, once per fresh
-    subset, and [|s| + k] ticks when subset [s] ([|s|] split nodes) is
-    expanded over the [k] letters. *)
+    change (ROADMAP item 6).  [?budget] is charged for the graph (one
+    tick per (state, class) node and per edge), the node count again,
+    once per fresh subset, and [|s| + k] ticks when subset [s] ([|s|]
+    nodes) is expanded over the [k] letters; [fts.split_nodes] counts
+    the (state, class) nodes. *)
 val closure_automaton :
   ?budget:Budget.t ->
   ?telemetry:Telemetry.t ->

@@ -19,7 +19,8 @@
    keys: state numbers, pair codes of a product that fills its square)
    land on themselves, so neighbouring pages share cache lines and
    never collide; larger pages get their high part mixed in, which
-   spreads strided codes such as [qa * nb] with a fixed [qb]. *)
+   spreads strided codes such as the pair codes [(qa lsl s) lor qb]
+   with a fixed [qb]. *)
 
 type t = {
   mutable table : int array;

@@ -60,8 +60,10 @@ let is_empty a = not (nonempty a)
    non-empty iff {!Emptiness.on_the_fly} finds a reachable cycle of
    pairs satisfying it, and the search stops at the first one.
 
-   - keys: the pair (qa, qb) is the key [qa * b.n + qb], and the
-     position of a successor is its letter: the search asks for one
+   - keys: the pair (qa, qb) is the key [(qa lsl s) lor qb], with [s]
+     the bits [b]'s state numbers need, so a pair is read back with a
+     shift and a mask, not two divisions.  The position of a successor
+     is its letter: the search asks for one
      letter's successor at a time, from [a.delta] and [b.delta], and
      only while the pair's frame is on top of its stack, so a search
      that accepts early never generates the rest.  The search's stacks
@@ -86,19 +88,25 @@ let diff_nonempty ~budget ~telemetry:tl (a : Automaton.t) (b : Automaton.t) =
   let a_live = live_states a in
   if not a_live.(a.start) then false (* L(a) empty: nothing to include *)
   else begin
-    let k = Alphabet.size a.alpha and nb = b.n in
+    let k = Alphabet.size a.alpha in
     let acc_a, marks_a, first =
       Acceptance.number_atoms ~first:0 ~n:a.n a.acc
     in
     let acc_b, marks_b, _ =
-      Acceptance.number_atoms ~first ~n:nb (Acceptance.dual b.acc)
+      Acceptance.number_atoms ~first ~n:b.n (Acceptance.dual b.acc)
     in
+    (* a pair's [b]-component is its low [s] bits *)
+    let s =
+      let rec go s = if b.n <= 1 lsl s then s else go (s + 1) in
+      go 0
+    in
+    let mask = (1 lsl s) - 1 in
     let pruned = ref 0 in
     let succ key l =
       if l >= k then Emptiness.past_end
       else
-        let qa = a.delta.(key / nb).(l) in
-        if a_live.(qa) then (qa * nb) + b.delta.(key mod nb).(l)
+        let qa = a.delta.(key lsr s).(l) in
+        if a_live.(qa) then (qa lsl s) lor b.delta.(key land mask).(l)
         else begin
           incr pruned;
           Emptiness.skip
@@ -106,10 +114,11 @@ let diff_nonempty ~budget ~telemetry:tl (a : Automaton.t) (b : Automaton.t) =
     in
     let r =
       Emptiness.on_the_fly ~budget
-        ~marks:(fun key -> Iset.union marks_a.(key / nb) marks_b.(key mod nb))
+        ~marks:(fun key ->
+          Iset.union marks_a.(key lsr s) marks_b.(key land mask))
         ~succ
         (Acceptance.simplify (Acceptance.And [ acc_a; acc_b ]))
-        ((a.start * nb) + b.start)
+        ((a.start lsl s) lor b.start)
     in
     Telemetry.add tl "inclusion.pairs" r.visited;
     Telemetry.add tl "inclusion.pruned" !pruned;

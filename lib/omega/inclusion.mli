@@ -14,8 +14,10 @@
     [a.acc /\ dual b.acc].  One {!Emptiness.on_the_fly} search answers
     that, and stops at the first accepting SCC:
 
-    - {b keys}: the pair [(qa, qb)] is the key [qa * b.n + qb], and a
-      successor's position is its letter: the search asks for one
+    - {b keys}: the pair [(qa, qb)] is the key [(qa lsl s) lor qb],
+      with [s] the bit width of [b]'s state numbers (the least [s] with
+      [b.n <= 2{^s}]), so a pair's components are read back with a
+      shift and a mask; a successor's position is its letter: the search asks for one
       letter at a time, in order, while the pair's frame is on top of
       its stack, and the successor is read from [a.delta] and
       [b.delta] only then, so a search that accepts early never

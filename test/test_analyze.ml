@@ -6,8 +6,10 @@
      action never delivers);
    - differential-tests M302/M303 against an independent brute-force
      reachability over random small systems, and the closure automaton
-     behind M310 against brute-force prefix runs and against the
-     list-keyed subset construction of [Closure_oracle];
+     behind M310 against brute-force prefix runs, against the
+     list-keyed subset construction of [Closure_oracle] over the same
+     label-class nodes, and against the split-node construction for
+     its language;
    - replays M310 on the complement-and-product inclusion oracle
      ([Scans.included_by_product]) over the example models;
    - checks the determinism contract: reports are structurally equal
@@ -171,7 +173,7 @@ let flags k =
 
 (* A counter over 0..n-1 stepping by +1 or +7, each step also picking a
    mode bit m: over [m=0] and [x=0] the closure subsets are long runs
-   of split nodes, sorted by the radix passes. *)
+   of states, sorted by the radix passes. *)
 let mode_counter n =
   System.make
     ~vars:
@@ -387,6 +389,13 @@ let differential_tests =
       QCheck.Test.make ~name:"closure_automaton = subset oracle" ~count:300
         arb_system_atoms (fun (input, atoms) ->
           same_as_oracle (system_of_raw input) atoms);
+      QCheck.Test.make
+        ~name:"label-class closure = split-node closure, never larger"
+        ~count:300 arb_system_atoms (fun (input, atoms) ->
+          let sys = system_of_raw input in
+          let a = Check.closure_automaton sys ~atoms in
+          let b = Closure_oracle.split_node_closure sys ~atoms in
+          a.n <= b.n && Scans.equal_by_product a b);
     ]
   @ [
       Alcotest.test_case "closure keys do not depend on discovery order"
@@ -395,11 +404,11 @@ let differential_tests =
             (same_as_oracle two_orders [ "s=0"; "s=3"; "taken_idle" ]));
       Alcotest.test_case "closure_automaton = subset oracle on 8 flags"
         `Quick (fun () ->
-          same_automaton ~states:2307 (flags 8)
+          same_automaton ~states:258 (flags 8)
             (List.init 8 (Printf.sprintf "v%d=1")));
       Alcotest.test_case "closure_automaton = subset oracle on a mode counter"
         `Quick (fun () ->
-          same_automaton ~states:325 (mode_counter 40) [ "m=0"; "x=0" ]);
+          same_automaton ~states:162 (mode_counter 40) [ "m=0"; "x=0" ]);
     ]
 
 (* ------------------------------------------------------------------ *)

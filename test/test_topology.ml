@@ -169,106 +169,153 @@ let edge_automata =
        (Acceptance.Inf (one 1)));
   ]
 
+(* Every public function of [Classify], [Convert.to_shape], [Topology]
+   and [Lang], plus [Counter_free], on [a], an automaton at the
+   lattice's edges, and the inclusion queries against the product
+   oracle on [a] and each of [others] (over [a]'s alphabet).  An edge
+   language is in every class and the calls pass no budget, so no
+   exception an interface documents applies: each call must answer. *)
+let edge_checks others (a : Automaton.t) =
+  let alpha = a.alpha in
+  let edge =
+    if Lang.is_empty a then Automaton.empty_lang alpha else Automaton.full alpha
+  in
+  check "an edge" true (Lang.equal a edge);
+  (* every public function of Classify answers *)
+  check "safety" true (Classify.is_safety a);
+  check "guarantee" true (Classify.is_guarantee a);
+  check "forest safety/guarantee = closure equality" true
+    (Scans.closure_agrees a);
+  check "recurrence" true (Classify.is_recurrence a);
+  check "persistence" true (Classify.is_persistence a);
+  check "obligation" true (Classify.is_obligation a);
+  check "degree" true
+    (Classify.obligation_degree a
+    = Some (if Lang.is_empty a then 0 else 1));
+  check "every root childless" true
+    (List.for_all
+       (fun (t : Classify.acd) -> t.children = [])
+       (Classify.decomposition a));
+  check "rank" true
+    (Classify.reactivity_rank a = if Lang.is_empty a then 1 else 0);
+  (* the section 2 bits: the full language is (uniformly) live,
+     the empty one is not; neither counts (an unreachable
+     counter, as in the last automaton, does not count) *)
+  check "liveness" (not (Lang.is_empty a)) (Lang.is_liveness a);
+  check "uniform liveness" (not (Lang.is_empty a))
+    (Lang.is_uniform_liveness a);
+  check "counter-free" true (Counter_free.is_counter_free a);
+  check "rank_opt" true
+    (Classify.reactivity_rank_opt a
+    = Some (Classify.reactivity_rank a));
+  check "class" true (Classify.classify a = Kappa.Safety);
+  check "row" true
+    (List.for_all
+       (fun (_, m) -> m = Some true)
+       (Classify.memberships a));
+  check "budgeted" true
+    ((Classify.classify_budgeted a).Classify.verdict
+    = `Exact Kappa.Safety);
+  (* Prop. 5.1's shape, and every Topology function *)
+  check "shape" true
+    (Lang.equal a (Convert.to_shape (Classify.classify a) a));
+  check "closure" true (Lang.equal a (T.closure a));
+  check "interior" true (Lang.equal a (T.interior a));
+  check "clopen" true (T.is_closed a && T.is_open a);
+  check "G_delta and F_sigma" true (T.is_g_delta a && T.is_f_sigma a);
+  check "dense iff full" (not (Lang.is_empty a)) (T.is_dense a);
+  check "limit iff full" (not (Lang.is_empty a))
+    (T.is_limit_of a
+       (Finitary.Word.lasso ~prefix:[| 0 |]
+          ~cycle:[| Finitary.Alphabet.size alpha - 1 |]));
+  List.iter
+    (fun w -> check "G_delta witness" true (Lang.equal a w))
+    (T.g_delta_witnesses a 3);
+  List.iter
+    (fun w -> check "F_sigma witness" true (Lang.equal a w))
+    (T.f_sigma_witnesses a 3);
+  (* every public function of Lang answers *)
+  let nonempty = not (Lang.is_empty a) in
+  check "nonempty" nonempty (Lang.nonempty a);
+  check "pref" true
+    (Finitary.Dfa.equal_nonepsilon (Lang.pref a)
+       (if nonempty then Finitary.Dfa.sigma_plus alpha
+        else Finitary.Dfa.empty_lang alpha));
+  check "witness" nonempty
+    (match Lang.witness a with
+    | Some w -> Automaton.accepts a w
+    | None -> false);
+  Array.iteri
+    (fun q live ->
+      check "live_states" live
+        (Lang.nonempty
+           (Automaton.make ~alpha ~n:a.n ~start:q ~delta:a.delta
+              ~acc:a.acc)))
+    (Lang.live_states a);
+  check "safety closure" true (Lang.equal (Lang.safety_closure a) a);
+  check "liveness extension is full" true
+    (Lang.is_universal (Lang.liveness_extension a));
+  let s, l = Lang.safety_liveness_decomposition a in
+  check "decomposition" true (Lang.equal (Automaton.inter s l) a);
+  (* the inclusion queries against the product oracle *)
+  check "is_universal = oracle" (Scans.is_universal_by_product a)
+    (Lang.is_universal a);
+  List.iter
+    (fun b ->
+      check "included = oracle" (Scans.included_by_product a b)
+        (Lang.included a b);
+      check "equal = oracle" (Scans.equal_by_product a b)
+        (Lang.equal a b);
+      match Lang.distinguishing_witness a b with
+      | None -> check "no witness iff equal" true (Lang.equal a b)
+      | Some w ->
+          check "witness in exactly one" true
+            (Automaton.accepts a w <> Automaton.accepts b w))
+    others
+
 let edge_tests =
   List.map
     (fun (name, a) ->
       Alcotest.test_case name `Quick (fun () ->
-          let edge =
-            if Lang.is_empty a then Automaton.empty_lang ab
-            else Automaton.full ab
-          in
-          check "an edge" true (Lang.equal a edge);
-          (* every public function of Classify answers *)
-          check "safety" true (Classify.is_safety a);
-          check "guarantee" true (Classify.is_guarantee a);
-          check "forest safety/guarantee = closure equality" true
-            (Scans.closure_agrees a);
-          check "recurrence" true (Classify.is_recurrence a);
-          check "persistence" true (Classify.is_persistence a);
-          check "obligation" true (Classify.is_obligation a);
-          check "degree" true
-            (Classify.obligation_degree a
-            = Some (if Lang.is_empty a then 0 else 1));
-          check "every root childless" true
-            (List.for_all
-               (fun (t : Classify.acd) -> t.children = [])
-               (Classify.decomposition a));
-          check "rank" true
-            (Classify.reactivity_rank a = if Lang.is_empty a then 1 else 0);
-          (* the section 2 bits: the full language is (uniformly) live,
-             the empty one is not; neither counts (an unreachable
-             counter, as in the last automaton, does not count) *)
-          check "liveness" (not (Lang.is_empty a)) (Lang.is_liveness a);
-          check "uniform liveness" (not (Lang.is_empty a))
-            (Lang.is_uniform_liveness a);
-          check "counter-free" true (Counter_free.is_counter_free a);
-          check "rank_opt" true
-            (Classify.reactivity_rank_opt a
-            = Some (Classify.reactivity_rank a));
-          check "class" true (Classify.classify a = Kappa.Safety);
-          check "row" true
-            (List.for_all
-               (fun (_, m) -> m = Some true)
-               (Classify.memberships a));
-          check "budgeted" true
-            ((Classify.classify_budgeted a).Classify.verdict
-            = `Exact Kappa.Safety);
-          (* Prop. 5.1's shape, and every Topology function *)
-          check "shape" true
-            (Lang.equal a (Convert.to_shape (Classify.classify a) a));
-          check "closure" true (Lang.equal a (T.closure a));
-          check "interior" true (Lang.equal a (T.interior a));
-          check "clopen" true (T.is_closed a && T.is_open a);
-          check "G_delta and F_sigma" true (T.is_g_delta a && T.is_f_sigma a);
-          check "dense iff full" (not (Lang.is_empty a)) (T.is_dense a);
-          check "limit iff full" (not (Lang.is_empty a))
-            (T.is_limit_of a (lasso "a(b)"));
-          List.iter
-            (fun w -> check "G_delta witness" true (Lang.equal a w))
-            (T.g_delta_witnesses a 3);
-          List.iter
-            (fun w -> check "F_sigma witness" true (Lang.equal a w))
-            (T.f_sigma_witnesses a 3);
-          (* every public function of Lang answers *)
-          let nonempty = not (Lang.is_empty a) in
-          check "nonempty" nonempty (Lang.nonempty a);
-          check "pref" true
-            (Finitary.Dfa.equal_nonepsilon (Lang.pref a)
-               (if nonempty then Finitary.Dfa.sigma_plus ab
-                else Finitary.Dfa.empty_lang ab));
-          check "witness" nonempty
-            (match Lang.witness a with
-            | Some w -> Automaton.accepts a w
-            | None -> false);
-          Array.iteri
-            (fun q live ->
-              check "live_states" live
-                (Lang.nonempty
-                   (Automaton.make ~alpha:ab ~n:a.n ~start:q ~delta:a.delta
-                      ~acc:a.acc)))
-            (Lang.live_states a);
-          check "safety closure" true (Lang.equal (Lang.safety_closure a) a);
-          check "liveness extension is full" true
-            (Lang.is_universal (Lang.liveness_extension a));
-          let s, l = Lang.safety_liveness_decomposition a in
-          check "decomposition" true (Lang.equal (Automaton.inter s l) a);
-          (* the inclusion queries against the product oracle, on every
-             ordered pair of edge automata *)
-          check "is_universal = oracle" (Scans.is_universal_by_product a)
-            (Lang.is_universal a);
-          List.iter
-            (fun (_, b) ->
-              check "included = oracle" (Scans.included_by_product a b)
-                (Lang.included a b);
-              check "equal = oracle" (Scans.equal_by_product a b)
-                (Lang.equal a b);
-              match Lang.distinguishing_witness a b with
-              | None -> check "no witness iff equal" true (Lang.equal a b)
-              | Some w ->
-                  check "witness in exactly one" true
-                    (Automaton.accepts a w <> Automaton.accepts b w))
-            edge_automata))
+          edge_checks (List.map snd edge_automata) a))
     edge_automata
+
+(* The same checks on random edge automata over one to three letters
+   ([Edges.gen_base]), each with and without unreachable junk, against
+   each other and a third one; and [Lang]'s two-operand queries raise
+   only their documented [Invalid_argument] on a fourth over another
+   alphabet. *)
+let gen_random_edges =
+  let open QCheck.Gen in
+  let alphabets = List.map Finitary.Alphabet.of_chars [ "a"; "ab"; "abc" ] in
+  oneofl alphabets >>= fun alpha ->
+  let foreign =
+    List.filter (fun x -> not (Finitary.Alphabet.equal x alpha)) alphabets
+  in
+  Edges.gen_base alpha >>= fun a ->
+  Edges.add_junk a >>= fun junked ->
+  Edges.gen_edge alpha >>= fun b ->
+  oneofl foreign >>= Edges.gen_edge >|= fun c -> (a, junked, b, c)
+
+let random_edge_tests =
+  let print (a, j, b, c) =
+    String.concat "\n"
+      (List.map (Format.asprintf "%a" Automaton.pp) [ a; j; b; c ])
+  in
+  let mismatch f =
+    match f () with _ -> false | exception Invalid_argument _ -> true
+  in
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"random edge automata, with and without junk"
+         ~count:300 (QCheck.make ~print gen_random_edges)
+         (fun (a, junked, b, c) ->
+           edge_checks [ a; junked; b ] a;
+           edge_checks [ a; junked; b ] junked;
+           mismatch (fun () -> Lang.included a c)
+           && mismatch (fun () -> Lang.equal a c)
+           && mismatch (fun () -> Lang.distinguishing_witness a c)));
+  ]
 
 let () =
   Alcotest.run "topology"
@@ -276,5 +323,5 @@ let () =
       ("metric", metric_tests);
       ("classes", class_correspondence_tests);
       ("witnesses", witness_tests);
-      ("edges", edge_tests);
+      ("edges", edge_tests @ random_edge_tests);
     ]
