@@ -13,11 +13,10 @@ let () =
   let pq = Finitary.Alphabet.of_props [ "p"; "q" ] in
   List.iter
     (fun (reading, s) ->
-      match Hierarchy.Property.analyze_string pq s with
-      | Some r ->
-          Format.printf "  %-34s %-24s -> %s@." s reading
-            (Kappa.name r.semantic)
-      | None -> Format.printf "  %-34s (not translatable)@." s)
+      match Hierarchy.Engine.classify_formula pq (Logic.Parser.parse s) with
+      | Ok { verdict = Hierarchy.Engine.Exact k; _ } ->
+          Format.printf "  %-34s %-24s -> %s@." s reading (Kappa.name k)
+      | Ok _ | Error _ -> Format.printf "  %-34s (not translatable)@." s)
     [
       ("if p initially, q eventually", "p -> <> q");
       ("first p answered once", "<> p -> <> (q & O p)");
@@ -32,10 +31,10 @@ let () =
   let strong = "[]<> en -> []<> taken" in
   List.iter
     (fun (name, s) ->
-      match Hierarchy.Property.analyze_string en_taken s with
-      | Some r ->
-          Format.printf "  %-8s %-28s -> %s@." name s (Kappa.name r.semantic)
-      | None -> assert false)
+      match Hierarchy.Engine.classify_formula en_taken (Logic.Parser.parse s) with
+      | Ok { verdict = Hierarchy.Engine.Exact k; _ } ->
+          Format.printf "  %-8s %-28s -> %s@." name s (Kappa.name k)
+      | Ok _ | Error _ -> assert false)
     [ ("weak", weak); ("strong", strong) ];
 
   Format.printf "@.== An allocator that needs strong fairness ==@.";

@@ -36,11 +36,12 @@ let () =
   let pq = Finitary.Alphabet.of_props [ "p"; "q" ] in
   List.iter
     (fun s ->
-      match Hierarchy.Property.analyze_string pq s with
-      | Some r ->
-          Format.printf "%-28s: %s (Borel %s)@." s (Kappa.name r.semantic)
-            (Kappa.borel_name r.semantic)
-      | None -> Format.printf "%-28s: outside the canonical fragment@." s)
+      match Hierarchy.Engine.classify_formula pq (Logic.Parser.parse s) with
+      | Ok { verdict = Hierarchy.Engine.Exact k; _ } ->
+          Format.printf "%-28s: %s (Borel %s)@." s (Kappa.name k)
+            (Kappa.borel_name k)
+      | Ok _ | Error _ ->
+          Format.printf "%-28s: outside the canonical fragment@." s)
     [
       "[] p";
       "<> p";
@@ -51,6 +52,12 @@ let () =
       "p U q";
       "p W q";
     ];
+  (* The whole report, as `hpt classify` prints it. *)
+  (match
+     Hierarchy.Engine.classify_formula pq (Logic.Parser.parse "[] (p -> <> q)")
+   with
+  | Ok r -> Format.printf "@.%a@." Hierarchy.Engine.pp_report r
+  | Error e -> Format.printf "@.%a@." Hierarchy.Engine.pp_error e);
 
   (* ---------------------------------------------------------------- *)
   section "3. The paper's equivalences are machine-checkable";
@@ -65,7 +72,7 @@ let () =
   (* ---------------------------------------------------------------- *)
   section "4. Safety-liveness decomposition (orthogonal classification)";
   let a = Omega.Of_formula.of_string pq "p U q" in
-  let s, l = Hierarchy.Property.safety_liveness_decomposition a in
+  let s, l = Omega.Lang.safety_liveness_decomposition a in
   Format.printf "p U q = (safety part) /\\ (liveness part): %b@."
     (Omega.Lang.equal a (Omega.Automaton.inter s l));
   Format.printf "safety part is closed: %b; liveness part is dense: %b@."

@@ -131,74 +131,187 @@ let trim d =
     seen;
   { d with n; start = remap.(d.start); delta; accept }
 
-module Signatures = Hashtbl.Make (struct
-  type t = int array
-
-  let equal (s : t) s' =
-    let rec from i = i < 0 || (s.(i) = s'.(i) && from (i - 1)) in
-    Array.length s = Array.length s' && from (Array.length s - 1)
-
-  let hash s = Array.fold_left (fun h c -> (h * 31) + c) 0 s land max_int
-end)
-
-(* Moore partition refinement on the reachable part: a state's signature
-   is its class followed by its successors' classes, and a round's new
-   classes are the distinct signatures.  Rounds only split classes, so an
-   unchanged class count means a stable partition.  Classes are then
-   renumbered canonically by BFS order from the start state. *)
+(* Hopcroft's partition refinement on the reachable part, on flat
+   arrays.  Reachable states get dense numbers in BFS order; [pre]
+   lists the predecessors of each (letter, state), in ranges that
+   [pstart] delimits.  A block is a range of [elems], which [loc]
+   inverts; splitting by a splitter (block, letter) moves the marked
+   predecessors to the front of their block and cuts that front off as
+   a new block.  The worklist holds each (block, letter) at most once;
+   a split block's halves both enter for a letter the block was queued
+   on, else the smaller half does.  The coarsest stable partition is
+   the one Moore refinement reaches, and classes are then renumbered
+   canonically by BFS order from the start state. *)
 let minimize d =
-  let d = trim d in
   let k = Alphabet.size d.alpha in
-  let cls = Array.map (fun acc -> if acc then 1 else 0) d.accept in
-  let classes =
-    (if Array.mem true d.accept then 1 else 0)
-    + if Array.mem false d.accept then 1 else 0
-  in
-  let key = Array.make (k + 1) 0 in
-  let rec refine classes =
-    let ids = Signatures.create classes in
-    let next =
-      Array.init d.n (fun q ->
-          key.(0) <- cls.(q);
-          Array.iteri (fun a q' -> key.(a + 1) <- cls.(q')) d.delta.(q);
-          match Signatures.find_opt ids key with
-          | Some c -> c
-          | None ->
-              let c = Signatures.length ids in
-              Signatures.add ids (Array.copy key) c;
-              c)
+  let idx = Array.make d.n (-1) and states = Array.make d.n 0 in
+  idx.(d.start) <- 0;
+  states.(0) <- d.start;
+  let m = ref 1 in
+  let head = ref 0 in
+  while !head < !m do
+    let row = d.delta.(states.(!head)) in
+    incr head;
+    for a = 0 to k - 1 do
+      let q' = row.(a) in
+      if idx.(q') < 0 then begin
+        idx.(q') <- !m;
+        states.(!m) <- q';
+        incr m
+      end
+    done
+  done;
+  let m = !m in
+  (* predecessors of (a, t) are [pre.(pstart.(a*m + t)) ..
+     pre.(pstart.(a*m + t + 1) - 1)] *)
+  let pstart = Array.make ((k * m) + 1) 0 and pre = Array.make (k * m) 0 in
+  for i = 0 to m - 1 do
+    let row = d.delta.(states.(i)) in
+    for a = 0 to k - 1 do
+      let x = (a * m) + idx.(row.(a)) + 1 in
+      pstart.(x) <- pstart.(x) + 1
+    done
+  done;
+  for x = 1 to k * m do
+    pstart.(x) <- pstart.(x) + pstart.(x - 1)
+  done;
+  (* fill each range from its top down, then shift the starts back *)
+  for i = m - 1 downto 0 do
+    let row = d.delta.(states.(i)) in
+    for a = 0 to k - 1 do
+      let x = (a * m) + idx.(row.(a)) + 1 in
+      pstart.(x) <- pstart.(x) - 1;
+      pre.(pstart.(x)) <- i
+    done
+  done;
+  for x = 0 to (k * m) - 1 do
+    pstart.(x) <- pstart.(x + 1)
+  done;
+  pstart.(k * m) <- k * m;
+  (* [elems] lists the rejecting states, then the accepting ones; they
+     start as two blocks when both kinds occur *)
+  let elems = Array.make m 0 and loc = Array.make m 0 in
+  let blk = Array.make m 0 in
+  let first = Array.make m 0 and stop = Array.make m 0 in
+  let marked = Array.make m 0 in
+  let rejecting = ref 0 in
+  for i = 0 to m - 1 do
+    if not d.accept.(states.(i)) then incr rejecting
+  done;
+  let lo = ref 0 and hi = ref !rejecting in
+  for i = 0 to m - 1 do
+    let p =
+      if d.accept.(states.(i)) then (incr hi; !hi - 1) else (incr lo; !lo - 1)
     in
-    Array.blit next 0 cls 0 d.n;
-    let classes' = Signatures.length ids in
-    if classes' <> classes then refine classes' else classes
+    elems.(p) <- i;
+    loc.(i) <- p
+  done;
+  let blocks = ref 0 in
+  let block lo hi =
+    let b = !blocks in
+    first.(b) <- lo;
+    stop.(b) <- hi;
+    for p = lo to hi - 1 do
+      blk.(elems.(p)) <- b
+    done;
+    incr blocks;
+    b
   in
-  let m = refine classes in
-  (* one state per class stands for it; its row, read through [cls], is
-     the class's row *)
-  let rep = Array.make m 0 in
-  Array.iteri (fun q c -> rep.(c) <- q) cls;
-  let order = Array.make m (-1) and queue = Array.make m 0 in
-  let tail = ref 1 in
-  order.(cls.(d.start)) <- 0;
-  queue.(0) <- cls.(d.start);
-  for head = 0 to m - 1 do
-    Array.iter
-      (fun q' ->
-        let c = cls.(q') in
-        if order.(c) < 0 then begin
-          order.(c) <- !tail;
-          queue.(!tail) <- c;
-          incr tail
-        end)
-      d.delta.(rep.(queue.(head)))
+  let work = Array.make (k * m) 0 and queued = Bytes.make (k * m) '\000' in
+  let top = ref 0 in
+  let push b a =
+    let x = (b * k) + a in
+    if Bytes.get queued x = '\000' then begin
+      Bytes.set queued x '\001';
+      work.(!top) <- x;
+      incr top
+    end
+  in
+  if !rejecting > 0 && !rejecting < m then begin
+    let b0 = block 0 !rejecting in
+    let b1 = block !rejecting m in
+    let small = if !rejecting <= m - !rejecting then b0 else b1 in
+    for a = 0 to k - 1 do
+      push small a
+    done
+  end
+  else ignore (block 0 m);
+  let touched = Array.make m 0 and split = Array.make m 0 in
+  while !top > 0 do
+    decr top;
+    let x = work.(!top) in
+    Bytes.set queued x '\000';
+    let s = x / k and a = x mod k in
+    (* gather first: marking reorders blocks, [s] among them *)
+    let nt = ref 0 in
+    for p = first.(s) to stop.(s) - 1 do
+      let r = (a * m) + elems.(p) in
+      for j = pstart.(r) to pstart.(r + 1) - 1 do
+        touched.(!nt) <- pre.(j);
+        incr nt
+      done
+    done;
+    let ns = ref 0 in
+    for j = 0 to !nt - 1 do
+      let t = touched.(j) in
+      let b = blk.(t) in
+      let c = marked.(b) in
+      if c = 0 then begin
+        split.(!ns) <- b;
+        incr ns
+      end;
+      let p = loc.(t) and p' = first.(b) + c in
+      let u = elems.(p') in
+      elems.(p') <- t;
+      loc.(t) <- p';
+      elems.(p) <- u;
+      loc.(u) <- p;
+      marked.(b) <- c + 1
+    done;
+    for j = 0 to !ns - 1 do
+      let b = split.(j) in
+      let c = marked.(b) in
+      marked.(b) <- 0;
+      if c < stop.(b) - first.(b) then begin
+        let nb = block first.(b) (first.(b) + c) in
+        first.(b) <- first.(b) + c;
+        let small = if c <= stop.(b) - first.(b) then nb else b in
+        for a = 0 to k - 1 do
+          if Bytes.get queued ((b * k) + a) <> '\000' then push nb a
+          else push small a
+        done
+      end
+    done
+  done;
+  (* Canonical numbering: a BFS over the classes from the start's class
+     meets them in the order in which they first occur along the BFS
+     over states (a later state of a class has the same successor
+     classes as its first one), so [states] gives it directly; the
+     first state of each class stands for it. *)
+  let classes = !blocks in
+  let order = Array.make classes (-1) and rep = Array.make classes 0 in
+  let c = ref 0 in
+  for i = 0 to m - 1 do
+    let b = blk.(i) in
+    if order.(b) < 0 then begin
+      order.(b) <- !c;
+      rep.(!c) <- states.(i);
+      incr c
+    end
   done;
   let delta =
     Array.map
-      (fun c -> Array.map (fun q' -> order.(cls.(q'))) d.delta.(rep.(c)))
-      queue
+      (fun q ->
+        let row = d.delta.(q) in
+        let r = Array.make k 0 in
+        for a = 0 to k - 1 do
+          r.(a) <- order.(blk.(idx.(row.(a))))
+        done;
+        r)
+      rep
   in
-  let accept = Array.map (fun c -> d.accept.(rep.(c))) queue in
-  { d with n = m; start = 0; delta; accept }
+  let accept = Array.map (fun q -> d.accept.(q)) rep in
+  { d with n = classes; start = 0; delta; accept }
 
 let live_states d =
   (* backward reachability from accepting states *)

@@ -112,9 +112,22 @@ let step_vector ops first prev lit =
   done;
   !v
 
-module Vectors = Hashtbl.Make (Int)
+(* The slots a step reads from the previous position: the operands of
+   [Y]/[Z] and the [S]/[W]/[O]/[H] slots themselves.  Every other bit
+   of a vector is a function of these and the letter. *)
+let memory ops =
+  let m = ref 0 in
+  Array.iteri
+    (fun i op ->
+      match op with
+      | Prev g | Wprev g -> m := !m lor (1 lsl g)
+      | Since _ | Wsince _ | Once _ | Hist _ -> m := !m lor (1 lsl i)
+      | Lit | Not _ | And _ | Or _ | Imp _ | Iff _ -> ())
+    ops;
+  !m
 
-let make alpha ps =
+(* Compile the conjunction of [ps] and evaluate its literals. *)
+let prepare alpha ps =
   List.iter
     (fun p ->
       if not (Formula.is_past p) then
@@ -125,49 +138,49 @@ let make alpha ps =
   if Array.length ops > 62 then
     invalid_arg "Past_tester.make: formula too large (> 62 subformulae)";
   let tracked = Array.of_list (List.map (Hashtbl.find slots) ps) in
-  let lits = literals alpha forms in
+  (ops, literals alpha forms, tracked)
+
+(* BFS over reachable states, letters in order.  A state is a truth
+   vector masked with [keep], which must hold every bit that a step
+   reads ({!memory}) and every bit that the caller reads; keys are
+   interned in an {!Int_index}.  State 0 is the initial (pre-read)
+   state, and states are numbered on discovery, so row [q] is built
+   when [q] is dequeued.  Returns the state count, the rows and the
+   masked vectors. *)
+let explore ops lits keep =
   let k = Array.length lits in
-  (* BFS over reachable vectors, letters in order; state 0 is the
-     initial (pre-read) state, and states are numbered on discovery, so
-     row [q] is built when [q] is dequeued. *)
-  let ids = Vectors.create 64 in
-  let vectors = ref (Array.make 64 0) and rows = ref (Array.make 64 [||]) in
+  let ids = Int_index.create () in
+  let vectors = ref (Array.make 16 0) and rows = ref (Array.make 16 [||]) in
   let count = ref 1 in
-  let intern v =
-    match Vectors.find_opt ids v with
-    | Some q -> q
-    | None ->
-        let q = !count in
-        if q = Array.length !vectors then begin
-          vectors := Array.append !vectors (Array.make q 0);
-          rows := Array.append !rows (Array.make q [||])
+  let row q first prev =
+    let r = Array.make k 0 in
+    for a = 0 to k - 1 do
+      let v = step_vector ops first prev lits.(a) land keep in
+      let q' = Int_index.find_or_add ids v !count in
+      if q' = !count then begin
+        if q' = Array.length !vectors then begin
+          vectors := Array.append !vectors (Array.make q' 0);
+          rows := Array.append !rows (Array.make q' [||])
         end;
-        incr count;
-        Vectors.add ids v q;
-        !vectors.(q) <- v;
-        q
+        !vectors.(q') <- v;
+        incr count
+      end;
+      r.(a) <- q'
+    done;
+    !rows.(q) <- r
   in
-  let row first prev =
-    Array.init k (fun a -> intern (step_vector ops first prev lits.(a)))
-  in
-  (* a row may grow [rows]: build it before writing it *)
-  let r = row true 0 in
-  !rows.(0) <- r;
+  row 0 true 0;
   let q = ref 1 in
   while !q < !count do
-    let r = row false !vectors.(!q) in
-    !rows.(!q) <- r;
+    row !q false !vectors.(!q);
     incr q
   done;
-  let n = !count in
-  {
-    alpha;
-    tracked;
-    n;
-    initial = 0;
-    delta = Array.sub !rows 0 n;
-    vectors = Array.sub !vectors 0 n;
-  }
+  (!count, Array.sub !rows 0 !count, Array.sub !vectors 0 !count)
+
+let make alpha ps =
+  let ops, lits, tracked = prepare alpha ps in
+  let n, delta, vectors = explore ops lits (-1) in
+  { alpha; tracked; n; initial = 0; delta; vectors }
 
 let alpha t = t.alpha
 
@@ -182,10 +195,11 @@ let value t q i =
     invalid_arg "Past_tester.value: initial state has no last position";
   bit t.vectors.(q) t.tracked.(i)
 
-let to_dfa t i =
-  let accept =
-    Array.init t.n (fun q -> q <> t.initial && value t q i)
-  in
-  Dfa.make ~alpha:t.alpha ~n:t.n ~start:t.initial ~delta:t.delta ~accept
-
-let esat alpha p = Dfa.minimize (to_dfa (make alpha [ p ]) 0)
+(* The tester keyed by the memory bits and the root bit only: states
+   that agree on those agree on every later step and on acceptance. *)
+let esat alpha p =
+  let ops, lits, tracked = prepare alpha [ p ] in
+  let root = tracked.(0) in
+  let n, delta, vectors = explore ops lits (memory ops lor (1 lsl root)) in
+  let accept = Array.init n (fun q -> q <> 0 && bit vectors.(q) root) in
+  Dfa.minimize (Dfa.make ~alpha ~n ~start:0 ~delta ~accept)

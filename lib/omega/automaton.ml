@@ -98,45 +98,89 @@ let accepts a lasso = Acceptance.eval a.acc (infinity_set a lasso)
 
 let complement a = { a with acc = Acceptance.dual a.acc }
 
+(* The codes in [0 .. codes-1] reachable from [start], where [fill c
+   row] writes code [c]'s successor codes into [row].  A BFS over one
+   scratch row discovers the codes, with [index] mapping each to its
+   discovery number and [found] as the queue; then codes get states in
+   code order, as [trim] numbers them, and a second [fill] per kept
+   code writes its row in states.  Filling twice is cheaper than
+   keeping the targets: a table that grows is copied, and one sized
+   for every code is the full product again.  [acc kept] gives the
+   acceptance condition over the states, [kept.(i)] being state [i]'s
+   code. *)
+let explore alpha ~codes ~start fill acc =
+  let k = Alphabet.size alpha in
+  let index = Array.make codes (-1) and found = Array.make codes 0 in
+  let row = Array.make k 0 in
+  index.(start) <- 0;
+  found.(0) <- start;
+  let count = ref 1 and j = ref 0 in
+  while !j < !count do
+    fill found.(!j) row;
+    for l = 0 to k - 1 do
+      let c = row.(l) in
+      if index.(c) < 0 then begin
+        index.(c) <- !count;
+        found.(!count) <- c;
+        incr count
+      end
+    done;
+    incr j
+  done;
+  let n = !count in
+  let kept = Array.make n 0 in
+  let i = ref 0 in
+  for c = 0 to codes - 1 do
+    if index.(c) >= 0 then begin
+      kept.(!i) <- c;
+      index.(c) <- !i;
+      incr i
+    end
+  done;
+  let delta =
+    Array.init n (fun i ->
+        fill kept.(i) row;
+        let r = Array.make k 0 in
+        for l = 0 to k - 1 do
+          r.(l) <- index.(row.(l))
+        done;
+        r)
+  in
+  {
+    alpha;
+    n;
+    start = index.(start);
+    delta;
+    acc = Acceptance.simplify (acc kept);
+    succ_table = Atomic.make [||];
+  }
+
+(* A set over codes, read back over the kept states through [code]. *)
+let lift kept code s =
+  Iset.init (Array.length kept) (fun i -> Iset.mem (code kept.(i)) s)
+
+(* A pair is the code [(qa lsl s) lor qb], [s] the bits of [b.n]: the
+   order of [qa * b.n + qb], read back with a shift and a mask. *)
 let product combine a b =
   if not (Alphabet.equal a.alpha b.alpha) then
     invalid_arg "Automaton.product: alphabet mismatch";
   let k = Alphabet.size a.alpha in
-  let n = a.n * b.n in
-  let code qa qb = (qa * b.n) + qb in
-  let delta =
-    Array.init n (fun q ->
-        let qa = q / b.n and qb = q mod b.n in
-        Array.init k (fun l -> code a.delta.(qa).(l) b.delta.(qb).(l)))
+  let s =
+    let rec bits s = if 1 lsl s >= b.n then s else bits (s + 1) in
+    bits 0
   in
-  let lift_a s =
-    Iset.fold
-      (fun qa acc ->
-        List.fold_left (fun acc qb -> Iset.add (code qa qb) acc) acc
-          (List.init b.n Fun.id))
-      s Iset.empty
+  let mask = (1 lsl s) - 1 in
+  let fill c row =
+    let ra = a.delta.(c lsr s) and rb = b.delta.(c land mask) in
+    for l = 0 to k - 1 do
+      row.(l) <- (ra.(l) lsl s) lor rb.(l)
+    done
   in
-  let lift_b s =
-    Iset.fold
-      (fun qb acc ->
-        List.fold_left (fun acc qa -> Iset.add (code qa qb) acc) acc
-          (List.init a.n Fun.id))
-      s Iset.empty
-  in
-  let acc =
-    Acceptance.simplify
-      (combine
-         (Acceptance.map_sets lift_a a.acc)
-         (Acceptance.map_sets lift_b b.acc))
-  in
-  {
-    alpha = a.alpha;
-    n;
-    start = code a.start b.start;
-    delta;
-    acc;
-    succ_table = Atomic.make [||];
-  }
+  explore a.alpha ~codes:(a.n lsl s) ~start:((a.start lsl s) lor b.start) fill
+    (fun kept ->
+      combine
+        (Acceptance.map_sets (lift kept (fun c -> c lsr s)) a.acc)
+        (Acceptance.map_sets (lift kept (fun c -> c land mask)) b.acc))
 
 let inter = product (fun x y -> Acceptance.And [ x; y ])
 
@@ -186,40 +230,13 @@ let reachable a =
   Graph_kernel.reachable ~n:a.n ~succ:(successors a) ~starts:[ a.start ]
 
 let trim a =
-  let seen = reachable a in
-  let remap = Array.make a.n (-1) in
-  let count = ref 0 in
-  Array.iteri
-    (fun q s ->
-      if s then begin
-        remap.(q) <- !count;
-        incr count
-      end)
-    seen;
-  let n = !count in
-  let delta = Array.make n [||] in
-  Array.iteri
-    (fun q s ->
-      if s then
-        delta.(remap.(q)) <- Array.map (fun q' -> remap.(q')) a.delta.(q))
-    seen;
-  let acc =
-    Acceptance.simplify
-      (Acceptance.map_sets
-         (fun s ->
-           Iset.filter_map
-             (fun q -> if q >= 0 && q < a.n && seen.(q) then Some remap.(q) else None)
-             s)
-         a.acc)
-  in
-  {
-    a with
-    n;
-    start = remap.(a.start);
-    delta;
-    acc;
-    succ_table = Atomic.make [||];
-  }
+  explore a.alpha ~codes:a.n ~start:a.start
+    (fun q row ->
+      let r = a.delta.(q) in
+      for l = 0 to Array.length row - 1 do
+        row.(l) <- r.(l)
+      done)
+    (fun kept -> Acceptance.map_sets (lift kept Fun.id) a.acc)
 
 let sccs a = Graph_kernel.sccs ~n:a.n ~succ:(successors a)
 

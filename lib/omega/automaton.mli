@@ -53,8 +53,14 @@ val complement : t -> t
     states. *)
 val with_acc : t -> Acceptance.t -> t
 
-(** Synchronous product; the acceptance conditions of both factors are
-    lifted and combined with the given constructor. *)
+(** Synchronous product over the pairs reachable from the start pair;
+    the acceptance conditions of both factors are lifted to the kept
+    pairs and combined with the given constructor.  Pairs are numbered
+    in pair-code order ([qa * b.n + qb]), so the result equals {!trim}
+    of the product over all [a.n * b.n] pairs, which is never built:
+    time and memory follow the reachable pairs, plus two ints per pair
+    code for the search (codes pack [qb] into the bits of [b.n], so
+    there are fewer than [2 * a.n * b.n]). *)
 val product :
   (Acceptance.t -> Acceptance.t -> Acceptance.t) -> t -> t -> t
 
@@ -64,9 +70,29 @@ val union : t -> t -> t
 
 val diff : t -> t -> t
 
-(** Restrict to reachable states (renumbering; acceptance atoms are
-    intersected with the kept set). *)
+(** Restrict to reachable states (renumbering in index order;
+    acceptance atoms are intersected with the kept set).  The walk
+    reads [delta] directly and leaves the {!successors} memo alone. *)
 val trim : t -> t
+
+(** [explore alpha ~codes ~start fill acc] is the automaton of the
+    codes in [0 .. codes-1] reachable from [start], where [fill c row]
+    writes the successor codes of [c] into [row] (one per letter; it is
+    called twice per reachable code).  States are numbered in code
+    order, so the result is {!trim} of the automaton over all codes;
+    [acc kept] is its acceptance condition (simplified here), where
+    [kept.(i)] is the code of state [i].  {!product}, {!trim} and
+    {!Build}'s operators are this one pass.  Memory: two ints per code
+    and the result.  A code out of range raises [Invalid_argument]
+    (from an array access); [acc kept] is trusted to mention only
+    states below [Array.length kept]. *)
+val explore :
+  Finitary.Alphabet.t ->
+  codes:int ->
+  start:int ->
+  (int -> int array -> unit) ->
+  (int array -> Acceptance.t) ->
+  t
 
 (** Successor lists (unlabelled) for graph algorithms; deduplicated and
     memoized — repeated calls do not re-filter the transition table.

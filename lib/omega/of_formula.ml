@@ -26,13 +26,13 @@ let rec of_canon ?(budget = Budget.unlimited)
     | Rewrite.CAlwEv p -> Build.r (Past_tester.esat alpha p)
     | Rewrite.CEvAlw p -> Build.p (Past_tester.esat alpha p)
     | Rewrite.CAnd (c1, c2) ->
-        Automaton.trim
-          (Automaton.inter (of_canon ~budget ~telemetry alpha c1)
-             (of_canon ~budget ~telemetry alpha c2))
+        Automaton.inter
+          (of_canon ~budget ~telemetry alpha c1)
+          (of_canon ~budget ~telemetry alpha c2)
     | Rewrite.COr (c1, c2) ->
-        Automaton.trim
-          (Automaton.union (of_canon ~budget ~telemetry alpha c1)
-             (of_canon ~budget ~telemetry alpha c2))
+        Automaton.union
+          (of_canon ~budget ~telemetry alpha c1)
+          (of_canon ~budget ~telemetry alpha c2)
   in
   Budget.ticks budget a.Automaton.n;
   Telemetry.add telemetry "translate.states" a.Automaton.n;

@@ -11,10 +11,10 @@ open Omega
 (* Inclusion by complement and product: L(a) <= L(b) iff the product of
    [a] with the complement of [b] is empty.  The oracle for
    [Lang.included], decided independently of [Inclusion]'s on-the-fly
-   search: it builds the complement and the full product table on every
-   query, same-table operands included, and trims the product to its
-   reachable pairs before the emptiness check (which would otherwise
-   walk every tabulated pair). *)
+   search: it builds the complement and the product's reachable pairs
+   on every query, same-table operands included, and runs the emptiness
+   check on the whole of that table.  The [trim] is a no-op on a
+   product, which has no unreachable state. *)
 let included_by_product a b =
   Lang.is_empty (Automaton.trim (Automaton.inter a (Automaton.complement b)))
 

@@ -285,6 +285,26 @@ let arb_dfa =
   in
   QCheck.make ~print:(fun (d, _) -> Format.asprintf "%a" Dfa.pp d) gen
 
+(* Larger DFAs with few accepting states and a bias towards
+   neighbouring targets, so that classes split at many depths. *)
+let arb_sparse_dfa =
+  let gen =
+    let open QCheck.Gen in
+    int_range 1 3 >>= fun k ->
+    int_range 1 60 >>= fun n ->
+    let alpha = Alphabet.of_chars (String.sub "abc" 0 k) in
+    let target q =
+      frequency
+        [ (3, return ((q + 1) mod n)); (1, return q); (1, int_bound (n - 1)) ]
+    in
+    int_bound (n - 1) >>= fun start ->
+    flatten_a (Array.init n (fun q -> array_repeat k (target q)))
+    >>= fun delta ->
+    array_repeat n (frequencyl [ (5, false); (1, true) ]) >|= fun accept ->
+    Dfa.make ~alpha ~n ~start ~delta ~accept
+  in
+  QCheck.make ~print:(Format.asprintf "%a" Dfa.pp) gen
+
 let renumber (d : Dfa.t) perm =
   let delta = Array.make d.n [||] and accept = Array.make d.n false in
   Array.iteri
@@ -303,6 +323,25 @@ let minimize_tests =
           Dfa.equal d m
           && Dfa.minimize m = m
           && Dfa.minimize (renumber d perm) = m);
+      QCheck.Test.make ~name:"Hopcroft = Moore, structurally" ~count:2000
+        arb_sparse_dfa (fun d -> Dfa.minimize d = Moore.minimize d);
+    ]
+  @ [
+      Alcotest.test_case "a 5000-state chain minimizes in linear space"
+        `Quick (fun () ->
+          (* Moore refinement takes one round per state on a chain, each
+             allocating a signature table: about 10^9 words here *)
+          let d = Finitary.Regex.compile (Alphabet.of_chars "a") "a^5000" in
+          let chain =
+            Dfa.make ~alpha:d.alpha ~n:d.n ~start:d.start ~delta:d.delta
+              ~accept:d.accept
+          in
+          let before = Gc.minor_words () in
+          let m = Dfa.minimize chain in
+          let words = Gc.minor_words () -. before in
+          Alcotest.(check int) "states" 5002 m.n;
+          if words > 200_000. then
+            Alcotest.failf "minimize allocated %.0f words" words);
     ]
 
 let () =

@@ -259,6 +259,31 @@ let tester_tests =
         QCheck.Test.make ~name:"value = end_satisfies on every short word"
           ~count:50 arb_tracked tester_agrees;
       ]
+  @ [
+      Alcotest.test_case "make's state counts are pinned" `Quick (fun () ->
+          (* [make] keys states by the full truth vector (the tableau
+             reads every tracked formula), unlike [esat]'s tester *)
+          let pqr = Finitary.Alphabet.of_props [ "p"; "q"; "r" ] in
+          List.iter
+            (fun (ps, n) ->
+              let t = Past_tester.make pqr (List.map f ps) in
+              Alcotest.(check int) (String.concat "; " ps) n
+                (Past_tester.n_states t))
+            [
+              ([ "p S q" ], 6);
+              ([ "Y p" ], 5);
+              ([ "Z (p S q)" ], 10);
+              ([ "H (p | q)" ], 8);
+              ([ "!q & O p" ], 7);
+              ([ "p B q" ], 6);
+              ([ "first & O p" ], 6);
+              ([ "(p S q) & Y Y p" ], 21);
+              ([ "O (p & Y q) S H !r" ], 59);
+              ([ "O p"; "H q"; "p S q" ], 11);
+              ([ "Y (p S (q & Z r))"; "O (r & Y Y p)" ], 225);
+              ([ "(p <-> Y q) B (O r -> H p)" ], 45);
+            ]);
+    ]
 
 (* canonical-form rewriting on the edges Shape leans on: the weak
    operators W/B/Z and past nested under future modalities *)
