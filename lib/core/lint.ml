@@ -158,13 +158,9 @@ let lint_parsed ?budget ?(mode = Auto)
       | None -> None
     in
     let tableaux =
-      match alpha with
-      | Some alpha ->
-          let neg =
-            Logic.Tableau.translate ?budget alpha (Logic.Formula.Not formula)
-          in
-          Some (Logic.Tableau.translate ?budget alpha formula, neg)
-      | None -> None
+      Option.map
+        (fun alpha -> Logic.Tableau.translate_pair ?budget alpha formula)
+        alpha
     in
     let satisfiable, valid =
       match tableaux with

@@ -89,6 +89,20 @@ let holds a atom l =
           invalid_arg
             (Printf.sprintf "Alphabet.holds: unknown proposition %S" atom))
 
+let truth a atom =
+  match a.kind with
+  | Symbolic -> (
+      match letter_of_name_opt a atom with
+      | Some i -> Array.init (size a) (fun l -> l = i)
+      | None ->
+          invalid_arg (Printf.sprintf "Alphabet.holds: unknown letter %S" atom))
+  | Propositional props -> (
+      match prop_index props atom with
+      | Some j -> Array.init (size a) (fun l -> l land (1 lsl j) <> 0)
+      | None ->
+          invalid_arg
+            (Printf.sprintf "Alphabet.holds: unknown proposition %S" atom))
+
 let atoms a =
   match a.kind with
   | Symbolic -> Array.to_list a.names

@@ -51,6 +51,12 @@ val letter_of_name_opt : t -> string -> letter option
     unknown atom. *)
 val holds : t -> string -> letter -> bool
 
+(** [truth a atom] is [holds a atom] on every letter, indexed by letter,
+    after one lookup of the name: [Array.init (size a) (holds a atom)]
+    without a name scan per letter.  Raises the same [Invalid_argument]
+    as {!holds} on an unknown atom. *)
+val truth : t -> string -> bool array
+
 (** The atoms usable with {!holds}: letter names or proposition names. *)
 val atoms : t -> string list
 

@@ -69,8 +69,9 @@ let compile root =
   (slots, rev !ops, rev !forms)
 
 (* [lits.(a)]: the bits of the constant and atom slots on letter [a].
-   Atoms are evaluated slot by slot, so the first unknown one raises
-   [Alphabet.holds]'s error. *)
+   Atoms are evaluated slot by slot, each over all letters after one
+   name lookup, so the first unknown one raises [Alphabet.holds]'s
+   error. *)
 let literals alpha forms =
   let lits = Array.make (Alphabet.size alpha) 0 in
   Array.iteri
@@ -79,7 +80,7 @@ let literals alpha forms =
       match f with
       | Formula.True -> Array.iteri (fun a _ -> set a) lits
       | Formula.Atom x ->
-          Array.iteri (fun a _ -> if Alphabet.holds alpha x a then set a) lits
+          Array.iteri (fun a b -> if b then set a) (Alphabet.truth alpha x)
       | _ -> ())
     forms;
   lits

@@ -44,6 +44,20 @@ val translate :
   Formula.t ->
   nba
 
+(** [translate_pair alpha f] is [(translate alpha f, translate alpha
+    (Not f))], the same automata, budget spend and telemetry, built
+    with one past-subformula extraction and one {!Past_tester}: the past
+    table of [Not f] is the table of [f].  [Not f] is built first, each
+    automaton in its own [tableau.translate] span with its own
+    histogram entries, and the tester is made where the first of them
+    needs it.  Lint reads every requirement through it. *)
+val translate_pair :
+  ?budget:Budget.t ->
+  ?telemetry:Telemetry.t ->
+  Finitary.Alphabet.t ->
+  Formula.t ->
+  nba * nba
+
 (** Number of concrete automaton states. *)
 val size : nba -> int
 
@@ -74,8 +88,11 @@ val nonempty : nba -> bool
     accepting SCC.  It asks for a pair's successors by position, and a
     merge cursor over the two letter-sorted rows answers with the next
     pair of targets on a shared letter, in the order of the first
-    automaton's row.  An empty product is visited whole; a non-empty one
-    usually in part.  [budget] is ticked once per product state
+    automaton's row.  An automaton keeps all its rows in one flat
+    array of edges with one offset per state, so the cursor is three
+    edge positions, one in the first row and two in the second, and
+    its ends are the next states' offsets.  An empty product is
+    visited whole; a non-empty one usually in part.  [budget] is ticked once per product state
     visited.  The search runs in a [tableau.product] span of the
     ambient telemetry handle, which also records the number of states
     visited in a [tableau.product_states] histogram.
